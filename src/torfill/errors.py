@@ -42,7 +42,7 @@ class UnsupportedDimension(TorfillError):
 
 
 class NotDependent(TorfillError):
-    """slim_reduce requires linearly dependent generators."""
+    """slim_piece requires linearly dependent generators."""
 
 
 class NotUnimodular(TorfillError):

@@ -135,14 +135,7 @@ def default_cache() -> CertificateCache:
     return _default_cache
 
 
-def set_default_cache(cache: CertificateCache):
-    global _default_cache
-    _default_cache = cache
-
-
-def base_certificate(key, cache: CertificateCache = None) -> FillingCertificate:
+def base_certificate(key) -> FillingCertificate:
     """Cached certificate for a universal move cycle (computed by
     fill_by_solve on first use)."""
-    if cache is None:
-        cache = default_cache()
-    return cache.get(key)
+    return default_cache().get(key)

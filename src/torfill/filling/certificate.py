@@ -138,12 +138,6 @@ class Piece:
         return Piece(target.ambient_dim, target.degree, target,
                      [(meta, witness)])
 
-    def witness(self) -> TorusChain:
-        acc = TorusChain.zero(self.ambient_dim, self.degree + 1)
-        for _, chunk in self.chunks:
-            acc = acc + chunk
-        return acc
-
     def __add__(self, other: "Piece") -> "Piece":
         assert (self.ambient_dim, self.degree) == (other.ambient_dim, other.degree)
         return Piece(self.ambient_dim, self.degree, self.target + other.target,
@@ -216,11 +210,9 @@ class Piece:
         assert norm == l1_norm(witness)
         return witness, tuple(records)
 
-    def records(self) -> tuple:
-        return self.assemble()[1]
-
     def certificate(self, verify: bool = True) -> FillingCertificate:
-        cert = FillingCertificate.build(self.target, self.witness())
+        witness, _ = self.assemble()
+        cert = FillingCertificate.build(self.target, witness)
         if verify:
             require_valid(cert)
         return cert

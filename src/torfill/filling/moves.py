@@ -17,7 +17,7 @@ from ..chains import (LinearTorusMap, TorusChain, parallelogram_cycle,
                       pushforward, simplex_chain)
 from ..errors import UnsupportedDimension
 from .base import base_certificate
-from .certificate import FillingCertificate, Piece
+from .certificate import Piece
 
 Vec = tuple
 
@@ -50,16 +50,16 @@ def primitive_decomposition(v):
     return d, tuple(x // d for x in v)
 
 
-def _base_piece(key, kind, params, columns, cycles, cache=None) -> Piece:
+def _base_piece(key, kind, params, columns, cycles) -> Piece:
     """Pushforward of a base certificate along the map E_i -> columns[i]."""
-    cert = base_certificate(key, cache)
+    cert = base_certificate(key)
     f = LinearTorusMap.from_columns(columns)
     target = pushforward(f, cert.target)
     witness = pushforward(f, cert.witness)
     return Piece.move(kind, params, target, witness, cycles)
 
 
-def move_negate(gens, pos, cache=None) -> Piece:
+def move_negate(gens, pos) -> Piece:
     """Target Q(gens) + Q(gens with -v at pos)."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
@@ -70,19 +70,19 @@ def move_negate(gens, pos, cache=None) -> Piece:
         if k == 2:
             piece = _base_piece(("NEGATE", 2), "NEGATE", (0, gens),
                                 [gens[0], gens[1]],
-                                [(1, gens), (1, neg)], cache)
+                                [(1, gens), (1, neg)])
         else:
-            inner = move_negate(gens[:2], 0, cache)
+            inner = move_negate(gens[:2], 0)
             piece = inner.prism_lift(gens[2])
         assert piece.target == parallelogram_cycle(gens) + parallelogram_cycle(neg)
         return piece
     # conjugate by an exact transposition: Q(..a,b..) = -Q(..b,a..)
     swapped = list(gens)
     swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
-    return -move_negate(tuple(swapped), pos - 1, cache)
+    return -move_negate(tuple(swapped), pos - 1)
 
 
-def move_split(gens, pos, v1, v2, cache=None) -> Piece:
+def move_split(gens, pos, v1, v2) -> Piece:
     """Target Q(gens) - Q(gens[pos -> v1]) - Q(gens[pos -> v2]);
     requires gens[pos] = v1 + v2."""
     gens = tuple(_vec(g) for g in gens)
@@ -93,14 +93,14 @@ def move_split(gens, pos, v1, v2, cache=None) -> Piece:
         piece = _base_piece(
             ("SPLIT", 2), "SPLIT", (pos, gens, v1, v2),
             [gens[0], v1, v2],
-            [(1, gens), (-1, (gens[0], v1)), (-1, (gens[0], v2))], cache)
+            [(1, gens), (-1, (gens[0], v1)), (-1, (gens[0], v2))])
     elif k == 2 and pos == 0:
-        piece = -move_split((gens[1], gens[0]), 1, v1, v2, cache)
+        piece = -move_split((gens[1], gens[0]), 1, v1, v2)
     elif k == 3 and pos < 2:
-        piece = move_split(gens[:2], pos, v1, v2, cache).prism_lift(gens[2])
+        piece = move_split(gens[:2], pos, v1, v2).prism_lift(gens[2])
     elif k == 3 and pos == 2:
         swapped = (gens[0], gens[2], gens[1])
-        piece = -move_split(swapped, 1, v1, v2, cache)
+        piece = -move_split(swapped, 1, v1, v2)
     else:
         raise UnsupportedDimension("split supported for 2 or 3 generators")
     expected = parallelogram_cycle(gens)
@@ -111,7 +111,7 @@ def move_split(gens, pos, v1, v2, cache=None) -> Piece:
     return piece
 
 
-def move_zero_gen(gens, cache=None) -> Piece:
+def move_zero_gen(gens) -> Piece:
     """Target Q(gens), where some generator is the zero vector."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
@@ -128,29 +128,29 @@ def move_zero_gen(gens, cache=None) -> Piece:
     moved = gens[:pos] + gens[pos + 1:] + (zero,)
     sign = -1 if (k - 1 - pos) % 2 else 1
     piece = _base_piece(("ZERO", k - 1), "ZERO_GEN", (pos, gens),
-                        list(moved[:-1]), [(1, moved)], cache).scale(sign)
+                        list(moved[:-1]), [(1, moved)]).scale(sign)
     assert piece.target == parallelogram_cycle(gens)
     return piece
 
 
-def move_dehn(x, y, kappa, cache=None) -> Piece:
+def move_dehn(x, y, kappa) -> Piece:
     """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 0..3."""
     if kappa == 0:
         return Piece.zero(1, 2)
     piece = _base_piece(
         ("DEHN", kappa), "DEHN", (kappa, x, y), [(x,), (y,)],
-        [(1, ((x,), (y,))), (-1, ((x,), (y - kappa * x,)))], cache)
+        [(1, ((x,), (y,))), (-1, ((x,), (y - kappa * x,)))])
     assert piece.target == (parallelogram_cycle([(x,), (y,)])
                             - parallelogram_cycle([(x,), (y - kappa * x,)]))
     return piece
 
 
-def move_double_halve(x, y, cache=None) -> Piece:
+def move_double_halve(x, y) -> Piece:
     """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
     assert y % 2 == 0
     piece = _base_piece(
         ("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y), [(x,), (y // 2,)],
-        [(1, ((x,), (y,))), (-1, ((2 * x,), (y // 2,)))], cache)
+        [(1, ((x,), (y,))), (-1, ((2 * x,), (y // 2,)))])
     assert piece.target == (parallelogram_cycle([(x,), (y,)])
                             - parallelogram_cycle([(2 * x,), (y // 2,)]))
     return piece
@@ -166,7 +166,7 @@ class S1Trace:
 
     phase1: (x_i, y_i, k_i) rows of the doubling recursion on Q(1, .);
     phase2: the halving sequence a_i of |a| with its odd/even index sets.
-    Invariants: x_i = 2^i, 2^i | y_i, y_M = 0, M <= 1 + log2(phase1_input)/2,
+    Invariants: x_i = 2^i, 2^i | y_i, y_M = 0, M <= 1 + log2(L)/2,
     a_i <= |a| / 2^i, L = l * (2^N + sum_{i in I_o} 2^i) = |a| * |l|.
     """
 
@@ -179,7 +179,6 @@ class S1Trace:
     n_steps: int  # N
     m_steps: int  # M = len(phase1)
     total: int  # L
-    phase1_input: int
     move_count: int
 
 
@@ -196,12 +195,12 @@ def s1_moves(a: int, l: int):
     x, y = a, l
 
     if y == 0:
-        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 0, 1)
+        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 1)
         moves.append((sign, "ZERO", (x,)))
         return moves, trace
     if x == 0:
         # Q(0, y) = -Q(y, 0) exactly
-        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 0, 1)
+        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 1)
         moves.append((-sign, "ZERO", (y,)))
         return moves, trace
 
@@ -253,55 +252,48 @@ def s1_moves(a: int, l: int):
     moves.append((sign, "ZERO", (x1,)))
 
     trace = S1Trace(a, l, tuple(phase1), tuple(phase2), tuple(odd),
-                    tuple(even), n_steps, len(phase1), big_l, big_l,
-                    len(moves))
+                    tuple(even), n_steps, len(phase1), big_l, len(moves))
     return moves, trace
 
 
-def _s1_move_piece(sign, kind, args, cache=None) -> Piece:
+def _s1_move_piece(sign, kind, args) -> Piece:
     if kind == "NEG1":
         x, y = args
-        piece = move_negate(((x,), (y,)), 0, cache)
+        piece = move_negate(((x,), (y,)), 0)
     elif kind == "NEG2":
         x, y = args
-        piece = move_negate(((x,), (y,)), 1, cache)
+        piece = move_negate(((x,), (y,)), 1)
     elif kind == "DEHN":
         x, y, k = args
-        piece = move_dehn(x, y, k, cache)
+        piece = move_dehn(x, y, k)
     elif kind == "DH":
         x, y = args
-        piece = move_double_halve(x, y, cache)
+        piece = move_double_halve(x, y)
     elif kind == "SPLIT1":
         x, y, p1, p2 = args
-        piece = move_split(((x,), (y,)), 0, (p1,), (p2,), cache)
+        piece = move_split(((x,), (y,)), 0, (p1,), (p2,))
     elif kind == "SPLIT2":
         x, y, p1, p2 = args
-        piece = move_split(((x,), (y,)), 1, (p1,), (p2,), cache)
+        piece = move_split(((x,), (y,)), 1, (p1,), (p2,))
     elif kind == "ZERO":
-        piece = move_zero_gen(((args[0],), (0,)), cache)
+        piece = move_zero_gen(((args[0],), (0,)))
     else:
         raise ValueError("unknown S1 move kind %r" % kind)
     return piece.scale(sign)
 
 
-def s1_piece(a: int, l: int, cache=None):
-    """Piece with target Q(a, l) in T^1, plus its trace."""
+def s1_piece(a: int, l: int):
+    """Piece with target Q(a, l) in T^1, plus the trace of the
+    doubling/halving schedule.  Move count is O(log|al|)."""
     moves, trace = s1_moves(a, l)
     acc = Piece.zero(1, 2)
     for sign, kind, args in moves:
-        acc = acc + _s1_move_piece(sign, kind, args, cache)
+        acc = acc + _s1_move_piece(sign, kind, args)
     assert acc.target == parallelogram_cycle([(a,), (l,)])
     return acc, trace
 
 
-def s1_reduce(a: int, l: int, cache=None):
-    """Certificate for the 2-parallelogram Q(a, l) in the circle, with the
-    trace of the doubling/halving schedule.  Move count is O(log|al|)."""
-    piece, trace = s1_piece(a, l, cache)
-    return piece.certificate(), trace
-
-
-def slide(u0, d, m, w, cache=None) -> Piece:
+def slide(u0, d, m, w) -> Piece:
     """Target Q(d*u0, w + m*u0) - Q(d*u0, w): one split plus the circle
     certificate for Q(d, m) pushed along t -> t*u0."""
     u0, w = _vec(u0), _vec(w)
@@ -310,8 +302,8 @@ def slide(u0, d, m, w, cache=None) -> Piece:
         return Piece.zero(n, 2)
     v = _scale_vec(d, u0)
     shifted = _add_vec(w, _scale_vec(m, u0))
-    piece = move_split((v, shifted), 1, w, _scale_vec(m, u0), cache)
-    inner, _ = s1_piece(d, m, cache)
+    piece = move_split((v, shifted), 1, w, _scale_vec(m, u0))
+    inner, _ = s1_piece(d, m)
     piece = piece + inner.pushforward(LinearTorusMap.from_columns([u0]))
     marker = Piece.move("SLIDE", (tuple(u0), d, m, tuple(w)),
                         TorusChain.zero(n, 2), TorusChain.zero(n, 3), ())
@@ -321,76 +313,16 @@ def slide(u0, d, m, w, cache=None) -> Piece:
     return piece
 
 
-def slide_second(v, w, delta, cache=None) -> Piece:
+def slide_second(v, w, delta) -> Piece:
     """Target Q(v, w + delta) - Q(v, w) for delta parallel to v."""
     d, u0 = primitive_decomposition(v)
     delta = _vec(delta)
     nz = next(i for i, x in enumerate(u0) if x)
     m, r = divmod(delta[nz], u0[nz])
     assert r == 0 and _scale_vec(m, u0) == delta, "delta must be a u0 multiple"
-    return slide(u0, d, m, w, cache)
+    return slide(u0, d, m, w)
 
 
-def slide_first(v, w, delta, cache=None) -> Piece:
+def slide_first(v, w, delta) -> Piece:
     """Target Q(v + delta, w) - Q(v, w) for delta parallel to w."""
-    return -slide_second(w, v, delta, cache)
-
-
-def apply_move(kind, params, cache=None) -> FillingCertificate:
-    """Certificate for a single move's defining cycle at full scale."""
-    if kind == "REARRANGE":
-        gens, perm = params
-        gens = tuple(_vec(g) for g in gens)
-        permuted = tuple(gens[i] for i in perm)
-        sign = _perm_sign(perm)
-        piece = Piece.zero(len(gens[0]), len(gens))
-        target = (parallelogram_cycle(gens)
-                  - parallelogram_cycle(permuted).scale(sign))
-        assert target.is_zero(), "permutations act by their sign exactly"
-        return piece.certificate()
-    if kind == "NEGATE":
-        gens, pos = params
-        return move_negate(gens, pos, cache).certificate()
-    if kind == "SPLIT":
-        gens, pos, v1, v2 = params
-        return move_split(gens, pos, v1, v2, cache).certificate()
-    if kind == "ZERO_GEN":
-        (gens,) = params
-        return move_zero_gen(gens, cache).certificate()
-    if kind == "DEHN":
-        x, y, kappa = params
-        return move_dehn(x, y, kappa, cache).certificate()
-    if kind == "DOUBLE_HALVE":
-        x, y = params
-        return move_double_halve(x, y, cache).certificate()
-    if kind == "SLIDE":
-        u0, d, m, w = params
-        return slide(u0, d, m, w, cache).certificate()
-    if kind == "S1_BASE":
-        a, l = params
-        return s1_reduce(a, l, cache)[0]
-    if kind == "PRISM_LIFT":
-        v, cert = params
-        from ..chains import prism_v
-        lifted = FillingCertificate.build(prism_v(v, cert.target),
-                                          prism_v(v, cert.witness))
-        from .certificate import require_valid
-        return require_valid(lifted)
-    raise ValueError("unknown move kind %r" % kind)
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return -slide_second(w, v, delta)

@@ -2,9 +2,9 @@
 
 Pipeline: split generators along the last coordinate and recurse the
 singleton terms (paral_to_rects), fill the linearly dependent remainders
-(slim_reduce), normalize each rectangle to unit heights by the four-slide
+(slim_piece), normalize each rectangle to unit heights by the four-slide
 schedule (rect_to_unit), and merge the unit rectangles (combine_rects).
-The assembled witness satisfies boundary(witness) = Q(columns) - R(det, 1..1)
+Each step returns a Piece; the assembled witness satisfies boundary(witness) = Q(columns) - R(det, 1..1)
 with exact integer arithmetic.
 """
 
@@ -65,20 +65,21 @@ def _move_to_front_sign(k, i, j):
     return -1 if swaps % 2 else 1
 
 
-def slim_piece(gens, cache=None) -> Piece:
-    """Piece with target Q(gens) for linearly dependent generators."""
+def slim_piece(gens) -> Piece:
+    """Piece with target Q(gens) for linearly dependent generators; raises
+    NotDependent when they are independent."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
     n = len(gens[0])
     zero = (0,) * n
 
     if zero in gens:
-        return move_zero_gen(gens, cache)
+        return move_zero_gen(gens)
 
     pair = _parallel_pair(gens)
     if pair is not None:
         i, j, u0, alpha, beta = pair
-        inner, _ = s1_piece(alpha, beta, cache)
+        inner, _ = s1_piece(alpha, beta)
         piece = inner.pushforward(LinearTorusMap.from_columns([u0]))
         rest = [gens[t] for t in range(k) if t not in (i, j)]
         for v in rest:
@@ -93,7 +94,8 @@ def slim_piece(gens, cache=None) -> Piece:
 
     # general integral dependence: Euclidean quotient-splitting
     rel = _dependency(gens)
-    assert rel is not None and all(rel), "expected a full-support relation"
+    if rel is None:
+        raise NotDependent("generators are linearly independent")
     i = max(range(k), key=lambda t: abs(rel[t]))
     j = min((t for t in range(k) if t != i), key=lambda t: abs(rel[t]))
     # split gens[j] = (gens[j] + s*gens[i]) + (-s*gens[i]); the second term
@@ -101,10 +103,10 @@ def slim_piece(gens, cache=None) -> Piece:
     s = _round_div(rel[i], rel[j])
     v1 = _add_vec(gens[j], _scale_vec(s, gens[i]))
     v2 = _scale_vec(-s, gens[i])
-    piece = move_split(gens, j, v1, v2, cache)
+    piece = move_split(gens, j, v1, v2)
     with_pair = gens[:j] + (v2,) + gens[j + 1:]
     remainder = gens[:j] + (v1,) + gens[j + 1:]
-    piece = piece + slim_piece(with_pair, cache) + slim_piece(remainder, cache)
+    piece = piece + slim_piece(with_pair) + slim_piece(remainder)
     assert piece.target == parallelogram_cycle(gens)
     return piece
 
@@ -116,17 +118,12 @@ def _round_div(a, b) -> int:
     return q
 
 
-def slim_reduce(gens, cache=None) -> FillingCertificate:
-    """Certificate for Q(gens) when the generators are linearly dependent."""
-    gens = tuple(_vec(g) for g in gens)
-    if len(hnf(_gens_matrix(gens)).pivots) == len(gens):
-        raise NotDependent("generators are linearly independent")
-    return slim_piece(gens, cache).certificate()
+def paral_to_rects(gens):
+    """Decompose Q(gens) against at most n! signed rectangle cycles.
 
-
-def _paral_to_rects_piece(gens, cache=None):
-    """(signed rectangle sizes, piece) with
-    piece.target = Q(gens) - sum_i eps_i R(sizes_i)."""
+    Returns (rects, piece) with piece.target = Q(gens) - sum_i eps_i R(sizes_i);
+    each rect is (eps_i, sizes_i) with all sizes bounded by max |gens|_inf.
+    """
     gens = tuple(_vec(g) for g in gens)
     n = len(gens[0])
     assert len(gens) == n
@@ -134,7 +131,7 @@ def _paral_to_rects_piece(gens, cache=None):
         return [(1, (gens[0][0],))], Piece.zero(1, 1)
     zero = (0,) * n
     if zero in gens:
-        return [], move_zero_gen(gens, cache)
+        return [], move_zero_gen(gens)
 
     piece = Piece.zero(n, n)
     leaves = [gens]
@@ -147,7 +144,7 @@ def _paral_to_rects_piece(gens, cache=None):
             if not any(v_par) or not any(v_perp):
                 new_leaves.append(leaf)
                 continue
-            piece = piece + move_split(leaf, pos, v_perp, v_par, cache)
+            piece = piece + move_split(leaf, pos, v_perp, v_par)
             new_leaves.append(leaf[:pos] + (v_perp,) + leaf[pos + 1:])
             new_leaves.append(leaf[:pos] + (v_par,) + leaf[pos + 1:])
         leaves = new_leaves
@@ -159,7 +156,7 @@ def _paral_to_rects_piece(gens, cache=None):
             p = par_positions[0]
             height = leaf[p][n - 1]
             inner_gens = tuple(leaf[t][:n - 1] for t in range(n) if t != p)
-            inner_rects, inner_piece = _paral_to_rects_piece(inner_gens, cache)
+            inner_rects, inner_piece = paral_to_rects(inner_gens)
             embed = LinearTorusMap(tuple(
                 tuple(1 if (i == j and i < n - 1) else 0 for j in range(n - 1))
                 for i in range(n)))
@@ -170,7 +167,7 @@ def _paral_to_rects_piece(gens, cache=None):
             rects.extend((sign * eps, sizes + (height,))
                          for eps, sizes in inner_rects)
         else:
-            piece = piece + slim_piece(leaf, cache)
+            piece = piece + slim_piece(leaf)
 
     expected = parallelogram_cycle(gens)
     for eps, sizes in rects:
@@ -179,17 +176,7 @@ def _paral_to_rects_piece(gens, cache=None):
     return rects, piece
 
 
-def paral_to_rects(gens, cache=None):
-    """Decompose Q(gens) against at most n! signed rectangle cycles.
-
-    Returns (rect descriptors, certificate); each descriptor is
-    (sign, sizes) with all sizes bounded by max |gens|_inf.
-    """
-    rects, piece = _paral_to_rects_piece(gens, cache)
-    return rects, piece.certificate()
-
-
-def _rect_to_unit_piece(sizes, cache=None) -> Piece:
+def rect_to_unit(sizes) -> Piece:
     """piece.target = R(sizes) - R(prod(sizes), 1, .., 1)."""
     sizes = tuple(int(a) for a in sizes)
     n = len(sizes)
@@ -199,15 +186,15 @@ def _rect_to_unit_piece(sizes, cache=None) -> Piece:
         gens = tuple(_scale_vec(sizes[t], _unit(n, t)) for t in range(n))
         unit_gens = (_scale_vec(0, _unit(n, 0)),) + tuple(
             _unit(n, t) for t in range(1, n))
-        return (move_zero_gen(gens, cache)
-                - move_zero_gen(unit_gens, cache))
+        return (move_zero_gen(gens)
+                - move_zero_gen(unit_gens))
     if n == 2:
-        return _rect_to_unit_2d(sizes, cache)
+        return _rect_to_unit_2d(sizes)
     if n > 3:
         raise UnsupportedDimension("rectangle normalization needs n <= 3")
 
     a1, mid, an = sizes[0], sizes[1:-1], sizes[-1]
-    plane = _rect_to_unit_2d((a1, an), cache)
+    plane = _rect_to_unit_2d((a1, an))
     embed = LinearTorusMap(tuple(
         tuple(1 if (i == 0 and j == 0) or (i == n - 1 and j == 1) else 0
               for j in range(2)) for i in range(n)))
@@ -219,7 +206,7 @@ def _rect_to_unit_piece(sizes, cache=None) -> Piece:
     assert phase_a.target == (rectangle_cycle(sizes)
                               - rectangle_cycle((a1 * an,) + mid + (1,)))
 
-    inner = _rect_to_unit_piece((a1 * an,) + mid, cache)
+    inner = rect_to_unit((a1 * an,) + mid)
     embed2 = LinearTorusMap(tuple(
         tuple(1 if i == j else 0 for j in range(n - 1)) for i in range(n)))
     phase_b = inner.pushforward(embed2).prism_lift(_unit(n, n - 1))
@@ -236,7 +223,7 @@ def _unit(n, i):
     return tuple(1 if t == i else 0 for t in range(n))
 
 
-def _rect_to_unit_2d(sizes, cache=None) -> Piece:
+def _rect_to_unit_2d(sizes) -> Piece:
     """Four-slide schedule in the plane; the fourth slide is skipped when
     the first size is 1."""
     a, b = sizes
@@ -247,20 +234,20 @@ def _rect_to_unit_2d(sizes, cache=None) -> Piece:
     steps = []
 
     delta1 = _scale_vec(b, e1)
-    steps.append(slide_second(v, w, delta1, cache))
+    steps.append(slide_second(v, w, delta1))
     w = _add_vec(w, delta1)  # (b, b)
 
     delta2 = (-1, -1)
-    steps.append(slide_first(v, w, delta2, cache))
+    steps.append(slide_first(v, w, delta2))
     v = _add_vec(v, delta2)  # (a-1, -1)
 
     delta3 = _scale_vec(b, v)
-    steps.append(slide_second(v, w, delta3, cache))
+    steps.append(slide_second(v, w, delta3))
     w = _add_vec(w, delta3)  # (a*b, 0)
 
     if a != 1:
         delta4 = _scale_vec(1 - a, e1)
-        steps.append(slide_first(v, w, delta4, cache))
+        steps.append(slide_first(v, w, delta4))
         v = _add_vec(v, delta4)  # (0, -1)
     assert v == (0, -1) and w == (a * b, 0)
 
@@ -268,20 +255,16 @@ def _rect_to_unit_2d(sizes, cache=None) -> Piece:
     for s in steps:
         total = total + s
     # total.target = Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
-    neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1, cache)
+    neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1)
     piece = -total - neg
     assert piece.target == (rectangle_cycle(sizes)
                             - rectangle_cycle((a * b, 1)))
     return piece
 
 
-def rect_to_unit(sizes, cache=None) -> FillingCertificate:
-    """Certificate for R(sizes) - R(prod sizes, 1, .., 1)."""
-    return _rect_to_unit_piece(sizes, cache).certificate()
-
-
-def _combine_rects_piece(signed_lengths, n, cache=None):
-    """piece.target = sum_i eps_i R(l_i, 1..1) - R(sum eps_i l_i, 1..1)."""
+def combine_rects(signed_lengths, n):
+    """(total, piece) merging signed unit rectangles:
+    piece.target = sum_i eps_i R(l_i, 1..1) - R(total, 1..1)."""
     piece = Piece.zero(n, n)
     total_chain = TorusChain.zero(n, n)
     normalized = []
@@ -291,31 +274,25 @@ def _combine_rects_piece(signed_lengths, n, cache=None):
         if eps == -1:
             gens = (_scale_vec(length, _unit(n, 0)),) + tuple(
                 _unit(n, t) for t in range(1, n))
-            piece = piece - move_negate(gens, 0, cache)
+            piece = piece - move_negate(gens, 0)
             normalized.append(-length)
         else:
             normalized.append(length)
     if not normalized:
         gens0 = (_scale_vec(0, _unit(n, 0)),) + tuple(
             _unit(n, t) for t in range(1, n))
-        return 0, piece - move_zero_gen(gens0, cache)
+        return 0, piece - move_zero_gen(gens0)
     running = normalized[0]
     unit_tail = tuple(_unit(n, t) for t in range(1, n))
     for length in normalized[1:]:
         gens = (_scale_vec(running + length, _unit(n, 0)),) + unit_tail
         piece = piece - move_split(gens, 0,
                                    _scale_vec(running, _unit(n, 0)),
-                                   _scale_vec(length, _unit(n, 0)), cache)
+                                   _scale_vec(length, _unit(n, 0)))
         running += length
     assert piece.target == total_chain - rectangle_cycle(
         (running,) + (1,) * (n - 1))
     return running, piece
-
-
-def combine_rects(signed_lengths, n, cache=None):
-    """(total length, certificate) for merging signed unit rectangles."""
-    total, piece = _combine_rects_piece(signed_lengths, n, cache)
-    return total, piece.certificate()
 
 
 @dataclass(frozen=True)
@@ -331,8 +308,7 @@ class ReductionReport:
     k_hat: float = None
 
 
-def reduce_parallelogram(a: IntMatrix, cache=None,
-                         verify: bool = True) -> ReductionReport:
+def reduce_parallelogram(a: IntMatrix, verify: bool = True) -> ReductionReport:
     """Full reduction of the parallelogram cycle on the columns of A."""
     n = a.rows
     if n != a.cols:
@@ -340,15 +316,15 @@ def reduce_parallelogram(a: IntMatrix, cache=None,
     if n > 3:
         raise UnsupportedDimension("desk scale supports n <= 3")
     gens = tuple(a.column(j) for j in range(n))
-    rects, piece = _paral_to_rects_piece(gens, cache)
+    rects, piece = paral_to_rects(gens)
     lengths = []
     for eps, sizes in rects:
-        piece = piece + _rect_to_unit_piece(sizes, cache).scale(eps)
+        piece = piece + rect_to_unit(sizes).scale(eps)
         prod = 1
         for s in sizes:
             prod *= s
         lengths.append((eps, prod))
-    total, combine_piece = _combine_rects_piece(lengths, n, cache)
+    total, combine_piece = combine_rects(lengths, n)
     piece = piece + combine_piece
 
     det = det_exact(a)
@@ -377,15 +353,14 @@ class UpperBoundExperiment:
     k_hat: float  # least-squares slope of cost against log2 |A^j|_inf
 
 
-def fv_upper_experiment(a: IntMatrix, j_max: int, cache=None,
-                        verify: bool = True) -> UpperBoundExperiment:
+def fv_upper_experiment(a: IntMatrix, j_max: int, verify: bool = True) -> UpperBoundExperiment:
     """Reduce A^j for j = 1..j_max (target is the standard fundamental
     rectangle since det A = 1) and fit cost against log2 of the power norm."""
     if det_exact(a) != 1:
         raise UnsupportedDimension("fv_upper_experiment requires det A = 1")
     rows = []
     for j in range(1, j_max + 1):
-        report = reduce_parallelogram(mat_pow(a, j), cache, verify=verify)
+        report = reduce_parallelogram(mat_pow(a, j), verify=verify)
         rows.append((j, report.cost, report.cost / j, report.log2_norm))
     xs = [r[3] for r in rows]
     ys = [r[1] for r in rows]

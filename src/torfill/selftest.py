@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .chains import (boundary, l1_norm, parallelogram_class,
                      parallelogram_cycle, prism_v, sample_degree)
 from .exactlinalg import IntMatrix
-from .filling import BASE_KEYS, base_certificate, verify_certificate
+from .filling import BASE_KEYS, verify_certificate
 from .filling.base import CertificateCache, default_cache
-from .filling.moves import s1_moves, s1_reduce
+from .filling.moves import s1_moves, s1_piece
 from .filling.reduce import fv_upper_experiment, reduce_parallelogram
 from .psl2z import (cyclically_reduced_length, decompose, family_matrix,
                     reconstruct, word_power)
@@ -111,19 +111,19 @@ def affine_fit_min_max_relative(xs, ys):
 
 # --- criteria -------------------------------------------------------------------
 
-def criterion_reduction_exactness(level="full", cache=None, seed=12001):
+def criterion_reduction_exactness(level="full", seed=12001):
     """Exact reduction certificates for random SL(2,Z) words; collects the
     (log2 norm, cost) data reused by the scaling criterion."""
     t0 = time.time()
     rng = random.Random(seed)
     n_samples = 100 if level == "full" else 20
-    (cache or default_cache()).bootstrap_all()  # warm: bootstrap timed separately
+    default_cache().bootstrap_all()  # warm: bootstrap timed separately
     data = []
     worst_dt = 0.0
     for _ in range(n_samples):
         a = random_sl2_word(rng)
         t = time.time()
-        report = reduce_parallelogram(a, cache)
+        report = reduce_parallelogram(a)
         dt = time.time() - t
         worst_dt = max(worst_dt, dt)
         ok, diag = verify_certificate(report.certificate)
@@ -138,7 +138,7 @@ def criterion_reduction_exactness(level="full", cache=None, seed=12001):
     return _result("reduction_exactness", True, detail, t0), data
 
 
-def criterion_cost_scaling(data, level="full", cache=None):
+def criterion_cost_scaling(data, level="full"):
     """Affine fit of cost against log2 norm within 20% relative residuals,
     plus boundedness of cost_j / j for the standard Anosov matrix."""
     t0 = time.time()
@@ -149,7 +149,7 @@ def criterion_cost_scaling(data, level="full", cache=None):
 
     a = IntMatrix(((2, 1), (1, 1)))
     j_max = 8 if level == "full" else 4
-    exp = fv_upper_experiment(a, j_max, cache)
+    exp = fv_upper_experiment(a, j_max)
     log2_rho = math.log2(analyze(a).rho)
     ratios = [cost / j / log2_rho for j, cost, _, _ in exp.rows]
     k_hat_obs = max(ratios)
@@ -161,7 +161,7 @@ def criterion_cost_scaling(data, level="full", cache=None):
     return _result("cost_scaling", fit_ok and bounded, detail, t0)
 
 
-def criterion_s1_invariants(level="full", cache=None):
+def criterion_s1_invariants(level="full"):
     t0 = time.time()
     limit = 200 if level == "full" else 60
     worst_c = 0.0
@@ -175,7 +175,7 @@ def criterion_s1_invariants(level="full", cache=None):
             if moves[-1][1] != "ZERO" or moves[-1][2][0] != 2 ** tr.m_steps:
                 return _result("s1_invariants", False,
                                "y_M != 0 (no terminal ZERO) at (%d,%d)" % (a, l), t0)
-            if tr.m_steps > 1 + math.log2(tr.phase1_input) / 2:
+            if tr.m_steps > 1 + math.log2(tr.total) / 2:
                 return _result("s1_invariants", False,
                                "M bound broken at (%d,%d)" % (a, l), t0)
             if any(ai > a / 2 ** i for i, ai in enumerate(tr.phase2)):
@@ -188,8 +188,8 @@ def criterion_s1_invariants(level="full", cache=None):
     # deterministic certificate subsample, full verification
     for a in range(1, limit + 1, 29):
         for l in range(1, limit + 1, 31):
-            cert, tr2 = s1_reduce(a, l, cache)
-            ok, _ = verify_certificate(cert)
+            piece, tr2 = s1_piece(a, l)
+            ok, _ = verify_certificate(piece.certificate(verify=False))
             moves, tr = s1_moves(a, l)
             if not ok or tr2.move_count != tr.move_count:
                 return _result("s1_invariants", False,
@@ -199,7 +199,7 @@ def criterion_s1_invariants(level="full", cache=None):
                    "sweep %dx%d, fitted C=%.2f" % (limit, limit, worst_c), t0)
 
 
-def criterion_torsion_growth(level="full", cache=None):
+def criterion_torsion_growth(level="full"):
     t0 = time.time()
     from .spectral import torsion_growth_table
     rows = torsion_growth_table(IntMatrix(((2, 1), (1, 1))), 40)
@@ -299,7 +299,7 @@ def criterion_spectral(level="full", seed=12007):
                    % n_samples, t0)
 
 
-def criterion_base_bootstrap(level="full", cache=None):
+def criterion_base_bootstrap(level="full"):
     """Cold bootstrap into a fresh directory: every key found by
     fill_by_solve, exactly verified, and round-tripped bit-exactly."""
     t0 = time.time()
@@ -308,7 +308,7 @@ def criterion_base_bootstrap(level="full", cache=None):
     fresh = CertificateCache(fresh_dir)
     costs = {}
     for key in BASE_KEYS:
-        cert = base_certificate(key, fresh)
+        cert = fresh.get(key)
         ok, diag = verify_certificate(cert)
         if not ok:
             return _result("base_bootstrap", False, "%r: %s" % (key, diag), t0)
@@ -352,13 +352,13 @@ def criterion_psl2z(level="full", seed=12009):
                    % n_samples, t0)
 
 
-def criterion_bounds_consistency(level="full", cache=None, seed=12010):
+def criterion_bounds_consistency(level="full", seed=12010):
     """Lower bounds stay below the empirical upper-bound slope; certified
     unit-circle spectra give exactly zero."""
     t0 = time.time()
     rng = random.Random(seed)
     a0 = IntMatrix(((2, 1), (1, 1)))
-    exp = fv_upper_experiment(a0, 6 if level == "full" else 3, cache)
+    exp = fv_upper_experiment(a0, 6 if level == "full" else 3)
     log2_rho0 = math.log2(analyze(a0).rho)
     k_hat = max(cost / j / log2_rho0 for j, cost, _, _ in exp.rows)
     rows = []
@@ -388,18 +388,18 @@ def criterion_bounds_consistency(level="full", cache=None, seed=12010):
     return _result("bounds_consistency", True, detail, t0)
 
 
-def run_all(level="quick", cache=None):
+def run_all(level="quick"):
     """All criteria in order; returns a list of SuiteResult."""
     results = []
-    r1, data = criterion_reduction_exactness(level, cache)
+    r1, data = criterion_reduction_exactness(level)
     results.append(r1)
-    results.append(criterion_cost_scaling(data, level, cache))
-    results.append(criterion_s1_invariants(level, cache))
-    results.append(criterion_torsion_growth(level, cache))
+    results.append(criterion_cost_scaling(data, level))
+    results.append(criterion_s1_invariants(level))
+    results.append(criterion_torsion_growth(level))
     results.append(criterion_degree_oracle(level))
     results.append(criterion_chain_invariants(level))
     results.append(criterion_spectral(level))
-    results.append(criterion_base_bootstrap(level, cache))
+    results.append(criterion_base_bootstrap(level))
     results.append(criterion_psl2z(level))
-    results.append(criterion_bounds_consistency(level, cache))
+    results.append(criterion_bounds_consistency(level))
     return results

@@ -7,19 +7,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import pytest
 
 import torfill.selftest as st
-from torfill.filling.base import CertificateCache, set_default_cache
 
 
 @pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    c = CertificateCache(tmp_path_factory.mktemp("acceptance-certs"))
-    set_default_cache(c)
-    return c
-
-
-@pytest.fixture(scope="module")
-def reduction_run(cache):
-    result, data = st.criterion_reduction_exactness("full", cache)
+def reduction_run():
+    result, data = st.criterion_reduction_exactness("full")
     return result, data
 
 
@@ -35,19 +27,19 @@ def test_criterion_01_reduction_exactness(reduction_run):
     _report(1, result)
 
 
-def test_criterion_02_cost_scaling(reduction_run, cache):
+def test_criterion_02_cost_scaling(reduction_run):
     _, data = reduction_run
-    _report(2, st.criterion_cost_scaling(data, "full", cache))
+    _report(2, st.criterion_cost_scaling(data, "full"))
 
 
-def test_criterion_03_s1_invariants(cache):
-    result = st.criterion_s1_invariants("full", cache)
+def test_criterion_03_s1_invariants():
+    result = st.criterion_s1_invariants("full")
     _report(3, result)
     assert result.elapsed < 60.0
 
 
-def test_criterion_04_torsion_growth(cache):
-    result = st.criterion_torsion_growth("full", cache)
+def test_criterion_04_torsion_growth():
+    result = st.criterion_torsion_growth("full")
     _report(4, result)
     assert result.elapsed < 10.0
 
@@ -64,8 +56,8 @@ def test_criterion_07_spectral():
     _report(7, st.criterion_spectral("full"))
 
 
-def test_criterion_08_base_bootstrap(cache):
-    result = st.criterion_base_bootstrap("full", cache)
+def test_criterion_08_base_bootstrap():
+    result = st.criterion_base_bootstrap("full")
     _report(8, result)
     assert result.elapsed < 120.0
 
@@ -74,5 +66,5 @@ def test_criterion_09_psl2z():
     _report(9, st.criterion_psl2z("full"))
 
 
-def test_criterion_10_bounds_consistency(cache):
-    _report(10, st.criterion_bounds_consistency("full", cache))
+def test_criterion_10_bounds_consistency():
+    _report(10, st.criterion_bounds_consistency("full"))

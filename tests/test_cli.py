@@ -3,15 +3,6 @@
 import pytest
 
 from torfill.cli import main
-from torfill.filling import CertificateCache
-from torfill.filling.base import set_default_cache
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _cache(tmp_path_factory):
-    cache = CertificateCache(tmp_path_factory.mktemp("cli-certs"))
-    set_default_cache(cache)
-    return cache
 
 
 def run(capsys, *argv):

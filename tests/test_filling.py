@@ -10,23 +10,15 @@ from torfill.chains import (TorusChain, boundary, parallelogram_class,
 from torfill.errors import NotDependent, Unfillable, UnsupportedDimension
 from torfill.exactlinalg import IntMatrix
 from torfill.filling import (BASE_KEYS, CertificateCache, FillingCertificate,
-                             apply_move, base_certificate, combine_rects,
-                             fill_by_solve, fv_upper_experiment,
-                             paral_to_rects, rect_to_unit,
-                             reduce_parallelogram, s1_moves, s1_reduce, slide,
-                             slim_reduce, universal_cycle, verify_certificate)
-from torfill.filling.base import set_default_cache
+                             base_certificate, combine_rects, fill_by_solve,
+                             fv_upper_experiment, paral_to_rects, rect_to_unit,
+                             reduce_parallelogram, s1_moves, s1_piece, slide,
+                             slim_piece, universal_cycle, verify_certificate)
+from torfill.filling.base import default_cache
 from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
 
 E1, E2 = (1, 0), (0, 1)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _cache(tmp_path_factory):
-    cache = CertificateCache(tmp_path_factory.mktemp("certs"))
-    set_default_cache(cache)
-    return cache
 
 
 # --- solver -------------------------------------------------------------------
@@ -64,11 +56,11 @@ def test_fill_by_solve_rejects_fundamental_class():
 
 # --- base table ---------------------------------------------------------------
 
-def test_base_table_bootstraps_and_verifies(_cache):
-    costs = _cache.bootstrap_all()
+def test_base_table_bootstraps_and_verifies():
+    costs = default_cache().bootstrap_all()
     assert set(costs) == set(BASE_KEYS)
     for key in BASE_KEYS:
-        cert = base_certificate(key, _cache)
+        cert = base_certificate(key)
         ok, diag = verify_certificate(cert)
         assert ok, (key, diag)
         assert cert.target == universal_cycle(key)
@@ -154,17 +146,21 @@ def test_pushforward_never_raises_cost():
         assert pushed.cost <= base.cost
 
 
-def test_apply_move_dispatcher():
-    cert = apply_move("REARRANGE", (((2, 1), (1, 1)), (1, 0)))
-    assert cert.cost == 0
-    cert = apply_move("SPLIT", (((1, 0), (2, 0)), 1, (1, 0), (1, 0)))
+def test_single_moves_and_prism_lift():
+    # rearrangement is free: a transposition negates the cycle exactly
+    assert (parallelogram_cycle([(2, 1), (1, 1)])
+            == -parallelogram_cycle([(1, 1), (2, 1)]))
+    assert (parallelogram_cycle([(1, 0, 2), (0, 1, 1), (2, 0, 1)])
+            == -parallelogram_cycle([(1, 0, 2), (2, 0, 1), (0, 1, 1)]))
+    cert = move_split(((1, 0), (2, 0)), 1, (1, 0), (1, 0)).certificate()
     assert verify_certificate(cert)[0]
-    cert = apply_move("DEHN", (2, 5, 3))
+    cert = move_dehn(2, 5, 3).certificate()
     assert verify_certificate(cert)[0]
-    base = apply_move("DOUBLE_HALVE", (3, 4))
-    lifted = apply_move("PRISM_LIFT", ((1,), base))
+    base = move_double_halve(3, 4)
+    lifted = base.prism_lift((1,)).certificate()
     assert verify_certificate(lifted)[0]
-    assert lifted.cost <= 4 * base.cost  # degree 2 target: factor <= k+2
+    # degree 2 target: factor <= k+2
+    assert lifted.cost <= 4 * base.certificate().cost
 
 
 def test_split_move_matches_spec_example():
@@ -199,7 +195,8 @@ def test_s1_certificates_and_move_counts():
     for _ in range(25):
         a = rng.choice([-1, 1]) * rng.randint(1, 200)
         l = rng.choice([-1, 1]) * rng.randint(1, 200)
-        cert, tr = s1_reduce(a, l)
+        piece, tr = s1_piece(a, l)
+        cert = piece.certificate()
         ok, diag = verify_certificate(cert)
         assert ok, diag
         assert cert.target == parallelogram_cycle([(a,), (l,)])
@@ -208,10 +205,10 @@ def test_s1_certificates_and_move_counts():
 
 
 def test_s1_zero_routes():
-    cert, _ = s1_reduce(4, 0)
-    assert verify_certificate(cert)[0]
-    cert, _ = s1_reduce(0, 9)
-    assert verify_certificate(cert)[0]
+    piece, _ = s1_piece(4, 0)
+    assert verify_certificate(piece.certificate())[0]
+    piece, _ = s1_piece(0, 9)
+    assert verify_certificate(piece.certificate())[0]
 
 
 # --- slide ----------------------------------------------------------------------
@@ -234,18 +231,18 @@ def test_slide_examples():
 # --- slim -----------------------------------------------------------------------
 
 def test_slim_examples():
-    cert = slim_reduce(((1, 0), (0, 0)))
+    cert = slim_piece(((1, 0), (0, 0))).certificate()
     assert verify_certificate(cert)[0]
 
-    cert = slim_reduce(((2, 0), (3, 0)))
+    cert = slim_piece(((2, 0), (3, 0))).certificate()
     assert verify_certificate(cert)[0]
     assert cert.target == parallelogram_cycle([(2, 0), (3, 0)])
 
-    cert = slim_reduce(((2, 1), (1, 1), (3, 2)))
+    cert = slim_piece(((2, 1), (1, 1), (3, 2))).certificate()
     assert verify_certificate(cert)[0]
 
     with pytest.raises(NotDependent):
-        slim_reduce(((1, 0), (0, 1)))
+        slim_piece(((1, 0), (0, 1)))
 
 
 def test_slim_random_dependent():
@@ -259,7 +256,7 @@ def test_slim_random_dependent():
             from torfill.exactlinalg import lattice_rank
             if lattice_rank(_gens_matrix(tuple(vecs))) < k:
                 break
-        cert = slim_reduce(tuple(vecs))
+        cert = slim_piece(tuple(vecs)).certificate()
         assert verify_certificate(cert)[0]
         assert cert.target == parallelogram_cycle(vecs)
 
@@ -267,16 +264,16 @@ def test_slim_random_dependent():
 # --- rectangles ------------------------------------------------------------------
 
 def test_paral_to_rects_examples():
-    rects, cert = paral_to_rects(((2, 1), (1, 1)))
+    rects, piece = paral_to_rects(((2, 1), (1, 1)))
     assert len(rects) <= 2
     assert all(max(abs(s) for s in sizes) <= 2 for _, sizes in rects)
-    assert verify_certificate(cert)[0]
+    assert verify_certificate(piece.certificate())[0]
 
-    rects, cert = paral_to_rects((E1, E2))
-    assert rects == [(1, (1, 1))] and cert.cost == 0
+    rects, piece = paral_to_rects((E1, E2))
+    assert rects == [(1, (1, 1))] and piece.certificate().cost == 0
 
-    rects, cert = paral_to_rects(((1, 0), (1, 1)))
-    assert verify_certificate(cert)[0]
+    rects, piece = paral_to_rects(((1, 0), (1, 1)))
+    assert verify_certificate(piece.certificate())[0]
     assert (1, (1, 1)) in rects
 
 
@@ -286,8 +283,8 @@ def test_paral_to_rects_random():
         n = rng.randint(1, 3)
         vecs = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                      for _ in range(n))
-        rects, cert = paral_to_rects(vecs)
-        assert verify_certificate(cert)[0]
+        rects, piece = paral_to_rects(vecs)
+        assert verify_certificate(piece.certificate())[0]
         bound = max(max(abs(x) for x in v) for v in vecs)
         factorial = math.factorial(n)
         assert len(rects) <= factorial
@@ -305,34 +302,35 @@ def test_paral_to_rects_random():
 
 
 def test_rect_to_unit_examples():
-    cert = rect_to_unit((2, 3))
+    cert = rect_to_unit((2, 3)).certificate()
     assert cert.target == rectangle_cycle((2, 3)) - rectangle_cycle((6, 1))
     assert verify_certificate(cert)[0]
-    assert rect_to_unit((1, 1)).cost == 0
-    assert rect_to_unit((7, 1)).cost == 0
-    cert = rect_to_unit((2, 0))
+    assert rect_to_unit((1, 1)).certificate().cost == 0
+    assert rect_to_unit((7, 1)).certificate().cost == 0
+    cert = rect_to_unit((2, 0)).certificate()
     assert verify_certificate(cert)[0]
-    cert = rect_to_unit((-3, 2))
+    cert = rect_to_unit((-3, 2)).certificate()
     assert cert.target == rectangle_cycle((-3, 2)) - rectangle_cycle((-6, 1))
     assert verify_certificate(cert)[0]
-    cert = rect_to_unit((2, 3, 2))
+    cert = rect_to_unit((2, 3, 2)).certificate()
     assert cert.target == rectangle_cycle((2, 3, 2)) - rectangle_cycle((12, 1, 1))
     assert verify_certificate(cert)[0]
 
 
 def test_combine_rects_examples():
-    total, cert = combine_rects([(1, 2), (1, 3)], 2)
+    total, piece = combine_rects([(1, 2), (1, 3)], 2)
+    cert = piece.certificate()
     assert total == 5
     assert cert.target == (rectangle_cycle((2, 1)) + rectangle_cycle((3, 1))
                            - rectangle_cycle((5, 1)))
     assert verify_certificate(cert)[0]
 
-    total, cert = combine_rects([(1, 4)], 2)
-    assert total == 4 and cert.cost == 0
+    total, piece = combine_rects([(1, 4)], 2)
+    assert total == 4 and piece.certificate().cost == 0
 
-    total, cert = combine_rects([(1, 2), (-1, 2)], 2)
+    total, piece = combine_rects([(1, 2), (-1, 2)], 2)
     assert total == 0
-    assert verify_certificate(cert)[0]
+    assert verify_certificate(piece.certificate())[0]
 
 
 # --- the full reduction ------------------------------------------------------------

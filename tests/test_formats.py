@@ -49,10 +49,8 @@ def test_certificate_round_trip(tmp_path):
     assert trace == ()
 
 
-def test_certificate_trace_round_trip(tmp_path):
+def test_certificate_trace_round_trip():
     from torfill.filling import reduce_parallelogram
-    from torfill.filling.base import set_default_cache
-    set_default_cache(CertificateCache(tmp_path / "cache"))
     rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
     obj = certificate_to_obj(rep.certificate, rep.trace)
     cert2, trace2 = obj_to_certificate(obj)
