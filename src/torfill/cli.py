@@ -27,6 +27,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low, so out-of-range counts fail during
+    argument parsing with exit code 3."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid integer %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    return parse
+
+
 def _add_matrix_args(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("-m", "--matrix",
@@ -76,22 +91,22 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("fvupper", help="per-power reduction cost experiment")
     _add_matrix_args(p)
-    p.add_argument("--jmax", type=int, default=8)
+    p.add_argument("--jmax", type=_int_at_least(1), default=8)
 
     p = subs.add_parser("torsion", help="torsion growth of coker(A^k - I)")
     _add_matrix_args(p)
-    p.add_argument("--kmax", type=int, default=40)
+    p.add_argument("--kmax", type=_int_at_least(1), default=40)
 
     p = subs.add_parser("gelfand", help="entrywise-norm root sequence")
     _add_matrix_args(p)
-    p.add_argument("--jmax", type=int, default=64)
+    p.add_argument("--jmax", type=_int_at_least(1), default=64)
 
     p = subs.add_parser("psl2z", help="free-product word decomposition")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-m", "--matrix")
-    group.add_argument("--family", type=int, metavar="I",
+    group.add_argument("--family", type=_int_at_least(1), metavar="I",
                        help="use the family matrix [[i+1, i], [1, 1]]")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_int_at_least(0), default=1)
 
     p = subs.add_parser("fill", help="fill a serialized cycle / verify a "
                                      "certificate file")

@@ -116,6 +116,22 @@ def test_input_errors_exit_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gelfand", "-m", "2,1;1,1", "--jmax", "0"],
+    ["torsion", "-m", "2,1;1,1", "--kmax", "0"],
+    ["fvupper", "-m", "2,1;1,1", "--jmax", "0"],
+    ["psl2z", "--family", "0"],
+    ["psl2z", "--family", "2", "--power", "-3"],
+])
+def test_out_of_range_counts_exit_3(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in captured.err
+
+
 def test_selftest_quick_smoke(capsys):
     # the full quick suite runs in the acceptance module; here make sure the
     # command works end to end on the cheapest criteria by running it whole
