@@ -52,15 +52,6 @@ def _deriv(p):
     return tuple(c * (n - i) for i, c in enumerate(p[:-1]))
 
 
-def _mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
 def _divmod_frac(p, q):
     p = [Fraction(c) for c in p]
     q = [Fraction(c) for c in q]
@@ -168,6 +159,27 @@ def cyclotomics_up_to_degree(n: int):
             out.append((m, cyclotomic(m)))
         m += 1
     return out
+
+
+def split_cyclotomic(p):
+    """(((m, multiplicity), ...), rest): p = prod Phi_m^multiplicity * rest
+    exactly over Z, with no cyclotomic factor left in rest."""
+    rest = p
+    cyclo = []
+    for m, phi in cyclotomics_up_to_degree(_degree(p)):
+        mult = 0
+        while _degree(rest) >= _degree(phi) and poly_divides(phi, rest):
+            rest = poly_div_exact(rest, phi)
+            mult += 1
+        if mult:
+            cyclo.append((m, mult))
+    return tuple(cyclo), rest
+
+
+def primitive_roots_of_unity(m: int):
+    """exp(2 pi i j / m) for 1 <= j <= m with gcd(j, m) = 1, as floats."""
+    return [complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
+            for j in range(1, m + 1) if math.gcd(j, m) == 1]
 
 
 def squarefree_decomposition(p):
@@ -293,25 +305,9 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
     if not a.is_square():
         raise NonSquare("analyze needs a square matrix")
     p = charpoly(a)
-    n = a.rows
-
-    remaining = p
-    cyclo = []
-    for m, phi in cyclotomics_up_to_degree(n):
-        mult = 0
-        while _degree(remaining) >= _degree(phi) and poly_divides(phi, remaining):
-            remaining = poly_div_exact(remaining, phi)
-            mult += 1
-        if mult:
-            cyclo.append((m, mult))
-
-    roots = []
-    for m, mult in cyclo:
-        for j in range(1, m + 1):
-            if math.gcd(j, m) == 1:
-                z = complex(math.cos(2 * math.pi * j / m),
-                            math.sin(2 * math.pi * j / m))
-                roots.append(CertifiedRoot(z, 0.0, mult, True, False))
+    cyclo, remaining = split_cyclotomic(p)
+    roots = [CertifiedRoot(z, 0.0, mult, True, False)
+             for m, mult in cyclo for z in primitive_roots_of_unity(m)]
 
     if _degree(remaining) > 0:
         for factor, mult in squarefree_decomposition(remaining):
@@ -324,8 +320,7 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
     for r in roots:
         if r.outside_unit_circle:
             log_sum += r.multiplicity * math.log(abs(r.value))
-    return SpectralSummary(p, tuple(roots), rho, log_sum, bool(cyclo),
-                           tuple(cyclo))
+    return SpectralSummary(p, tuple(roots), rho, log_sum, bool(cyclo), cyclo)
 
 
 def entropy(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
@@ -366,11 +361,7 @@ def basic_inequalities(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP):
 
 def has_root_of_unity_eigenvalue(a: IntMatrix) -> bool:
     """Exact: does charpoly share a factor with some Phi_m, phi(m) <= n."""
-    p = charpoly(a)
-    for _, phi in cyclotomics_up_to_degree(a.rows):
-        if poly_divides(phi, p):
-            return True
-    return False
+    return bool(split_cyclotomic(charpoly(a))[0])
 
 
 def gelfand_sequence(a: IntMatrix, j_max: int):
@@ -434,21 +425,12 @@ def ck_via_root_product(a: IntMatrix, k: int,
     charpoly).  Raises EigenvalueOneAmbiguous if a non-cyclotomic root
     cannot be certified away from 1.
     """
-    p = charpoly(a)
-    n = a.rows
-    remaining = p
+    cyclo, remaining = split_cyclotomic(charpoly(a))
     prod = 1.0
-    for m, phi in cyclotomics_up_to_degree(n):
-        mult = 0
-        while _degree(remaining) >= _degree(phi) and poly_divides(phi, remaining):
-            remaining = poly_div_exact(remaining, phi)
-            mult += 1
-        if mult and m > 1:
-            for j in range(1, m + 1):
-                if math.gcd(j, m) == 1:
-                    lam = complex(math.cos(2 * math.pi * j / m),
-                                  math.sin(2 * math.pi * j / m))
-                    prod *= (abs(lam ** k - 1) / abs(lam - 1)) ** mult
+    for m, mult in cyclo:
+        if m > 1:
+            for lam in primitive_roots_of_unity(m):
+                prod *= (abs(lam ** k - 1) / abs(lam - 1)) ** mult
     if _degree(remaining) > 0:
         for factor, mult in squarefree_decomposition(remaining):
             dps = 40
