@@ -47,9 +47,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data))) if self.data else self
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")

@@ -132,12 +132,6 @@ def decompose(a: IntMatrix) -> Psl2Word:
     return Psl2Word(reduced, -1)
 
 
-def free_reduce(word: Psl2Word) -> Psl2Word:
-    """Re-reduce (words built by hand may not be alternating)."""
-    reduced = _reduce(word.letters)
-    return Psl2Word(reduced, word.sign)
-
-
 def cyclically_reduced_length(word: Psl2Word) -> int:
     """Letters remaining after free and cyclic reduction."""
     letters = list(_reduce(word.letters))
