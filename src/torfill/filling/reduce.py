@@ -112,9 +112,10 @@ def slim_piece(gens) -> Piece:
 
 
 def _round_div(a, b) -> int:
-    q, r = divmod(a, b)
+    """a / b rounded to the nearest integer (halves round down)."""
+    q, r = divmod(a, b)  # r has the sign of b, so r / b lies in [0, 1)
     if 2 * abs(r) > abs(b):
-        q += 1 if b > 0 else -1
+        q += 1
     return q
 
 

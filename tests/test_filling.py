@@ -377,6 +377,23 @@ def test_reduce_dimension_three():
         reduce_parallelogram(IntMatrix.identity(4))
 
 
+def test_round_div_sign_table():
+    from torfill.filling.reduce import _round_div
+    for a, b, want in [(23, 13, 2), (-23, 13, -2), (23, -13, -2), (-23, -13, 2),
+                       (5, 13, 0), (-5, 13, 0), (5, -13, 0), (-5, -13, 0),
+                       (26, 13, 2), (-26, -13, 2), (7, 2, 3), (-7, -2, 3)]:
+        assert _round_div(a, b) == want, (a, b)
+
+
+def test_reduce_dimension_three_negative_relation():
+    # the slim step divides by a negative relation entry here
+    a = IntMatrix(((3, -1, -5), (5, 3, -4), (-1, 0, 1)))
+    rep = reduce_parallelogram(a)
+    assert rep.det == -5
+    assert verify_certificate(rep.certificate)[0]
+    assert rep.cost == sum(r.cost for r in rep.trace)
+
+
 def test_reduce_class_records_are_zero():
     rep = reduce_parallelogram(IntMatrix(((3, 2), (1, 1))))
     for record in rep.trace:
