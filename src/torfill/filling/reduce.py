@@ -4,8 +4,8 @@ Pipeline: split generators along the last coordinate and recurse the
 singleton terms (paral_to_rects), fill the linearly dependent remainders
 (slim_piece), normalize each rectangle to unit heights by the four-slide
 schedule (rect_to_unit), and merge the unit rectangles (combine_rects).
-Each step returns a Piece; the assembled witness satisfies boundary(witness) = Q(columns) - R(det, 1..1)
-with exact integer arithmetic.
+Each step returns a Piece; the assembled witness satisfies
+boundary(witness) = Q(columns) - R(det, 1..1) with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ def rect_to_unit(sizes) -> Piece:
         gens = tuple(_scale_vec(sizes[t], _unit(n, t)) for t in range(n))
         unit_gens = (_scale_vec(0, _unit(n, 0)),) + tuple(
             _unit(n, t) for t in range(1, n))
-        return (move_zero_gen(gens)
-                - move_zero_gen(unit_gens))
+        return move_zero_gen(gens) - move_zero_gen(unit_gens)
     if n == 2:
         return _rect_to_unit_2d(sizes)
     if n > 3:
@@ -354,7 +353,8 @@ class UpperBoundExperiment:
     k_hat: float  # least-squares slope of cost against log2 |A^j|_inf
 
 
-def fv_upper_experiment(a: IntMatrix, j_max: int, verify: bool = True) -> UpperBoundExperiment:
+def fv_upper_experiment(a: IntMatrix, j_max: int,
+                        verify: bool = True) -> UpperBoundExperiment:
     """Reduce A^j for j = 1..j_max (target is the standard fundamental
     rectangle since det A = 1) and fit cost against log2 of the power norm."""
     if det_exact(a) != 1:

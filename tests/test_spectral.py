@@ -11,6 +11,7 @@ from torfill.spectral import (analyze, basic_inequalities, ck_det_formula,
                               ck_via_root_product, cyclotomic, entropy,
                               fv_lower_bound, gelfand_sequence,
                               has_root_of_unity_eigenvalue,
+                              primitive_roots_of_unity, split_cyclotomic,
                               squarefree_decomposition, torsion_growth_table)
 
 ANOSOV2 = IntMatrix(((2, 1), (1, 1)))
@@ -241,3 +242,9 @@ def test_squarefree_and_cyclotomic_helpers():
     p = (1, -6, 11, -6, 1)
     dec = squarefree_decomposition(p)
     assert dec == [((1, -3, 1), 2)]
+    # (x - 1)^2 (x + 1) (x^2 - 3x + 1) = x^5 - 4x^4 + 3x^3 + 3x^2 - 4x + 1
+    assert split_cyclotomic((1, -4, 3, 3, -4, 1)) == (((1, 2), (2, 1)),
+                                                      (1, -3, 1))
+    assert split_cyclotomic((1, -3, 1)) == ((), (1, -3, 1))
+    assert [abs(z - 1) < 1e-12 for z in primitive_roots_of_unity(1)] == [True]
+    assert len(primitive_roots_of_unity(12)) == 4
