@@ -400,11 +400,6 @@ def solve_diophantine(a: IntMatrix, b):
     return x
 
 
-def lattice_rank(a: IntMatrix) -> int:
-    """Rank of the column lattice."""
-    return len(hnf(a).pivots)
-
-
 def column_lattice_basis(a: IntMatrix) -> IntMatrix:
     """Matrix whose columns are a lattice basis of the column span of A."""
     res = hnf(a)

@@ -3,16 +3,17 @@
 Certificates witness upper bounds for the integral filling norm: a target
 cycle, a witness chain one degree higher with boundary(witness) = target
 exactly, and the witness l^1 norm as the cost.  Composite moves are realized
-as pushforwards and prism lifts of a small table of cached base certificates
-found once by exact Diophantine solving.  Every move and reduction step
-returns a Piece (a target plus per-move witness chunks); Piece.certificate()
-and reduce_parallelogram assemble and verify it.
+as pushforwards and prism lifts of a table of 11 base certificates, found
+once by exact Diophantine solving and shipped as package data that is
+re-verified on load.  Every move and reduction step returns a Piece (a
+target plus per-move witness chunks); Piece.certificate() and
+reduce_parallelogram assemble and verify it.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,
                           verify_certificate)
 from .solver import fill_by_solve
-from .base import BASE_KEYS, CertificateCache, base_certificate, universal_cycle
+from .base import BASE_KEYS, base_certificate, universal_cycle
 from .moves import S1Trace, s1_moves, s1_piece, slide
 from .reduce import (ReductionReport, combine_rects, fv_upper_experiment,
                      paral_to_rects, rect_to_unit, reduce_parallelogram,
@@ -20,8 +21,8 @@ from .reduce import (ReductionReport, combine_rects, fv_upper_experiment,
 
 __all__ = [
     "FillingCertificate", "MoveRecord", "Piece", "verify_certificate",
-    "fill_by_solve", "BASE_KEYS", "CertificateCache", "base_certificate",
-    "universal_cycle", "S1Trace", "s1_moves", "s1_piece", "slide",
+    "fill_by_solve", "BASE_KEYS", "base_certificate", "universal_cycle",
+    "S1Trace", "s1_moves", "s1_piece", "slide",
     "ReductionReport", "combine_rects", "fv_upper_experiment",
     "paral_to_rects", "rect_to_unit", "reduce_parallelogram", "slim_piece",
 ]

@@ -7,7 +7,9 @@ data, target, witness, cost, and the move trace.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 from .chains import TorusChain, canonicalize
 from .errors import InputParseError
@@ -46,10 +48,6 @@ def parse_matrix_text(text: str) -> IntMatrix:
         return IntMatrix(tuple(rows))
     except ValueError as exc:
         raise InputParseError("bad matrix file: %s" % exc) from None
-
-
-def format_matrix(a: IntMatrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in a.data)
 
 
 # --- chains ------------------------------------------------------------------
@@ -135,8 +133,24 @@ def obj_to_certificate(obj):
         raise InputParseError("bad certificate object: %s" % exc) from None
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open a temporary file beside path for writing, then move it into
+    place with os.replace: path holds either its old content or all of the
+    new.  The temporary file is removed if anything fails."""
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_certificate(path, cert: FillingCertificate, trace=()):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(certificate_to_obj(cert, trace), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -151,7 +165,7 @@ def load_certificate(path):
 
 
 def save_chain(path, c: TorusChain):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(chain_to_obj(c), fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -7,6 +7,7 @@ detail string; `run_all` executes every criterion at the requested level
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 from .chains import (boundary, l1_norm, parallelogram_class,
                      parallelogram_cycle, prism_v, sample_degree)
 from .exactlinalg import IntMatrix
-from .filling import BASE_KEYS, verify_certificate
-from .filling.base import CertificateCache, default_cache
+from .filling import (BASE_KEYS, base_certificate, fill_by_solve,
+                      universal_cycle, verify_certificate)
+from .filling.base import TABLE_DIR, _key_filename, base_costs
 from .filling.moves import s1_moves, s1_piece
 from .filling.reduce import fv_upper_experiment, reduce_parallelogram
+from .formats import certificate_to_obj
 from .psl2z import (cyclically_reduced_length, decompose, family_matrix,
                     reconstruct, word_power)
 from .spectral import analyze, basic_inequalities, fv_lower_bound
@@ -117,7 +120,7 @@ def criterion_reduction_exactness(level="full", seed=12001):
     t0 = time.time()
     rng = random.Random(seed)
     n_samples = 100 if level == "full" else 20
-    default_cache().bootstrap_all()  # warm: bootstrap timed separately
+    base_costs()  # warm: the table load is not a reduction's time
     data = []
     worst_dt = 0.0
     for _ in range(n_samples):
@@ -300,27 +303,25 @@ def criterion_spectral(level="full", seed=12007):
 
 
 def criterion_base_bootstrap(level="full"):
-    """Cold bootstrap into a fresh directory: every key found by
-    fill_by_solve, exactly verified, and round-tripped bit-exactly."""
+    """Cold solve of every key by fill_by_solve, exactly verified; each
+    shipped certificate costs no more and matches its file exactly."""
     t0 = time.time()
-    import tempfile
-    fresh_dir = tempfile.mkdtemp(prefix="torfill-bootstrap-")
-    fresh = CertificateCache(fresh_dir)
     costs = {}
     for key in BASE_KEYS:
-        cert = fresh.get(key)
+        cert = fill_by_solve(universal_cycle(key), box=1, max_expand=3)
         ok, diag = verify_certificate(cert)
         if not ok:
             return _result("base_bootstrap", False, "%r: %s" % (key, diag), t0)
         costs[key] = cert.cost
-    # bit-exact round trip through the on-disk representation
-    reload_cache = CertificateCache(fresh_dir)
-    for key in BASE_KEYS:
-        again = reload_cache.get(key)
-        first = fresh.get(key)
-        if again.witness != first.witness or again.cost != first.cost:
+        shipped = base_certificate(key)
+        if shipped.cost > cert.cost:
             return _result("base_bootstrap", False,
-                           "cache round-trip changed %r" % (key,), t0)
+                           "shipped %r costs %d > cold solve %d"
+                           % (key, shipped.cost, cert.cost), t0)
+        with open(TABLE_DIR / _key_filename(key)) as fh:
+            if certificate_to_obj(shipped) != json.load(fh):
+                return _result("base_bootstrap", False,
+                               "shipped %r does not match its file" % (key,), t0)
     elapsed = time.time() - t0
     ok = elapsed < 120.0
     return _result("base_bootstrap", ok,

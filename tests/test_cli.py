@@ -1,8 +1,13 @@
 """Command-line surface: dispatch, formats, exit codes, round trips."""
 
+import json
+import shutil
+import tempfile
+
 import pytest
 
 from torfill.cli import main
+from torfill.filling import base
 
 
 def run(capsys, *argv):
@@ -132,10 +137,46 @@ def test_out_of_range_counts_exit_3(capsys, argv):
     assert len(errors) == 1 and "Traceback" not in captured.err
 
 
-def test_selftest_quick_smoke(capsys):
+def _flip_first_witness_coeff(path):
+    obj = json.loads(path.read_text())
+    term = obj["witness"]["terms"][0]
+    term["coeff"] = str(-int(term["coeff"]))
+    path.write_text(json.dumps(obj))
+
+
+def _other_keys_certificate(path):
+    shutil.copyfile(path.parent / "split_2.json", path)
+
+
+def _missing_file(path):
+    path.unlink()
+
+
+@pytest.mark.parametrize("tamper", [_flip_first_witness_coeff,
+                                    _other_keys_certificate, _missing_file])
+def test_bad_base_certificate_exit_2(tmp_path, monkeypatch, capsys, tamper):
+    table = tmp_path / "base_table"
+    shutil.copytree(base.TABLE_DIR, table)
+    tamper(table / "negate_2.json")
+    monkeypatch.setattr(base, "TABLE_DIR", table)
+    base.base_certificate.cache_clear()
+    try:
+        assert main(["reduce", "--matrix=2,1;1,1"]) == 2
+    finally:
+        base.base_certificate.cache_clear()
+    err = capsys.readouterr().err
+    assert "('NEGATE', 2)" in err and "Traceback" not in err
+
+
+def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):
     # the full quick suite runs in the acceptance module; here make sure the
-    # command works end to end on the cheapest criteria by running it whole
+    # command works end to end on the cheapest criteria by running it whole,
+    # and that it leaves nothing in the temporary directory
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     code = main(["selftest", "--level", "quick"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") >= 10
+    assert list(scratch.iterdir()) == []

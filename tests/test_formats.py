@@ -1,21 +1,23 @@
 """Serialization round-trips: matrices, chains, certificate containers."""
 
+import json
+
 import pytest
 
 from torfill.chains import parallelogram_cycle
 from torfill.errors import InputParseError
 from torfill.exactlinalg import IntMatrix
-from torfill.filling import CertificateCache
-from torfill.formats import (certificate_to_obj, chain_to_obj, format_matrix,
+from torfill.filling import base_certificate
+from torfill.formats import (certificate_to_obj, chain_to_obj,
                              load_certificate, obj_to_certificate,
                              obj_to_chain, parse_matrix_inline,
-                             parse_matrix_text, save_certificate)
+                             parse_matrix_text, save_certificate, save_chain)
 
 
 def test_matrix_inline_and_text():
     a = parse_matrix_inline("2,1;1,1")
     assert a.data == ((2, 1), (1, 1))
-    b = parse_matrix_text(format_matrix(a))
+    b = parse_matrix_text("2 1\n1 1")
     assert b.data == a.data
     with pytest.raises(InputParseError):
         parse_matrix_inline("2,x;1,1")
@@ -38,8 +40,7 @@ def test_chain_rejects_non_canonical():
 
 
 def test_certificate_round_trip(tmp_path):
-    cache = CertificateCache(tmp_path / "cache")
-    cert = cache.get(("DOUBLE_HALVE",))
+    cert = base_certificate(("DOUBLE_HALVE",))
     path = tmp_path / "cert.json"
     save_certificate(path, cert, trace=())
     loaded, trace = load_certificate(path)
@@ -47,6 +48,26 @@ def test_certificate_round_trip(tmp_path):
     assert loaded.witness == cert.witness
     assert loaded.cost == cert.cost
     assert trace == ()
+
+
+def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
+    cert = base_certificate(("DOUBLE_HALVE",))
+    cert_path, chain_path = tmp_path / "cert.json", tmp_path / "chain.json"
+    save_certificate(cert_path, cert)
+    save_chain(chain_path, cert.target)
+    before = {p: p.read_bytes() for p in (cert_path, chain_path)}
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"version": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_certificate(cert_path, cert)
+    with pytest.raises(OSError):
+        save_chain(chain_path, cert.witness)
+    assert {p: p.read_bytes() for p in (cert_path, chain_path)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "chain.json"]
 
 
 def test_certificate_trace_round_trip():
