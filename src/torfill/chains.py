@@ -175,24 +175,16 @@ def boundary(c: TorusChain) -> TorusChain:
 
 @dataclass(frozen=True)
 class LinearTorusMap:
-    """Affine-integral map T^n -> T^m: x |-> Mx + t with integer M, t.
+    """Linear integral map T^n -> T^m: x |-> Mx with integer M.
 
-    Integer data makes the induced torus map well defined; altering the
-    translation by any integer vector induces the same map on chains.
+    Integer data makes the induced torus map well defined.
     """
 
     matrix: tuple  # m rows, each a tuple of n ints
-    translation: tuple = None
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.matrix)
         object.__setattr__(self, "matrix", rows)
-        t = self.translation
-        if t is None:
-            t = (0,) * len(rows)
-        object.__setattr__(self, "translation", tuple(int(x) for x in t))
-        if len(self.translation) != len(rows):
-            raise DimensionMismatch("translation length != matrix rows")
 
     @property
     def source_dim(self) -> int:
@@ -203,30 +195,16 @@ class LinearTorusMap:
         return len(self.matrix)
 
     @staticmethod
-    def identity(n: int) -> "LinearTorusMap":
-        return LinearTorusMap(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                    for i in range(n)))
-
-    @staticmethod
-    def from_columns(columns, target_dim=None) -> "LinearTorusMap":
+    def from_columns(columns) -> "LinearTorusMap":
         """Map sending the i-th basis vector of the source to columns[i]."""
         cols = [_as_vertex(c) for c in columns]
-        m = len(cols[0]) if cols else target_dim
+        m = len(cols[0])
         if any(len(c) != m for c in cols):
             raise DimensionMismatch("columns of mixed dimension")
         return LinearTorusMap(tuple(tuple(c[i] for c in cols) for i in range(m)))
 
     def apply(self, p) -> Vertex:
-        return tuple(sum(a * x for a, x in zip(row, p)) + t
-                     for row, t in zip(self.matrix, self.translation))
-
-    def compose(self, inner: "LinearTorusMap") -> "LinearTorusMap":
-        """self o inner."""
-        if inner.target_dim != self.source_dim:
-            raise DimensionMismatch("composition dimension mismatch")
-        cols = [self.apply(col) for col in zip(*inner.matrix)]
-        mat = tuple(tuple(c[i] for c in cols) for i in range(self.target_dim))
-        return LinearTorusMap(mat, self.translation)
+        return tuple(sum(a * x for a, x in zip(row, p)) for row in self.matrix)
 
 
 def pushforward(f: LinearTorusMap, c: TorusChain) -> TorusChain:

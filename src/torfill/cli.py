@@ -144,15 +144,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .filling import reduce_parallelogram, verify_certificate
+    from .filling import reduce_parallelogram
     a = _read_matrix(args)
-    report = reduce_parallelogram(a)
-    ok, diag = verify_certificate(report.certificate)
+    report = reduce_parallelogram(a)  # raises VerificationFailure (exit 2)
     _emit("det", report.det)
     _emit("cost", report.cost)
     _emit("log2_norm", report.log2_norm)
     _emit("moves", len(report.trace))
-    _emit("verified", ok)
+    _emit("verified", True)
     if args.trace:
         for i, r in enumerate(report.trace):
             _row("move_%d" % i, r.kind, "cost=%d" % r.cost)
@@ -160,9 +159,6 @@ def _cmd_reduce(args) -> int:
         from .formats import save_certificate
         save_certificate(args.out, report.certificate, report.trace)
         _emit("certificate_file", args.out)
-    if not ok:
-        sys.stderr.write("verification diagnostics: %s\n" % "; ".join(diag))
-        return EXIT_VERIFY
     return EXIT_OK
 
 

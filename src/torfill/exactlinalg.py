@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NonSquare
+from .errors import DimensionMismatch, NonSquare, VerificationFailure
+
+
+def _check(ok, what):
+    """A proof-bearing check that `python -O` cannot strip."""
+    if not ok:
+        raise VerificationFailure(what)
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def charpoly(a: IntMatrix) -> tuple:
         m = a @ m
         tr = sum(m.data[i][i] for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        _check(r == 0, "Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         if k < n:
             m = m + IntMatrix(tuple(tuple(q if i == j else 0 for j in range(n))
@@ -263,21 +269,21 @@ def snf(a: IntMatrix) -> SnfResult:
 
 def _verify_snf(res: SnfResult):
     prod = (res.p @ res.original) @ res.q
-    assert prod.data == res.d.data, "SNF transform check failed"
+    _check(prod.data == res.d.data, "SNF transform check failed")
     diag = res.diagonal()
     for i in range(res.d.rows):
         for j in range(res.d.cols):
             if j != i:
-                assert res.d.data[i][j] == 0, "SNF not diagonal"
+                _check(res.d.data[i][j] == 0, "SNF not diagonal")
     seen_zero = False
     for i, v in enumerate(diag):
-        assert v >= 0, "SNF diagonal must be nonnegative"
+        _check(v >= 0, "SNF diagonal must be nonnegative")
         if v == 0:
             seen_zero = True
         else:
-            assert not seen_zero, "zero before nonzero on SNF diagonal"
+            _check(not seen_zero, "zero before nonzero on SNF diagonal")
             if i + 1 < len(diag) and diag[i + 1]:
-                assert diag[i + 1] % v == 0, "SNF divisibility chain broken"
+                _check(diag[i + 1] % v == 0, "SNF divisibility chain broken")
 
 
 @dataclass(frozen=True)
@@ -351,7 +357,7 @@ def hnf(a: IntMatrix) -> HnfResult:
     result = HnfResult(IntMatrix(tuple(map(tuple, m))),
                        IntMatrix(tuple(map(tuple, u))),
                        tuple(pivots))
-    assert (a @ result.u).data == result.h.data, "HNF transform check failed"
+    _check((a @ result.u).data == result.h.data, "HNF transform check failed")
     return result
 
 
@@ -396,7 +402,7 @@ def solve_diophantine(a: IntMatrix, b):
         elif s:
             return None
     x = res.u.apply(y)
-    assert a.apply(x) == b, "Diophantine solution failed re-verification"
+    _check(a.apply(x) == b, "Diophantine solution failed re-verification")
     return x
 
 

@@ -5,9 +5,11 @@ cycle, a witness chain one degree higher with boundary(witness) = target
 exactly, and the witness l^1 norm as the cost.  Composite moves are realized
 as pushforwards and prism lifts of a table of 11 base certificates, found
 once by exact Diophantine solving and shipped as package data that is
-re-verified on load.  Every move and reduction step returns a Piece (a
-target plus per-move witness chunks); Piece.certificate() and
-reduce_parallelogram assemble and verify it.
+re-verified on load.  Every move and reduction step returns a Piece:
+symbolic per-move chunks (a base key, an integer column matrix and a
+coefficient) whose cycles present the target.  Piece.certificate() and
+reduce_parallelogram build each chunk's witness chain once, assemble and
+verify it.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

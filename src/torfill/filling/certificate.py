@@ -1,18 +1,25 @@
 """Filling certificates, move records, and the exact verifier.
 
-A Piece is the composable form used while building certificates: a target
-cycle plus a list of witness chunks, one per move, each tagged with the move
-metadata and the signed parallelogram cycles it consumed/created.  Pieces add
-like elements of the chain group; pushforwards and prism lifts transform
-every chunk, so the final per-move costs are the costs actually realized.
+A Piece is the one form of a certificate in progress, and it is symbolic: a
+list of witness chunks, one per move, each tagged with the move metadata
+and the signed parallelogram cycles that make up its target.  A chunk names
+a base certificate, an integer column matrix F = [f | v_1..v_d] and a
+coefficient; it stands for coeff * F_*(base witness prism-lifted d times).
+Pieces add like elements of the chain group; pushforwards and prism lifts
+act on the columns and the cycles only.  Each witness chain is built once,
+in Piece.assemble, so the per-move costs are the costs actually realized.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
+from math import comb
+from typing import NamedTuple
 
 from ..chains import (LinearTorusMap, TorusChain, boundary, l1_norm,
-                      parallelogram_class, prism_v, pushforward)
+                      parallelogram_class, parallelogram_cycle, prism_v,
+                      pushforward, simplex_chain)
 from ..errors import VerificationFailure
 
 
@@ -52,6 +59,27 @@ class FillingCertificate:
         return FillingCertificate(target, witness, l1_norm(witness))
 
 
+def presentation_chain(ambient_dim, degree, presentation) -> TorusChain:
+    """sum coeff * Q(gens) over a presentation [(coeff, gens), ...]; equal
+    generator tuples are merged before any cycle is built."""
+    merged = {}
+    for coeff, gens in presentation:
+        gens = tuple(map(tuple, gens))
+        merged[gens] = merged.get(gens, 0) + coeff
+    return TorusChain.from_pairs(ambient_dim, degree, (
+        (simplex, coeff * c) for gens, coeff in merged.items() if coeff
+        for simplex, c in parallelogram_cycle(gens).terms.items()))
+
+
+def class_sum(ambient_dim, degree, presentation) -> tuple:
+    """Signed sum of the homology classes (minor vectors) of a presentation."""
+    total = [0] * comb(ambient_dim, degree)
+    for coeff, gens in presentation:
+        for i, m in enumerate(parallelogram_class(gens, ambient_dim).minors):
+            total[i] += coeff * m
+    return tuple(total)
+
+
 def verify_certificate(cert: FillingCertificate, presentation=None):
     """Exact re-verification; returns (ok, diagnostics).
 
@@ -72,17 +100,11 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
         diagnostics.append("cost field %d != l1(witness) %d"
                            % (cert.cost, l1_norm(cert.witness)))
     if presentation is not None:
-        from ..chains import parallelogram_cycle
-        acc = TorusChain.zero(cert.target.ambient_dim, cert.target.degree)
-        cls = None
-        for coeff, gens in presentation:
-            acc = acc + parallelogram_cycle(gens).scale(coeff)
-            term = parallelogram_class(gens)
-            vec = tuple(coeff * m for m in term.minors)
-            cls = vec if cls is None else tuple(a + b for a, b in zip(cls, vec))
-        if acc != cert.target:
+        n, k = cert.target.ambient_dim, cert.target.degree
+        if presentation_chain(n, k, presentation) != cert.target:
             diagnostics.append("presentation does not reproduce the target")
-        if cls is not None and any(cls):
+        cls = class_sum(n, k, presentation)
+        if any(cls):
             diagnostics.append("presentation class sum nonzero: %r" % (cls,))
     return (not diagnostics), diagnostics
 
@@ -106,49 +128,97 @@ class ChunkMeta:
     params: tuple
     cycles: tuple
 
-    def class_delta(self, ambient_dim, degree):
-        total = None
-        for coeff, gens in self.cycles:
-            vec = parallelogram_class(gens, ambient_dim).minors
-            vec = tuple(coeff * m for m in vec)
-            total = vec if total is None else tuple(a + b for a, b in zip(total, vec))
-        if total is None:
-            from math import comb
-            total = (0,) * comb(ambient_dim, degree)
-        return total
+
+def _unit(n, i):
+    return tuple(1 if t == i else 0 for t in range(n))
+
+
+@functools.cache
+def lifted(key, d) -> TorusChain:
+    """The base witness of `key` in T^m, embedded in T^(m+d) and prism-lifted
+    along e_(m+1), .., e_(m+d) in turn.  Key None stands for the constant
+    2-simplex [0, 0, 0] in T^1, which fills Q(0)."""
+    if d == 0:
+        if key is None:
+            return simplex_chain([(0,)] * 3)
+        from .base import base_certificate
+        return base_certificate(key).witness
+    inner = lifted(key, d - 1)
+    m = inner.ambient_dim
+    embed = LinearTorusMap.from_columns([_unit(m + 1, i) for i in range(m)])
+    return prism_v(_unit(m + 1, m), pushforward(embed, inner))
+
+
+class Chunk(NamedTuple):
+    """coeff * F_*(lifted(source, d)), where F = columns = [f | v_1..v_d].
+
+    Exact because pushforward commutes with prism:
+    F_*(prism_e(c)) = prism_{Fe}(F_* c).  Marker chunks have coeff 0.
+    """
+
+    source: tuple  # a base key, or None
+    columns: tuple
+    coeff: int
+
+    @property
+    def terms(self) -> dict:
+        """The chunk's witness terms, built from its base witness."""
+        if not self.coeff:
+            return {}
+        d = len(self.columns) - lifted(self.source, 0).ambient_dim
+        f = LinearTorusMap.from_columns(self.columns)
+        return pushforward(f, lifted(self.source, d)).scale(self.coeff).terms
 
 
 @dataclass
 class Piece:
-    """Composable certificate-in-progress: target plus per-move witness chunks."""
+    """Certificate in progress: [(ChunkMeta, Chunk)], one pair per move.
+
+    A piece holds no chains.  Its target is rebuilt on demand from the chunk
+    cycles, and assemble() builds the witness.
+    """
 
     ambient_dim: int
     degree: int  # degree of the target cycle
-    target: TorusChain
-    chunks: list = field(default_factory=list)  # [(ChunkMeta, TorusChain)]
+    chunks: list = field(default_factory=list)
 
     @staticmethod
     def zero(ambient_dim: int, degree: int) -> "Piece":
-        return Piece(ambient_dim, degree,
-                     TorusChain.zero(ambient_dim, degree), [])
+        return Piece(ambient_dim, degree, [])
 
     @staticmethod
-    def move(kind, params, target, witness, cycles) -> "Piece":
+    def move(key, kind, params, columns, cycles) -> "Piece":
+        """One move: the base certificate of `key` pushed along the map
+        E_i -> columns[i]; cycles present the move's target."""
         meta = ChunkMeta(kind, tuple(params), tuple(cycles))
-        return Piece(target.ambient_dim, target.degree, target,
-                     [(meta, witness)])
+        columns = tuple(map(tuple, columns))
+        return Piece(len(columns[0]), len(meta.cycles[0][1]),
+                     [(meta, Chunk(key, columns, 1))])
+
+    @property
+    def target(self) -> TorusChain:
+        return presentation_chain(self.ambient_dim, self.degree, [
+            cycle for meta, _ in self.chunks for cycle in meta.cycles])
+
+    def marked(self, kind, params) -> "Piece":
+        """This piece with a marker chunk (no witness, no cycles) appended."""
+        return self + Piece(self.ambient_dim, self.degree,
+                            [(ChunkMeta(kind, tuple(params), ()),
+                              Chunk(None, (), 0))])
 
     def __add__(self, other: "Piece") -> "Piece":
         assert (self.ambient_dim, self.degree) == (other.ambient_dim, other.degree)
-        return Piece(self.ambient_dim, self.degree, self.target + other.target,
-                     self.chunks + other.chunks)
+        return Piece(self.ambient_dim, self.degree, self.chunks + other.chunks)
+
+    def _remap(self, ambient_dim, degree, cycle, chunk) -> "Piece":
+        """Rewrite every (coeff, gens) cycle with `cycle` and every chunk
+        with `chunk`."""
+        return Piece(ambient_dim, degree, [
+            (replace(meta, cycles=tuple(cycle(c, g) for c, g in meta.cycles)),
+             chunk(ch)) for meta, ch in self.chunks])
 
     def __neg__(self) -> "Piece":
-        flipped = []
-        for meta, chunk in self.chunks:
-            cycles = tuple((-c, g) for c, g in meta.cycles)
-            flipped.append((replace(meta, cycles=cycles), -chunk))
-        return Piece(self.ambient_dim, self.degree, -self.target, flipped)
+        return self.scale(-1)
 
     def __sub__(self, other: "Piece") -> "Piece":
         return self + (-other)
@@ -156,39 +226,30 @@ class Piece:
     def scale(self, k: int) -> "Piece":
         if k == 1:
             return self
-        if k == -1:
-            return -self
-        scaled = []
-        for meta, chunk in self.chunks:
-            cycles = tuple((k * c, g) for c, g in meta.cycles)
-            scaled.append((replace(meta, cycles=cycles), chunk.scale(k)))
-        return Piece(self.ambient_dim, self.degree, self.target.scale(k), scaled)
+        return self._remap(self.ambient_dim, self.degree,
+                           lambda c, g: (k * c, g),
+                           lambda ch: ch._replace(coeff=k * ch.coeff))
 
-    def pushforward(self, f: LinearTorusMap) -> "Piece":
-        """Realize the piece along an integral map (l^1 non-increasing)."""
-        mapped = []
-        for meta, chunk in self.chunks:
-            cycles = tuple((c, tuple(f.apply(g) for g in gens))
-                           for c, gens in meta.cycles)
-            mapped.append((replace(meta, cycles=cycles), pushforward(f, chunk)))
-        return Piece(f.target_dim, self.degree, pushforward(f, self.target),
-                     mapped)
+    def pushforward(self, columns) -> "Piece":
+        """Realize the piece along the integral map e_i -> columns[i]
+        (l^1 non-increasing)."""
+        f = LinearTorusMap.from_columns(columns)
+        return self._remap(
+            f.target_dim, self.degree,
+            lambda c, g: (c, tuple(map(f.apply, g))),
+            lambda ch: ch._replace(columns=tuple(map(f.apply, ch.columns))))
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""
         v = tuple(int(x) for x in v)
-        lifted = []
-        for meta, chunk in self.chunks:
-            cycles = tuple((c, gens + (v,)) for c, gens in meta.cycles)
-            lifted.append((replace(meta, cycles=cycles), prism_v(v, chunk)))
-        marker = ChunkMeta("PRISM_LIFT", (v,), ())
-        lifted.append((marker, TorusChain.zero(self.ambient_dim, self.degree + 2)))
-        return Piece(self.ambient_dim, self.degree + 1,
-                     prism_v(v, self.target), lifted)
+        lift = self._remap(self.ambient_dim, self.degree + 1,
+                           lambda c, g: (c, g + (v,)),
+                           lambda ch: ch._replace(columns=ch.columns + (v,)))
+        return lift.marked("PRISM_LIFT", (v,))
 
     def assemble(self):
-        """(witness, records): one dict pass, marginal costs telescoping to
-        l1(witness)."""
+        """(witness, records): each chunk's chain is built once and merged in
+        one dict pass, with marginal costs telescoping to l1(witness)."""
         acc = {}
         norm = 0
         records = []
@@ -202,17 +263,18 @@ class Piece:
                     acc[simplex] = new
                 elif simplex in acc:
                     del acc[simplex]
-            delta = meta.class_delta(self.ambient_dim, self.degree)
-            assert not any(delta), "class bookkeeping violated: %r" % (meta,)
+            delta = class_sum(self.ambient_dim, self.degree, meta.cycles)
+            if any(delta):
+                raise VerificationFailure("class bookkeeping violated: %r"
+                                          % (meta,))
             records.append(MoveRecord(meta.kind, meta.params, norm - before,
                                       delta))
         witness = TorusChain(self.ambient_dim, self.degree + 1, acc)
-        assert norm == l1_norm(witness)
+        if norm != l1_norm(witness):
+            raise VerificationFailure("move costs sum to %d, not l1(witness)"
+                                      " %d" % (norm, l1_norm(witness)))
         return witness, tuple(records)
 
-    def certificate(self, verify: bool = True) -> FillingCertificate:
+    def certificate(self) -> FillingCertificate:
         witness, _ = self.assemble()
-        cert = FillingCertificate.build(self.target, witness)
-        if verify:
-            require_valid(cert)
-        return cert
+        return require_valid(FillingCertificate.build(self.target, witness))

@@ -1,5 +1,5 @@
 """Composite moves: the constant-cost steps of the reduction walk, realized
-as pushforwards or prism lifts of cached base certificates.
+as pushforwards or prism lifts of the shipped base certificates.
 
 Prism operators anticommute exactly under the adopted sign convention, so
 generator permutations act on parallelogram cycles by their sign at the
@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..chains import (LinearTorusMap, TorusChain, parallelogram_cycle,
-                      pushforward, simplex_chain)
 from ..errors import UnsupportedDimension
-from .base import base_certificate
 from .certificate import Piece
 
 Vec = tuple
@@ -50,32 +47,18 @@ def primitive_decomposition(v):
     return d, tuple(x // d for x in v)
 
 
-def _base_piece(key, kind, params, columns, cycles) -> Piece:
-    """Pushforward of a base certificate along the map E_i -> columns[i]."""
-    cert = base_certificate(key)
-    f = LinearTorusMap.from_columns(columns)
-    target = pushforward(f, cert.target)
-    witness = pushforward(f, cert.witness)
-    return Piece.move(kind, params, target, witness, cycles)
-
-
 def move_negate(gens, pos) -> Piece:
     """Target Q(gens) + Q(gens with -v at pos)."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
     if k < 2 or k > 3:
         raise UnsupportedDimension("negation supported for 2 or 3 generators")
+    if pos == 0 and k == 2:
+        neg = (_scale_vec(-1, gens[0]), gens[1])
+        return Piece.move(("NEGATE", 2), "NEGATE", (0, gens),
+                          [gens[0], gens[1]], [(1, gens), (1, neg)])
     if pos == 0:
-        neg = (_scale_vec(-1, gens[0]),) + gens[1:]
-        if k == 2:
-            piece = _base_piece(("NEGATE", 2), "NEGATE", (0, gens),
-                                [gens[0], gens[1]],
-                                [(1, gens), (1, neg)])
-        else:
-            inner = move_negate(gens[:2], 0)
-            piece = inner.prism_lift(gens[2])
-        assert piece.target == parallelogram_cycle(gens) + parallelogram_cycle(neg)
-        return piece
+        return move_negate(gens[:2], 0).prism_lift(gens[2])
     # conjugate by an exact transposition: Q(..a,b..) = -Q(..b,a..)
     swapped = list(gens)
     swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
@@ -90,25 +73,16 @@ def move_split(gens, pos, v1, v2) -> Piece:
     assert _add_vec(v1, v2) == gens[pos], "split parts must sum to the generator"
     k = len(gens)
     if k == 2 and pos == 1:
-        piece = _base_piece(
-            ("SPLIT", 2), "SPLIT", (pos, gens, v1, v2),
-            [gens[0], v1, v2],
+        return Piece.move(
+            ("SPLIT", 2), "SPLIT", (pos, gens, v1, v2), [gens[0], v1, v2],
             [(1, gens), (-1, (gens[0], v1)), (-1, (gens[0], v2))])
-    elif k == 2 and pos == 0:
-        piece = -move_split((gens[1], gens[0]), 1, v1, v2)
-    elif k == 3 and pos < 2:
-        piece = move_split(gens[:2], pos, v1, v2).prism_lift(gens[2])
-    elif k == 3 and pos == 2:
-        swapped = (gens[0], gens[2], gens[1])
-        piece = -move_split(swapped, 1, v1, v2)
-    else:
-        raise UnsupportedDimension("split supported for 2 or 3 generators")
-    expected = parallelogram_cycle(gens)
-    for part in (v1, v2):
-        sub = gens[:pos] + (part,) + gens[pos + 1:]
-        expected = expected - parallelogram_cycle(sub)
-    assert piece.target == expected
-    return piece
+    if k == 2 and pos == 0:
+        return -move_split((gens[1], gens[0]), 1, v1, v2)
+    if k == 3 and pos < 2:
+        return move_split(gens[:2], pos, v1, v2).prism_lift(gens[2])
+    if k == 3 and pos == 2:
+        return -move_split((gens[0], gens[2], gens[1]), 1, v1, v2)
+    raise UnsupportedDimension("split supported for 2 or 3 generators")
 
 
 def move_zero_gen(gens) -> Piece:
@@ -120,40 +94,30 @@ def move_zero_gen(gens) -> Piece:
     pos = gens.index(zero)
     if k == 1:
         # Q(0) = [0,0] bounds the constant 2-simplex [0,0,0] exactly
-        witness = simplex_chain([zero, zero, zero])
-        return Piece.move("ZERO_GEN", (0, gens), parallelogram_cycle(gens),
-                          witness, [(1, gens)])
+        return Piece.move(None, "ZERO_GEN", (0, gens), [zero], [(1, gens)])
     if k - 1 not in (1, 2):
         raise UnsupportedDimension("zero-generator fill needs k <= 3")
     moved = gens[:pos] + gens[pos + 1:] + (zero,)
     sign = -1 if (k - 1 - pos) % 2 else 1
-    piece = _base_piece(("ZERO", k - 1), "ZERO_GEN", (pos, gens),
-                        list(moved[:-1]), [(1, moved)]).scale(sign)
-    assert piece.target == parallelogram_cycle(gens)
-    return piece
+    return Piece.move(("ZERO", k - 1), "ZERO_GEN", (pos, gens),
+                      moved[:-1], [(1, moved)]).scale(sign)
 
 
 def move_dehn(x, y, kappa) -> Piece:
     """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 0..3."""
     if kappa == 0:
         return Piece.zero(1, 2)
-    piece = _base_piece(
+    return Piece.move(
         ("DEHN", kappa), "DEHN", (kappa, x, y), [(x,), (y,)],
         [(1, ((x,), (y,))), (-1, ((x,), (y - kappa * x,)))])
-    assert piece.target == (parallelogram_cycle([(x,), (y,)])
-                            - parallelogram_cycle([(x,), (y - kappa * x,)]))
-    return piece
 
 
 def move_double_halve(x, y) -> Piece:
     """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
     assert y % 2 == 0
-    piece = _base_piece(
+    return Piece.move(
         ("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y), [(x,), (y // 2,)],
         [(1, ((x,), (y,))), (-1, ((2 * x,), (y // 2,)))])
-    assert piece.target == (parallelogram_cycle([(x,), (y,)])
-                            - parallelogram_cycle([(2 * x,), (y // 2,)]))
-    return piece
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +253,6 @@ def s1_piece(a: int, l: int):
     acc = Piece.zero(1, 2)
     for sign, kind, args in moves:
         acc = acc + _s1_move_piece(sign, kind, args)
-    assert acc.target == parallelogram_cycle([(a,), (l,)])
     return acc, trace
 
 
@@ -304,13 +267,8 @@ def slide(u0, d, m, w) -> Piece:
     shifted = _add_vec(w, _scale_vec(m, u0))
     piece = move_split((v, shifted), 1, w, _scale_vec(m, u0))
     inner, _ = s1_piece(d, m)
-    piece = piece + inner.pushforward(LinearTorusMap.from_columns([u0]))
-    marker = Piece.move("SLIDE", (tuple(u0), d, m, tuple(w)),
-                        TorusChain.zero(n, 2), TorusChain.zero(n, 3), ())
-    piece = piece + marker
-    assert piece.target == (parallelogram_cycle([v, shifted])
-                            - parallelogram_cycle([v, w]))
-    return piece
+    piece = piece + inner.pushforward([u0])
+    return piece.marked("SLIDE", (u0, d, m, w))
 
 
 def slide_second(v, w, delta) -> Piece:

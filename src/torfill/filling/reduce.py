@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..chains import (LinearTorusMap, TorusChain, parallelogram_cycle,
-                      rectangle_cycle)
-from ..errors import NotDependent, UnsupportedDimension
+from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
 from ..exactlinalg import IntMatrix, det_exact, hnf, mat_pow
-from .certificate import FillingCertificate, Piece, require_valid
+from .certificate import FillingCertificate, Piece, _unit, require_valid
 from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
                     move_zero_gen, primitive_decomposition, s1_piece,
                     slide_first, slide_second)
@@ -80,14 +78,11 @@ def slim_piece(gens) -> Piece:
     if pair is not None:
         i, j, u0, alpha, beta = pair
         inner, _ = s1_piece(alpha, beta)
-        piece = inner.pushforward(LinearTorusMap.from_columns([u0]))
-        rest = [gens[t] for t in range(k) if t not in (i, j)]
-        for v in rest:
-            piece = piece.prism_lift(v)
-        sign = _move_to_front_sign(k, i, j)
-        piece = piece.scale(sign)
-        assert piece.target == parallelogram_cycle(gens)
-        return piece
+        piece = inner.pushforward([u0])
+        for t in range(k):
+            if t not in (i, j):
+                piece = piece.prism_lift(gens[t])
+        return piece.scale(_move_to_front_sign(k, i, j))
 
     if k > 3:
         raise UnsupportedDimension("slim reduction supported up to 3 generators")
@@ -106,9 +101,7 @@ def slim_piece(gens) -> Piece:
     piece = move_split(gens, j, v1, v2)
     with_pair = gens[:j] + (v2,) + gens[j + 1:]
     remainder = gens[:j] + (v1,) + gens[j + 1:]
-    piece = piece + slim_piece(with_pair) + slim_piece(remainder)
-    assert piece.target == parallelogram_cycle(gens)
-    return piece
+    return piece + slim_piece(with_pair) + slim_piece(remainder)
 
 
 def _round_div(a, b) -> int:
@@ -158,22 +151,15 @@ def paral_to_rects(gens):
             height = leaf[p][n - 1]
             inner_gens = tuple(leaf[t][:n - 1] for t in range(n) if t != p)
             inner_rects, inner_piece = paral_to_rects(inner_gens)
-            embed = LinearTorusMap(tuple(
-                tuple(1 if (i == j and i < n - 1) else 0 for j in range(n - 1))
-                for i in range(n)))
+            embed = [_unit(n, t) for t in range(n - 1)]
             lifted = inner_piece.pushforward(embed).prism_lift(
-                tuple(0 if t < n - 1 else height for t in range(n)))
+                _scale_vec(height, _unit(n, n - 1)))
             sign = -1 if (n - 1 - p) % 2 else 1
             piece = piece + lifted.scale(sign)
             rects.extend((sign * eps, sizes + (height,))
                          for eps, sizes in inner_rects)
         else:
             piece = piece + slim_piece(leaf)
-
-    expected = parallelogram_cycle(gens)
-    for eps, sizes in rects:
-        expected = expected - rectangle_cycle(sizes).scale(eps)
-    assert piece.target == expected
     return rects, piece
 
 
@@ -194,33 +180,15 @@ def rect_to_unit(sizes) -> Piece:
         raise UnsupportedDimension("rectangle normalization needs n <= 3")
 
     a1, mid, an = sizes[0], sizes[1:-1], sizes[-1]
-    plane = _rect_to_unit_2d((a1, an))
-    embed = LinearTorusMap(tuple(
-        tuple(1 if (i == 0 and j == 0) or (i == n - 1 and j == 1) else 0
-              for j in range(2)) for i in range(n)))
-    lifted = plane.pushforward(embed)
+    # phase a: R(sizes) - R(a1*an, mid, 1); phase b: that to R(prod, 1, 1)
+    phase_a = _rect_to_unit_2d((a1, an)).pushforward(
+        [_unit(n, 0), _unit(n, n - 1)])
     for t, a in enumerate(mid):
-        lifted = lifted.prism_lift(_scale_vec(a, _unit(n, 1 + t)))
-    sign = -1 if (n - 2) % 2 else 1
-    phase_a = lifted.scale(sign)
-    assert phase_a.target == (rectangle_cycle(sizes)
-                              - rectangle_cycle((a1 * an,) + mid + (1,)))
-
-    inner = rect_to_unit((a1 * an,) + mid)
-    embed2 = LinearTorusMap(tuple(
-        tuple(1 if i == j else 0 for j in range(n - 1)) for i in range(n)))
-    phase_b = inner.pushforward(embed2).prism_lift(_unit(n, n - 1))
-    piece = phase_a + phase_b
-    prod = 1
-    for a in sizes:
-        prod *= a
-    assert piece.target == (rectangle_cycle(sizes)
-                            - rectangle_cycle((prod,) + (1,) * (n - 1)))
-    return piece
-
-
-def _unit(n, i):
-    return tuple(1 if t == i else 0 for t in range(n))
+        phase_a = phase_a.prism_lift(_scale_vec(a, _unit(n, 1 + t)))
+    phase_a = phase_a.scale(-1 if (n - 2) % 2 else 1)
+    phase_b = rect_to_unit((a1 * an,) + mid).pushforward(
+        [_unit(n, t) for t in range(n - 1)]).prism_lift(_unit(n, n - 1))
+    return phase_a + phase_b
 
 
 def _rect_to_unit_2d(sizes) -> Piece:
@@ -256,21 +224,15 @@ def _rect_to_unit_2d(sizes) -> Piece:
         total = total + s
     # total.target = Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
     neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1)
-    piece = -total - neg
-    assert piece.target == (rectangle_cycle(sizes)
-                            - rectangle_cycle((a * b, 1)))
-    return piece
+    return -total - neg
 
 
 def combine_rects(signed_lengths, n):
     """(total, piece) merging signed unit rectangles:
     piece.target = sum_i eps_i R(l_i, 1..1) - R(total, 1..1)."""
     piece = Piece.zero(n, n)
-    total_chain = TorusChain.zero(n, n)
     normalized = []
     for eps, length in signed_lengths:
-        total_chain = total_chain + rectangle_cycle(
-            (length,) + (1,) * (n - 1)).scale(eps)
         if eps == -1:
             gens = (_scale_vec(length, _unit(n, 0)),) + tuple(
                 _unit(n, t) for t in range(1, n))
@@ -290,8 +252,6 @@ def combine_rects(signed_lengths, n):
                                    _scale_vec(running, _unit(n, 0)),
                                    _scale_vec(length, _unit(n, 0)))
         running += length
-    assert piece.target == total_chain - rectangle_cycle(
-        (running,) + (1,) * (n - 1))
     return running, piece
 
 
@@ -305,11 +265,11 @@ class ReductionReport:
     cost: int
     det: int
     log2_norm: float
-    k_hat: float = None
 
 
-def reduce_parallelogram(a: IntMatrix, verify: bool = True) -> ReductionReport:
-    """Full reduction of the parallelogram cycle on the columns of A."""
+def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
+    """Full reduction of the parallelogram cycle on the columns of A; the
+    certificate is verified exactly against Q(A) - R(det A, 1, .., 1)."""
     n = a.rows
     if n != a.cols:
         raise UnsupportedDimension("reduce_parallelogram needs a square matrix")
@@ -328,17 +288,15 @@ def reduce_parallelogram(a: IntMatrix, verify: bool = True) -> ReductionReport:
     piece = piece + combine_piece
 
     det = det_exact(a)
-    assert total == det, "class bookkeeping: combined length must equal det"
-    expected = (parallelogram_cycle(gens)
-                - rectangle_cycle((det,) + (1,) * (n - 1)))
-    assert piece.target == expected
+    if total != det:
+        raise VerificationFailure("class bookkeeping: combined length %d != "
+                                  "det %d" % (total, det))
 
     witness, records = piece.assemble()
     cert = FillingCertificate.build(piece.target, witness)
-    if verify:
-        unit_rect_gens = tuple(
-            _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))
-        require_valid(cert, presentation=[(1, gens), (-1, unit_rect_gens)])
+    unit_rect_gens = tuple(
+        _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))
+    require_valid(cert, presentation=[(1, gens), (-1, unit_rect_gens)])
     norm = a.max_abs()
     return ReductionReport(a, cert, records, cert.cost, det,
                            math.log2(norm) if norm else 0.0)
@@ -353,15 +311,14 @@ class UpperBoundExperiment:
     k_hat: float  # least-squares slope of cost against log2 |A^j|_inf
 
 
-def fv_upper_experiment(a: IntMatrix, j_max: int,
-                        verify: bool = True) -> UpperBoundExperiment:
+def fv_upper_experiment(a: IntMatrix, j_max: int) -> UpperBoundExperiment:
     """Reduce A^j for j = 1..j_max (target is the standard fundamental
     rectangle since det A = 1) and fit cost against log2 of the power norm."""
     if det_exact(a) != 1:
         raise UnsupportedDimension("fv_upper_experiment requires det A = 1")
     rows = []
     for j in range(1, j_max + 1):
-        report = reduce_parallelogram(mat_pow(a, j), verify=verify)
+        report = reduce_parallelogram(mat_pow(a, j))
         rows.append((j, report.cost, report.cost / j, report.log2_norm))
     xs = [r[3] for r in rows]
     ys = [r[1] for r in rows]

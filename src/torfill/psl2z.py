@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotUnimodular
+from .errors import NotUnimodular, VerificationFailure
 from .exactlinalg import IntMatrix
 
 S_MAT = IntMatrix(((0, -1), (1, 0)))
@@ -128,7 +128,8 @@ def decompose(a: IntMatrix) -> Psl2Word:
     if got.data == a.data:
         return word
     neg = tuple(tuple(-x for x in row) for row in got.data)
-    assert neg == a.data, "decomposition failed to reproduce +/- A"
+    if neg != a.data:
+        raise VerificationFailure("decomposition failed to reproduce +/- A")
     return Psl2Word(reduced, -1)
 
 

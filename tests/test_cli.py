@@ -1,13 +1,20 @@
 """Command-line surface: dispatch, formats, exit codes, round trips."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from torfill.chains import TorusChain
 from torfill.cli import main
 from torfill.filling import base
+from torfill.filling.certificate import Piece, lifted
 
 
 def run(capsys, *argv):
@@ -160,12 +167,69 @@ def test_bad_base_certificate_exit_2(tmp_path, monkeypatch, capsys, tamper):
     tamper(table / "negate_2.json")
     monkeypatch.setattr(base, "TABLE_DIR", table)
     base.base_certificate.cache_clear()
+    lifted.cache_clear()  # lifted base witnesses are memoised per process too
     try:
         assert main(["reduce", "--matrix=2,1;1,1"]) == 2
     finally:
         base.base_certificate.cache_clear()
+        lifted.cache_clear()
     err = capsys.readouterr().err
     assert "('NEGATE', 2)" in err and "Traceback" not in err
+
+
+def test_reduce_verification_failure_exit_2(monkeypatch, capsys):
+    # one wrong coefficient in the assembled witness: reduce's own exact
+    # check must refuse it with exit 2, not print verified=True
+    assemble = Piece.assemble
+
+    def tampered(self):
+        witness, records = assemble(self)
+        terms = dict(witness.terms)
+        simplex = next(iter(terms))
+        terms[simplex] = -terms[simplex]
+        return TorusChain(witness.ambient_dim, witness.degree, terms), records
+
+    monkeypatch.setattr(Piece, "assemble", tampered)
+    assert main(["reduce", "--matrix=2,1;1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "verification failure" in captured.err
+    assert "Traceback" not in captured.err and "verified=" not in captured.out
+
+
+_UNDER_O = textwrap.dedent("""
+    import sys
+    from dataclasses import replace
+    from torfill.cli import main
+    from torfill.errors import VerificationFailure
+    from torfill.exactlinalg import IntMatrix, _verify_snf, snf
+    from torfill.filling.certificate import Chunk, ChunkMeta, Piece
+
+    assert False, "python -O strips plain asserts"
+    res = snf(IntMatrix(((2, 4), (6, 8))))
+    try:
+        _verify_snf(replace(res, d=IntMatrix(((1, 0), (0, 8)))))
+    except VerificationFailure:
+        print("tampered SNF refused")
+    # one chunk whose cycles have class sum 1, not 0
+    meta = ChunkMeta("NEGATE", (), ((1, ((1, 0), (0, 1))),))
+    try:
+        Piece(2, 2, [(meta, Chunk(None, (), 0))]).assemble()
+    except VerificationFailure:
+        print("class sum refused")
+    sys.exit(main(["reduce", "--matrix=2,1;1,1"]))
+""")
+
+
+def test_proof_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["tampered SNF refused", "class sum refused"]
+    assert "verified=True" in lines
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

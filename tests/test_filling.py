@@ -110,23 +110,40 @@ def test_verify_catches_perturbations():
 
 # --- moves ----------------------------------------------------------------------
 
+def _q(*gens):
+    return parallelogram_cycle(gens)
+
+
 def test_move_certificates_verify():
     moves = [
-        move_negate(((3, 1), (1, 2)), 0),
-        move_negate(((3, 1), (1, 2)), 1),
-        move_negate(((1, 0, 2), (0, 1, 1), (2, 0, 1)), 2),
-        move_split(((2, 1), (5, 3)), 1, (2, 2), (3, 1)),
-        move_split(((2, 1), (5, 3)), 0, (1, 1), (1, 0)),
-        move_split(((1, 0, 0), (0, 2, 1), (3, 1, 1)), 2, (1, 1, 0), (2, 0, 1)),
-        move_zero_gen(((4, 1), (0, 0))),
-        move_zero_gen(((0, 0, 0), (1, 2, 0), (0, 1, 1))),
-        move_dehn(3, 7, 2),
-        move_double_halve(5, 8),
+        (move_negate(((3, 1), (1, 2)), 0), _q((3, 1), (1, 2)) + _q((-3, -1), (1, 2))),
+        (move_negate(((3, 1), (1, 2)), 1), _q((3, 1), (1, 2)) + _q((3, 1), (-1, -2))),
+        (move_negate(((1, 0, 2), (0, 1, 1), (2, 0, 1)), 0),
+         _q((1, 0, 2), (0, 1, 1), (2, 0, 1)) + _q((-1, 0, -2), (0, 1, 1), (2, 0, 1))),
+        (move_negate(((1, 0, 2), (0, 1, 1), (2, 0, 1)), 2),
+         _q((1, 0, 2), (0, 1, 1), (2, 0, 1)) + _q((1, 0, 2), (0, 1, 1), (-2, 0, -1))),
+        (move_split(((2, 1), (5, 3)), 1, (2, 2), (3, 1)),
+         _q((2, 1), (5, 3)) - _q((2, 1), (2, 2)) - _q((2, 1), (3, 1))),
+        (move_split(((2, 1), (5, 3)), 0, (1, 1), (1, 0)),
+         _q((2, 1), (5, 3)) - _q((1, 1), (5, 3)) - _q((1, 0), (5, 3))),
+        (move_split(((1, 0, 0), (0, 2, 1), (3, 1, 1)), 0, (1, 1, 0), (0, -1, 0)),
+         _q((1, 0, 0), (0, 2, 1), (3, 1, 1)) - _q((1, 1, 0), (0, 2, 1), (3, 1, 1))
+         - _q((0, -1, 0), (0, 2, 1), (3, 1, 1))),
+        (move_split(((1, 0, 0), (0, 2, 1), (3, 1, 1)), 2, (1, 1, 0), (2, 0, 1)),
+         _q((1, 0, 0), (0, 2, 1), (3, 1, 1)) - _q((1, 0, 0), (0, 2, 1), (1, 1, 0))
+         - _q((1, 0, 0), (0, 2, 1), (2, 0, 1))),
+        (move_zero_gen(((4, 1), (0, 0))), _q((4, 1), (0, 0))),
+        (move_zero_gen(((0, 0, 0), (1, 2, 0), (0, 1, 1))),
+         _q((0, 0, 0), (1, 2, 0), (0, 1, 1))),
+        (move_zero_gen(((0, 0),)), _q((0, 0))),
+        (move_dehn(3, 7, 2), _q((3,), (7,)) - _q((3,), (1,))),
+        (move_double_halve(5, 8), _q((5,), (8,)) - _q((10,), (4,))),
     ]
-    for piece in moves:
+    for piece, want in moves:
         cert = piece.certificate()
         ok, diag = verify_certificate(cert)
         assert ok, diag
+        assert cert.target == want
 
 
 def test_pushforward_never_raises_cost():
@@ -204,8 +221,10 @@ def test_s1_certificates_and_move_counts():
 def test_s1_zero_routes():
     piece, _ = s1_piece(4, 0)
     assert verify_certificate(piece.certificate())[0]
+    assert piece.certificate().target == _q((4,), (0,))
     piece, _ = s1_piece(0, 9)
     assert verify_certificate(piece.certificate())[0]
+    assert piece.certificate().target == _q((0,), (9,))
 
 
 # --- slide ----------------------------------------------------------------------
@@ -222,7 +241,9 @@ def test_slide_examples():
 
     # schedule step 4 shape: u0 = e1, d = a1*a2, m = 1-a1
     piece = slide(E1, 12, -3, (3, -1))
-    assert verify_certificate(piece.certificate())[0]
+    cert = piece.certificate()
+    assert verify_certificate(cert)[0]
+    assert cert.target == _q((12, 0), (0, -1)) - _q((12, 0), (3, -1))
 
 
 # --- slim -----------------------------------------------------------------------
@@ -230,6 +251,7 @@ def test_slide_examples():
 def test_slim_examples():
     cert = slim_piece(((1, 0), (0, 0))).certificate()
     assert verify_certificate(cert)[0]
+    assert cert.target == parallelogram_cycle([(1, 0), (0, 0)])
 
     cert = slim_piece(((2, 0), (3, 0))).certificate()
     assert verify_certificate(cert)[0]
@@ -237,6 +259,7 @@ def test_slim_examples():
 
     cert = slim_piece(((2, 1), (1, 1), (3, 2))).certificate()
     assert verify_certificate(cert)[0]
+    assert cert.target == parallelogram_cycle([(2, 1), (1, 1), (3, 2)])
 
     with pytest.raises(NotDependent):
         slim_piece(((1, 0), (0, 1)))
@@ -260,17 +283,29 @@ def test_slim_random_dependent():
 
 # --- rectangles ------------------------------------------------------------------
 
+def _rects_target(gens, rects):
+    """Q(gens) - sum_i eps_i R(sizes_i), the target paral_to_rects claims."""
+    want = parallelogram_cycle(gens)
+    for eps, sizes in rects:
+        want = want - rectangle_cycle(sizes).scale(eps)
+    return want
+
+
 def test_paral_to_rects_examples():
     rects, piece = paral_to_rects(((2, 1), (1, 1)))
     assert len(rects) <= 2
     assert all(max(abs(s) for s in sizes) <= 2 for _, sizes in rects)
-    assert verify_certificate(piece.certificate())[0]
+    cert = piece.certificate()
+    assert verify_certificate(cert)[0]
+    assert cert.target == _rects_target(((2, 1), (1, 1)), rects)
 
     rects, piece = paral_to_rects((E1, E2))
     assert rects == [(1, (1, 1))] and piece.certificate().cost == 0
 
     rects, piece = paral_to_rects(((1, 0), (1, 1)))
-    assert verify_certificate(piece.certificate())[0]
+    cert = piece.certificate()
+    assert verify_certificate(cert)[0]
+    assert cert.target == _rects_target(((1, 0), (1, 1)), rects)
     assert (1, (1, 1)) in rects
 
 
@@ -281,7 +316,9 @@ def test_paral_to_rects_random():
         vecs = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                      for _ in range(n))
         rects, piece = paral_to_rects(vecs)
-        assert verify_certificate(piece.certificate())[0]
+        cert = piece.certificate()
+        assert verify_certificate(cert)[0]
+        assert cert.target == _rects_target(vecs, rects)
         bound = max(max(abs(x) for x in v) for v in vecs)
         factorial = math.factorial(n)
         assert len(rects) <= factorial
@@ -306,12 +343,19 @@ def test_rect_to_unit_examples():
     assert rect_to_unit((7, 1)).certificate().cost == 0
     cert = rect_to_unit((2, 0)).certificate()
     assert verify_certificate(cert)[0]
+    assert cert.target == rectangle_cycle((2, 0)) - rectangle_cycle((0, 1))
     cert = rect_to_unit((-3, 2)).certificate()
     assert cert.target == rectangle_cycle((-3, 2)) - rectangle_cycle((-6, 1))
     assert verify_certificate(cert)[0]
     cert = rect_to_unit((2, 3, 2)).certificate()
     assert cert.target == rectangle_cycle((2, 3, 2)) - rectangle_cycle((12, 1, 1))
     assert verify_certificate(cert)[0]
+    # the inner step of (2, 3, 2); with the check above it pins the first
+    # phase: R(2, 3, 2) - R(4, 3, 1)
+    cert = rect_to_unit((4, 3)).certificate()
+    assert cert.target == rectangle_cycle((4, 3)) - rectangle_cycle((12, 1))
+    cert = rect_to_unit((2, 0, 3)).certificate()
+    assert cert.target == rectangle_cycle((2, 0, 3)) - rectangle_cycle((0, 1, 1))
 
 
 def test_combine_rects_examples():
@@ -324,10 +368,22 @@ def test_combine_rects_examples():
 
     total, piece = combine_rects([(1, 4)], 2)
     assert total == 4 and piece.certificate().cost == 0
+    assert piece.target.is_zero()
 
     total, piece = combine_rects([(1, 2), (-1, 2)], 2)
+    cert = piece.certificate()
     assert total == 0
-    assert verify_certificate(piece.certificate())[0]
+    assert verify_certificate(cert)[0]
+    assert cert.target == -rectangle_cycle((0, 1))
+
+    total, piece = combine_rects([(-1, 3), (1, 1)], 3)
+    cert = piece.certificate()
+    assert total == -2
+    assert cert.target == (rectangle_cycle((1, 1, 1)) - rectangle_cycle((3, 1, 1))
+                           - rectangle_cycle((-2, 1, 1)))
+
+    total, piece = combine_rects([], 2)
+    assert total == 0 and piece.certificate().target == -rectangle_cycle((0, 1))
 
 
 # --- the full reduction ------------------------------------------------------------
@@ -410,7 +466,7 @@ def test_fv_upper_experiment_identity_and_anosov():
 
 
 def test_fv_upper_dehn_twist_bounded():
-    exp = fv_upper_experiment(IntMatrix(((1, 1), (0, 1))), 8, verify=False)
+    exp = fv_upper_experiment(IntMatrix(((1, 1), (0, 1))), 8)
     per_j = [cost / j for j, cost, _, _ in exp.rows]
     assert max(per_j) <= 12 * max(per_j[0], 1.0)
 
