@@ -3,8 +3,11 @@
 A straight simplex is the projection to T^n = R^n/Z^n of the affine simplex
 spanned by an ordered tuple of integer points; it is determined by its vertex
 tuple up to a common integer translation.  We resolve the translation quotient
-by translating the first vertex to the origin, so chains are finite integer
-combinations of canonical vertex tuples.  All arithmetic is exact: vertices
+by translating the first vertex to the origin, so a simplex *is* its canonical
+vertex tuple (a tuple of int tuples whose first entry is zero), and chains are
+finite integer combinations keyed by those tuples.  A linear map T^n -> T^m is
+given by the images of the n basis vectors, and the homology class of a
+parallelogram cycle is its tuple of minors.  All arithmetic is exact: vertices
 are arbitrary-precision integers and the degree oracle works over Fraction.
 
 Degenerate simplices (repeated vertices) are ordinary chain generators here —
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul, sub
 
 from .errors import DimensionMismatch, NonGenericPoint
 
@@ -24,32 +28,12 @@ Vertex = tuple  # tuple[int, ...]
 
 
 def _as_vertex(p) -> Vertex:
-    return tuple(int(x) for x in p)
+    return tuple(map(int, p))
 
 
-@dataclass(frozen=True)
-class StraightSimplex:
-    """Ordered tuple of integer vertices in Z^n, canonical (first vertex 0)."""
-
-    vertices: tuple
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0])
-
-    @property
-    def degree(self) -> int:
-        return len(self.vertices) - 1
-
-    def is_degenerate(self) -> bool:
-        return len(set(self.vertices)) != len(self.vertices)
-
-    def __repr__(self):
-        return "[" + ", ".join(repr(v) for v in self.vertices) + "]"
-
-
-def canonicalize(vertices) -> StraightSimplex:
-    """Translate so the first vertex is the origin.
+def canonicalize(vertices) -> tuple:
+    """The canonical vertex tuple: translated so the first vertex is the
+    origin.  The validating entry point for outside input.
 
     Tuples differing by a common integer translation map to the same simplex.
     """
@@ -62,19 +46,25 @@ def canonicalize(vertices) -> StraightSimplex:
     return _canon_fast(tuple(verts))
 
 
-def _canon_fast(verts) -> StraightSimplex:
+def _canon_fast(verts) -> tuple:
     # internal path: verts already int tuples of uniform dimension
     v0 = verts[0]
     if any(v0):
-        verts = tuple(tuple(a - b for a, b in zip(p, v0)) for p in verts)
-    return StraightSimplex(verts)
+        verts = tuple(tuple(map(sub, p, v0)) for p in verts)
+    return verts
+
+
+def faces(simplex) -> list:
+    """The canonical vertex-deleted faces; face i carries the sign (-1)^i."""
+    return [_canon_fast(simplex[:i] + simplex[i + 1:])
+            for i in range(len(simplex))]
 
 
 @dataclass(frozen=True, eq=False)
 class TorusChain:
     """Finite integer combination of canonical straight simplices.
 
-    ``terms`` maps canonical StraightSimplex to a nonzero coefficient; all
+    ``terms`` maps canonical vertex tuples to nonzero coefficients; all
     simplices share ``degree`` and ``ambient_dim``.  Treated as immutable.
     """
 
@@ -90,7 +80,7 @@ class TorusChain:
     def from_pairs(ambient_dim, degree, pairs) -> "TorusChain":
         acc = {}
         for simplex, coeff in pairs:
-            if simplex.degree != degree or simplex.ambient_dim != ambient_dim:
+            if len(simplex) != degree + 1 or len(simplex[0]) != ambient_dim:
                 raise DimensionMismatch("simplex/chain degree or dimension mismatch")
             c = acc.get(simplex, 0) + coeff
             if c:
@@ -144,7 +134,7 @@ class TorusChain:
 def simplex_chain(vertices) -> TorusChain:
     """Chain with a single simplex of coefficient 1."""
     s = canonicalize(vertices)
-    return TorusChain(s.ambient_dim, s.degree, {s: 1})
+    return TorusChain(len(s[0]), len(s) - 1, {s: 1})
 
 
 def l1_norm(c: TorusChain) -> int:
@@ -161,11 +151,8 @@ def boundary(c: TorusChain) -> TorusChain:
         return TorusChain.zero(c.ambient_dim, 0)
     acc = {}
     for simplex, coeff in c.terms.items():
-        verts = simplex.vertices
-        for i in range(len(verts)):
-            face = _canon_fast(verts[:i] + verts[i + 1:])
-            sgn = coeff if i % 2 == 0 else -coeff
-            v = acc.get(face, 0) + sgn
+        for i, face in enumerate(faces(simplex)):
+            v = acc.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
             if v:
                 acc[face] = v
             elif face in acc:
@@ -173,56 +160,39 @@ def boundary(c: TorusChain) -> TorusChain:
     return TorusChain(c.ambient_dim, c.degree - 1, acc)
 
 
-@dataclass(frozen=True)
-class LinearTorusMap:
-    """Linear integral map T^n -> T^m: x |-> Mx with integer M.
-
-    Integer data makes the induced torus map well defined.
-    """
-
-    matrix: tuple  # m rows, each a tuple of n ints
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-
-    @property
-    def source_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.matrix)
-
-    @staticmethod
-    def from_columns(columns) -> "LinearTorusMap":
-        """Map sending the i-th basis vector of the source to columns[i]."""
-        cols = [_as_vertex(c) for c in columns]
-        m = len(cols[0])
-        if any(len(c) != m for c in cols):
-            raise DimensionMismatch("columns of mixed dimension")
-        return LinearTorusMap(tuple(tuple(c[i] for c in cols) for i in range(m)))
-
-    def apply(self, p) -> Vertex:
-        return tuple(sum(a * x for a, x in zip(row, p)) for row in self.matrix)
+def linear_image(columns, p) -> Vertex:
+    """Image of the point p under the integer map e_i -> columns[i]."""
+    return tuple(sum(map(mul, p, row)) for row in zip(*columns))
 
 
-def pushforward(f: LinearTorusMap, c: TorusChain) -> TorusChain:
-    """Apply f vertexwise and re-canonicalize.
+def pushforward(columns, c: TorusChain) -> TorusChain:
+    """Apply the linear torus map e_i -> columns[i] vertexwise and
+    re-canonicalize.  Integer columns make the map well defined on T^n.
 
     Commutes with boundary and never increases the l^1 norm.
     """
-    if f.source_dim != c.ambient_dim:
+    cols = [_as_vertex(u) for u in columns]
+    if not cols or len(cols) != c.ambient_dim:
         raise DimensionMismatch("map source dim != chain ambient dim")
+    m = len(cols[0])
+    if any(len(u) != m for u in cols):
+        raise DimensionMismatch("columns of mixed dimension")
+    images = {}  # vertices recur across simplices: map each one once
     acc = {}
     for simplex, coeff in c.terms.items():
-        img = _canon_fast(tuple(f.apply(p) for p in simplex.vertices))
+        verts = []
+        for p in simplex:
+            q = images.get(p)
+            if q is None:
+                q = images[p] = linear_image(cols, p)
+            verts.append(q)
+        img = _canon_fast(tuple(verts))
         v = acc.get(img, 0) + coeff
         if v:
             acc[img] = v
         elif img in acc:
             del acc[img]
-    return TorusChain(f.target_dim, c.degree, acc)
+    return TorusChain(m, c.degree, acc)
 
 
 def prism_v(v, c: TorusChain) -> TorusChain:
@@ -241,8 +211,7 @@ def prism_v(v, c: TorusChain) -> TorusChain:
     if len(v) != c.ambient_dim:
         raise DimensionMismatch("vector dim != chain ambient dim")
     acc = {}
-    for simplex, coeff in c.terms.items():
-        q = simplex.vertices
+    for q, coeff in c.terms.items():
         k = len(q) - 1
         shifted = [tuple(a + b for a, b in zip(p, v)) for p in q]
         for i in range(k + 1):
@@ -418,8 +387,7 @@ def degree_at_point(c: TorusChain, point) -> int:
     if len(pt) != c.ambient_dim:
         raise DimensionMismatch("point dimension mismatch")
     total = 0
-    for simplex, coeff in c.terms.items():
-        verts = simplex.vertices
+    for verts, coeff in c.terms.items():
         base = verts[0]
         rows = [tuple(a - b for a, b in zip(p, base)) for p in verts[1:]]
         sgn_det = _det_small([list(r) for r in rows])
@@ -446,44 +414,13 @@ def sample_degree(c: TorusChain, rng, tries: int = 32) -> int:
     raise NonGenericPoint("no generic sample found")
 
 
-@dataclass(frozen=True)
-class HomologyClassVector:
-    """Class of a k-parallelogram cycle in H_k(T^n) = Z^C(n,k).
-
-    Entries are the k x k minors of the generator matrix, indexed by row
-    subsets in lexicographic order (rows ascending inside each subset).
-    For k = n the single entry is the determinant.
-    """
-
-    ambient_dim: int
-    degree: int
-    minors: tuple
-
-    def is_zero(self) -> bool:
-        return all(m == 0 for m in self.minors)
-
-    def __add__(self, other):
-        self._check(other)
-        return HomologyClassVector(self.ambient_dim, self.degree,
-                                   tuple(a + b for a, b in zip(self.minors, other.minors)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return HomologyClassVector(self.ambient_dim, self.degree,
-                                   tuple(a - b for a, b in zip(self.minors, other.minors)))
-
-    def _check(self, other):
-        if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
-            raise DimensionMismatch("class vectors of different type")
-
-
-def parallelogram_class(vectors, ambient_dim=None) -> HomologyClassVector:
-    """Minor vector of the n x k generator matrix (columns = vectors)."""
+def parallelogram_class(vectors, ambient_dim=None) -> tuple:
+    """Class of Q(vectors) in H_k(T^n) = Z^C(n,k): the k x k minors of the
+    n x k generator matrix (columns = vectors), indexed by row subsets in
+    lexicographic order (rows ascending inside each subset).  For k = n the
+    single entry is the determinant."""
     vecs = [_as_vertex(u) for u in vectors]
     n = len(vecs[0]) if vecs else ambient_dim
     k = len(vecs)
-    minors = []
-    for rows in combinations(range(n), k):
-        sub = [[vecs[j][r] for j in range(k)] for r in rows]
-        minors.append(_det_small(sub))
-    return HomologyClassVector(n, k, tuple(minors))
+    return tuple(_det_small([[vecs[j][r] for j in range(k)] for r in rows])
+                 for rows in combinations(range(n), k))

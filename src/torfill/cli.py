@@ -113,8 +113,9 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cycle", help="chain JSON file with a cycle to fill")
     group.add_argument("--verify", help="certificate JSON file to re-verify")
-    p.add_argument("--box", type=int, default=1)
-    p.add_argument("--max-expand", type=int, default=3)
+    p.add_argument("--box", type=_int_at_least(0), default=1)
+    p.add_argument("--max-expand", type=_int_at_least(0), default=3,
+                   help="largest box to try; at least --box")
     p.add_argument("--out", help="write the found certificate here")
 
     p = subs.add_parser("selftest", help="run the invariant suites")
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "fill" and args.max_expand < args.box:
+            parser.error("fill: --max-expand %d is below --box %d"
+                         % (args.max_expand, args.box))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 from typing import NamedTuple
 
-from ..chains import (LinearTorusMap, TorusChain, boundary, l1_norm,
+from ..chains import (TorusChain, boundary, l1_norm, linear_image,
                       parallelogram_class, parallelogram_cycle, prism_v,
                       pushforward, simplex_chain)
 from ..errors import VerificationFailure
@@ -75,7 +75,7 @@ def class_sum(ambient_dim, degree, presentation) -> tuple:
     """Signed sum of the homology classes (minor vectors) of a presentation."""
     total = [0] * comb(ambient_dim, degree)
     for coeff, gens in presentation:
-        for i, m in enumerate(parallelogram_class(gens, ambient_dim).minors):
+        for i, m in enumerate(parallelogram_class(gens, ambient_dim)):
             total[i] += coeff * m
     return tuple(total)
 
@@ -83,25 +83,32 @@ def class_sum(ambient_dim, degree, presentation) -> tuple:
 def verify_certificate(cert: FillingCertificate, presentation=None):
     """Exact re-verification; returns (ok, diagnostics).
 
-    Checks boundary(witness) = target with integer arithmetic (no tolerance)
+    Checks that the witness lies in the target's torus one degree higher,
+    then boundary(witness) = target with integer arithmetic (no tolerance),
     and cost = l1(witness).  When `presentation` gives the target as a signed
     sum of parallelogram cycles [(coeff, generator-tuples)], additionally
     checks that the presentation reproduces the target and that the signed
     class sum vanishes.
     """
     diagnostics = []
-    bd = boundary(cert.witness)
-    if bd != cert.target:
-        diff = bd - cert.target
-        sample = next(iter(diff.terms.items()), None)
-        diagnostics.append("boundary mismatch on %d simplices; e.g. %r"
-                           % (len(diff.terms), sample))
-    if cert.cost != l1_norm(cert.witness):
+    w, t = cert.witness, cert.target
+    if (w.ambient_dim, w.degree) != (t.ambient_dim, t.degree + 1):
+        diagnostics.append("a degree-%d witness in T^%d cannot fill a degree-%d"
+                           " target in T^%d" % (w.degree, w.ambient_dim,
+                                                t.degree, t.ambient_dim))
+    else:
+        bd = boundary(w)
+        if bd != t:
+            diff = bd - t
+            sample = next(iter(diff.terms.items()))
+            diagnostics.append("boundary mismatch on %d simplices; e.g. %r"
+                               % (len(diff.terms), sample))
+    if cert.cost != l1_norm(w):
         diagnostics.append("cost field %d != l1(witness) %d"
-                           % (cert.cost, l1_norm(cert.witness)))
+                           % (cert.cost, l1_norm(w)))
     if presentation is not None:
-        n, k = cert.target.ambient_dim, cert.target.degree
-        if presentation_chain(n, k, presentation) != cert.target:
+        n, k = t.ambient_dim, t.degree
+        if presentation_chain(n, k, presentation) != t:
             diagnostics.append("presentation does not reproduce the target")
         cls = class_sum(n, k, presentation)
         if any(cls):
@@ -145,7 +152,7 @@ def lifted(key, d) -> TorusChain:
         return base_certificate(key).witness
     inner = lifted(key, d - 1)
     m = inner.ambient_dim
-    embed = LinearTorusMap.from_columns([_unit(m + 1, i) for i in range(m)])
+    embed = [_unit(m + 1, i) for i in range(m)]
     return prism_v(_unit(m + 1, m), pushforward(embed, inner))
 
 
@@ -166,8 +173,8 @@ class Chunk(NamedTuple):
         if not self.coeff:
             return {}
         d = len(self.columns) - lifted(self.source, 0).ambient_dim
-        f = LinearTorusMap.from_columns(self.columns)
-        return pushforward(f, lifted(self.source, d)).scale(self.coeff).terms
+        return pushforward(self.columns,
+                           lifted(self.source, d)).scale(self.coeff).terms
 
 
 @dataclass
@@ -233,11 +240,11 @@ class Piece:
     def pushforward(self, columns) -> "Piece":
         """Realize the piece along the integral map e_i -> columns[i]
         (l^1 non-increasing)."""
-        f = LinearTorusMap.from_columns(columns)
+        image = functools.partial(linear_image, columns)
         return self._remap(
-            f.target_dim, self.degree,
-            lambda c, g: (c, tuple(map(f.apply, g))),
-            lambda ch: ch._replace(columns=tuple(map(f.apply, ch.columns))))
+            len(columns[0]), self.degree,
+            lambda c, g: (c, tuple(map(image, g))),
+            lambda ch: ch._replace(columns=tuple(map(image, ch.columns))))
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""

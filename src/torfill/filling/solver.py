@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from itertools import permutations, product
 
-from ..chains import TorusChain, boundary, canonicalize
+from ..chains import TorusChain, boundary, faces
 from ..errors import CandidateSetTooLarge, Unfillable
 from ..exactlinalg import IntMatrix, solve_diophantine
 from .certificate import FillingCertificate, require_valid
@@ -22,8 +22,8 @@ TUPLE_CAP = 2_500_000
 
 def enumerate_candidates(ambient_dim, degree, box, include_degenerate,
                          tuple_cap=TUPLE_CAP):
-    """Canonical classes of degree-`degree` simplices with a vertex
-    representative inside [0, box]^n."""
+    """Canonical vertex tuples of the degree-`degree` simplices with a
+    vertex representative inside [0, box]^n."""
     points = list(product(range(box + 1), repeat=ambient_dim))
     n_vertices = degree + 1
     if include_degenerate:
@@ -44,8 +44,12 @@ def enumerate_candidates(ambient_dim, degree, box, include_degenerate,
         key = tuple(tuple(a - b for a, b in zip(p, v0)) for p in verts)
         if key not in seen:
             seen.add(key)
-            out.append(canonicalize(key))
+            out.append(key)
     return out
+
+
+def _degenerate(simplex):
+    return len(set(simplex)) != len(simplex)
 
 
 def _solve_sparse(columns, rhs):
@@ -171,8 +175,8 @@ def _stage_schedule(box, max_expand, target_degenerate):
     return stages
 
 
-def fill_by_solve(z: TorusChain, box: int = 1, max_expand: int = 3,
-                  tuple_cap=TUPLE_CAP, verify: bool = True) -> FillingCertificate:
+def fill_by_solve(z: TorusChain, box: int = 1,
+                  max_expand: int = 3) -> FillingCertificate:
     """Exact filling certificate for a cycle z via the boundary system.
 
     Candidates are all canonical simplices of degree deg(z)+1 with a vertex
@@ -185,13 +189,13 @@ def fill_by_solve(z: TorusChain, box: int = 1, max_expand: int = 3,
     if z.is_zero():
         return FillingCertificate.build(z, TorusChain.zero(z.ambient_dim,
                                                            z.degree + 1))
-    target_degenerate = any(s.is_degenerate() for s in z.terms)
+    target_degenerate = any(map(_degenerate, z.terms))
     last_error = None
     for b, include_degenerate in _stage_schedule(box, max_expand,
                                                  target_degenerate):
         try:
             candidates = enumerate_candidates(z.ambient_dim, z.degree + 1, b,
-                                              include_degenerate, tuple_cap)
+                                              include_degenerate)
         except CandidateSetTooLarge as exc:
             last_error = exc
             continue
@@ -205,9 +209,7 @@ def fill_by_solve(z: TorusChain, box: int = 1, max_expand: int = 3,
         columns = []
         for cand in candidates:
             col = {}
-            verts = cand.vertices
-            for i in range(len(verts)):
-                face = canonicalize(verts[:i] + verts[i + 1:])
+            for i, face in enumerate(faces(cand)):
                 r = row_of(face)
                 v = col.get(r, 0) + (1 if i % 2 == 0 else -1)
                 if v:
@@ -219,7 +221,7 @@ def fill_by_solve(z: TorusChain, box: int = 1, max_expand: int = 3,
         missing = False
         for simplex, coeff in z.terms.items():
             if simplex not in row_ids and not include_degenerate and \
-                    simplex.is_degenerate():
+                    _degenerate(simplex):
                 missing = True
                 break
             rhs[row_of(simplex)] = coeff
@@ -231,10 +233,7 @@ def fill_by_solve(z: TorusChain, box: int = 1, max_expand: int = 3,
         witness = TorusChain.from_pairs(
             z.ambient_dim, z.degree + 1,
             ((candidates[j], v) for j, v in solution.items()))
-        cert = FillingCertificate.build(z, witness)
-        if verify:
-            require_valid(cert)
-        return cert
+        return require_valid(FillingCertificate.build(z, witness))
     if last_error is not None:
         raise CandidateSetTooLarge(str(last_error))
     raise Unfillable("no filling with vertices in [0,%d]^%d"

@@ -54,10 +54,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
 def chain_to_obj(c: TorusChain) -> dict:
     records = []
-    for simplex, coeff in sorted(c.terms.items(), key=lambda kv: kv[0].vertices):
+    for simplex, coeff in sorted(c.terms.items()):
         records.append({
             "coeff": str(coeff),
-            "vertices": [[str(x) for x in v] for v in simplex.vertices],
+            "vertices": [[str(x) for x in v] for v in simplex],
         })
     return {"ambient_dim": c.ambient_dim, "degree": c.degree, "terms": records}
 
@@ -68,10 +68,10 @@ def obj_to_chain(obj) -> TorusChain:
         k = int(obj["degree"])
         pairs = []
         for record in obj["terms"]:
-            verts = [tuple(int(x) for x in v) for v in record["vertices"]]
-            simplex = canonicalize(verts)
-            if simplex.vertices != tuple(verts):
-                raise ValueError("non-canonical simplex %r" % (verts,))
+            simplex = canonicalize(record["vertices"])
+            if any(map(int, record["vertices"][0])):  # not at the origin
+                raise ValueError("non-canonical simplex %r"
+                                 % (record["vertices"],))
             pairs.append((simplex, int(record["coeff"])))
         return TorusChain.from_pairs(n, k, pairs)
     except (KeyError, TypeError, ValueError) as exc:

@@ -85,6 +85,44 @@ def test_fill_unfillable_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def _chain_obj(ambient_dim, degree, *simplices):
+    return {"ambient_dim": ambient_dim, "degree": degree,
+            "terms": [{"coeff": "1", "vertices": [[str(x) for x in p] for p in s]}
+                      for s in simplices]}
+
+
+@pytest.mark.parametrize("chain", [
+    _chain_obj(1, 0, []),                        # an empty vertex list
+    _chain_obj(2, 1, [(0, 0), (1,)]),            # vertices of mixed dimension
+    _chain_obj(2, 1, [(0,), (1,)]),              # vertices not in T^ambient_dim
+    _chain_obj(1, 2, [(0,), (1,)]),              # 2 vertices for degree 2
+], ids=["empty", "mixed-dim", "ambient-dim", "degree"])
+def test_fill_bad_chain_file_exit_3(tmp_path, capsys, chain):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(chain))
+    assert main(["fill", "--cycle", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("witness_terms", [[[(0, 0), (1, 0), (1, 1)]], []],
+                         ids=["nonempty", "empty"])
+def test_fill_verify_mismatched_shapes_exit_2(tmp_path, capsys, witness_terms):
+    # a witness in T^2 cannot fill a target in T^1, whatever its terms
+    target = _chain_obj(1, 1, *([[(0,), (1,)]] if witness_terms else []))
+    witness = _chain_obj(2, 2, *witness_terms)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "version": 1, "ambient_dim": 1, "degree": 1, "target": target,
+        "witness": witness, "cost": str(len(witness_terms)), "trace": []}))
+    assert main(["fill", "--verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "verified=False" in captured.out.splitlines()
+    assert "T^2" in captured.err and "T^1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_torsion(capsys):
     code, kv, rows = run(capsys, "torsion", "-m", "2,1;1,1", "--kmax", "5")
     assert code == 0
@@ -134,6 +172,10 @@ def test_input_errors_exit_3(capsys):
     ["fvupper", "-m", "2,1;1,1", "--jmax", "0"],
     ["psl2z", "--family", "0"],
     ["psl2z", "--family", "2", "--power", "-3"],
+    ["fill", "--cycle", "z.json", "--box", "-1"],
+    ["fill", "--cycle", "z.json", "--max-expand", "-1"],
+    ["fill", "--cycle", "z.json", "--box", "5", "--max-expand", "3"],
+    ["fill", "--cycle", "z.json", "--box", "4"],
 ])
 def test_out_of_range_counts_exit_3(capsys, argv):
     assert main(argv) == 3
