@@ -250,10 +250,8 @@ def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
     doubling/halving schedule.  Move count is O(log|al|)."""
     moves, trace = s1_moves(a, l)
-    acc = Piece.zero(1, 2)
-    for sign, kind, args in moves:
-        acc = acc + _s1_move_piece(sign, kind, args)
-    return acc, trace
+    return Piece(1, 2, [pair for move in moves
+                        for pair in _s1_move_piece(*move).chunks]), trace
 
 
 def slide(u0, d, m, w) -> Piece:

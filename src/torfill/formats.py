@@ -1,8 +1,17 @@
 """Stable text formats: matrices, chains, certificates.
 
-All big integers are serialized as decimal strings.  A chain is a list of
-records {coeff, vertices}; a certificate container carries version, type
-data, target, witness, cost, and the move trace.
+All big integers are serialized as decimal strings.  A chain is an object
+{ambient_dim, degree, terms}, its terms a list of records {coeff, vertices}
+sorted by simplex; a certificate container carries version, type data,
+target, witness, cost, and the move trace.
+
+On disk, chain and certificate files are exactly what
+``json.dump(obj, fh, indent=1, sort_keys=True)`` followed by a newline writes
+for that object: one-space indentation, keys sorted, every coefficient and
+coordinate a decimal string.  The shipped base table is in this layout.  The
+chain writer streams the layout itself, without building the object, and
+must reproduce it byte for byte; the header and trace still go through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -11,8 +20,8 @@ import contextlib
 import json
 import os
 
-from .chains import TorusChain, canonicalize
-from .errors import InputParseError
+from .chains import TorusChain
+from .errors import DimensionMismatch, InputParseError
 from .exactlinalg import IntMatrix
 from .filling.certificate import FillingCertificate, MoveRecord
 
@@ -52,30 +61,62 @@ def parse_matrix_text(text: str) -> IntMatrix:
 
 # --- chains ------------------------------------------------------------------
 
-def chain_to_obj(c: TorusChain) -> dict:
-    records = []
-    for simplex, coeff in sorted(c.terms.items()):
-        records.append({
-            "coeff": str(coeff),
-            "vertices": [[str(x) for x in v] for v in simplex],
-        })
-    return {"ambient_dim": c.ambient_dim, "degree": c.degree, "terms": records}
-
-
 def obj_to_chain(obj) -> TorusChain:
     try:
         n = int(obj["ambient_dim"])
         k = int(obj["degree"])
+        points = {}  # a record's vertex, as a tuple of its strings -> int tuple
         pairs = []
         for record in obj["terms"]:
-            simplex = canonicalize(record["vertices"])
-            if any(map(int, record["vertices"][0])):  # not at the origin
+            simplex = []
+            for v in record["vertices"]:
+                v = tuple(v)
+                p = points.get(v)
+                if p is None:
+                    p = points[v] = tuple(map(int, v))
+                    if len(p) != n:
+                        raise ValueError("vertex %r is not in T^%d" % (v, n))
+                simplex.append(p)
+            if not simplex:
+                raise ValueError("a simplex needs at least one vertex")
+            if any(simplex[0]):
                 raise ValueError("non-canonical simplex %r"
                                  % (record["vertices"],))
-            pairs.append((simplex, int(record["coeff"])))
+            pairs.append((tuple(simplex), int(record["coeff"])))
         return TorusChain.from_pairs(n, k, pairs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad chain object: %s" % exc) from None
+
+
+def _write_chain(fh, c: TorusChain, pad: str):
+    """Write c in the chain layout, its closing brace indented by pad.
+
+    Each distinct vertex is rendered once; decimal strings need no escaping.
+    """
+    p1, p2, p3, p4, p5 = (pad + " " * i for i in range(1, 6))
+    fh.write('{\n%s"ambient_dim": %d,\n%s"degree": %d,\n%s"terms": '
+             % (p1, c.ambient_dim, p1, c.degree, p1))
+    if not c.terms:
+        fh.write("[]\n%s}" % pad)
+        return
+    texts = {}
+    head = '%s{\n%s"coeff": "' % (p2, p3)
+    middle = '",\n%s"vertices": [\n' % p3
+    tail = "\n%s]\n%s}" % (p3, p2)
+    open_v, sep_v, close_v = '%s[\n%s"' % (p4, p5), '",\n%s"' % p5, '"\n%s]' % p4
+    sep = "["
+    for simplex in sorted(c.terms):
+        verts = []
+        for v in simplex:
+            text = texts.get(v)
+            if text is None:
+                text = texts[v] = (open_v + sep_v.join(map(str, v)) + close_v
+                                   if v else p4 + "[]")
+            verts.append(text)
+        fh.write("%s\n%s%s%s%s%s" % (sep, head, c.terms[simplex], middle,
+                                      ",\n".join(verts), tail))
+        sep = ","
+    fh.write("\n%s]\n%s}" % (p1, pad))
 
 
 # --- certificates ------------------------------------------------------------
@@ -96,13 +137,14 @@ def _strings_to_ints(value):
     return value
 
 
-def certificate_to_obj(cert: FillingCertificate, trace=()) -> dict:
-    return {
+def write_certificate(fh, cert: FillingCertificate, trace=()):
+    """Write the certificate container, and a final newline, to text file fh."""
+    header = json.dumps({
         "version": FORMAT_VERSION,
         "ambient_dim": cert.target.ambient_dim,
         "degree": cert.target.degree,
-        "target": chain_to_obj(cert.target),
-        "witness": chain_to_obj(cert.witness),
+        "target": None,
+        "witness": None,
         "cost": str(cert.cost),
         "trace": [
             {
@@ -113,7 +155,15 @@ def certificate_to_obj(cert: FillingCertificate, trace=()) -> dict:
             }
             for r in trace
         ],
-    }
+    }, indent=1, sort_keys=True)
+    # JSON escaping keeps these two key-value texts out of any string value
+    head, rest = header.split('"target": null')
+    middle, tail = rest.split('"witness": null')
+    fh.write(head + '"target": ')
+    _write_chain(fh, cert.target, " ")
+    fh.write(middle + '"witness": ')
+    _write_chain(fh, cert.witness, " ")
+    fh.write(tail + "\n")
 
 
 def obj_to_certificate(obj):
@@ -122,6 +172,11 @@ def obj_to_certificate(obj):
             raise ValueError("unsupported version %r" % obj["version"])
         target = obj_to_chain(obj["target"])
         witness = obj_to_chain(obj["witness"])
+        shape = (int(obj["ambient_dim"]), int(obj["degree"]))
+        if shape != (target.ambient_dim, target.degree):
+            raise ValueError("container ambient_dim %d, degree %d != target"
+                             " ambient_dim %d, degree %d"
+                             % (shape + (target.ambient_dim, target.degree)))
         cost = int(obj["cost"])
         trace = tuple(
             MoveRecord(r["kind"], _strings_to_ints(r["params"]),
@@ -151,8 +206,7 @@ def _atomic_open(path):
 
 def save_certificate(path, cert: FillingCertificate, trace=()):
     with _atomic_open(path) as fh:
-        json.dump(certificate_to_obj(cert, trace), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        write_certificate(fh, cert, trace)
 
 
 def load_certificate(path):
@@ -166,7 +220,7 @@ def load_certificate(path):
 
 def save_chain(path, c: TorusChain):
     with _atomic_open(path) as fh:
-        json.dump(chain_to_obj(c), fh, indent=1, sort_keys=True)
+        _write_chain(fh, c, "")
         fh.write("\n")
 
 

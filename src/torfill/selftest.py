@@ -7,6 +7,7 @@ detail string; `run_all` executes every criterion at the requested level
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -22,7 +23,7 @@ from .filling import (BASE_KEYS, base_certificate, fill_by_solve,
 from .filling.base import TABLE_DIR, _key_filename, base_costs
 from .filling.moves import s1_moves, s1_piece
 from .filling.reduce import fv_upper_experiment, reduce_parallelogram
-from .formats import certificate_to_obj, obj_to_certificate
+from .formats import obj_to_certificate, write_certificate
 from .psl2z import (cyclically_reduced_length, decompose, family_matrix,
                     reconstruct, word_power)
 from .spectral import analyze, basic_inequalities, fv_lower_bound
@@ -131,9 +132,10 @@ def criterion_reduction_exactness(level="full", seed=12001):
         dt = time.time() - t
         worst_dt = max(worst_dt, dt)
         # reduce checked the certificate against its presentation; check it
-        # again independently, as a reader of its serialized form would
-        obj = certificate_to_obj(report.certificate, report.trace)
-        cert, trace = obj_to_certificate(json.loads(json.dumps(obj)))
+        # again independently, as a reader of what `reduce --out` writes would
+        buf = io.StringIO()
+        write_certificate(buf, report.certificate, report.trace)
+        cert, trace = obj_to_certificate(json.loads(buf.getvalue()))
         ok, diag = verify_certificate(cert)
         if not ok or report.det != 1 or dt >= 5.0:
             return _result("reduction_exactness", False,
@@ -313,7 +315,8 @@ def criterion_spectral(level="full", seed=12007):
 
 def criterion_base_bootstrap(level="full"):
     """Cold solve of every key by fill_by_solve, exactly verified; each
-    shipped certificate costs no more and matches its file exactly."""
+    shipped certificate costs no more, and saving it writes its file's
+    exact bytes."""
     t0 = time.time()
     costs = {}
     for key in BASE_KEYS:
@@ -327,10 +330,12 @@ def criterion_base_bootstrap(level="full"):
             return _result("base_bootstrap", False,
                            "shipped %r costs %d > cold solve %d"
                            % (key, shipped.cost, cert.cost), t0)
-        with open(TABLE_DIR / _key_filename(key)) as fh:
-            if certificate_to_obj(shipped) != json.load(fh):
-                return _result("base_bootstrap", False,
-                               "shipped %r does not match its file" % (key,), t0)
+        buf = io.StringIO()
+        write_certificate(buf, shipped)
+        path = TABLE_DIR / _key_filename(key)
+        if buf.getvalue().encode() != path.read_bytes():
+            return _result("base_bootstrap", False,
+                           "shipped %r does not match its file" % (key,), t0)
     elapsed = time.time() - t0
     ok = elapsed < 120.0
     return _result("base_bootstrap", ok,

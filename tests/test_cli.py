@@ -87,8 +87,9 @@ def test_fill_unfillable_exit_code(tmp_path, capsys):
 
 def _chain_obj(ambient_dim, degree, *simplices):
     return {"ambient_dim": ambient_dim, "degree": degree,
-            "terms": [{"coeff": "1", "vertices": [[str(x) for x in p] for p in s]}
-                      for s in simplices]}
+            "terms": [{"coeff": "1", "vertices": [
+                [x if isinstance(x, list) else str(x) for x in p] for p in s]}
+                for s in simplices]}
 
 
 @pytest.mark.parametrize("chain", [
@@ -96,7 +97,11 @@ def _chain_obj(ambient_dim, degree, *simplices):
     _chain_obj(2, 1, [(0, 0), (1,)]),            # vertices of mixed dimension
     _chain_obj(2, 1, [(0,), (1,)]),              # vertices not in T^ambient_dim
     _chain_obj(1, 2, [(0,), (1,)]),              # 2 vertices for degree 2
-], ids=["empty", "mixed-dim", "ambient-dim", "degree"])
+    _chain_obj(1, 1, [(1,), (2,)]),              # first vertex off the origin
+    _chain_obj(1, 1, [(0,), ([1],)]),            # an unhashable vertex
+    _chain_obj(1, 1, [(0,), ("x",)]),            # a non-integer coordinate
+], ids=["empty", "mixed-dim", "ambient-dim", "degree", "origin", "unhashable",
+        "non-integer"])
 def test_fill_bad_chain_file_exit_3(tmp_path, capsys, chain):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(chain))
@@ -121,6 +126,20 @@ def test_fill_verify_mismatched_shapes_exit_2(tmp_path, capsys, witness_terms):
     assert "verified=False" in captured.out.splitlines()
     assert "T^2" in captured.err and "T^1" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_fill_verify_container_shape_mismatch_exit_3(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["ambient_dim"], obj["degree"] = 7, 5
+    path.write_text(json.dumps(obj))
+    assert main(["fill", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verified=" not in captured.out
+    assert "input error" in captured.err and "Traceback" not in captured.err
+    assert "ambient_dim 7, degree 5" in captured.err
 
 
 def test_torsion(capsys):

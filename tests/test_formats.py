@@ -1,17 +1,52 @@
 """Serialization round-trips: matrices, chains, certificate containers."""
 
+import io
 import json
 
 import pytest
 
-from torfill.chains import parallelogram_cycle
+from torfill import formats
+from torfill.chains import TorusChain, parallelogram_cycle
 from torfill.errors import InputParseError
 from torfill.exactlinalg import IntMatrix
-from torfill.filling import base_certificate
-from torfill.formats import (certificate_to_obj, chain_to_obj,
-                             load_certificate, obj_to_certificate,
+from torfill.filling import BASE_KEYS, base_certificate, reduce_parallelogram
+from torfill.formats import (load_certificate, obj_to_certificate,
                              obj_to_chain, parse_matrix_inline,
-                             parse_matrix_text, save_certificate, save_chain)
+                             parse_matrix_text, save_certificate, save_chain,
+                             write_certificate)
+
+
+# --- reference layout: a file is json.dump of one of these objects ----------
+
+def chain_to_obj(c):
+    return {"ambient_dim": c.ambient_dim, "degree": c.degree, "terms": [
+        {"coeff": str(coeff), "vertices": [[str(x) for x in v] for v in simplex]}
+        for simplex, coeff in sorted(c.terms.items())]}
+
+
+def _ints_to_strings(value):
+    if isinstance(value, int):
+        return str(value)
+    return [_ints_to_strings(v) for v in value]
+
+
+def certificate_to_obj(cert, trace=()):
+    return {
+        "version": 1,
+        "ambient_dim": cert.target.ambient_dim,
+        "degree": cert.target.degree,
+        "target": chain_to_obj(cert.target),
+        "witness": chain_to_obj(cert.witness),
+        "cost": str(cert.cost),
+        "trace": [{"kind": r.kind, "params": _ints_to_strings(r.params),
+                   "cost": str(r.cost),
+                   "class_delta": [str(x) for x in r.class_delta]}
+                  for r in trace],
+    }
+
+
+def _reference_text(obj):
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
 def test_matrix_inline_and_text():
@@ -57,11 +92,12 @@ def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
     save_chain(chain_path, cert.target)
     before = {p: p.read_bytes() for p in (cert_path, chain_path)}
 
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"version": ')
+    def broken_write(fh, c, pad):
+        fh.write('{\n%s "ambient_dim": ' % pad)
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", broken_dump)
+    # both writers stream every chain through _write_chain
+    monkeypatch.setattr(formats, "_write_chain", broken_write)
     with pytest.raises(OSError):
         save_certificate(cert_path, cert)
     with pytest.raises(OSError):
@@ -71,7 +107,6 @@ def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
 
 
 def test_certificate_trace_round_trip():
-    from torfill.filling import reduce_parallelogram
     rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
     obj = certificate_to_obj(rep.certificate, rep.trace)
     cert2, trace2 = obj_to_certificate(obj)
@@ -84,3 +119,45 @@ def test_certificate_trace_round_trip():
 def test_bad_certificate_object():
     with pytest.raises(InputParseError):
         obj_to_certificate({"version": 99})
+
+
+# --- byte identity with the reference layout ----------------------------------
+
+def _saved_text(tmp_path, save, *args):
+    path = tmp_path / "out.json"
+    save(path, *args)
+    return path.read_text()
+
+
+def _reduced(rows):
+    rep = reduce_parallelogram(IntMatrix(rows))
+    return rep.certificate, rep.trace
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda key=key: (base_certificate(key), ()) for key in BASE_KEYS],
+    lambda: _reduced(((2, 1), (1, 1))),
+    lambda: _reduced(((3, -1, -5), (5, 3, -4), (-1, 0, 1))),
+], ids=["/".join(map(str, k)) for k in BASE_KEYS] + ["2x2", "3x3-negative"])
+def test_certificate_writer_matches_reference(tmp_path, make):
+    cert, trace = make()
+    want = _reference_text(certificate_to_obj(cert, trace))
+    assert _saved_text(tmp_path, save_certificate, cert, trace) == want
+    buf = io.StringIO()
+    write_certificate(buf, cert, trace)
+    assert buf.getvalue() == want
+    for c in (cert.target, cert.witness):
+        assert (_saved_text(tmp_path, save_chain, c)
+                == _reference_text(chain_to_obj(c)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: base_certificate(("REARR", 2)).target,  # the empty chain
+    lambda: parallelogram_cycle([(10 ** 40 + 7, 1), (1, 2)]),
+    lambda: TorusChain(0, 1, {((), ()): 1}),  # vertices with no coordinate
+], ids=["empty", "big-coordinate", "T^0"])
+def test_chain_writer_matches_reference(tmp_path, make):
+    chain = make()
+    text = _saved_text(tmp_path, save_chain, chain)
+    assert text == _reference_text(chain_to_obj(chain))
+    assert obj_to_chain(json.loads(text)) == chain
