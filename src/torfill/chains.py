@@ -23,6 +23,7 @@ from math import gcd
 from operator import mul, sub
 
 from .errors import DimensionMismatch, NonGenericPoint
+from .exactlinalg import det_rows
 
 Vertex = tuple  # tuple[int, ...]
 
@@ -271,7 +272,7 @@ def _facet_normals(verts):
         normal = []
         for k in range(n):
             sub = [[r[j] for j in range(n) if j != k] for r in rows]
-            d = _det_small(sub)
+            d = det_rows(sub)
             normal.append(d if k % 2 == 0 else -d)
         c = sum(a * b for a, b in zip(normal, base))
         s = sum(a * b for a, b in zip(normal, verts[i])) - c
@@ -283,23 +284,6 @@ def _facet_normals(verts):
         normals.append(tuple(normal))
         offsets.append(c)
     return normals, offsets
-
-
-def _det_small(rows):
-    """Exact determinant of a small integer matrix (expansion, n <= 3 here)."""
-    m = len(rows)
-    if m == 0:
-        return 1
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(m):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_small(sub)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def _count_interior_translates(verts, point):
@@ -390,7 +374,7 @@ def degree_at_point(c: TorusChain, point) -> int:
     for verts, coeff in c.terms.items():
         base = verts[0]
         rows = [tuple(a - b for a, b in zip(p, base)) for p in verts[1:]]
-        sgn_det = _det_small([list(r) for r in rows])
+        sgn_det = det_rows(rows)
         if sgn_det == 0:
             continue
         sign = 1 if sgn_det > 0 else -1
@@ -422,5 +406,5 @@ def parallelogram_class(vectors, ambient_dim=None) -> tuple:
     vecs = [_as_vertex(u) for u in vectors]
     n = len(vecs[0]) if vecs else ambient_dim
     k = len(vecs)
-    return tuple(_det_small([[vecs[j][r] for j in range(k)] for r in rows])
+    return tuple(det_rows([[vecs[j][r] for j in range(k)] for r in rows])
                  for rows in combinations(range(n), k))

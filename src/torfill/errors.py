@@ -25,10 +25,6 @@ class PrecisionExhausted(TorfillError):
     """Requested root separation unattainable at the configured precision cap."""
 
 
-class EigenvalueOneAmbiguous(TorfillError):
-    """A certified root could not be separated from 1 on the numeric path."""
-
-
 class Unfillable(TorfillError):
     """Candidate boxes exhausted without an exact filling."""
 

@@ -11,7 +11,10 @@ for that object: one-space indentation, keys sorted, every coefficient and
 coordinate a decimal string.  The shipped base table is in this layout.  The
 chain writer streams the layout itself, without building the object, and
 must reproduce it byte for byte; the header and trace still go through
-``json.dumps``.
+``json.dumps``.  The reader accepts only that spelling: a coefficient,
+coordinate, cost or trace field is a string equal to ``str()`` of its
+integer, a vertex is a list, and version, ambient_dim and degree are JSON
+integers.
 """
 
 from __future__ import annotations
@@ -59,21 +62,39 @@ def parse_matrix_text(text: str) -> IntMatrix:
         raise InputParseError("bad matrix file: %s" % exc) from None
 
 
+# --- integers in files -------------------------------------------------------
+
+def _int(text) -> int:
+    """The integer of a decimal string spelled exactly as str() writes it."""
+    value = int(text)
+    if str(value) != text:  # also refuses every non-string, such as 1.9
+        raise ValueError("not a canonical decimal string: %r" % (text,))
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # refuses booleans, floats and strings
+        raise ValueError("not a JSON integer: %r" % (value,))
+    return value
+
+
 # --- chains ------------------------------------------------------------------
 
 def obj_to_chain(obj) -> TorusChain:
     try:
-        n = int(obj["ambient_dim"])
-        k = int(obj["degree"])
+        n = _json_int(obj["ambient_dim"])
+        k = _json_int(obj["degree"])
         points = {}  # a record's vertex, as a tuple of its strings -> int tuple
         pairs = []
         for record in obj["terms"]:
             simplex = []
             for v in record["vertices"]:
+                if type(v) is not list:
+                    raise ValueError("vertex %r is not a list" % (v,))
                 v = tuple(v)
                 p = points.get(v)
                 if p is None:
-                    p = points[v] = tuple(map(int, v))
+                    p = points[v] = tuple(map(_int, v))
                     if len(p) != n:
                         raise ValueError("vertex %r is not in T^%d" % (v, n))
                 simplex.append(p)
@@ -82,7 +103,7 @@ def obj_to_chain(obj) -> TorusChain:
             if any(simplex[0]):
                 raise ValueError("non-canonical simplex %r"
                                  % (record["vertices"],))
-            pairs.append((tuple(simplex), int(record["coeff"])))
+            pairs.append((tuple(simplex), _int(record["coeff"])))
         return TorusChain.from_pairs(n, k, pairs)
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad chain object: %s" % exc) from None
@@ -130,11 +151,9 @@ def _ints_to_strings(value):
 
 
 def _strings_to_ints(value):
-    if isinstance(value, str):
-        return int(value)
     if isinstance(value, list):
         return tuple(_strings_to_ints(v) for v in value)
-    return value
+    return _int(value)
 
 
 def write_certificate(fh, cert: FillingCertificate, trace=()):
@@ -168,19 +187,19 @@ def write_certificate(fh, cert: FillingCertificate, trace=()):
 
 def obj_to_certificate(obj):
     try:
-        if int(obj["version"]) != FORMAT_VERSION:
+        if _json_int(obj["version"]) != FORMAT_VERSION:
             raise ValueError("unsupported version %r" % obj["version"])
         target = obj_to_chain(obj["target"])
         witness = obj_to_chain(obj["witness"])
-        shape = (int(obj["ambient_dim"]), int(obj["degree"]))
+        shape = (_json_int(obj["ambient_dim"]), _json_int(obj["degree"]))
         if shape != (target.ambient_dim, target.degree):
             raise ValueError("container ambient_dim %d, degree %d != target"
                              " ambient_dim %d, degree %d"
                              % (shape + (target.ambient_dim, target.degree)))
-        cost = int(obj["cost"])
+        cost = _int(obj["cost"])
         trace = tuple(
             MoveRecord(r["kind"], _strings_to_ints(r["params"]),
-                       int(r["cost"]), tuple(int(x) for x in r["class_delta"]))
+                       _int(r["cost"]), tuple(map(_int, r["class_delta"])))
             for r in obj.get("trace", ())
         )
         return FillingCertificate(target, witness, cost), trace

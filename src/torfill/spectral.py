@@ -6,24 +6,30 @@ tables for powers.
 
 Unit-circle decisions are exact where exactness is possible: cyclotomic
 factors of the characteristic polynomial are divided out over Z first, and
-every remaining root is certified off the circle numerically with shrinking
-Weierstrass radii (an algebraic integer can have SOME conjugates on the
-circle without being a root of unity, so a purely algebraic test cannot
-decide individual roots; PrecisionExhausted reports the configured cap).
+every remaining root is certified off the circle by one routine,
+`_certified_roots`.  It computes Weierstrass disks in mpmath at a working
+precision that doubles up to a cap, and decides at that precision, with the
+rounding error of evaluating the polynomial added to every radius (Rump,
+Verification methods, Acta Numerica 2010).  An algebraic integer can have
+SOME conjugates on the circle without being a root of unity, so a purely
+algebraic test cannot decide individual roots: PrecisionExhausted means a
+genuine near-circle case such as a Salem spectrum, and names the factor, the
+precision reached and the closest root's gap against its radius.
 Logarithms are natural throughout this module; log-base-2 quantities appear
 only in the filling reports and carry a log2 tag there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import EigenvalueOneAmbiguous, NonSquare, PrecisionExhausted
-from .exactlinalg import (IntMatrix, charpoly, coker_structure,
+from .errors import NonSquare, PrecisionExhausted
+from .exactlinalg import (IntMatrix, _check, charpoly, coker_structure,
                           column_lattice_basis, det_exact, mat_pow,
                           solve_diophantine)
 
@@ -56,12 +62,12 @@ def _divmod_frac(p, q):
     p = [Fraction(c) for c in p]
     q = [Fraction(c) for c in q]
     out = []
-    while len(p) >= len(q) and any(p):
+    while len(p) >= len(q):
         f = p[0] / q[0]
         out.append(f)
         for i in range(len(q)):
             p[i] -= f * q[i]
-        assert p[0] == 0
+        _check(p[0] == 0, "leading term of the division step must cancel")
         p.pop(0)
     if not out:
         out = [Fraction(0)]
@@ -69,41 +75,21 @@ def _divmod_frac(p, q):
     return tuple(out), rem
 
 
-def _content(p):
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive(p):
     """Clear denominators, divide by content, make leading coefficient > 0."""
-    dens = [Fraction(c).denominator for c in p]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in p]
-    ints = list(_trim(ints))
-    g = _content(ints)
-    ints = [c // g for c in ints]
+    lcm = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = _trim([int(Fraction(c) * lcm) for c in p])
+    g = math.gcd(*ints) or 1
     if ints[0] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 def poly_gcd(p, q):
     """Primitive gcd over Z with positive leading coefficient."""
-    a = [Fraction(c) for c in _trim(p)]
-    b = [Fraction(c) for c in _trim(q)]
-    if a == [0]:
-        return _primitive(b)
-    if b == [0]:
-        return _primitive(a)
-    while _degree(b) > 0 or b[0] != 0:
-        _, r = _divmod_frac(a, b)
-        a, b = b, list(r)
-        if all(c == 0 for c in b):
-            break
+    a, b = _trim(p), _trim(q)
+    while any(b):
+        a, b = b, _divmod_frac(a, b)[1]
     return _primitive(a)
 
 
@@ -114,9 +100,8 @@ def poly_divides(d, p) -> bool:
 
 def poly_div_exact(p, d):
     quo, rem = _divmod_frac(p, d)
-    assert all(c == 0 for c in rem), "exact polynomial division expected"
-    assert all(Fraction(c).denominator == 1 for c in quo), \
-        "integer quotient expected"
+    _check(all(c == 0 for c in rem), "exact polynomial division expected")
+    _check(all(c.denominator == 1 for c in quo), "integer quotient expected")
     return tuple(int(c) for c in quo)
 
 
@@ -135,18 +120,13 @@ def euler_phi(m: int) -> int:
     return result
 
 
-_CYCLOTOMIC_CACHE = {}
-
-
+@functools.cache
 def cyclotomic(m: int) -> tuple:
     """Phi_m via x^m - 1 = prod_{d | m} Phi_d (exact integer division)."""
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
     p = tuple([1] + [0] * (m - 1) + [-1])
     for d in range(1, m):
         if m % d == 0:
             p = poly_div_exact(p, cyclotomic(d))
-    _CYCLOTOMIC_CACHE[m] = p
     return p
 
 
@@ -183,41 +163,25 @@ def primitive_roots_of_unity(m: int):
 
 
 def squarefree_decomposition(p):
-    """Yun's algorithm: primitive p = prod f_i^i with f_i squarefree, coprime.
+    """Primitive p = prod f_i^i with f_i squarefree and pairwise coprime.
 
     Returns [(f_i, i)] with integer primitive f_i, skipping trivial factors.
+    Peels one multiplicity layer per pass: with g = gcd(p, p'), s = p / g is
+    the product of all factors of p, s / gcd(s, g) those of multiplicity
+    exactly 1, and g is p with every multiplicity lowered by one.
     """
     p = _primitive(p)
-    if _degree(p) == 0:
-        return []
-    g = poly_gcd(p, _deriv(p))
-    if _degree(g) == 0:
-        return [(p, 1)]
     out = []
-    c = poly_div_exact(p, g)
-    d = tuple(Fraction(a) - Fraction(b)
-              for a, b in _pad(_divmod_frac(_deriv(p), g)[0], _deriv(c)))
     i = 1
-    while _degree(c) > 0:
-        h = poly_gcd(c, tuple(d))
-        if _degree(h) > 0:
-            out.append((h, i))
-        c_next = poly_div_exact(c, h)
-        quo, rem = _divmod_frac(d, h)
-        assert all(x == 0 for x in rem)
-        d = tuple(Fraction(a) - Fraction(b) for a, b in _pad(quo, _deriv(c_next)))
-        c = c_next
+    while _degree(p) > 0:
+        g = poly_gcd(p, _deriv(p))
+        s = poly_div_exact(p, g)
+        f = poly_div_exact(s, poly_gcd(s, g))
+        if _degree(f) > 0:
+            out.append((f, i))
+        p = g
         i += 1
     return out
-
-
-def _pad(p, q):
-    p, q = list(p), list(q)
-    if len(p) < len(q):
-        p = [0] * (len(q) - len(p)) + p
-    if len(q) < len(p):
-        q = [0] * (len(p) - len(q)) + q
-    return zip(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +190,7 @@ def _pad(p, q):
 
 @dataclass(frozen=True)
 class CertifiedRoot:
-    """One eigenvalue: approximation, a-posteriori error radius, exact flags."""
+    """One eigenvalue: approximation, Weierstrass radius, exact flags."""
 
     value: complex
     radius: float
@@ -235,51 +199,68 @@ class CertifiedRoot:
     outside_unit_circle: bool
 
 
-def _weierstrass_roots(coeffs, dps):
-    """Roots of a squarefree integer polynomial with Weierstrass radii."""
+def _weierstrass_disks(coeffs):
+    """(z, radius, bound) mp triples for the roots of a squarefree integer
+    polynomial at the working precision; None unless the bound disks are
+    pairwise disjoint, so that each holds exactly one root.
+
+    radius = deg |p(z) / (lc prod_{w != z} (z - w))| is the Weierstrass
+    radius of the computed residual; bound adds the rounding error of
+    evaluating p(z), and doubles for the rounding of the denominator.
+    """
     deg = _degree(coeffs)
-    with mp.workdps(dps):
-        try:
-            roots = mp.polyroots([mp.mpf(c) for c in coeffs], maxsteps=200,
-                                 extraprec=dps * 4)
-        except mp.libmp.libhyper.NoConvergence:
-            return None
-        lc = mp.mpf(coeffs[0])
-        out = []
-        for i, z in enumerate(roots):
-            pz = mp.polyval([mp.mpf(c) for c in coeffs], z)
-            denom = lc
-            for j, w in enumerate(roots):
-                if j != i:
-                    denom *= (z - w)
-            if denom == 0:
-                return None  # coincident approximations; retry higher dps
-            radius = deg * abs(pz / denom)
-            out.append((complex(z), float(radius), abs(z), radius))
-        # disks must be pairwise disjoint for one-root-per-disk
-        for i in range(deg):
-            for j in range(i + 1, deg):
-                zi, ri = roots[i], out[i][3]
-                zj, rj = roots[j], out[j][3]
-                if abs(zi - zj) <= ri + rj:
-                    return None
-        return [(z, r) for z, r, _, _ in out]
+    cs = [mp.mpf(c) for c in coeffs]
+    try:
+        roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4)
+    except mp.libmp.libhyper.NoConvergence:
+        return None
+    slack = 8 * (deg + 1) * mp.eps
+    magnitudes = [abs(c) for c in cs]
+    disks = []
+    for i, z in enumerate(roots):
+        denom = cs[0]
+        for j, w in enumerate(roots):
+            if j != i:
+                denom *= z - w
+        if denom == 0:
+            return None  # coincident approximations; retry higher dps
+        pz = mp.polyval(cs, z)
+        error = slack * mp.polyval(magnitudes, abs(z))
+        disks.append((z, deg * abs(pz / denom),
+                      2 * deg * (abs(pz) + error) / abs(denom)))
+    for i, (zi, _, bi) in enumerate(disks):
+        for zj, _, bj in disks[i + 1:]:
+            if abs(zi - zj) <= bi + bj:
+                return None
+    return disks
 
 
-def _certify_off_circle(factor, multiplicity, dps_cap):
-    """Roots of a cyclotomic-free squarefree factor, each certified with
-    | |z| - 1 | > radius.  Escalates precision up to dps_cap."""
-    dps = 40
+def _certified_roots(factor, multiplicity, dps_cap, point=None):
+    """Roots of a squarefree integer factor, each in a disk that misses the
+    unit circle (point None) or the given point: the one precision loop of
+    this module, decided in mpmath at each dps.  outside_unit_circle is
+    certified only for the circle."""
+    dps, best = 40, "no attempt gave disjoint disks"
     while dps <= dps_cap:
-        got = _weierstrass_roots(factor, dps)
-        if got is not None:
-            ok = all(abs(abs(z) - 1.0) > r for z, r in got)
-            if ok:
-                return [CertifiedRoot(z, r, multiplicity, False, abs(z) > 1.0)
-                        for z, r in got]
+        with mp.workdps(dps):
+            disks = _weierstrass_disks(factor)
+            if disks is not None:
+                gap, bound = min(
+                    ((abs(abs(z) - 1) if point is None else abs(z - point),
+                      bound + 4 * mp.eps * (abs(z) + 1))
+                     for z, _, bound in disks),
+                    key=lambda gb: gb[0] - gb[1])
+                if gap > bound:
+                    return [CertifiedRoot(complex(z), float(radius),
+                                          multiplicity, False, abs(z) > 1)
+                            for z, radius, _ in disks]
+                best = "at dps %d the closest root has gap %s against " \
+                    "radius %s" % (dps, mp.nstr(gap, 3), mp.nstr(bound, 3))
         dps *= 2
     raise PrecisionExhausted(
-        "cannot separate all root moduli from 1 at dps cap %d" % dps_cap)
+        "factor %s: roots not separated from %s within dps cap %d; %s"
+        % (",".join(map(str, factor)),
+           "the unit circle" if point is None else point, dps_cap, best))
 
 
 @dataclass(frozen=True)
@@ -312,7 +293,7 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
     if _degree(remaining) > 0:
         for factor, mult in squarefree_decomposition(remaining):
             if _degree(factor) > 0:
-                roots.extend(_certify_off_circle(factor, mult, dps_cap))
+                roots.extend(_certified_roots(factor, mult, dps_cap))
 
     rho = max((abs(r.value) if not r.on_unit_circle else 1.0 for r in roots),
               default=0.0)
@@ -354,14 +335,9 @@ def basic_inequalities(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP):
         return float("-inf"), ent, float("-inf")
     ln_rho = math.log(summary.rho)
     slack = 1e-9 + sum(r.radius for r in summary.roots)
-    assert ln_rho <= ent + slack, "ln rho <= entropy violated"
-    assert ent <= n * ln_rho + slack, "entropy <= n ln rho violated"
+    _check(ln_rho <= ent + slack, "ln rho <= entropy violated")
+    _check(ent <= n * ln_rho + slack, "entropy <= n ln rho violated")
     return ln_rho, ent, n * ln_rho
-
-
-def has_root_of_unity_eigenvalue(a: IntMatrix) -> bool:
-    """Exact: does charpoly share a factor with some Phi_m, phi(m) <= n."""
-    return bool(split_cyclotomic(charpoly(a))[0])
 
 
 def gelfand_sequence(a: IntMatrix, j_max: int):
@@ -411,7 +387,7 @@ def ck_det_formula(a: IntMatrix, k: int) -> float:
     for j in range(r):
         img = nk.apply(basis.column(j))
         x = solve_diophantine(basis, img)
-        assert x is not None, "image lattice is not invariant (impossible)"
+        _check(x is not None, "image lattice is not invariant (impossible)")
         cols.append(x)
     x_mat = IntMatrix(tuple(zip(*cols)))
     return float(abs(det_exact(x_mat)))
@@ -422,8 +398,8 @@ def ck_via_root_product(a: IntMatrix, k: int,
     """Numeric cross-check: prod_{lambda != 1} |lambda^k - 1| / |lambda - 1|.
 
     The lambda = 1 factor is excluded exactly (multiplicity of (x - 1) in
-    charpoly).  Raises EigenvalueOneAmbiguous if a non-cyclotomic root
-    cannot be certified away from 1.
+    charpoly); every other root is certified away from 1, or
+    PrecisionExhausted is raised.
     """
     cyclo, remaining = split_cyclotomic(charpoly(a))
     prod = 1.0
@@ -433,19 +409,8 @@ def ck_via_root_product(a: IntMatrix, k: int,
                 prod *= (abs(lam ** k - 1) / abs(lam - 1)) ** mult
     if _degree(remaining) > 0:
         for factor, mult in squarefree_decomposition(remaining):
-            dps = 40
-            roots = None
-            while dps <= dps_cap:
-                got = _weierstrass_roots(factor, dps)
-                if got is not None and all(abs(z - 1.0) > r for z, r in got):
-                    roots = got
-                    break
-                dps *= 2
-            if roots is None:
-                raise EigenvalueOneAmbiguous(
-                    "root of remaining factor not separated from 1")
-            for z, _ in roots:
-                prod *= (abs(z ** k - 1) / abs(z - 1)) ** mult
+            for r in _certified_roots(factor, mult, dps_cap, point=1):
+                prod *= (abs(r.value ** k - 1) / abs(r.value - 1)) ** mult
     return prod
 
 

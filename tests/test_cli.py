@@ -42,6 +42,15 @@ def test_bounds_unit_circle(capsys):
     assert float(kv["fv_lower_ln"]) == 0.0
 
 
+def test_bounds_singular_matrix(capsys):
+    # x^3 - 3x^2: the zero root keeps its multiplicity 2 through the division
+    code, kv, rows = run(capsys, "bounds", "-m", "3,0,0;0,0,0;0,0,0")
+    assert code == 0
+    assert kv["entropy_ln"] == kv["ln_rho"] == "1.09861228867"
+    assert rows == ["root_0 3+0i mult=1 radius=0 circle=False",
+                    "root_1 0+0i mult=2 radius=0 circle=False"]
+
+
 def test_reduce_identity(capsys):
     code, kv, rows = run(capsys, "reduce", "-m", "1,0;0,1")
     assert code == 0
@@ -126,6 +135,51 @@ def test_fill_verify_mismatched_shapes_exit_2(tmp_path, capsys, witness_terms):
     assert "verified=False" in captured.out.splitlines()
     assert "T^2" in captured.err and "T^1" in captured.err
     assert "Traceback" not in captured.err
+
+
+# vertex "00" is a string, 1.9 and true are JSON numbers: none is a list of
+# canonical decimal strings, though int() reads them as (0, 0) and (1, 1)
+_LOOSE_CHAIN = {"ambient_dim": 2, "degree": 1, "terms": [
+    {"coeff": "1", "vertices": ["00", [1.9, True]]}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target", _LOOSE_CHAIN),
+    ("coeff", "01"), ("coeff", "+1"), ("coeff", " 1"), ("coeff", "-0"),
+    ("coeff", 1), ("coord", "1.0"), ("coord", 1), ("coord", True),
+    ("ambient_dim", "2"), ("ambient_dim", True), ("ambient_dim", 2.0),
+    ("version", True), ("version", "1"), ("cost", "007"), ("cost", 7),
+    ("trace.cost", "1e3"), ("trace.class_delta", 0), ("trace.params", 1.5),
+    ("trace.params", None),
+])
+def test_fill_verify_non_canonical_integers_exit_3(tmp_path, capsys, field,
+                                                   value):
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    record = obj["trace"][0]
+    if field == "coeff":
+        obj["witness"]["terms"][0]["coeff"] = value
+    elif field == "coord":
+        obj["witness"]["terms"][0]["vertices"][1][0] = value
+    elif field.startswith("trace."):
+        key = field.split(".")[1]
+        record[key] = value if key == "cost" else [value]
+    else:
+        obj[field] = value
+    path.write_text(json.dumps(obj))
+    assert main(["fill", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verified=" not in captured.out
+    assert "input error" in captured.err and "Traceback" not in captured.err
+
+
+def test_fill_loose_chain_file_exit_3(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_LOOSE_CHAIN))
+    assert main(["fill", "--cycle", str(path)]) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_fill_verify_container_shape_mismatch_exit_3(tmp_path, capsys):
@@ -264,6 +318,7 @@ _UNDER_O = textwrap.dedent("""
     from torfill.errors import VerificationFailure
     from torfill.exactlinalg import IntMatrix, _verify_snf, snf
     from torfill.filling.certificate import Chunk, ChunkMeta, Piece
+    from torfill.spectral import poly_div_exact
 
     assert False, "python -O strips plain asserts"
     res = snf(IntMatrix(((2, 4), (6, 8))))
@@ -277,6 +332,10 @@ _UNDER_O = textwrap.dedent("""
         Piece(2, 2, [(meta, Chunk(None, (), 0))]).assemble()
     except VerificationFailure:
         print("class sum refused")
+    try:
+        poly_div_exact((1, 0, 1), (1, -1))  # x - 1 does not divide x^2 + 1
+    except VerificationFailure:
+        print("inexact division refused")
     sys.exit(main(["reduce", "--matrix=2,1;1,1"]))
 """)
 
@@ -289,7 +348,8 @@ def test_proof_checks_survive_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:2] == ["tampered SNF refused", "class sum refused"]
+    assert lines[:3] == ["tampered SNF refused", "class sum refused",
+                         "inexact division refused"]
     assert "verified=True" in lines
 
 

@@ -1,5 +1,6 @@
 """Spectral radius, entropy-type sums, torsion growth, and root certification."""
 
+import itertools
 import math
 import random
 
@@ -7,10 +8,10 @@ import pytest
 
 from torfill.errors import PrecisionExhausted
 from torfill.exactlinalg import IntMatrix, det_exact, mat_pow
-from torfill.spectral import (analyze, basic_inequalities, ck_det_formula,
-                              ck_via_root_product, cyclotomic, entropy,
-                              fv_lower_bound, gelfand_sequence,
-                              has_root_of_unity_eigenvalue,
+from torfill.spectral import (_deriv, analyze, basic_inequalities,
+                              ck_det_formula, ck_via_root_product, cyclotomic,
+                              entropy, fv_lower_bound, gelfand_sequence,
+                              poly_div_exact, poly_gcd,
                               primitive_roots_of_unity, split_cyclotomic,
                               squarefree_decomposition, torsion_growth_table)
 
@@ -58,8 +59,29 @@ def test_analyze_salem_precision_exhausted():
         (0, 1, 0, 0),
         (0, 0, 1, 0),
     ))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"factor 1,-1,-1,-1,1: .* dps 80 the closest root"):
         analyze(companion, dps_cap=80)
+
+
+def near_circle_companion(n_value):
+    """Companion of x^3 - (N+1)x^2 + Nx - N: one root near N and a complex
+    pair whose modulus differs from 1 by far less than a double resolves."""
+    return IntMatrix(((0, 0, n_value), (1, 0, -n_value), (0, 1, n_value + 1)))
+
+
+@pytest.mark.parametrize("n_value", [10 ** 7, 23456789, 40514699, 77777777,
+                                     10 ** 8])
+def test_analyze_near_circle_family(n_value):
+    s = analyze(near_circle_companion(n_value))
+    assert not s.unit_root_flag
+    big = [r for r in s.roots if r.outside_unit_circle]
+    assert len(big) == 1 and abs(big[0].value.real - n_value) < 1
+    pair = [r for r in s.roots if abs(r.value.imag) > 0.5]
+    assert len(pair) == 2
+    for r in pair:
+        assert not r.outside_unit_circle and not r.on_unit_circle
+    assert abs(s.log_sum - math.log(big[0].value.real)) < 1e-12
 
 
 def test_entropy_examples():
@@ -127,10 +149,10 @@ def test_basic_inequalities_random():
 
 
 def test_root_of_unity_detection():
-    assert has_root_of_unity_eigenvalue(IntMatrix(((0, -1), (1, 0))))
-    assert has_root_of_unity_eigenvalue(IntMatrix.identity(2))
-    assert not has_root_of_unity_eigenvalue(ANOSOV2)
-    assert has_root_of_unity_eigenvalue(IntMatrix(((1, 1), (0, 1))))  # unipotent
+    assert analyze(IntMatrix(((0, -1), (1, 0)))).unit_root_flag
+    assert analyze(IntMatrix.identity(2)).unit_root_flag
+    assert not analyze(ANOSOV2).unit_root_flag
+    assert analyze(IntMatrix(((1, 1), (0, 1)))).unit_root_flag  # unipotent
 
 
 def test_gelfand_sequence():
@@ -195,11 +217,8 @@ def test_ck_det_formula_matches_det_ratio_and_roots():
         val = ck_det_formula(a, k)
         expected = abs(det_exact(mat_pow(a, k) - ident)) / abs(d1)
         assert abs(val - expected) < 1e-9 * max(1.0, expected)
-        try:
-            via_roots = ck_via_root_product(a, k)
-            assert abs(val - via_roots) < 1e-6 * max(1.0, expected)
-        except Exception:
-            pass  # numeric path may decline close-to-1 roots; exact path rules
+        via_roots = ck_via_root_product(a, k)
+        assert abs(val - via_roots) < 1e-6 * max(1.0, expected)
         checked += 1
 
 
@@ -248,3 +267,46 @@ def test_squarefree_and_cyclotomic_helpers():
     assert split_cyclotomic((1, -3, 1)) == ((), (1, -3, 1))
     assert [abs(z - 1) < 1e-12 for z in primitive_roots_of_unity(1)] == [True]
     assert len(primitive_roots_of_unity(12)) == 4
+
+
+def test_division_keeps_trailing_zero_coefficients():
+    assert poly_div_exact((1, -1, 0, 0), (1, -1)) == (1, 0, 0)
+    assert split_cyclotomic((1, -1, 0, 0)) == (((1, 1),), (1, 0, 0))
+    s = analyze(IntMatrix(((3, 0, 0), (0, 0, 0), (0, 0, 0))))
+    assert abs(s.log_sum - math.log(3)) < 1e-12
+    assert sorted((r.value.real, r.multiplicity) for r in s.roots) == \
+        [(0.0, 2), (3.0, 1)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_squarefree_decomposition_random_products():
+    rng = random.Random(89)
+    for _ in range(60):
+        p = (1,)
+        for _ in range(rng.randint(1, 4)):
+            factor = tuple(rng.randint(-4, 4) for _ in range(rng.randint(2, 3)))
+            if factor[0] == 0:
+                continue
+            p = _poly_mul(p, _poly_mul(factor, factor) if rng.random() < 0.4
+                          else factor)
+        if len(p) == 1:
+            continue
+        dec = squarefree_decomposition(p)
+        rebuilt = (1,)
+        for f, i in dec:
+            assert len(f) > 1 and f[0] > 0
+            assert poly_gcd(f, _deriv(f)) == (1,)  # squarefree
+            for _ in range(i):
+                rebuilt = _poly_mul(rebuilt, f)
+        for (f, _), (g, _) in itertools.combinations(dec, 2):
+            assert poly_gcd(f, g) == (1,)
+        # p and the rebuilt product agree up to a constant factor
+        quotient = poly_div_exact(p, rebuilt)
+        assert len(quotient) == 1
