@@ -246,15 +246,6 @@ def parallelogram_cycle(vectors) -> TorusChain:
     return c
 
 
-def rectangle_cycle(sizes) -> TorusChain:
-    """Q(a_1 e_1, ..., a_n e_n) in T^n."""
-    sizes = [int(a) for a in sizes]
-    n = len(sizes)
-    vecs = [tuple(a if i == j else 0 for j in range(n))
-            for i, a in enumerate(sizes)]
-    return parallelogram_cycle(vecs)
-
-
 def _facet_normals(verts):
     """Inward facet data for a nondegenerate n-simplex in Z^n.
 

@@ -234,6 +234,11 @@ def _cmd_fill(args) -> int:
     if args.verify:
         cert, trace = load_certificate(args.verify)
         ok, diag = verify_certificate(cert)
+        traced = sum(r.cost for r in trace)
+        if trace and traced != cert.cost:
+            ok = False
+            diag.append("trace costs sum to %d, cost field %d"
+                        % (traced, cert.cost))
         _emit("cost", cert.cost)
         _emit("verified", ok)
         if not ok:

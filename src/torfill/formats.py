@@ -1,20 +1,20 @@
 """Stable text formats: matrices, chains, certificates.
 
 All big integers are serialized as decimal strings.  A chain is an object
-{ambient_dim, degree, terms}, its terms a list of records {coeff, vertices}
-sorted by simplex; a certificate container carries version, type data,
-target, witness, cost, and the move trace.
+{ambient_dim, degree, points, terms}: points lists each distinct vertex
+once, as a list of coordinates, in order of first use over the sorted
+simplices, and terms is a list of records {coeff, vertices} sorted by
+simplex, where vertices are indices into points.  A certificate container
+carries version (2), ambient_dim, degree, target, witness, cost, and the
+move trace.  A file is ``json.dumps(obj, sort_keys=True)`` of its object and
+a newline; the shipped base table is in this layout.
 
-On disk, chain and certificate files are exactly what
-``json.dump(obj, fh, indent=1, sort_keys=True)`` followed by a newline writes
-for that object: one-space indentation, keys sorted, every coefficient and
-coordinate a decimal string.  The shipped base table is in this layout.  The
-chain writer streams the layout itself, without building the object, and
-must reproduce it byte for byte; the header and trace still go through
-``json.dumps``.  The reader accepts only that spelling: a coefficient,
-coordinate, cost or trace field is a string equal to ``str()`` of its
-integer, a vertex is a list, and version, ambient_dim and degree are JSON
-integers.
+The reader accepts only that spelling: a coefficient, coordinate, cost or
+trace field is a string equal to ``str()`` of its integer, a point is a list
+of ambient_dim coordinates, an index is a JSON integer into points, and
+version, ambient_dim and degree are JSON integers.  Version 1 files, whose
+chain records spell out each vertex as a list of coordinates and have no
+points, still load, under the same rules.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, InputParseError
 from .exactlinalg import IntMatrix
 from .filling.certificate import FillingCertificate, MoveRecord
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # --- matrices ---------------------------------------------------------------
@@ -78,66 +78,65 @@ def _json_int(value) -> int:
     return value
 
 
+def _list(value):
+    if type(value) is not list:
+        raise ValueError("%r is not a list" % (value,))
+    return value
+
+
 # --- chains ------------------------------------------------------------------
+
+def chain_to_obj(c: TorusChain) -> dict:
+    """The chain object of c, its file layout."""
+    index = {}  # vertex -> its position in points
+    terms = []
+    for simplex in sorted(c.terms):
+        terms.append({"coeff": str(c.terms[simplex]),
+                      "vertices": [index.setdefault(v, len(index))
+                                   for v in simplex]})
+    return {"ambient_dim": c.ambient_dim, "degree": c.degree,
+            "points": [list(map(str, v)) for v in index], "terms": terms}
+
+
+def _inline_to_table(obj) -> dict:
+    """A version-1 chain object, whose records spell out their vertices, as
+    the same chain over a point table."""
+    index = {}  # a vertex, as a tuple of its coordinate texts -> position
+    terms = []
+    for record in obj["terms"]:
+        terms.append({"coeff": record["coeff"], "vertices": [
+            index.setdefault(tuple(_list(v)), len(index))
+            for v in _list(record["vertices"])]})
+    return {"points": list(map(list, index)), "terms": terms}
+
 
 def obj_to_chain(obj) -> TorusChain:
     try:
         n = _json_int(obj["ambient_dim"])
         k = _json_int(obj["degree"])
-        points = {}  # a record's vertex, as a tuple of its strings -> int tuple
+        table = obj if "points" in obj else _inline_to_table(obj)
+        points = []  # int tuples
+        for v in _list(table["points"]):
+            if len(_list(v)) != n:
+                raise ValueError("point %r is not in T^%d" % (v, n))
+            points.append(tuple(map(_int, v)))
+        size = len(points)
         pairs = []
-        for record in obj["terms"]:
-            simplex = []
-            for v in record["vertices"]:
-                if type(v) is not list:
-                    raise ValueError("vertex %r is not a list" % (v,))
-                v = tuple(v)
-                p = points.get(v)
-                if p is None:
-                    p = points[v] = tuple(map(_int, v))
-                    if len(p) != n:
-                        raise ValueError("vertex %r is not in T^%d" % (v, n))
-                simplex.append(p)
+        for record in table["terms"]:
+            indices = _list(record["vertices"])
+            for i in indices:
+                if type(i) is not int or not 0 <= i < size:
+                    raise ValueError("vertex index %r is not in range(%d)"
+                                     % (i, size))
+            simplex = tuple(points[i] for i in indices)
             if not simplex:
                 raise ValueError("a simplex needs at least one vertex")
             if any(simplex[0]):
-                raise ValueError("non-canonical simplex %r"
-                                 % (record["vertices"],))
-            pairs.append((tuple(simplex), _int(record["coeff"])))
+                raise ValueError("non-canonical simplex %r" % (simplex,))
+            pairs.append((simplex, _int(record["coeff"])))
         return TorusChain.from_pairs(n, k, pairs)
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad chain object: %s" % exc) from None
-
-
-def _write_chain(fh, c: TorusChain, pad: str):
-    """Write c in the chain layout, its closing brace indented by pad.
-
-    Each distinct vertex is rendered once; decimal strings need no escaping.
-    """
-    p1, p2, p3, p4, p5 = (pad + " " * i for i in range(1, 6))
-    fh.write('{\n%s"ambient_dim": %d,\n%s"degree": %d,\n%s"terms": '
-             % (p1, c.ambient_dim, p1, c.degree, p1))
-    if not c.terms:
-        fh.write("[]\n%s}" % pad)
-        return
-    texts = {}
-    head = '%s{\n%s"coeff": "' % (p2, p3)
-    middle = '",\n%s"vertices": [\n' % p3
-    tail = "\n%s]\n%s}" % (p3, p2)
-    open_v, sep_v, close_v = '%s[\n%s"' % (p4, p5), '",\n%s"' % p5, '"\n%s]' % p4
-    sep = "["
-    for simplex in sorted(c.terms):
-        verts = []
-        for v in simplex:
-            text = texts.get(v)
-            if text is None:
-                text = texts[v] = (open_v + sep_v.join(map(str, v)) + close_v
-                                   if v else p4 + "[]")
-            verts.append(text)
-        fh.write("%s\n%s%s%s%s%s" % (sep, head, c.terms[simplex], middle,
-                                      ",\n".join(verts), tail))
-        sep = ","
-    fh.write("\n%s]\n%s}" % (p1, pad))
 
 
 # --- certificates ------------------------------------------------------------
@@ -157,13 +156,15 @@ def _strings_to_ints(value):
 
 
 def write_certificate(fh, cert: FillingCertificate, trace=()):
-    """Write the certificate container, and a final newline, to text file fh."""
-    header = json.dumps({
+    """Write the certificate container, and a final newline, to text file fh.
+
+    json.dumps without indent runs on the C encoder."""
+    fh.write(json.dumps({
         "version": FORMAT_VERSION,
         "ambient_dim": cert.target.ambient_dim,
         "degree": cert.target.degree,
-        "target": None,
-        "witness": None,
+        "target": chain_to_obj(cert.target),
+        "witness": chain_to_obj(cert.witness),
         "cost": str(cert.cost),
         "trace": [
             {
@@ -174,20 +175,12 @@ def write_certificate(fh, cert: FillingCertificate, trace=()):
             }
             for r in trace
         ],
-    }, indent=1, sort_keys=True)
-    # JSON escaping keeps these two key-value texts out of any string value
-    head, rest = header.split('"target": null')
-    middle, tail = rest.split('"witness": null')
-    fh.write(head + '"target": ')
-    _write_chain(fh, cert.target, " ")
-    fh.write(middle + '"witness": ')
-    _write_chain(fh, cert.witness, " ")
-    fh.write(tail + "\n")
+    }, sort_keys=True) + "\n")
 
 
 def obj_to_certificate(obj):
     try:
-        if _json_int(obj["version"]) != FORMAT_VERSION:
+        if _json_int(obj["version"]) not in (1, FORMAT_VERSION):
             raise ValueError("unsupported version %r" % obj["version"])
         target = obj_to_chain(obj["target"])
         witness = obj_to_chain(obj["witness"])
@@ -235,12 +228,6 @@ def load_certificate(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputParseError("cannot read certificate %s: %s" % (path, exc)) from None
     return obj_to_certificate(obj)
-
-
-def save_chain(path, c: TorusChain):
-    with _atomic_open(path) as fh:
-        _write_chain(fh, c, "")
-        fh.write("\n")
 
 
 def load_chain(path) -> TorusChain:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnimodular, VerificationFailure
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, mat_pow
 
 S_MAT = IntMatrix(((0, -1), (1, 0)))
 U_MAT = IntMatrix(((0, -1), (1, -1)))
@@ -84,6 +84,18 @@ def reconstruct(word: Psl2Word) -> IntMatrix:
     return m
 
 
+def _signed(letters, target: IntMatrix, what) -> Psl2Word:
+    """The word of the reduced letters whose lift is target, or
+    VerificationFailure when neither sign gives target."""
+    got = reconstruct(Psl2Word(letters, 1))
+    if got.data == target.data:
+        return Psl2Word(letters, 1)
+    if tuple(tuple(-x for x in row) for row in got.data) != target.data:
+        raise VerificationFailure("%s failed to reproduce +/- its matrix"
+                                  % what)
+    return Psl2Word(letters, -1)
+
+
 def decompose(a: IntMatrix) -> Psl2Word:
     """Alternating word w with reconstruct(w) = A (sign resolves the lift)."""
     if a.rows != 2 or a.cols != 2:
@@ -121,16 +133,7 @@ def decompose(a: IntMatrix) -> Psl2Word:
                 letters.extend(["U2", "S"] * q)   # T = U^2 S in PSL
             elif q < 0:
                 letters.extend(["S", "U"] * (-q))  # T^{-1} = S U in PSL
-    reduced = _reduce(letters)
-
-    word = Psl2Word(reduced, 1)
-    got = reconstruct(word)
-    if got.data == a.data:
-        return word
-    neg = tuple(tuple(-x for x in row) for row in got.data)
-    if neg != a.data:
-        raise VerificationFailure("decomposition failed to reproduce +/- A")
-    return Psl2Word(reduced, -1)
+    return _signed(_reduce(letters), a, "decomposition")
 
 
 def cyclically_reduced_length(word: Psl2Word) -> int:
@@ -148,24 +151,12 @@ def cyclically_reduced_length(word: Psl2Word) -> int:
     return len(letters)
 
 
-def word_concat(w1: Psl2Word, w2: Psl2Word) -> Psl2Word:
-    """Concatenate and reduce; cancellations like S*S = -I flip the lift
-    sign, so the sign is recomputed from the exact matrix product."""
-    target = reconstruct(w1) @ reconstruct(w2)
-    reduced = _reduce(w1.letters + w2.letters)
-    prod = reconstruct(Psl2Word(reduced, 1))
-    if prod.data == target.data:
-        return Psl2Word(reduced, 1)
-    neg = tuple(tuple(-x for x in row) for row in prod.data)
-    assert neg == target.data
-    return Psl2Word(reduced, -1)
-
-
 def word_power(w: Psl2Word, j: int) -> Psl2Word:
-    out = Psl2Word((), 1)
-    for _ in range(j):
-        out = word_concat(out, w)
-    return out
+    """w^j, j >= 0, in one reduction of the repeated letters (stack
+    reduction is confluent).  Cancellations like S*S = -I flip the lift
+    sign, so the sign comes from the exact power of w's matrix."""
+    return _signed(_reduce(w.letters * j), mat_pow(reconstruct(w), j),
+                   "power %d" % j)
 
 
 def family_matrix(i: int) -> IntMatrix:

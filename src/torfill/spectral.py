@@ -235,19 +235,17 @@ def _weierstrass_disks(coeffs):
     return disks
 
 
-def _certified_roots(factor, multiplicity, dps_cap, point=None):
+def _certified_roots(factor, multiplicity, dps_cap):
     """Roots of a squarefree integer factor, each in a disk that misses the
-    unit circle (point None) or the given point: the one precision loop of
-    this module, decided in mpmath at each dps.  outside_unit_circle is
-    certified only for the circle."""
+    unit circle: the one precision loop of this module, decided in mpmath
+    at each dps."""
     dps, best = 40, "no attempt gave disjoint disks"
     while dps <= dps_cap:
         with mp.workdps(dps):
             disks = _weierstrass_disks(factor)
             if disks is not None:
                 gap, bound = min(
-                    ((abs(abs(z) - 1) if point is None else abs(z - point),
-                      bound + 4 * mp.eps * (abs(z) + 1))
+                    ((abs(abs(z) - 1), bound + 4 * mp.eps * (abs(z) + 1))
                      for z, _, bound in disks),
                     key=lambda gb: gb[0] - gb[1])
                 if gap > bound:
@@ -258,9 +256,8 @@ def _certified_roots(factor, multiplicity, dps_cap, point=None):
                     "radius %s" % (dps, mp.nstr(gap, 3), mp.nstr(bound, 3))
         dps *= 2
     raise PrecisionExhausted(
-        "factor %s: roots not separated from %s within dps cap %d; %s"
-        % (",".join(map(str, factor)),
-           "the unit circle" if point is None else point, dps_cap, best))
+        "factor %s: roots not separated from the unit circle within dps cap"
+        " %d; %s" % (",".join(map(str, factor)), dps_cap, best))
 
 
 @dataclass(frozen=True)
@@ -310,13 +307,11 @@ def entropy(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
     return analyze(a, dps_cap).log_sum
 
 
-def fv_lower_bound(a: IntMatrix, n: int = None,
-                   dps_cap: int = DEFAULT_DPS_CAP) -> float:
-    """(2 / (n(n+1) ln(n+1))) * entropy(A); natural logarithms."""
-    if n is None:
-        n = a.rows
-    if a.rows != n or a.cols != n:
-        raise NonSquare("fv_lower_bound dimension mismatch")
+def fv_lower_bound(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
+    """(2 / (n(n+1) ln(n+1))) * entropy(A) for n x n A; natural logarithms."""
+    if not a.is_square():
+        raise NonSquare("fv_lower_bound needs a square matrix")
+    n = a.rows
     return 2.0 / (n * (n + 1) * math.log(n + 1)) * entropy(a, dps_cap)
 
 
@@ -391,27 +386,6 @@ def ck_det_formula(a: IntMatrix, k: int) -> float:
         cols.append(x)
     x_mat = IntMatrix(tuple(zip(*cols)))
     return float(abs(det_exact(x_mat)))
-
-
-def ck_via_root_product(a: IntMatrix, k: int,
-                        dps_cap: int = DEFAULT_DPS_CAP) -> float:
-    """Numeric cross-check: prod_{lambda != 1} |lambda^k - 1| / |lambda - 1|.
-
-    The lambda = 1 factor is excluded exactly (multiplicity of (x - 1) in
-    charpoly); every other root is certified away from 1, or
-    PrecisionExhausted is raised.
-    """
-    cyclo, remaining = split_cyclotomic(charpoly(a))
-    prod = 1.0
-    for m, mult in cyclo:
-        if m > 1:
-            for lam in primitive_roots_of_unity(m):
-                prod *= (abs(lam ** k - 1) / abs(lam - 1)) ** mult
-    if _degree(remaining) > 0:
-        for factor, mult in squarefree_decomposition(remaining):
-            for r in _certified_roots(factor, mult, dps_cap, point=1):
-                prod *= (abs(r.value ** k - 1) / abs(r.value - 1)) ** mult
-    return prod
 
 
 @dataclass(frozen=True)

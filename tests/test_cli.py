@@ -69,12 +69,12 @@ def test_reduce_and_fill_verify_round_trip(tmp_path, capsys):
 
 def test_fill_cycle_from_file(tmp_path, capsys):
     from torfill.chains import parallelogram_cycle
-    from torfill.formats import save_chain
+    from torfill.formats import chain_to_obj
     # null-homologous with a small-box witness: Q(e1,e2) + Q(-e1,e2)
     z = (parallelogram_cycle([(1, 0), (0, 1)])
          + parallelogram_cycle([(-1, 0), (0, 1)]))
     path = tmp_path / "cycle.json"
-    save_chain(path, z)
+    path.write_text(json.dumps(chain_to_obj(z)))
     out_path = tmp_path / "fill.json"
     code, kv, rows = run(capsys, "fill", "--cycle", str(path), "--out", str(out_path))
     assert code == 0
@@ -85,10 +85,10 @@ def test_fill_cycle_from_file(tmp_path, capsys):
 
 def test_fill_unfillable_exit_code(tmp_path, capsys):
     from torfill.chains import parallelogram_cycle
-    from torfill.formats import save_chain
+    from torfill.formats import chain_to_obj
     z = parallelogram_cycle([(1, 0), (0, 1)])  # fundamental class
     path = tmp_path / "cycle.json"
-    save_chain(path, z)
+    path.write_text(json.dumps(chain_to_obj(z)))
     code = main(["fill", "--cycle", str(path), "--max-expand", "2"])
     capsys.readouterr()
     assert code == 2
@@ -101,6 +101,12 @@ def _chain_obj(ambient_dim, degree, *simplices):
                 for s in simplices]}
 
 
+def _table_obj(points, *index_lists):
+    """A degree-1 chain in T^1 over the point table points."""
+    return {"ambient_dim": 1, "degree": 1, "points": points,
+            "terms": [{"coeff": "1", "vertices": s} for s in index_lists]}
+
+
 @pytest.mark.parametrize("chain", [
     _chain_obj(1, 0, []),                        # an empty vertex list
     _chain_obj(2, 1, [(0, 0), (1,)]),            # vertices of mixed dimension
@@ -109,8 +115,15 @@ def _chain_obj(ambient_dim, degree, *simplices):
     _chain_obj(1, 1, [(1,), (2,)]),              # first vertex off the origin
     _chain_obj(1, 1, [(0,), ([1],)]),            # an unhashable vertex
     _chain_obj(1, 1, [(0,), ("x",)]),            # a non-integer coordinate
+    _table_obj([["0"], ["1"]], [0, 2]),          # an index past the table
+    _table_obj([["0"], ["1"]], [0, -1]),         # a negative index
+    _table_obj([["0"], ["1"]], [0, True]),       # a boolean index
+    _table_obj([["0"], ["1"]], "01"),            # vertices not a list
+    _table_obj([["0"], ["1", "0"]], [0, 1]),     # a point not in T^1
+    _table_obj([["0"], "1"], [0, 1]),            # a point not a list
 ], ids=["empty", "mixed-dim", "ambient-dim", "degree", "origin", "unhashable",
-        "non-integer"])
+        "non-integer", "index-range", "index-negative", "index-bool",
+        "vertices-not-list", "point-dim", "point-not-list"])
 def test_fill_bad_chain_file_exit_3(tmp_path, capsys, chain):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(chain))
@@ -162,7 +175,7 @@ def test_fill_verify_non_canonical_integers_exit_3(tmp_path, capsys, field,
     if field == "coeff":
         obj["witness"]["terms"][0]["coeff"] = value
     elif field == "coord":
-        obj["witness"]["terms"][0]["vertices"][1][0] = value
+        obj["witness"]["points"][1][0] = value
     elif field.startswith("trace."):
         key = field.split(".")[1]
         record[key] = value if key == "cost" else [value]
@@ -173,6 +186,22 @@ def test_fill_verify_non_canonical_integers_exit_3(tmp_path, capsys, field,
     captured = capsys.readouterr()
     assert "verified=" not in captured.out
     assert "input error" in captured.err and "Traceback" not in captured.err
+
+
+def test_fill_verify_trace_cost_mismatch_exit_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    record = obj["trace"][0]
+    record["cost"] = str(int(record["cost"]) + 1000)
+    path.write_text(json.dumps(obj))
+    assert main(["fill", "--verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "verified=False" in captured.out.splitlines()
+    assert ("trace costs sum to %d, cost field %s"
+            % (int(obj["cost"]) + 1000, obj["cost"])) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_fill_loose_chain_file_exit_3(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from torfill.chains import (TorusChain, boundary, parallelogram_class,
-                            parallelogram_cycle, pushforward, rectangle_cycle)
+                            parallelogram_cycle, pushforward)
 from torfill.errors import NotDependent, Unfillable, UnsupportedDimension
 from torfill.exactlinalg import IntMatrix
 from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
@@ -20,6 +20,13 @@ from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
 
 E1, E2 = (1, 0), (0, 1)
+
+
+def rectangle_cycle(sizes):
+    """Q(a_1 e_1, ..., a_n e_n), the diagonal parallelogram cycle."""
+    n = len(sizes)
+    return parallelogram_cycle([tuple(a if i == j else 0 for j in range(n))
+                                for i, a in enumerate(sizes)])
 
 
 # --- solver -------------------------------------------------------------------

@@ -7,18 +7,22 @@ import pytest
 
 from torfill import formats
 from torfill.chains import TorusChain, parallelogram_cycle
+from torfill.cli import main
 from torfill.errors import InputParseError
 from torfill.exactlinalg import IntMatrix
 from torfill.filling import BASE_KEYS, base_certificate, reduce_parallelogram
-from torfill.formats import (load_certificate, obj_to_certificate,
-                             obj_to_chain, parse_matrix_inline,
-                             parse_matrix_text, save_certificate, save_chain,
-                             write_certificate)
+from torfill.formats import (chain_to_obj, load_certificate,
+                             obj_to_certificate, obj_to_chain,
+                             parse_matrix_inline, parse_matrix_text,
+                             save_certificate, write_certificate)
 
 
-# --- reference layout: a file is json.dump of one of these objects ----------
+# --- reference layouts --------------------------------------------------------
 
-def chain_to_obj(c):
+# version 1: every record spells out its vertices; its files were
+# json.dump(obj, indent=1, sort_keys=True) and a newline
+
+def v1_chain_obj(c):
     return {"ambient_dim": c.ambient_dim, "degree": c.degree, "terms": [
         {"coeff": str(coeff), "vertices": [[str(x) for x in v] for v in simplex]}
         for simplex, coeff in sorted(c.terms.items())]}
@@ -30,13 +34,13 @@ def _ints_to_strings(value):
     return [_ints_to_strings(v) for v in value]
 
 
-def certificate_to_obj(cert, trace=()):
+def v1_certificate_obj(cert, trace=()):
     return {
         "version": 1,
         "ambient_dim": cert.target.ambient_dim,
         "degree": cert.target.degree,
-        "target": chain_to_obj(cert.target),
-        "witness": chain_to_obj(cert.witness),
+        "target": v1_chain_obj(cert.target),
+        "witness": v1_chain_obj(cert.witness),
         "cost": str(cert.cost),
         "trace": [{"kind": r.kind, "params": _ints_to_strings(r.params),
                    "cost": str(r.cost),
@@ -45,8 +49,32 @@ def certificate_to_obj(cert, trace=()):
     }
 
 
-def _reference_text(obj):
+def v1_text(obj):
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+# version 2: each distinct vertex once, in order of first use over the sorted
+# simplices, and each record's vertices as indices into that table; its files
+# are json.dumps(obj, sort_keys=True) and a newline
+
+def v2_chain_obj(c):
+    terms = v1_chain_obj(c)["terms"]
+    points = list(dict.fromkeys(tuple(v) for r in terms for v in r["vertices"]))
+    position = {p: i for i, p in enumerate(points)}
+    return {"ambient_dim": c.ambient_dim, "degree": c.degree,
+            "points": [list(p) for p in points],
+            "terms": [{"coeff": r["coeff"], "vertices": [
+                position[tuple(v)] for v in r["vertices"]]} for r in terms]}
+
+
+def v2_certificate_obj(cert, trace=()):
+    return dict(v1_certificate_obj(cert, trace), version=2,
+                target=v2_chain_obj(cert.target),
+                witness=v2_chain_obj(cert.witness))
+
+
+def v2_text(obj):
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_matrix_inline_and_text():
@@ -87,28 +115,27 @@ def test_certificate_round_trip(tmp_path):
 
 def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
     cert = base_certificate(("DOUBLE_HALVE",))
-    cert_path, chain_path = tmp_path / "cert.json", tmp_path / "chain.json"
-    save_certificate(cert_path, cert)
-    save_chain(chain_path, cert.target)
-    before = {p: p.read_bytes() for p in (cert_path, chain_path)}
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+    before = path.read_bytes()
+    write = formats.write_certificate
 
-    def broken_write(fh, c, pad):
-        fh.write('{\n%s "ambient_dim": ' % pad)
+    def partial_write(fh, cert, trace=()):
+        buf = io.StringIO()
+        write(buf, cert, trace)
+        fh.write(buf.getvalue()[:100])
         raise OSError("disk full")
 
-    # both writers stream every chain through _write_chain
-    monkeypatch.setattr(formats, "_write_chain", broken_write)
+    monkeypatch.setattr(formats, "write_certificate", partial_write)
     with pytest.raises(OSError):
-        save_certificate(cert_path, cert)
-    with pytest.raises(OSError):
-        save_chain(chain_path, cert.witness)
-    assert {p: p.read_bytes() for p in (cert_path, chain_path)} == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "chain.json"]
+        save_certificate(path, base_certificate(("SPLIT", 2)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
 
 
 def test_certificate_trace_round_trip():
     rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
-    obj = certificate_to_obj(rep.certificate, rep.trace)
+    obj = v1_certificate_obj(rep.certificate, rep.trace)
     cert2, trace2 = obj_to_certificate(obj)
     assert cert2.cost == rep.cost
     assert len(trace2) == len(rep.trace)
@@ -121,17 +148,18 @@ def test_bad_certificate_object():
         obj_to_certificate({"version": 99})
 
 
-# --- byte identity with the reference layout ----------------------------------
-
-def _saved_text(tmp_path, save, *args):
-    path = tmp_path / "out.json"
-    save(path, *args)
-    return path.read_text()
-
+# --- the writer against the reference layouts ---------------------------------
 
 def _reduced(rows):
     rep = reduce_parallelogram(IntMatrix(rows))
     return rep.certificate, rep.trace
+
+
+def _same_certificate(loaded, cert, trace):
+    got, got_trace = loaded
+    assert (got.target, got.witness, got.cost) == (cert.target, cert.witness,
+                                                   cert.cost)
+    assert got_trace == tuple(trace)
 
 
 @pytest.mark.parametrize("make", [
@@ -141,14 +169,17 @@ def _reduced(rows):
 ], ids=["/".join(map(str, k)) for k in BASE_KEYS] + ["2x2", "3x3-negative"])
 def test_certificate_writer_matches_reference(tmp_path, make):
     cert, trace = make()
-    want = _reference_text(certificate_to_obj(cert, trace))
-    assert _saved_text(tmp_path, save_certificate, cert, trace) == want
+    want = v2_text(v2_certificate_obj(cert, trace))
+    path = tmp_path / "out.json"
+    save_certificate(path, cert, trace)
+    assert path.read_text() == want
     buf = io.StringIO()
     write_certificate(buf, cert, trace)
     assert buf.getvalue() == want
-    for c in (cert.target, cert.witness):
-        assert (_saved_text(tmp_path, save_chain, c)
-                == _reference_text(chain_to_obj(c)))
+    _same_certificate(load_certificate(path), cert, trace)
+    # the version-1 file of the same certificate loads to the same one
+    path.write_text(v1_text(v1_certificate_obj(cert, trace)))
+    _same_certificate(load_certificate(path), cert, trace)
 
 
 @pytest.mark.parametrize("make", [
@@ -156,8 +187,24 @@ def test_certificate_writer_matches_reference(tmp_path, make):
     lambda: parallelogram_cycle([(10 ** 40 + 7, 1), (1, 2)]),
     lambda: TorusChain(0, 1, {((), ()): 1}),  # vertices with no coordinate
 ], ids=["empty", "big-coordinate", "T^0"])
-def test_chain_writer_matches_reference(tmp_path, make):
+def test_chain_writer_matches_reference(make):
     chain = make()
-    text = _saved_text(tmp_path, save_chain, chain)
-    assert text == _reference_text(chain_to_obj(chain))
-    assert obj_to_chain(json.loads(text)) == chain
+    obj = chain_to_obj(chain)
+    assert obj == v2_chain_obj(chain)
+    assert obj_to_chain(json.loads(v2_text(obj))) == chain
+    assert obj_to_chain(json.loads(v1_text(v1_chain_obj(chain)))) == chain
+
+
+def test_version_1_files_load_and_verify(tmp_path, capsys):
+    rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
+    cert_path, cycle_path = tmp_path / "cert.json", tmp_path / "cycle.json"
+    cert_path.write_text(v1_text(v1_certificate_obj(rep.certificate,
+                                                    rep.trace)))
+    # null-homologous with a small-box witness: Q(e1,e2) + Q(-e1,e2)
+    z = (parallelogram_cycle([(1, 0), (0, 1)])
+         + parallelogram_cycle([(-1, 0), (0, 1)]))
+    cycle_path.write_text(v1_text(v1_chain_obj(z)))
+    assert main(["fill", "--verify", str(cert_path)]) == 0
+    assert main(["fill", "--cycle", str(cycle_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["cost=%d" % rep.cost, "verified=True"]

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from torfill.errors import NotUnimodular
-from torfill.exactlinalg import IntMatrix
+from torfill import psl2z
+from torfill.errors import NotUnimodular, VerificationFailure
+from torfill.exactlinalg import IntMatrix, mat_pow
 from torfill.psl2z import (Psl2Word, S_MAT, U_MAT, U2_MAT,
                            cyclically_reduced_length, decompose, delta_bounds,
                            family_matrix, reconstruct, word_power)
@@ -103,6 +104,20 @@ def test_cyclic_length_subadditive_under_squaring():
         # collapses when squared, so length >= 2 is the honest scope
         if len(w.letters) >= 2 and _is_cyclically_reduced(w):
             assert l2 == 2 * l1
+
+
+def test_word_power_lifts_the_matrix_power(monkeypatch):
+    rng = random.Random(103)
+    for _ in range(40):
+        a = random_sl2(rng, length=24)
+        w = decompose(a)
+        for j in (0, 1, 2, 5):
+            assert reconstruct(word_power(w, j)).data == mat_pow(a, j).data
+    # letters that are neither sign of the matrix power are refused
+    monkeypatch.setattr(psl2z, "mat_pow",
+                        lambda a, j: IntMatrix(((2, 1), (1, 1))))
+    with pytest.raises(VerificationFailure):
+        word_power(decompose(family_matrix(1)), 2)
 
 
 def _is_cyclically_reduced(w):
