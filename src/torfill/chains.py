@@ -10,6 +10,11 @@ given by the images of the n basis vectors, and the homology class of a
 parallelogram cycle is its tuple of minors.  All arithmetic is exact: vertices
 are arbitrary-precision integers and the degree oracle works over Fraction.
 
+The kernels re-base only simplices that can lose the origin: faces i >= 1 of
+a canonical simplex and every prism term keep it, so boundary re-bases face 0
+alone and prism_v nothing, while pushforward re-bases each image.
+linear_map transposes a map's columns once, for all the points it maps.
+
 Degenerate simplices (repeated vertices) are ordinary chain generators here —
 this is singular chain calculus, not a simplicial-set quotient.
 """
@@ -18,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, NonGenericPoint
 from .exactlinalg import det_rows
@@ -140,30 +145,54 @@ def simplex_chain(vertices) -> TorusChain:
 
 def l1_norm(c: TorusChain) -> int:
     """Sum of absolute coefficient values over the reduced form."""
-    return sum(abs(v) for v in c.terms.values())
+    return sum(map(abs, c.terms.values()))
 
 
 def boundary(c: TorusChain) -> TorusChain:
-    """Alternating sum of vertex-deleted faces, canonicalized with cancellation.
+    """Alternating sum of vertex-deleted faces, with cancellation.
 
-    Degree-0 chains have zero boundary.  boundary(boundary(c)) = 0.
+    Faces i >= 1 keep the origin vertex and are canonical as cut; only face
+    0 is re-based, on its new first vertex.  Interior faces of a filling
+    cancel in pairs, so a face is deleted as soon as its sum is zero, which
+    keeps the dict near the size of the result.  Degree-0 chains have zero
+    boundary.  boundary(boundary(c)) = 0.
     """
-    if c.degree == 0:
+    k = c.degree
+    if k == 0:
         return TorusChain.zero(c.ambient_dim, 0)
     acc = {}
+    get = acc.get
+    origin = ((0,) * c.ambient_dim,)
+    sign_k = -1 if k % 2 else 1  # the sign of the face without vertex k
     for simplex, coeff in c.terms.items():
-        for i, face in enumerate(faces(simplex)):
-            v = acc.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
+        v1 = simplex[1]
+        face = (origin + tuple([tuple(map(sub, p, v1)) for p in simplex[2:]])
+                if any(v1) else simplex[1:])
+        v = get(face, 0) + coeff
+        if v:
+            acc[face] = v
+        else:
+            del acc[face]
+        # the first k k-subsets are the faces without vertex k, k-1, .., 1
+        coeff *= sign_k
+        for face in islice(combinations(simplex, k), k):
+            v = get(face, 0) + coeff
             if v:
                 acc[face] = v
-            elif face in acc:
+            else:
                 del acc[face]
-    return TorusChain(c.ambient_dim, c.degree - 1, acc)
+            coeff = -coeff
+    return TorusChain(c.ambient_dim, k - 1, acc)
 
 
-def linear_image(columns, p) -> Vertex:
-    """Image of the point p under the integer map e_i -> columns[i]."""
-    return tuple(sum(map(mul, p, row)) for row in zip(*columns))
+def linear_map(columns):
+    """The point map of the integer map e_i -> columns[i], with the columns
+    transposed once: p -> sum_i p[i] * columns[i]."""
+    rows = tuple(zip(*columns))
+
+    def image(p) -> Vertex:
+        return tuple([sum(map(mul, p, row)) for row in rows])
+    return image
 
 
 def pushforward(columns, c: TorusChain) -> TorusChain:
@@ -178,22 +207,20 @@ def pushforward(columns, c: TorusChain) -> TorusChain:
     m = len(cols[0])
     if any(len(u) != m for u in cols):
         raise DimensionMismatch("columns of mixed dimension")
+    image = linear_map(cols)
     images = {}  # vertices recur across simplices: map each one once
     acc = {}
+    get = acc.get
     for simplex, coeff in c.terms.items():
         verts = []
         for p in simplex:
             q = images.get(p)
             if q is None:
-                q = images[p] = linear_image(cols, p)
+                q = images[p] = image(p)
             verts.append(q)
         img = _canon_fast(tuple(verts))
-        v = acc.get(img, 0) + coeff
-        if v:
-            acc[img] = v
-        elif img in acc:
-            del acc[img]
-    return TorusChain(m, c.degree, acc)
+        acc[img] = get(img, 0) + coeff
+    return TorusChain(m, c.degree, {s: v for s, v in acc.items() if v})
 
 
 def prism_v(v, c: TorusChain) -> TorusChain:
@@ -204,6 +231,7 @@ def prism_v(v, c: TorusChain) -> TorusChain:
         sum_{i=0..k} (-1)^i [q_0,...,q_{k-i}, q_{k-i}+v, ..., q_k+v]
 
     (the i-th term duplicates vertex k-i and translates the tail by v).
+    Every term keeps q_0, the origin, so it is canonical as built.
     On the torus the endpoints of the homotopy are both the identity, so
     boundary(prism_v(c)) = prism_v(boundary(c)) exactly, and
     l1(prism_v(c)) <= (k+1) * l1(c).
@@ -212,20 +240,16 @@ def prism_v(v, c: TorusChain) -> TorusChain:
     if len(v) != c.ambient_dim:
         raise DimensionMismatch("vector dim != chain ambient dim")
     acc = {}
+    get = acc.get
     for q, coeff in c.terms.items():
         k = len(q) - 1
-        shifted = [tuple(a + b for a, b in zip(p, v)) for p in q]
-        for i in range(k + 1):
-            cut = k - i
-            verts = q[:cut + 1] + tuple(shifted[cut:])
-            s = _canon_fast(verts)
-            sgn = coeff if i % 2 == 0 else -coeff
-            val = acc.get(s, 0) + sgn
-            if val:
-                acc[s] = val
-            elif s in acc:
-                del acc[s]
-    return TorusChain(c.ambient_dim, c.degree + 1, acc)
+        shifted = tuple([tuple(map(add, p, v)) for p in q])
+        for cut in range(k, -1, -1):
+            s = q[:cut + 1] + shifted[cut:]
+            acc[s] = get(s, 0) + coeff
+            coeff = -coeff
+    return TorusChain(c.ambient_dim, c.degree + 1,
+                      {s: val for s, val in acc.items() if val})
 
 
 def parallelogram_cycle(vectors) -> TorusChain:

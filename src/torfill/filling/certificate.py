@@ -8,16 +8,23 @@ coefficient; it stands for coeff * F_*(base witness prism-lifted d times).
 Pieces add like elements of the chain group; pushforwards and prism lifts
 act on the columns and the cycles only.  Each witness chain is built once,
 in Piece.assemble, so the per-move costs are the costs actually realized.
+
+lifted(key, d) memoises each lifted base witness as an index table: its
+distinct vertices, the origin first, and each simplex as a getter over the
+indices of its vertices.  Every lifted simplex is canonical and F(0) = 0,
+so a chunk maps each distinct vertex once and indexes the images, with no
+re-canonicalization.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
-from ..chains import (TorusChain, boundary, l1_norm, linear_image,
+from ..chains import (TorusChain, boundary, l1_norm, linear_map,
                       parallelogram_class, parallelogram_cycle, prism_v,
                       pushforward, simplex_chain)
 from ..errors import VerificationFailure
@@ -99,10 +106,13 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
     else:
         bd = boundary(w)
         if bd != t:
-            diff = bd - t
-            sample = next(iter(diff.terms.items()))
-            diagnostics.append("boundary mismatch on %d simplices; e.g. %r"
-                               % (len(diff.terms), sample))
+            diff = (bd - t).terms
+            first = min(diff)
+            diagnostics.append(
+                "boundary mismatch on %d simplices; first %r has boundary"
+                " coefficient %d, target coefficient %d"
+                % (len(diff), first, bd.terms.get(first, 0),
+                   t.terms.get(first, 0)))
     if cert.cost != l1_norm(w):
         diagnostics.append("cost field %d != l1(witness) %d"
                            % (cert.cost, l1_norm(w)))
@@ -140,8 +150,7 @@ def _unit(n, i):
     return tuple(1 if t == i else 0 for t in range(n))
 
 
-@functools.cache
-def lifted(key, d) -> TorusChain:
+def _lift(key, d) -> TorusChain:
     """The base witness of `key` in T^m, embedded in T^(m+d) and prism-lifted
     along e_(m+1), .., e_(m+d) in turn.  Key None stands for the constant
     2-simplex [0, 0, 0] in T^1, which fills Q(0)."""
@@ -150,14 +159,28 @@ def lifted(key, d) -> TorusChain:
             return simplex_chain([(0,)] * 3)
         from .base import base_certificate
         return base_certificate(key).witness
-    inner = lifted(key, d - 1)
+    inner = _lift(key, d - 1)
     m = inner.ambient_dim
     embed = [_unit(m + 1, i) for i in range(m)]
     return prism_v(_unit(m + 1, m), pushforward(embed, inner))
 
 
+@functools.cache
+def lifted(key, d) -> tuple:
+    """_lift(key, d) as an index table (points, simplices): points lists its
+    distinct vertices once, the origin first, and simplices lists its terms
+    as (itemgetter of the simplex's index tuple into points, coeff).  Every
+    simplex has at least two vertices, so each getter returns a tuple."""
+    chain = _lift(key, d)
+    index = {(0,) * chain.ambient_dim: 0}
+    simplices = tuple((itemgetter(*[index.setdefault(p, len(index))
+                                    for p in s]), c)
+                      for s, c in chain.terms.items())
+    return tuple(index), simplices
+
+
 class Chunk(NamedTuple):
-    """coeff * F_*(lifted(source, d)), where F = columns = [f | v_1..v_d].
+    """coeff * F_*(_lift(source, d)), where F = columns = [f | v_1..v_d].
 
     Exact because pushforward commutes with prism:
     F_*(prism_e(c)) = prism_{Fe}(F_* c).  Marker chunks have coeff 0.
@@ -169,12 +192,22 @@ class Chunk(NamedTuple):
 
     @property
     def terms(self) -> dict:
-        """The chunk's witness terms, built from its base witness."""
+        """The chunk's witness terms, built from its base witness.
+
+        Every lifted simplex is canonical and F(0) = 0, so each image
+        simplex is canonical as indexed: F maps each distinct vertex once."""
         if not self.coeff:
             return {}
-        d = len(self.columns) - lifted(self.source, 0).ambient_dim
-        return pushforward(self.columns,
-                           lifted(self.source, d)).scale(self.coeff).terms
+        d = len(self.columns) - len(lifted(self.source, 0)[0][0])
+        points, simplices = lifted(self.source, d)
+        images = list(map(linear_map(self.columns), points))
+        k = self.coeff
+        acc = {}
+        get = acc.get
+        for pick, coeff in simplices:
+            s = pick(images)
+            acc[s] = get(s, 0) + k * coeff
+        return {s: v for s, v in acc.items() if v}
 
 
 @dataclass
@@ -221,7 +254,8 @@ class Piece:
         """Rewrite every (coeff, gens) cycle with `cycle` and every chunk
         with `chunk`."""
         return Piece(ambient_dim, degree, [
-            (replace(meta, cycles=tuple(cycle(c, g) for c, g in meta.cycles)),
+            (ChunkMeta(meta.kind, meta.params,
+                       tuple([cycle(c, g) for c, g in meta.cycles])),
              chunk(ch)) for meta, ch in self.chunks])
 
     def __neg__(self) -> "Piece":
@@ -235,23 +269,26 @@ class Piece:
             return self
         return self._remap(self.ambient_dim, self.degree,
                            lambda c, g: (k * c, g),
-                           lambda ch: ch._replace(coeff=k * ch.coeff))
+                           lambda ch: Chunk(ch.source, ch.columns,
+                                            k * ch.coeff))
 
     def pushforward(self, columns) -> "Piece":
         """Realize the piece along the integral map e_i -> columns[i]
         (l^1 non-increasing)."""
-        image = functools.partial(linear_image, columns)
+        image = linear_map(columns)
         return self._remap(
             len(columns[0]), self.degree,
             lambda c, g: (c, tuple(map(image, g))),
-            lambda ch: ch._replace(columns=tuple(map(image, ch.columns))))
+            lambda ch: Chunk(ch.source, tuple(map(image, ch.columns)),
+                             ch.coeff))
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""
         v = tuple(int(x) for x in v)
         lift = self._remap(self.ambient_dim, self.degree + 1,
                            lambda c, g: (c, g + (v,)),
-                           lambda ch: ch._replace(columns=ch.columns + (v,)))
+                           lambda ch: Chunk(ch.source, ch.columns + (v,),
+                                            ch.coeff))
         return lift.marked("PRISM_LIFT", (v,))
 
     def assemble(self):

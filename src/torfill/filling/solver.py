@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 from ..chains import TorusChain, boundary, faces
 from ..errors import CandidateSetTooLarge, Unfillable
-from ..exactlinalg import IntMatrix, solve_diophantine
+from ..exactlinalg import IntMatrix, _check, solve_diophantine
 from .certificate import FillingCertificate, require_valid
 
 TUPLE_CAP = 2_500_000
@@ -157,7 +157,8 @@ def _solve_sparse(columns, rhs):
             if jj != j:
                 s -= v * x.get(jj, 0)
         val = s // piv
-        assert val * piv == s
+        _check(val * piv == s, "back-substitution through a pivot of %d"
+               " is not exact" % piv)
         if val:
             x[j] = val
     return x

@@ -196,7 +196,7 @@ def obj_to_certificate(obj):
             for r in obj.get("trace", ())
         )
         return FillingCertificate(target, witness, cost), trace
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputParseError("bad certificate object: %s" % exc) from None
 
 
@@ -221,19 +221,20 @@ def save_certificate(path, cert: FillingCertificate, trace=()):
         write_certificate(fh, cert, trace)
 
 
-def load_certificate(path):
+def _load_json(path, what):
+    """The JSON object in the file at path; an unreadable file, bad JSON or
+    nesting deeper than the parser's recursion limit is an input error."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputParseError("cannot read certificate %s: %s" % (path, exc)) from None
-    return obj_to_certificate(obj)
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputParseError("cannot read %s %s: %s"
+                              % (what, path, exc)) from None
+
+
+def load_certificate(path):
+    return obj_to_certificate(_load_json(path, "certificate"))
 
 
 def load_chain(path) -> TorusChain:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputParseError("cannot read chain %s: %s" % (path, exc)) from None
-    return obj_to_chain(obj)
+    return obj_to_chain(_load_json(path, "chain"))

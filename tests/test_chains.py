@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from torfill.chains import (TorusChain, boundary, canonicalize,
-                            degree_at_point, l1_norm, linear_image,
+                            degree_at_point, faces, l1_norm, linear_map,
                             parallelogram_class, parallelogram_cycle, prism_v,
                             pushforward, sample_degree,
                             simplex_chain)
@@ -73,6 +73,41 @@ def test_boundary_squared_zero():
         assert boundary(boundary(c)).is_zero()
 
 
+def _boundary_reference(c):
+    """The boundary face by face, every face canonicalized by faces()."""
+    pairs = [(face, coeff if i % 2 == 0 else -coeff)
+             for simplex, coeff in c.terms.items()
+             for i, face in enumerate(faces(simplex))]
+    return TorusChain.from_pairs(c.ambient_dim, c.degree - 1, pairs)
+
+
+def test_boundary_matches_face_reference():
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        span = (1, 3, 10 ** 40)[trial % 3]
+        pairs = []
+        for _ in range(rng.randint(1, 12)):
+            verts = [tuple(rng.randint(-span, span) for _ in range(n))
+                     for _ in range(k + 1)]
+            if rng.random() < 0.3:  # a degenerate simplex: repeat a vertex
+                i, j = rng.sample(range(k + 1), 2)
+                verts[i] = verts[j]
+            pairs.append((canonicalize(verts), rng.choice([-3, -1, 1, 2])))
+        c = TorusChain.from_pairs(n, k, pairs)
+        # prisms and parallelogram cycles: faces that cancel in bulk
+        v = tuple(rng.randint(-span, span) for _ in range(n))
+        gens = [tuple(rng.randint(-span, span) for _ in range(n))
+                for _ in range(k)]
+        for chain in (c, prism_v(v, c), parallelogram_cycle(gens),
+                      c - parallelogram_cycle(gens)):
+            got = boundary(chain)
+            assert got.degree == chain.degree - 1
+            assert got.terms == _boundary_reference(chain).terms
+            assert all(got.terms.values())
+
+
 def test_l1_norm():
     assert l1_norm(TorusChain.zero(2, 1)) == 0
     sigma = canonicalize([(0, 0), (1, 0)])
@@ -109,11 +144,11 @@ def test_pushforward_properties():
         assert l1_norm(fc) <= l1_norm(c)
         assert pushforward(f, boundary(c)) == boundary(fc)
         g = _columns([[rng.randint(-2, 2) for _ in range(m)] for _ in range(2)])
-        gf = [linear_image(g, col) for col in f]
+        gf = list(map(linear_map(g), f))
         assert pushforward(g, fc) == pushforward(gf, c)
         # pushforward commutes with prism: F_*(prism_v c) = prism_{Fv}(F_* c)
         v = tuple(rng.randint(-3, 3) for _ in range(n))
-        assert pushforward(f, prism_v(v, c)) == prism_v(linear_image(f, v), fc)
+        assert pushforward(f, prism_v(v, c)) == prism_v(linear_map(f)(v), fc)
 
 
 def test_prism_examples():

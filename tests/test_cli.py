@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from torfill.chains import TorusChain
+from torfill.chains import TorusChain, faces
 from torfill.cli import main
 from torfill.filling import base
 from torfill.filling.certificate import Piece, lifted
+from torfill.formats import load_certificate
 
 
 def run(capsys, *argv):
@@ -204,6 +206,55 @@ def test_fill_verify_trace_cost_mismatch_exit_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_fill_verify_names_first_mismatch(tmp_path, capsys):
+    # one witness coefficient off by one: the diagnostic names the smallest
+    # simplex where boundary and target differ, with both coefficients
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    cert, _ = load_certificate(path)
+    obj = json.loads(path.read_text())
+    middle = len(cert.witness.terms) // 2
+    record = obj["witness"]["terms"][middle]  # records are sorted by simplex
+    record["coeff"] = str(int(record["coeff"]) + 1)
+    path.write_text(json.dumps(obj))
+    assert main(["fill", "--verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    change = {}  # boundary(bad) - boundary(good) = boundary(the simplex)
+    for i, face in enumerate(faces(sorted(cert.witness.terms)[middle])):
+        change[face] = change.get(face, 0) + (-1) ** i
+    changed = sorted(face for face, v in change.items() if v)
+    first = changed[0]
+    target = cert.target.terms.get(first, 0)
+    assert ("boundary mismatch on %d simplices; first %r has boundary"
+            " coefficient %d, target coefficient %d"
+            % (len(changed), first, target + change[first], target)) in err
+
+
+@pytest.mark.parametrize("flag", ["--verify", "--cycle"])
+def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["fill", flag, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and "recursion" in captured.err
+
+
+@pytest.mark.parametrize("matrix, cost, moves, digest", [
+    ("2,1;1,1", "116", "14", "77516607fd6711b2"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "8310", "313", "680467615ee297b7"),
+], ids=["2x2", "3x3"])
+def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
+                                         moves, digest):
+    # a kernel rewrite may not change a certificate silently
+    path = tmp_path / "cert.json"
+    code, kv, rows = run(capsys, "reduce", "--matrix=" + matrix,
+                         "--out", str(path))
+    assert code == 0 and (kv["cost"], kv["moves"]) == (cost, moves)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
 def test_fill_loose_chain_file_exit_3(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(_LOOSE_CHAIN))
@@ -243,6 +294,11 @@ def test_fvupper(capsys):
     code, kv, rows = run(capsys, "fvupper", "-m", "1,1;0,1", "--jmax", "3")
     assert code == 0
     assert "k_hat_log2" in kv
+
+
+def test_fvupper_pinned(capsys):
+    code, kv, rows = run(capsys, "fvupper", "--matrix=2,1;1,1", "--jmax", "8")
+    assert code == 0 and kv["k_hat_log2"] == "453.93565354"
 
 
 def test_psl2z_family(capsys):

@@ -15,7 +15,7 @@ from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              s1_moves, s1_piece, slide, slim_piece,
                              universal_cycle, verify_certificate)
 from torfill.filling.base import TABLE_DIR, _key_filename, default_cache
-from torfill.filling.certificate import class_sum
+from torfill.filling.certificate import Chunk, _lift, class_sum
 from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
 
@@ -114,6 +114,35 @@ def test_verify_catches_perturbations():
     inflated = FillingCertificate(cert.target, cert.witness, cert.cost + 1)
     ok, diag = verify_certificate(inflated)
     assert not ok and any("cost" in d for d in diag)
+
+
+# --- chunks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", BASE_KEYS + (None,),
+                         ids=[str(k) for k in BASE_KEYS + (None,)])
+def test_chunk_terms_match_pushforward(key):
+    # the index-table kernel against pushing the lifted chain forward
+    rng = random.Random(str(key))
+    m = _lift(key, 0).ambient_dim
+    collapsed = 0
+    for d in (0, 1, 2):
+        chain = _lift(key, d)
+        n = m + d
+        for trial in range(6):
+            out = rng.randint(1, 3)
+            if trial % 2 == 0:  # random columns
+                cols = [tuple(rng.randint(-9, 9) for _ in range(out))
+                        for _ in range(n)]
+            else:  # rank <= 1, and 0 at last: simplices collapse and cancel
+                u = tuple(rng.randint(-3, 3) if trial < 5 else 0
+                          for _ in range(out))
+                cols = [tuple(rng.randint(-2, 2) * x for x in u)
+                        for _ in range(n)]
+            for coeff in (-2, -1, 1, 3):
+                terms = Chunk(key, tuple(cols), coeff).terms
+                assert terms == pushforward(cols, chain).scale(coeff).terms
+                collapsed += len(terms) < len(chain.terms)
+    assert collapsed or not _lift(key, 0).terms
 
 
 # --- moves ----------------------------------------------------------------------

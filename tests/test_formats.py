@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,21 @@ def test_certificate_trace_round_trip():
 def test_bad_certificate_object():
     with pytest.raises(InputParseError):
         obj_to_certificate({"version": 99})
+
+
+def test_deeply_nested_trace_params_input_error():
+    # json.load's depth limit shrinks with the caller's stack, so a file can
+    # load whose trace params are nested deeper than the reader can recurse
+    rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
+    sink = io.StringIO()
+    write_certificate(sink, rep.certificate, rep.trace)
+    obj = json.loads(sink.getvalue())
+    params = []
+    for _ in range(sys.getrecursionlimit()):
+        params = [params]
+    obj["trace"][0]["params"] = params
+    with pytest.raises(InputParseError, match="recursion"):
+        obj_to_certificate(obj)
 
 
 # --- the writer against the reference layouts ---------------------------------
