@@ -2,9 +2,12 @@
 
 Every constant-cost move of the reduction engine is the pushforward of a
 single universal certificate living in a low-dimensional torus.  The table
-of 11 ships as package data in base_table/ (written once by fill_by_solve).
-Each entry is re-verified exactly when a process first loads it, so a
-missing or corrupt file fails loudly instead of poisoning proofs.
+of 11 ships as package data in base_table/.  Each entry is a minimum-cost
+filling over a fixed candidate box: the offline integer-program tool
+tools/min_base_certs.py wrote seven, and the other four (cost 0 or 1) are
+fill_by_solve's first solutions.  Each entry is re-verified exactly when a
+process first loads it, so a missing or corrupt file fails loudly instead
+of poisoning proofs.
 """
 
 from __future__ import annotations

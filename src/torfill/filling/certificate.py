@@ -28,6 +28,7 @@ from ..chains import (TorusChain, boundary, l1_norm, linear_map,
                       parallelogram_class, parallelogram_cycle, prism_v,
                       pushforward, simplex_chain)
 from ..errors import VerificationFailure
+from ..exactlinalg import _check
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,9 @@ class Piece:
                               Chunk(None, (), 0))])
 
     def __add__(self, other: "Piece") -> "Piece":
-        assert (self.ambient_dim, self.degree) == (other.ambient_dim, other.degree)
+        _check((self.ambient_dim, self.degree)
+               == (other.ambient_dim, other.degree),
+               "pieces of different tori or degrees")
         return Piece(self.ambient_dim, self.degree, self.chunks + other.chunks)
 
     def _remap(self, ambient_dim, degree, cycle, chunk) -> "Piece":

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import UnsupportedDimension
+from ..exactlinalg import _check
 from .certificate import Piece
 
 Vec = tuple
@@ -70,7 +71,8 @@ def move_split(gens, pos, v1, v2) -> Piece:
     requires gens[pos] = v1 + v2."""
     gens = tuple(_vec(g) for g in gens)
     v1, v2 = _vec(v1), _vec(v2)
-    assert _add_vec(v1, v2) == gens[pos], "split parts must sum to the generator"
+    _check(_add_vec(v1, v2) == gens[pos],
+           "split parts must sum to the generator")
     k = len(gens)
     if k == 2 and pos == 1:
         return Piece.move(
@@ -114,7 +116,7 @@ def move_dehn(x, y, kappa) -> Piece:
 
 def move_double_halve(x, y) -> Piece:
     """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
-    assert y % 2 == 0
+    _check(y % 2 == 0, "double-halve needs an even second generator")
     return Piece.move(
         ("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y), [(x,), (y // 2,)],
         [(1, ((x,), (y,))), (-1, ((2 * x,), (y // 2,)))])
@@ -212,7 +214,7 @@ def s1_moves(a: int, l: int):
             y1 -= k * x1
         moves.append((sign, "DH", (x1, y1)))
         x1, y1 = 2 * x1, y1 // 2
-    assert y1 == 0, "phase 1 must land on a zero second generator"
+    _check(y1 == 0, "phase 1 must land on a zero second generator")
     moves.append((sign, "ZERO", (x1,)))
 
     trace = S1Trace(a, l, tuple(phase1), tuple(phase2), tuple(odd),
@@ -275,7 +277,8 @@ def slide_second(v, w, delta) -> Piece:
     delta = _vec(delta)
     nz = next(i for i, x in enumerate(u0) if x)
     m, r = divmod(delta[nz], u0[nz])
-    assert r == 0 and _scale_vec(m, u0) == delta, "delta must be a u0 multiple"
+    _check(r == 0 and _scale_vec(m, u0) == delta,
+           "delta must be a u0 multiple")
     return slide(u0, d, m, w)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
-from ..exactlinalg import IntMatrix, det_exact, hnf, mat_pow
+from ..exactlinalg import IntMatrix, _check, det_exact, hnf, mat_pow
 from .certificate import FillingCertificate, Piece, _unit, require_valid
 from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
                     move_zero_gen, primitive_decomposition, s1_piece,
@@ -120,7 +120,7 @@ def paral_to_rects(gens):
     """
     gens = tuple(_vec(g) for g in gens)
     n = len(gens[0])
-    assert len(gens) == n
+    _check(len(gens) == n, "a parallelogram in T^n needs n generators")
     if n == 1:
         return [(1, (gens[0][0],))], Piece.zero(1, 1)
     zero = (0,) * n
@@ -217,7 +217,8 @@ def _rect_to_unit_2d(sizes) -> Piece:
         delta4 = _scale_vec(1 - a, e1)
         steps.append(slide_first(v, w, delta4))
         v = _add_vec(v, delta4)  # (0, -1)
-    assert v == (0, -1) and w == (a * b, 0)
+    _check(v == (0, -1) and w == (a * b, 0),
+           "the slides must end at (0, -1), (a*b, 0)")
 
     total = Piece.zero(2, 2)
     for s in steps:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnimodular, VerificationFailure
-from .exactlinalg import IntMatrix, mat_pow
+from .exactlinalg import IntMatrix, _check, mat_pow
 
 S_MAT = IntMatrix(((0, -1), (1, 0)))
 U_MAT = IntMatrix(((0, -1), (1, -1)))
@@ -65,9 +65,10 @@ class Psl2Word:
     sign: int = 1
 
     def __post_init__(self):
-        assert self.sign in (1, -1)
+        _check(self.sign in (1, -1), "the sign of a word is +1 or -1")
         for a, b in zip(self.letters, self.letters[1:]):
-            assert _factor(a) != _factor(b), "word is not alternating"
+            if _factor(a) == _factor(b):
+                raise VerificationFailure("word is not alternating")
 
     def __str__(self):
         body = "·".join(self.letters) if self.letters else "e"
@@ -115,7 +116,8 @@ def decompose(a: IntMatrix) -> Psl2Word:
         ts_blocks.append(("T", q))
         ts_blocks.append(("S",))
     # now m = +/- T^b
-    assert abs(m[0][0]) == 1 and m[0][0] == m[1][1]
+    _check(abs(m[0][0]) == 1 and m[0][0] == m[1][1],
+           "the peeled remainder is not +-T^b")
     if m[0][0] == 1:
         b = m[0][1]
     else:

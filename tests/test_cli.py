@@ -242,8 +242,8 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
-    ("2,1;1,1", "116", "14", "77516607fd6711b2"),
-    ("3,-1,-5;5,3,-4;-1,0,1", "8310", "313", "680467615ee297b7"),
+    ("2,1;1,1", "27", "14", "67babd5cc161bf28"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "2068", "313", "5ab681f9b1f26a15"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
                                          moves, digest):
@@ -298,7 +298,7 @@ def test_fvupper(capsys):
 
 def test_fvupper_pinned(capsys):
     code, kv, rows = run(capsys, "fvupper", "--matrix=2,1;1,1", "--jmax", "8")
-    assert code == 0 and kv["k_hat_log2"] == "453.93565354"
+    assert code == 0 and kv["k_hat_log2"] == "123.768561978"
 
 
 def test_psl2z_family(capsys):
@@ -403,6 +403,7 @@ _UNDER_O = textwrap.dedent("""
     from torfill.errors import VerificationFailure
     from torfill.exactlinalg import IntMatrix, _verify_snf, snf
     from torfill.filling.certificate import Chunk, ChunkMeta, Piece
+    from torfill.filling.moves import move_split
     from torfill.spectral import poly_div_exact
 
     assert False, "python -O strips plain asserts"
@@ -421,6 +422,10 @@ _UNDER_O = textwrap.dedent("""
         poly_div_exact((1, 0, 1), (1, -1))  # x - 1 does not divide x^2 + 1
     except VerificationFailure:
         print("inexact division refused")
+    try:
+        move_split(((1, 0), (0, 3)), 1, (0, 1), (0, 1))  # 1 + 1 != 3
+    except VerificationFailure:
+        print("split parts refused")
     sys.exit(main(["reduce", "--matrix=2,1;1,1"]))
 """)
 
@@ -433,9 +438,30 @@ def test_proof_checks_survive_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:3] == ["tampered SNF refused", "class sum refused",
-                         "inexact division refused"]
+    assert lines[:4] == ["tampered SNF refused", "class sum refused",
+                         "inexact division refused", "split parts refused"]
     assert "verified=True" in lines
+
+
+_NO_SCIPY = textwrap.dedent("""
+    import sys
+    from torfill.cli import main
+    codes = (main(["reduce", "--matrix=2,1;1,1", "--out", sys.argv[1]]),
+             main(["fill", "--verify", sys.argv[1]]))
+    print("codes=%d,%d scipy=%s" % (codes + ("scipy" in sys.modules,)))
+""")
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is only for the offline table tool, never for torfill itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "cert.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "codes=0,0 scipy=False"
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,8 @@ from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              paral_to_rects, rect_to_unit, reduce_parallelogram,
                              s1_moves, s1_piece, slide, slim_piece,
                              universal_cycle, verify_certificate)
-from torfill.filling.base import TABLE_DIR, _key_filename, default_cache
+from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
+                                  default_cache)
 from torfill.filling.certificate import Chunk, _lift, class_sum
 from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
@@ -84,6 +85,19 @@ def test_base_table_bootstraps_and_verifies(tmp_path):
     assert costs[("DEHN", 0)] == 0
     assert costs[("NEGATE", 2)] > 0
     assert costs[("SPLIT", 2)] > 0
+
+
+# in BASE_KEYS order: the first certificates the bootstrap solver found, and
+# the minimum-cost table that replaced them
+_FIRST_SOLVE_COSTS = (0, 0, 7, 22, 2, 34, 0, 1, 3, 4, 11)
+_SHIPPED_COSTS = (0, 0, 3, 3, 1, 4, 0, 1, 2, 3, 5)
+
+
+def test_base_costs_pinned():
+    # a regenerated table may lower a cost, never raise one silently
+    costs = tuple(base_costs()[key] for key in BASE_KEYS)
+    assert costs == _SHIPPED_COSTS
+    assert all(new <= old for new, old in zip(costs, _FIRST_SOLVE_COSTS))
 
 
 def test_universal_cycles_have_zero_class():
