@@ -9,6 +9,7 @@ success, 2 on verification failure, 3 on input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -62,6 +63,16 @@ def _read_matrix(args):
     return parse_matrix_text(text)
 
 
+def _save(path, cert, trace=()):
+    """save_certificate; an unwritable path is an input error (exit 3)."""
+    from .formats import save_certificate
+    try:
+        save_certificate(path, cert, trace)
+    except OSError as exc:
+        raise InputParseError("cannot write certificate %s: %s"
+                              % (path, exc)) from None
+
+
 def _emit(key, value):
     if isinstance(value, float):
         value = "%.12g" % value
@@ -72,7 +83,9 @@ def _row(*fields):
     print("row " + " ".join(str(f) for f in fields))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="torfill",
                      description="Exact filling certificates and spectral "
                                  "invariants for torus self-maps.")
@@ -148,6 +161,8 @@ def _cmd_reduce(args) -> int:
     from .filling import reduce_parallelogram
     a = _read_matrix(args)
     report = reduce_parallelogram(a)  # raises VerificationFailure (exit 2)
+    if args.out:  # a write failure (exit 3) leaves stdout empty
+        _save(args.out, report.certificate, report.trace)
     _emit("det", report.det)
     _emit("cost", report.cost)
     _emit("log2_norm", report.log2_norm)
@@ -157,8 +172,6 @@ def _cmd_reduce(args) -> int:
         for i, r in enumerate(report.trace):
             _row("move_%d" % i, r.kind, "cost=%d" % r.cost)
     if args.out:
-        from .formats import save_certificate
-        save_certificate(args.out, report.certificate, report.trace)
         _emit("certificate_file", args.out)
     return EXIT_OK
 
@@ -230,7 +243,7 @@ def _cmd_psl2z(args) -> int:
 
 def _cmd_fill(args) -> int:
     from .filling import fill_by_solve, verify_certificate
-    from .formats import load_certificate, load_chain, save_certificate
+    from .formats import load_certificate, load_chain
     if args.verify:
         cert, trace = load_certificate(args.verify)
         ok, diag = verify_certificate(cert)
@@ -247,10 +260,11 @@ def _cmd_fill(args) -> int:
         return EXIT_OK
     z = load_chain(args.cycle)
     cert = fill_by_solve(z, box=args.box, max_expand=args.max_expand)
+    if args.out:
+        _save(args.out, cert)
     _emit("cost", cert.cost)
     _emit("witness_simplices", len(cert.witness.terms))
     if args.out:
-        save_certificate(args.out, cert)
         _emit("certificate_file", args.out)
     return EXIT_OK
 

@@ -7,9 +7,10 @@ as pushforwards and prism lifts of a table of 11 base certificates, found
 once by exact Diophantine solving and shipped as package data that is
 re-verified on load.  Every move and reduction step returns a Piece:
 symbolic per-move chunks (a base key, an integer column matrix and a
-coefficient) whose cycles present the target.  Piece.certificate() and
-reduce_parallelogram build each chunk's witness chain once, assemble and
-verify it.
+coefficient) that carry no cycles; a chunk's target is derived from its key
+as the key's universal presentation pushed along its columns.
+Piece.certificate() and reduce_parallelogram build each chunk's witness
+chain once, assemble and verify it.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

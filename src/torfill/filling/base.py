@@ -16,66 +16,53 @@ import functools
 from pathlib import Path
 from types import SimpleNamespace
 
-from ..chains import TorusChain, parallelogram_cycle
+from ..chains import TorusChain
 from ..errors import (InputParseError, UnsupportedDimension,
                       VerificationFailure)
-from .certificate import FillingCertificate, require_valid
+from .certificate import (FillingCertificate, presentation_chain,
+                          require_valid)
 
 TABLE_DIR = Path(__file__).parent / "base_table"
 
 
-def _basis(n):
-    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+# Each key's universal target as ((coeff, gens), ...), a signed sum of
+# parallelogram cycles Q(gens) in T^m, m = len(gens[0]); the keys after None
+# in BASE_KEYS order.  None is Q(0) in T^1, which the constant 2-simplex
+# [0, 0, 0] fills.  Transposing two generators negates a cycle exactly, so
+# REARR(2) sums to the zero chain.
+_PRESENTATIONS = {
+    None: ((1, ((0,),)),),
+    ("REARR", 2): ((1, ((1, 0), (0, 1))), (1, ((0, 1), (1, 0)))),
+    ("REARR", 3): ((1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                   (1, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))),
+    ("NEGATE", 2): ((1, ((1, 0), (0, 1))), (1, ((-1, 0), (0, 1)))),
+    ("SPLIT", 2): ((1, ((1, 0, 0), (0, 1, 1))), (-1, ((1, 0, 0), (0, 1, 0))),
+                   (-1, ((1, 0, 0), (0, 0, 1)))),
+    ("ZERO", 1): ((1, ((1,), (0,))),),
+    ("ZERO", 2): ((1, ((1, 0), (0, 1), (0, 0))),),
+    **{("DEHN", k): ((1, ((1, 0), (0, 1))), (-1, ((1, 0), (-k, 1))))
+       for k in range(4)},
+    ("DOUBLE_HALVE",): ((1, ((1, 0), (0, 2))), (-1, ((2, 0), (0, 1)))),
+}
+
+BASE_KEYS = tuple(key for key in _PRESENTATIONS if key is not None)
+
+
+def universal_presentation(key) -> tuple:
+    """The universal target of a base key (or None) as ((coeff, gens), ...),
+    from the constant table above."""
+    try:
+        return _PRESENTATIONS[key]
+    except KeyError:
+        raise UnsupportedDimension("no universal cycle for key %r"
+                                   % (key,)) from None
 
 
 def universal_cycle(key) -> TorusChain:
-    """The universal target cycle of a base key.
-
-    REARR(2)  transposing the two generators negates the cycle exactly, so
-              the universal target is the zero chain in T^2.
-    REARR(3)  Q(E1,E2,E3) + Q(E1,E3,E2) in T^3 (last-two transposition).
-    NEGATE(2) Q(E1,E2) + Q(-E1,E2) in T^2.
-    SPLIT(2)  Q(E1,E2+E3) - Q(E1,E2) - Q(E1,E3) in T^3.
-    ZERO(k)   Q(E1,..,Ek,0) in T^k, k = 1, 2.
-    DEHN(k)   Q(E1,E2) - Q(E1,E2-k*E1) in T^2, k = 0..3.
-    DOUBLE_HALVE  Q(E1,2*E2) - Q(2*E1,E2) in T^2.
-    """
-    kind = key[0]
-    if kind == "REARR" and key[1] == 2:
-        return TorusChain.zero(2, 2)
-    if kind == "REARR" and key[1] == 3:
-        e1, e2, e3 = _basis(3)
-        return parallelogram_cycle([e1, e2, e3]) + parallelogram_cycle([e1, e3, e2])
-    if kind == "NEGATE" and key[1] == 2:
-        e1, e2 = _basis(2)
-        return parallelogram_cycle([e1, e2]) + parallelogram_cycle([(-1, 0), e2])
-    if kind == "SPLIT" and key[1] == 2:
-        e1, e2, e3 = _basis(3)
-        return (parallelogram_cycle([e1, (0, 1, 1)])
-                - parallelogram_cycle([e1, e2])
-                - parallelogram_cycle([e1, e3]))
-    if kind == "ZERO" and key[1] in (1, 2):
-        k = key[1]
-        gens = _basis(k) + [(0,) * k]
-        return parallelogram_cycle(gens)
-    if kind == "DEHN" and key[1] in (0, 1, 2, 3):
-        kappa = key[1]
-        e1, e2 = _basis(2)
-        return (parallelogram_cycle([e1, e2])
-                - parallelogram_cycle([e1, (-kappa, 1)]))
-    if kind == "DOUBLE_HALVE":
-        e1, e2 = _basis(2)
-        return (parallelogram_cycle([e1, (0, 2)])
-                - parallelogram_cycle([(2, 0), e2]))
-    raise UnsupportedDimension("no universal cycle for key %r" % (key,))
-
-
-BASE_KEYS = (
-    ("REARR", 2), ("REARR", 3), ("NEGATE", 2), ("SPLIT", 2),
-    ("ZERO", 1), ("ZERO", 2),
-    ("DEHN", 0), ("DEHN", 1), ("DEHN", 2), ("DEHN", 3),
-    ("DOUBLE_HALVE",),
-)
+    """The universal target cycle of a base key: its presentation summed."""
+    presentation = universal_presentation(key)
+    gens = presentation[0][1]
+    return presentation_chain(len(gens[0]), len(gens), presentation)
 
 
 def _key_filename(key) -> str:

@@ -1,13 +1,15 @@
 """Filling certificates, move records, and the exact verifier.
 
 A Piece is the one form of a certificate in progress, and it is symbolic: a
-list of witness chunks, one per move, each tagged with the move metadata
-and the signed parallelogram cycles that make up its target.  A chunk names
-a base certificate, an integer column matrix F = [f | v_1..v_d] and a
-coefficient; it stands for coeff * F_*(base witness prism-lifted d times).
+list of witness chunks, one per move, each tagged with the move's kind and
+parameters.  A chunk names a base key, an integer column matrix
+F = [f | v_1..v_d] and a coefficient; it stands for
+coeff * F_*(base witness prism-lifted d times).  A chunk carries no cycles:
+its target is derived from its key, as coeff * F_* of the key's universal
+presentation with the lift vectors appended to every generator tuple.
 Pieces add like elements of the chain group; pushforwards and prism lifts
-act on the columns and the cycles only.  Each witness chain is built once,
-in Piece.assemble, so the per-move costs are the costs actually realized.
+act on the columns only.  Each witness chain is built once, in
+Piece.assemble, so the per-move costs are the costs actually realized.
 
 lifted(key, d) memoises each lifted base witness as an index table: its
 distinct vertices, the origin first, and each simplex as a getter over the
@@ -35,8 +37,8 @@ from ..exactlinalg import _check
 class MoveRecord:
     """One move of the reduction walk.
 
-    kind is one of REARRANGE, NEGATE, SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE,
-    PRISM_LIFT, SLIDE, S1_BASE; params is integer data describing the move;
+    kind is one of NEGATE, SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE, PRISM_LIFT,
+    SLIDE; params is integer data describing the move;
     cost is the move's marginal contribution to the assembled witness's l^1
     norm (negative when its chunk cancels simplices already present), so the
     record costs sum exactly to the certificate cost; class_delta is the
@@ -136,15 +138,12 @@ def require_valid(cert: FillingCertificate, presentation=None):
 
 @dataclass(frozen=True)
 class ChunkMeta:
-    """Move metadata attached to one witness chunk.
-
-    cycles: ((coeff, gens), ...) — the signed parallelogram cycles whose sum
-    is the chunk's own target; their signed class sum must vanish.
-    """
+    """Move metadata attached to one witness chunk: the move's kind and
+    integer parameters.  The chunk's target is not stored here; Chunk.cycles
+    derives it from the chunk's key."""
 
     kind: str
     params: tuple
-    cycles: tuple
 
 
 def _unit(n, i):
@@ -164,6 +163,31 @@ def _lift(key, d) -> TorusChain:
     m = inner.ambient_dim
     embed = [_unit(m + 1, i) for i in range(m)]
     return prism_v(_unit(m + 1, m), pushforward(embed, inner))
+
+
+@functools.cache
+def _shape(key) -> tuple:
+    """(m, k): the universal cycle of `key` is a degree-k cycle in T^m."""
+    from .base import universal_presentation
+    gens = universal_presentation(key)[0][1]
+    return len(gens[0]), len(gens)
+
+
+@functools.cache
+def lifted_presentation(key, d) -> tuple:
+    """The universal presentation of `key` in T^(m+d), prism-lifted along
+    e_(m+1), .., e_(m+d): those d vectors are appended to every generator
+    tuple.  Raises VerificationFailure unless its class sum vanishes."""
+    from .base import universal_presentation
+    m, k = _shape(key)
+    lift = tuple(_unit(m + d, i) for i in range(m, m + d))
+    presentation = tuple((c, tuple(g + (0,) * d for g in gens) + lift)
+                         for c, gens in universal_presentation(key))
+    cls = class_sum(m + d, k + d, presentation)
+    if any(cls):
+        raise VerificationFailure("the presentation of %r lifted %d times has"
+                                  " class %r, not 0" % (key, d, cls))
+    return presentation
 
 
 @functools.cache
@@ -192,6 +216,21 @@ class Chunk(NamedTuple):
     coeff: int
 
     @property
+    def depth(self) -> int:
+        """d, the number of prism-lift columns after the base columns."""
+        return len(self.columns) - _shape(self.source)[0]
+
+    @property
+    def cycles(self) -> tuple:
+        """The chunk's target as ((coeff, gens), ...): the lifted universal
+        presentation of its key pushed along its columns, times coeff."""
+        if not self.coeff:
+            return ()
+        image = linear_map(self.columns)
+        return tuple((self.coeff * c, tuple(map(image, gens))) for c, gens
+                     in lifted_presentation(self.source, self.depth))
+
+    @property
     def terms(self) -> dict:
         """The chunk's witness terms, built from its base witness.
 
@@ -199,8 +238,7 @@ class Chunk(NamedTuple):
         simplex is canonical as indexed: F maps each distinct vertex once."""
         if not self.coeff:
             return {}
-        d = len(self.columns) - len(lifted(self.source, 0)[0][0])
-        points, simplices = lifted(self.source, d)
+        points, simplices = lifted(self.source, self.depth)
         images = list(map(linear_map(self.columns), points))
         k = self.coeff
         acc = {}
@@ -215,8 +253,8 @@ class Chunk(NamedTuple):
 class Piece:
     """Certificate in progress: [(ChunkMeta, Chunk)], one pair per move.
 
-    A piece holds no chains.  Its target is rebuilt on demand from the chunk
-    cycles, and assemble() builds the witness.
+    A piece holds no chains and no cycles.  Its target is derived on demand
+    from the chunks' keys and columns, and assemble() builds the witness.
     """
 
     ambient_dim: int
@@ -228,38 +266,30 @@ class Piece:
         return Piece(ambient_dim, degree, [])
 
     @staticmethod
-    def move(key, kind, params, columns, cycles) -> "Piece":
+    def move(key, kind, params, columns) -> "Piece":
         """One move: the base certificate of `key` pushed along the map
-        E_i -> columns[i]; cycles present the move's target."""
-        meta = ChunkMeta(kind, tuple(params), tuple(cycles))
+        E_i -> columns[i]; its target is the key's universal cycle pushed
+        the same way."""
         columns = tuple(map(tuple, columns))
-        return Piece(len(columns[0]), len(meta.cycles[0][1]),
-                     [(meta, Chunk(key, columns, 1))])
+        m, k = _shape(key)
+        return Piece(len(columns[0]), k + len(columns) - m,
+                     [(ChunkMeta(kind, tuple(params)), Chunk(key, columns, 1))])
 
     @property
     def target(self) -> TorusChain:
         return presentation_chain(self.ambient_dim, self.degree, [
-            cycle for meta, _ in self.chunks for cycle in meta.cycles])
+            cycle for _, chunk in self.chunks for cycle in chunk.cycles])
 
     def marked(self, kind, params) -> "Piece":
-        """This piece with a marker chunk (no witness, no cycles) appended."""
-        return self + Piece(self.ambient_dim, self.degree,
-                            [(ChunkMeta(kind, tuple(params), ()),
-                              Chunk(None, (), 0))])
+        """This piece with a marker chunk (no witness) appended."""
+        return Piece(self.ambient_dim, self.degree, self.chunks + [
+            (ChunkMeta(kind, tuple(params)), Chunk(None, (), 0))])
 
     def __add__(self, other: "Piece") -> "Piece":
         _check((self.ambient_dim, self.degree)
                == (other.ambient_dim, other.degree),
                "pieces of different tori or degrees")
         return Piece(self.ambient_dim, self.degree, self.chunks + other.chunks)
-
-    def _remap(self, ambient_dim, degree, cycle, chunk) -> "Piece":
-        """Rewrite every (coeff, gens) cycle with `cycle` and every chunk
-        with `chunk`."""
-        return Piece(ambient_dim, degree, [
-            (ChunkMeta(meta.kind, meta.params,
-                       tuple([cycle(c, g) for c, g in meta.cycles])),
-             chunk(ch)) for meta, ch in self.chunks])
 
     def __neg__(self) -> "Piece":
         return self.scale(-1)
@@ -270,33 +300,34 @@ class Piece:
     def scale(self, k: int) -> "Piece":
         if k == 1:
             return self
-        return self._remap(self.ambient_dim, self.degree,
-                           lambda c, g: (k * c, g),
-                           lambda ch: Chunk(ch.source, ch.columns,
-                                            k * ch.coeff))
+        return Piece(self.ambient_dim, self.degree, [
+            (meta, Chunk(ch.source, ch.columns, k * ch.coeff))
+            for meta, ch in self.chunks])
 
     def pushforward(self, columns) -> "Piece":
         """Realize the piece along the integral map e_i -> columns[i]
         (l^1 non-increasing)."""
         image = linear_map(columns)
-        return self._remap(
-            len(columns[0]), self.degree,
-            lambda c, g: (c, tuple(map(image, g))),
-            lambda ch: Chunk(ch.source, tuple(map(image, ch.columns)),
-                             ch.coeff))
+        return Piece(len(columns[0]), self.degree, [
+            (meta, Chunk(ch.source, tuple(map(image, ch.columns)), ch.coeff))
+            for meta, ch in self.chunks])
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""
         v = tuple(int(x) for x in v)
-        lift = self._remap(self.ambient_dim, self.degree + 1,
-                           lambda c, g: (c, g + (v,)),
-                           lambda ch: Chunk(ch.source, ch.columns + (v,),
-                                            ch.coeff))
-        return lift.marked("PRISM_LIFT", (v,))
+        return Piece(self.ambient_dim, self.degree + 1, [
+            (meta, Chunk(ch.source, ch.columns + (v,), ch.coeff))
+            for meta, ch in self.chunks]).marked("PRISM_LIFT", (v,))
 
     def assemble(self):
         """(witness, records): each chunk's chain is built once and merged in
-        one dict pass, with marginal costs telescoping to l1(witness)."""
+        one dict pass, with marginal costs telescoping to l1(witness).  A
+        chunk's class is Lambda^k F of its lifted universal presentation's,
+        so the class check runs once per (key, d); every class_delta is 0."""
+        for key, d in {(chunk.source, chunk.depth)
+                       for _, chunk in self.chunks if chunk.coeff}:
+            lifted_presentation(key, d)
+        zero_class = (0,) * comb(self.ambient_dim, self.degree)
         acc = {}
         norm = 0
         records = []
@@ -310,12 +341,8 @@ class Piece:
                     acc[simplex] = new
                 elif simplex in acc:
                     del acc[simplex]
-            delta = class_sum(self.ambient_dim, self.degree, meta.cycles)
-            if any(delta):
-                raise VerificationFailure("class bookkeeping violated: %r"
-                                          % (meta,))
             records.append(MoveRecord(meta.kind, meta.params, norm - before,
-                                      delta))
+                                      zero_class))
         witness = TorusChain(self.ambient_dim, self.degree + 1, acc)
         if norm != l1_norm(witness):
             raise VerificationFailure("move costs sum to %d, not l1(witness)"

@@ -32,17 +32,10 @@ def _add_vec(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _content(v) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
-
-
 def primitive_decomposition(v):
     """v = d * u0 with d > 0 and u0 primitive (same direction as v)."""
     v = _vec(v)
-    d = _content(v)
+    d = math.gcd(*v)
     if d == 0:
         raise ValueError("zero vector has no primitive direction")
     return d, tuple(x // d for x in v)
@@ -55,9 +48,7 @@ def move_negate(gens, pos) -> Piece:
     if k < 2 or k > 3:
         raise UnsupportedDimension("negation supported for 2 or 3 generators")
     if pos == 0 and k == 2:
-        neg = (_scale_vec(-1, gens[0]), gens[1])
-        return Piece.move(("NEGATE", 2), "NEGATE", (0, gens),
-                          [gens[0], gens[1]], [(1, gens), (1, neg)])
+        return Piece.move(("NEGATE", 2), "NEGATE", (0, gens), gens)
     if pos == 0:
         return move_negate(gens[:2], 0).prism_lift(gens[2])
     # conjugate by an exact transposition: Q(..a,b..) = -Q(..b,a..)
@@ -75,9 +66,8 @@ def move_split(gens, pos, v1, v2) -> Piece:
            "split parts must sum to the generator")
     k = len(gens)
     if k == 2 and pos == 1:
-        return Piece.move(
-            ("SPLIT", 2), "SPLIT", (pos, gens, v1, v2), [gens[0], v1, v2],
-            [(1, gens), (-1, (gens[0], v1)), (-1, (gens[0], v2))])
+        return Piece.move(("SPLIT", 2), "SPLIT", (pos, gens, v1, v2),
+                          [gens[0], v1, v2])
     if k == 2 and pos == 0:
         return -move_split((gens[1], gens[0]), 1, v1, v2)
     if k == 3 and pos < 2:
@@ -96,30 +86,26 @@ def move_zero_gen(gens) -> Piece:
     pos = gens.index(zero)
     if k == 1:
         # Q(0) = [0,0] bounds the constant 2-simplex [0,0,0] exactly
-        return Piece.move(None, "ZERO_GEN", (0, gens), [zero], [(1, gens)])
+        return Piece.move(None, "ZERO_GEN", (0, gens), [zero])
     if k - 1 not in (1, 2):
         raise UnsupportedDimension("zero-generator fill needs k <= 3")
-    moved = gens[:pos] + gens[pos + 1:] + (zero,)
     sign = -1 if (k - 1 - pos) % 2 else 1
     return Piece.move(("ZERO", k - 1), "ZERO_GEN", (pos, gens),
-                      moved[:-1], [(1, moved)]).scale(sign)
+                      gens[:pos] + gens[pos + 1:]).scale(sign)
 
 
 def move_dehn(x, y, kappa) -> Piece:
     """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 0..3."""
     if kappa == 0:
         return Piece.zero(1, 2)
-    return Piece.move(
-        ("DEHN", kappa), "DEHN", (kappa, x, y), [(x,), (y,)],
-        [(1, ((x,), (y,))), (-1, ((x,), (y - kappa * x,)))])
+    return Piece.move(("DEHN", kappa), "DEHN", (kappa, x, y), [(x,), (y,)])
 
 
 def move_double_halve(x, y) -> Piece:
     """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
     _check(y % 2 == 0, "double-halve needs an even second generator")
-    return Piece.move(
-        ("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y), [(x,), (y // 2,)],
-        [(1, ((x,), (y,))), (-1, ((2 * x,), (y // 2,)))])
+    return Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y),
+                      [(x,), (y // 2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +208,24 @@ def s1_moves(a: int, l: int):
     return moves, trace
 
 
-def _s1_move_piece(sign, kind, args) -> Piece:
-    if kind == "NEG1":
-        x, y = args
-        piece = move_negate(((x,), (y,)), 0)
-    elif kind == "NEG2":
-        x, y = args
-        piece = move_negate(((x,), (y,)), 1)
-    elif kind == "DEHN":
-        x, y, k = args
-        piece = move_dehn(x, y, k)
-    elif kind == "DH":
-        x, y = args
-        piece = move_double_halve(x, y)
-    elif kind == "SPLIT1":
-        x, y, p1, p2 = args
-        piece = move_split(((x,), (y,)), 0, (p1,), (p2,))
-    elif kind == "SPLIT2":
-        x, y, p1, p2 = args
-        piece = move_split(((x,), (y,)), 1, (p1,), (p2,))
-    elif kind == "ZERO":
-        piece = move_zero_gen(((args[0],), (0,)))
-    else:
-        raise ValueError("unknown S1 move kind %r" % kind)
-    return piece.scale(sign)
+# the Piece of each s1_moves kind, from its args
+_S1_MOVES = {
+    "NEG1": lambda x, y: move_negate(((x,), (y,)), 0),
+    "NEG2": lambda x, y: move_negate(((x,), (y,)), 1),
+    "DEHN": move_dehn,
+    "DH": move_double_halve,
+    "SPLIT1": lambda x, y, p1, p2: move_split(((x,), (y,)), 0, (p1,), (p2,)),
+    "SPLIT2": lambda x, y, p1, p2: move_split(((x,), (y,)), 1, (p1,), (p2,)),
+    "ZERO": lambda x: move_zero_gen(((x,), (0,))),
+}
 
 
 def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
     doubling/halving schedule.  Move count is O(log|al|)."""
     moves, trace = s1_moves(a, l)
-    return Piece(1, 2, [pair for move in moves
-                        for pair in _s1_move_piece(*move).chunks]), trace
+    return Piece(1, 2, [pair for sign, kind, args in moves for pair
+                        in _S1_MOVES[kind](*args).scale(sign).chunks]), trace
 
 
 def slide(u0, d, m, w) -> Piece:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
 from ..exactlinalg import IntMatrix, _check, det_exact, hnf, mat_pow
-from .certificate import FillingCertificate, Piece, _unit, require_valid
+from .certificate import (FillingCertificate, Piece, _unit,
+                          presentation_chain, require_valid)
 from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
                     move_zero_gen, primitive_decomposition, s1_piece,
                     slide_first, slide_second)
@@ -34,9 +35,7 @@ def _dependency(gens):
     for j in range(a.cols):
         if j not in pivot_cols:
             rel = res.u.column(j)
-            g = 0
-            for x in rel:
-                g = math.gcd(g, abs(x))
+            g = math.gcd(*rel)
             return tuple(x // g for x in rel)
     return None
 
@@ -55,12 +54,6 @@ def _parallel_pair(gens):
             if r == 0 and _scale_vec(beta, u0) == gens[j]:
                 return i, j, u0, d_i, beta
     return None
-
-
-def _move_to_front_sign(k, i, j):
-    """Sign of the permutation sending positions i < j to the front (exact)."""
-    swaps = i + (j - 1)  # bubble i to 0, then j to 1
-    return -1 if swaps % 2 else 1
 
 
 def slim_piece(gens) -> Piece:
@@ -82,7 +75,9 @@ def slim_piece(gens) -> Piece:
         for t in range(k):
             if t not in (i, j):
                 piece = piece.prism_lift(gens[t])
-        return piece.scale(_move_to_front_sign(k, i, j))
+        # the sign of sending positions i < j to the front: bubble i to 0
+        # (i swaps), then j to 1 (j - 1 swaps)
+        return piece.scale(-1 if (i + j - 1) % 2 else 1)
 
     if k > 3:
         raise UnsupportedDimension("slim reduction supported up to 3 generators")
@@ -294,10 +289,11 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
                                   "det %d" % (total, det))
 
     witness, records = piece.assemble()
-    cert = FillingCertificate.build(piece.target, witness)
     unit_rect_gens = tuple(
         _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))
-    require_valid(cert, presentation=[(1, gens), (-1, unit_rect_gens)])
+    claim = [(1, gens), (-1, unit_rect_gens)]
+    cert = FillingCertificate.build(presentation_chain(n, n, claim), witness)
+    require_valid(cert, presentation=claim)
     norm = a.max_abs()
     return ReductionReport(a, cert, records, cert.cost, det,
                            math.log2(norm) if norm else 0.0)

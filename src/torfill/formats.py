@@ -114,6 +114,9 @@ def obj_to_chain(obj) -> TorusChain:
     try:
         n = _json_int(obj["ambient_dim"])
         k = _json_int(obj["degree"])
+        if n < 0 or k < 0:
+            raise ValueError("ambient_dim %d and degree %d must not be"
+                             " negative" % (n, k))
         table = obj if "points" in obj else _inline_to_table(obj)
         points = []  # int tuples
         for v in _list(table["points"]):

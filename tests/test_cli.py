@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from torfill.chains import TorusChain, faces
-from torfill.cli import main
+from torfill.cli import build_parser, main
 from torfill.filling import base
 from torfill.filling.certificate import Piece, lifted
 from torfill.formats import load_certificate
@@ -69,16 +69,21 @@ def test_reduce_and_fill_verify_round_trip(tmp_path, capsys):
     assert kv["verified"] == "True"
 
 
-def test_fill_cycle_from_file(tmp_path, capsys):
+def _cycle_file(tmp_path):
+    """Q(e1,e2) + Q(-e1,e2), null-homologous with a small-box witness."""
     from torfill.chains import parallelogram_cycle
     from torfill.formats import chain_to_obj
-    # null-homologous with a small-box witness: Q(e1,e2) + Q(-e1,e2)
     z = (parallelogram_cycle([(1, 0), (0, 1)])
          + parallelogram_cycle([(-1, 0), (0, 1)]))
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(chain_to_obj(z)))
+    return str(path)
+
+
+def test_fill_cycle_from_file(tmp_path, capsys):
     out_path = tmp_path / "fill.json"
-    code, kv, rows = run(capsys, "fill", "--cycle", str(path), "--out", str(out_path))
+    code, kv, rows = run(capsys, "fill", "--cycle", _cycle_file(tmp_path),
+                         "--out", str(out_path))
     assert code == 0
     assert int(kv["cost"]) >= 1
     code, kv, rows = run(capsys, "fill", "--verify", str(out_path))
@@ -123,9 +128,12 @@ def _table_obj(points, *index_lists):
     _table_obj([["0"], ["1"]], "01"),            # vertices not a list
     _table_obj([["0"], ["1", "0"]], [0, 1]),     # a point not in T^1
     _table_obj([["0"], "1"], [0, 1]),            # a point not a list
+    _chain_obj(-1, -1),                          # a negative dimension
+    _chain_obj(1, -1),                           # a negative degree
 ], ids=["empty", "mixed-dim", "ambient-dim", "degree", "origin", "unhashable",
         "non-integer", "index-range", "index-negative", "index-bool",
-        "vertices-not-list", "point-dim", "point-not-list"])
+        "vertices-not-list", "point-dim", "point-not-list",
+        "negative-ambient-dim", "negative-degree"])
 def test_fill_bad_chain_file_exit_3(tmp_path, capsys, chain):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(chain))
@@ -133,6 +141,72 @@ def test_fill_bad_chain_file_exit_3(tmp_path, capsys, chain):
     captured = capsys.readouterr()
     assert "input error" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_fill_verify_negative_dimensions_exit_3(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "version": 2, "ambient_dim": -1, "degree": -1,
+        "target": {"ambient_dim": -1, "degree": -1, "points": [], "terms": []},
+        "witness": {"ambient_dim": -1, "degree": 0, "points": [], "terms": []},
+        "cost": "0", "trace": []}))
+    assert main(["fill", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "negative" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["reduce", "fill"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_exit_3(tmp_path, capsys, command, where):
+    out = tmp_path / "missing" / "x.json"
+    if where == "a-directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    argv = (["reduce", "--matrix=2,1;1,1"] if command == "reduce"
+            else ["fill", "--cycle", _cycle_file(tmp_path)])
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: cannot write certificate ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+_ONE_CALL = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from torfill.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(json.loads(sys.argv[1]))
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+""")
+
+
+def test_cached_parser_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a refused parse must leave
+    # nothing behind for the calls after it
+    cert = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(cert)]) == 0
+    cycle = _cycle_file(tmp_path)
+    capsys.readouterr()
+    calls = [["fill", "--box", "2", "--max-expand", "1", "--cycle", cycle],
+             ["fill", "--verify", str(cert)],
+             ["fill", "--cycle", cycle],
+             ["reduce", "--matrix=2,1;1,1"]]
+    same_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        same_process.append([code, captured.out, captured.err])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = [json.loads(subprocess.run(
+        [sys.executable, "-c", _ONE_CALL, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300, check=True).stdout) for argv in calls]
+    assert [code for code, _, _ in same_process] == [3, 0, 0, 0]
+    assert same_process == fresh
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("witness_terms", [[[(0, 0), (1, 0), (1, 1)]], []],
@@ -402,8 +476,8 @@ _UNDER_O = textwrap.dedent("""
     from torfill.cli import main
     from torfill.errors import VerificationFailure
     from torfill.exactlinalg import IntMatrix, _verify_snf, snf
-    from torfill.filling.certificate import Chunk, ChunkMeta, Piece
-    from torfill.filling.moves import move_split
+    from torfill.filling import base
+    from torfill.filling.moves import move_negate, move_split
     from torfill.spectral import poly_div_exact
 
     assert False, "python -O strips plain asserts"
@@ -412,12 +486,18 @@ _UNDER_O = textwrap.dedent("""
         _verify_snf(replace(res, d=IntMatrix(((1, 0), (0, 8)))))
     except VerificationFailure:
         print("tampered SNF refused")
-    # one chunk whose cycles have class sum 1, not 0
-    meta = ChunkMeta("NEGATE", (), ((1, ((1, 0), (0, 1))),))
+    # a NEGATE presentation of class 2, not 0, after the shipped certificate
+    # was loaded against the true one: the per-(key, d) check refuses it
+    key = ("NEGATE", 2)
+    base.base_certificate(key)
+    true = base._PRESENTATIONS[key]
+    base._PRESENTATIONS[key] = ((1, ((1, 0), (0, 1))), (1, ((1, 0), (0, 1))))
     try:
-        Piece(2, 2, [(meta, Chunk(None, (), 0))]).assemble()
-    except VerificationFailure:
-        print("class sum refused")
+        move_negate(((1, 0), (0, 1)), 0).assemble()
+    except VerificationFailure as exc:
+        if "class" in str(exc):
+            print("class sum refused")
+    base._PRESENTATIONS[key] = true
     try:
         poly_div_exact((1, 0, 1), (1, -1))  # x - 1 does not divide x^2 + 1
     except VerificationFailure:

@@ -16,7 +16,8 @@ from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              universal_cycle, verify_certificate)
 from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
                                   default_cache)
-from torfill.filling.certificate import Chunk, _lift, class_sum
+from torfill.filling.certificate import (Chunk, _lift, _shape, class_sum,
+                                        presentation_chain)
 from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
 
@@ -98,6 +99,52 @@ def test_base_costs_pinned():
     costs = tuple(base_costs()[key] for key in BASE_KEYS)
     assert costs == _SHIPPED_COSTS
     assert all(new <= old for new, old in zip(costs, _FIRST_SOLVE_COSTS))
+
+
+def _reference_universal_cycle(key):
+    """The universal cycles as explicit parallelogram sums, independent of
+    the presentation table."""
+    q = lambda *gens: parallelogram_cycle(gens)  # noqa: E731
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    kind = key[0]
+    if key == ("REARR", 2):
+        return TorusChain.zero(2, 2)
+    if key == ("REARR", 3):
+        return q(e1, e2, e3) + q(e1, e3, e2)
+    if key == ("NEGATE", 2):
+        return q(E1, E2) + q((-1, 0), E2)
+    if key == ("SPLIT", 2):
+        return q(e1, (0, 1, 1)) - q(e1, e2) - q(e1, e3)
+    if key == ("ZERO", 1):
+        return q((1,), (0,))
+    if key == ("ZERO", 2):
+        return q(E1, E2, (0, 0))
+    if kind == "DEHN":
+        return q(E1, E2) - q(E1, (-key[1], 1))
+    assert key == ("DOUBLE_HALVE",)
+    return q(E1, (0, 2)) - q((2, 0), E2)
+
+
+def test_universal_cycle_matches_reference():
+    for key in BASE_KEYS:
+        assert universal_cycle(key) == _reference_universal_cycle(key), key
+
+
+def test_chunk_cycles_present_chunk_boundary():
+    # a chunk's derived cycles sum to the boundary of its own witness terms,
+    # for every key, one prism lift or none, and any integer columns
+    rng = random.Random(15)
+    for key in BASE_KEYS + (None,):
+        m, k = _shape(key)
+        for d in (0, 1):
+            for coeff in (1, -1, 2, -2):
+                n = m + d
+                columns = tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                                for _ in range(m + d))
+                chunk = Chunk(key, columns, coeff)
+                witness = TorusChain(n, k + d + 1, chunk.terms)
+                assert (presentation_chain(n, k + d, chunk.cycles)
+                        == boundary(witness)), (key, d, columns, coeff)
 
 
 def test_universal_cycles_have_zero_class():
@@ -500,6 +547,35 @@ def test_reduce_class_records_are_zero():
     rep = reduce_parallelogram(IntMatrix(((3, 2), (1, 1))))
     for record in rep.trace:
         assert not any(record.class_delta)
+
+
+def test_tracer_assemble_measure_reads_real_pieces(monkeypatch):
+    # perfbench's span for Piece.assemble reads `piece.chunks` as
+    # (meta, chunk) pairs whose chunk has .terms; a layout change that
+    # breaks traced benchmark runs must fail here
+    import importlib.util
+    from pathlib import Path
+    from torfill.filling.certificate import Piece
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    _, measure = tracing.SPANS[("torfill.filling.certificate",
+                                "Piece.assemble")]
+    assemble, calls = Piece.assemble, []
+
+    def recording(self):
+        result = assemble(self)
+        calls.append((self, result))
+        return result
+
+    monkeypatch.setattr(Piece, "assemble", recording)
+    rep = reduce_parallelogram(IntMatrix(((5, 3), (3, 2))))
+    (piece, result), = calls
+    chunk_simplices, witness_simplices = measure((piece,), result)
+    assert witness_simplices == len(rep.certificate.witness.terms) > 0
+    assert chunk_simplices == sum(len(chunk.terms)
+                                  for _, chunk in piece.chunks) > 0
 
 
 def test_fv_upper_experiment_identity_and_anosov():
