@@ -43,10 +43,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
                                for i in range(n)))
 
-    @staticmethod
-    def zero(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * c for _ in range(r)))
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
@@ -419,13 +415,6 @@ def solve_diophantine(a: IntMatrix, b):
     x = res.u.apply(y)
     _check(a.apply(x) == b, "Diophantine solution failed re-verification")
     return x
-
-
-def column_lattice_basis(a: IntMatrix) -> IntMatrix:
-    """Matrix whose columns are a lattice basis of the column span of A."""
-    res = hnf(a)
-    cols = [res.h.column(c) for _, c in res.pivots]
-    return IntMatrix(tuple(zip(*cols))) if cols else IntMatrix.zero(a.rows, 0)
 
 
 @dataclass(frozen=True)

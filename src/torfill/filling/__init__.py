@@ -8,9 +8,10 @@ once by exact Diophantine solving and shipped as package data that is
 re-verified on load.  Every move and reduction step returns a Piece:
 symbolic per-move chunks (a base key, an integer column matrix and a
 coefficient) that carry no cycles; a chunk's target is derived from its key
-as the key's universal presentation pushed along its columns.
-Piece.certificate() and reduce_parallelogram build each chunk's witness
-chain once, assemble and verify it.
+as the key's universal presentation pushed along its columns.  Each chunk
+is tagged with its move's kind; assembly gives one MoveRecord (kind, cost)
+per chunk.  Piece.certificate() and reduce_parallelogram build each chunk's
+witness chain once, assemble and verify it.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

@@ -1,9 +1,10 @@
 """Filling certificates, move records, and the exact verifier.
 
 A Piece is the one form of a certificate in progress, and it is symbolic: a
-list of witness chunks, one per move, each tagged with the move's kind and
-parameters.  A chunk names a base key, an integer column matrix
-F = [f | v_1..v_d] and a coefficient; it stands for
+list of witness chunks, one per move, each tagged with the move's kind.
+Assembly turns each tag into a MoveRecord of the kind and the move's
+marginal cost, which is all a trace keeps.  A chunk names a base key, an
+integer column matrix F = [f | v_1..v_d] and a coefficient; it stands for
 coeff * F_*(base witness prism-lifted d times).  A chunk carries no cycles:
 its target is derived from its key, as coeff * F_* of the key's universal
 presentation with the lift vectors appended to every generator tuple.
@@ -33,23 +34,17 @@ from ..errors import VerificationFailure
 from ..exactlinalg import _check
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    """One move of the reduction walk.
+class MoveRecord(NamedTuple):
+    """One move of the reduction walk: its kind and its cost.
 
     kind is one of NEGATE, SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE, PRISM_LIFT,
-    SLIDE; params is integer data describing the move;
-    cost is the move's marginal contribution to the assembled witness's l^1
-    norm (negative when its chunk cancels simplices already present), so the
-    record costs sum exactly to the certificate cost; class_delta is the
-    (always zero) signed sum of the homology classes of the cycles the move
-    created minus those it consumed.
+    SLIDE; cost is the move's marginal contribution to the assembled
+    witness's l^1 norm (negative when its chunk cancels simplices already
+    present), so the record costs sum exactly to the certificate cost.
     """
 
     kind: str
-    params: tuple
     cost: int
-    class_delta: tuple
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,6 @@ def require_valid(cert: FillingCertificate, presentation=None):
     if not ok:
         raise VerificationFailure("; ".join(diagnostics))
     return cert
-
-
-@dataclass(frozen=True)
-class ChunkMeta:
-    """Move metadata attached to one witness chunk: the move's kind and
-    integer parameters.  The chunk's target is not stored here; Chunk.cycles
-    derives it from the chunk's key."""
-
-    kind: str
-    params: tuple
 
 
 def _unit(n, i):
@@ -251,7 +236,8 @@ class Chunk(NamedTuple):
 
 @dataclass
 class Piece:
-    """Certificate in progress: [(ChunkMeta, Chunk)], one pair per move.
+    """Certificate in progress: [(kind, Chunk)], one pair per move, where
+    kind names the move for its MoveRecord.
 
     A piece holds no chains and no cycles.  Its target is derived on demand
     from the chunks' keys and columns, and assemble() builds the witness.
@@ -266,24 +252,25 @@ class Piece:
         return Piece(ambient_dim, degree, [])
 
     @staticmethod
-    def move(key, kind, params, columns) -> "Piece":
-        """One move: the base certificate of `key` pushed along the map
-        E_i -> columns[i]; its target is the key's universal cycle pushed
-        the same way."""
+    def move(key, kind, columns) -> "Piece":
+        """One move of the given kind: the base certificate of `key` pushed
+        along the map E_i -> columns[i]; its target is the key's universal
+        cycle pushed the same way."""
         columns = tuple(map(tuple, columns))
         m, k = _shape(key)
         return Piece(len(columns[0]), k + len(columns) - m,
-                     [(ChunkMeta(kind, tuple(params)), Chunk(key, columns, 1))])
+                     [(kind, Chunk(key, columns, 1))])
 
     @property
     def target(self) -> TorusChain:
         return presentation_chain(self.ambient_dim, self.degree, [
             cycle for _, chunk in self.chunks for cycle in chunk.cycles])
 
-    def marked(self, kind, params) -> "Piece":
-        """This piece with a marker chunk (no witness) appended."""
+    def marked(self, kind) -> "Piece":
+        """This piece with a marker chunk (no witness) appended; it records
+        a move of the given kind at cost 0."""
         return Piece(self.ambient_dim, self.degree, self.chunks + [
-            (ChunkMeta(kind, tuple(params)), Chunk(None, (), 0))])
+            (kind, Chunk(None, (), 0))])
 
     def __add__(self, other: "Piece") -> "Piece":
         _check((self.ambient_dim, self.degree)
@@ -301,37 +288,37 @@ class Piece:
         if k == 1:
             return self
         return Piece(self.ambient_dim, self.degree, [
-            (meta, Chunk(ch.source, ch.columns, k * ch.coeff))
-            for meta, ch in self.chunks])
+            (kind, Chunk(ch.source, ch.columns, k * ch.coeff))
+            for kind, ch in self.chunks])
 
     def pushforward(self, columns) -> "Piece":
         """Realize the piece along the integral map e_i -> columns[i]
         (l^1 non-increasing)."""
         image = linear_map(columns)
         return Piece(len(columns[0]), self.degree, [
-            (meta, Chunk(ch.source, tuple(map(image, ch.columns)), ch.coeff))
-            for meta, ch in self.chunks])
+            (kind, Chunk(ch.source, tuple(map(image, ch.columns)), ch.coeff))
+            for kind, ch in self.chunks])
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""
         v = tuple(int(x) for x in v)
         return Piece(self.ambient_dim, self.degree + 1, [
-            (meta, Chunk(ch.source, ch.columns + (v,), ch.coeff))
-            for meta, ch in self.chunks]).marked("PRISM_LIFT", (v,))
+            (kind, Chunk(ch.source, ch.columns + (v,), ch.coeff))
+            for kind, ch in self.chunks]).marked("PRISM_LIFT")
 
     def assemble(self):
         """(witness, records): each chunk's chain is built once and merged in
         one dict pass, with marginal costs telescoping to l1(witness).  A
         chunk's class is Lambda^k F of its lifted universal presentation's,
-        so the class check runs once per (key, d); every class_delta is 0."""
+        so checking that class vanishes once per (key, d) checks every
+        chunk's."""
         for key, d in {(chunk.source, chunk.depth)
                        for _, chunk in self.chunks if chunk.coeff}:
             lifted_presentation(key, d)
-        zero_class = (0,) * comb(self.ambient_dim, self.degree)
         acc = {}
         norm = 0
         records = []
-        for meta, chunk in self.chunks:
+        for kind, chunk in self.chunks:
             before = norm
             for simplex, coeff in chunk.terms.items():
                 old = acc.get(simplex, 0)
@@ -341,8 +328,7 @@ class Piece:
                     acc[simplex] = new
                 elif simplex in acc:
                     del acc[simplex]
-            records.append(MoveRecord(meta.kind, meta.params, norm - before,
-                                      zero_class))
+            records.append(MoveRecord(kind, norm - before))
         witness = TorusChain(self.ambient_dim, self.degree + 1, acc)
         if norm != l1_norm(witness):
             raise VerificationFailure("move costs sum to %d, not l1(witness)"

@@ -48,7 +48,7 @@ def move_negate(gens, pos) -> Piece:
     if k < 2 or k > 3:
         raise UnsupportedDimension("negation supported for 2 or 3 generators")
     if pos == 0 and k == 2:
-        return Piece.move(("NEGATE", 2), "NEGATE", (0, gens), gens)
+        return Piece.move(("NEGATE", 2), "NEGATE", gens)
     if pos == 0:
         return move_negate(gens[:2], 0).prism_lift(gens[2])
     # conjugate by an exact transposition: Q(..a,b..) = -Q(..b,a..)
@@ -66,8 +66,7 @@ def move_split(gens, pos, v1, v2) -> Piece:
            "split parts must sum to the generator")
     k = len(gens)
     if k == 2 and pos == 1:
-        return Piece.move(("SPLIT", 2), "SPLIT", (pos, gens, v1, v2),
-                          [gens[0], v1, v2])
+        return Piece.move(("SPLIT", 2), "SPLIT", [gens[0], v1, v2])
     if k == 2 and pos == 0:
         return -move_split((gens[1], gens[0]), 1, v1, v2)
     if k == 3 and pos < 2:
@@ -86,11 +85,11 @@ def move_zero_gen(gens) -> Piece:
     pos = gens.index(zero)
     if k == 1:
         # Q(0) = [0,0] bounds the constant 2-simplex [0,0,0] exactly
-        return Piece.move(None, "ZERO_GEN", (0, gens), [zero])
+        return Piece.move(None, "ZERO_GEN", [zero])
     if k - 1 not in (1, 2):
         raise UnsupportedDimension("zero-generator fill needs k <= 3")
     sign = -1 if (k - 1 - pos) % 2 else 1
-    return Piece.move(("ZERO", k - 1), "ZERO_GEN", (pos, gens),
+    return Piece.move(("ZERO", k - 1), "ZERO_GEN",
                       gens[:pos] + gens[pos + 1:]).scale(sign)
 
 
@@ -98,14 +97,13 @@ def move_dehn(x, y, kappa) -> Piece:
     """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 0..3."""
     if kappa == 0:
         return Piece.zero(1, 2)
-    return Piece.move(("DEHN", kappa), "DEHN", (kappa, x, y), [(x,), (y,)])
+    return Piece.move(("DEHN", kappa), "DEHN", [(x,), (y,)])
 
 
 def move_double_halve(x, y) -> Piece:
     """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
     _check(y % 2 == 0, "double-halve needs an even second generator")
-    return Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE", (x, y),
-                      [(x,), (y // 2,)])
+    return Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE", [(x,), (y // 2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def slide(u0, d, m, w) -> Piece:
     piece = move_split((v, shifted), 1, w, _scale_vec(m, u0))
     inner, _ = s1_piece(d, m)
     piece = piece + inner.pushforward([u0])
-    return piece.marked("SLIDE", (u0, d, m, w))
+    return piece.marked("SLIDE")
 
 
 def slide_second(v, w, delta) -> Piece:

@@ -6,15 +6,18 @@ once, as a list of coordinates, in order of first use over the sorted
 simplices, and terms is a list of records {coeff, vertices} sorted by
 simplex, where vertices are indices into points.  A certificate container
 carries version (2), ambient_dim, degree, target, witness, cost, and the
-move trace.  A file is ``json.dumps(obj, sort_keys=True)`` of its object and
-a newline; the shipped base table is in this layout.
+move trace, a list of records {kind, cost}: the move's kind and its
+marginal cost.  A file is ``json.dumps(obj, sort_keys=True)`` of its object
+and a newline; the shipped base table is in this layout.
 
-The reader accepts only that spelling: a coefficient, coordinate, cost or
-trace field is a string equal to ``str()`` of its integer, a point is a list
-of ambient_dim coordinates, an index is a JSON integer into points, and
-version, ambient_dim and degree are JSON integers.  Version 1 files, whose
-chain records spell out each vertex as a list of coordinates and have no
-points, still load, under the same rules.
+The reader accepts only that spelling: a coefficient, coordinate or cost is
+a string equal to ``str()`` of its integer, a trace kind is a string, a
+point is a list of ambient_dim coordinates, an index is a JSON integer into
+points, and version, ambient_dim and degree are JSON integers.  Version 1
+files, whose chain records spell out each vertex as a list of coordinates
+and have no points, still load, under the same rules.  Trace records of
+older files also carry params (nested lists of integers) and class_delta (a
+list of integers); these are checked under the same rules and dropped.
 """
 
 from __future__ import annotations
@@ -34,14 +37,10 @@ FORMAT_VERSION = 2
 # --- matrices ---------------------------------------------------------------
 
 def parse_matrix_inline(text: str) -> IntMatrix:
-    """Rows separated by ';', entries by ','."""
+    """Rows separated by ';', entries by ','; a blank entry is an error."""
     try:
-        rows = []
-        for chunk in text.strip().split(";"):
-            rows.append(tuple(int(x.strip()) for x in chunk.split(",") if x.strip()))
-        if not rows or not rows[0]:
-            raise ValueError("empty matrix")
-        return IntMatrix(tuple(rows))
+        return IntMatrix(tuple(tuple(map(int, row.split(",")))
+                               for row in text.split(";")))
     except ValueError as exc:
         raise InputParseError("bad inline matrix %r: %s" % (text, exc)) from None
 
@@ -144,14 +143,6 @@ def obj_to_chain(obj) -> TorusChain:
 
 # --- certificates ------------------------------------------------------------
 
-def _ints_to_strings(value):
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_ints_to_strings(v) for v in value]
-    return value
-
-
 def _strings_to_ints(value):
     if isinstance(value, list):
         return tuple(_strings_to_ints(v) for v in value)
@@ -169,16 +160,19 @@ def write_certificate(fh, cert: FillingCertificate, trace=()):
         "target": chain_to_obj(cert.target),
         "witness": chain_to_obj(cert.witness),
         "cost": str(cert.cost),
-        "trace": [
-            {
-                "kind": r.kind,
-                "params": _ints_to_strings(list(r.params)),
-                "cost": str(r.cost),
-                "class_delta": [str(x) for x in r.class_delta],
-            }
-            for r in trace
-        ],
+        "trace": [{"cost": str(r.cost), "kind": r.kind} for r in trace],
     }, sort_keys=True) + "\n")
+
+
+def _move_record(r) -> MoveRecord:
+    """A trace record {kind, cost}; the params and class_delta of older
+    files are checked as integers, then dropped."""
+    if type(r["kind"]) is not str:
+        raise ValueError("trace kind %r is not a string" % (r["kind"],))
+    _strings_to_ints(r.get("params", []))
+    for x in r.get("class_delta", ()):
+        _int(x)
+    return MoveRecord(r["kind"], _int(r["cost"]))
 
 
 def obj_to_certificate(obj):
@@ -193,11 +187,7 @@ def obj_to_certificate(obj):
                              " ambient_dim %d, degree %d"
                              % (shape + (target.ambient_dim, target.degree)))
         cost = _int(obj["cost"])
-        trace = tuple(
-            MoveRecord(r["kind"], _strings_to_ints(r["params"]),
-                       _int(r["cost"]), tuple(map(_int, r["class_delta"])))
-            for r in obj.get("trace", ())
-        )
+        trace = tuple(map(_move_record, obj.get("trace", ())))
         return FillingCertificate(target, witness, cost), trace
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputParseError("bad certificate object: %s" % exc) from None

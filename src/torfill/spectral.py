@@ -29,9 +29,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NonSquare, PrecisionExhausted
-from .exactlinalg import (IntMatrix, _check, charpoly, coker_structure,
-                          column_lattice_basis, det_exact, mat_pow,
-                          solve_diophantine)
+from .exactlinalg import IntMatrix, _check, charpoly, coker_structure
 
 DEFAULT_DPS_CAP = 640
 
@@ -346,46 +344,6 @@ def gelfand_sequence(a: IntMatrix, j_max: int):
         norm = power.max_abs()
         out.append(0.0 if norm == 0 else math.exp(math.log(norm) / j))
     return out
-
-
-def ck_det_formula(a: IntMatrix, k: int) -> float:
-    """|det| of v - Av  |->  v - A^k v  on the lattice im(id - A).
-
-    Computed exactly: as |det(A^k - I)| / |det(A - I)| when 1 is not an
-    eigenvalue, else as the determinant of I + A + ... + A^{k-1} restricted
-    to a Hermite basis of the image lattice.  Equals the eigenvalue product
-    prod_{lambda != 1} |lambda^k - 1| / |lambda - 1| whenever the eigenvalue
-    1 is semisimple.
-    """
-    if not a.is_square():
-        raise NonSquare("ck_det_formula needs a square matrix")
-    n = a.rows
-    ident = IntMatrix.identity(n)
-    b = a - ident
-    db = det_exact(b)
-    if db != 0:
-        num = abs(det_exact(mat_pow(a, k) - ident))
-        q, r = divmod(num, abs(db))
-        if r == 0:
-            return float(q)
-        return num / abs(db)
-    basis = column_lattice_basis(b)
-    r = basis.cols
-    if r == 0:
-        return 1.0  # A = I: the operator acts on the zero lattice
-    nk = IntMatrix.zero(n, n)
-    power = IntMatrix.identity(n)
-    for _ in range(k):
-        nk = nk + power
-        power = power @ a
-    cols = []
-    for j in range(r):
-        img = nk.apply(basis.column(j))
-        x = solve_diophantine(basis, img)
-        _check(x is not None, "image lattice is not invariant (impossible)")
-        cols.append(x)
-    x_mat = IntMatrix(tuple(zip(*cols)))
-    return float(abs(det_exact(x_mat)))
 
 
 @dataclass(frozen=True)

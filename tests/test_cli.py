@@ -53,6 +53,18 @@ def test_bounds_singular_matrix(capsys):
                     "root_1 0+0i mult=2 radius=0 circle=False"]
 
 
+@pytest.mark.parametrize("command", ["bounds", "reduce"])
+@pytest.mark.parametrize("text", ["2,,1;1,1", "2,1,;1,1"],
+                         ids=["inner", "trailing"])
+def test_blank_matrix_entry_exit_3(capsys, command, text):
+    # a dropped entry would make these [[2, 1], [1, 1]]
+    assert main([command, "-m", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad inline matrix %r" % text in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_reduce_identity(capsys):
     code, kv, rows = run(capsys, "reduce", "-m", "1,0;0,1")
     assert code == 0
@@ -264,6 +276,21 @@ def test_fill_verify_non_canonical_integers_exit_3(tmp_path, capsys, field,
     assert "input error" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("kind", [5, ["SPLIT"]], ids=["int", "list"])
+def test_fill_verify_non_string_kind_exit_3(tmp_path, capsys, kind):
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["trace"][0]["kind"] = kind
+    path.write_text(json.dumps(obj))
+    assert main(["fill", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verified=" not in captured.out
+    assert "input error" in captured.err and "not a string" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_fill_verify_trace_cost_mismatch_exit_2(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
@@ -316,8 +343,8 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
-    ("2,1;1,1", "27", "14", "67babd5cc161bf28"),
-    ("3,-1,-5;5,3,-4;-1,0,1", "2068", "313", "5ab681f9b1f26a15"),
+    ("2,1;1,1", "27", "14", "05d5937b163e8a25"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "2068", "313", "8ec4e53440a1da7b"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
                                          moves, digest):

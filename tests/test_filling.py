@@ -543,15 +543,9 @@ def test_reduce_dimension_three_negative_relation():
     assert rep.cost == sum(r.cost for r in rep.trace)
 
 
-def test_reduce_class_records_are_zero():
-    rep = reduce_parallelogram(IntMatrix(((3, 2), (1, 1))))
-    for record in rep.trace:
-        assert not any(record.class_delta)
-
-
 def test_tracer_assemble_measure_reads_real_pieces(monkeypatch):
     # perfbench's span for Piece.assemble reads `piece.chunks` as
-    # (meta, chunk) pairs whose chunk has .terms; a layout change that
+    # (kind, chunk) pairs whose chunk has .terms; a layout change that
     # breaks traced benchmark runs must fail here
     import importlib.util
     from pathlib import Path

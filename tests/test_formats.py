@@ -29,10 +29,16 @@ def v1_chain_obj(c):
         for simplex, coeff in sorted(c.terms.items())]}
 
 
-def _ints_to_strings(value):
-    if isinstance(value, int):
-        return str(value)
-    return [_ints_to_strings(v) for v in value]
+# trace records were {kind, params, cost, class_delta} in version 1 files and
+# in version 2 files written before records became {kind, cost}; the reader
+# checks the legacy fields' integers and drops them
+LEGACY_FIELDS = {"params": ["1", [["2", "1"], ["1", "1"]], ["1", "0"]],
+                 "class_delta": ["0"]}
+
+
+def record_obj(r, legacy=False):
+    return dict({"cost": str(r.cost), "kind": r.kind},
+                **(LEGACY_FIELDS if legacy else {}))
 
 
 def v1_certificate_obj(cert, trace=()):
@@ -43,10 +49,7 @@ def v1_certificate_obj(cert, trace=()):
         "target": v1_chain_obj(cert.target),
         "witness": v1_chain_obj(cert.witness),
         "cost": str(cert.cost),
-        "trace": [{"kind": r.kind, "params": _ints_to_strings(r.params),
-                   "cost": str(r.cost),
-                   "class_delta": [str(x) for x in r.class_delta]}
-                  for r in trace],
+        "trace": [record_obj(r, legacy=True) for r in trace],
     }
 
 
@@ -71,7 +74,8 @@ def v2_chain_obj(c):
 def v2_certificate_obj(cert, trace=()):
     return dict(v1_certificate_obj(cert, trace), version=2,
                 target=v2_chain_obj(cert.target),
-                witness=v2_chain_obj(cert.witness))
+                witness=v2_chain_obj(cert.witness),
+                trace=[record_obj(r) for r in trace])
 
 
 def v2_text(obj):
@@ -81,6 +85,7 @@ def v2_text(obj):
 def test_matrix_inline_and_text():
     a = parse_matrix_inline("2,1;1,1")
     assert a.data == ((2, 1), (1, 1))
+    assert parse_matrix_inline(" 2, 1; 1 ,1 ").data == a.data
     b = parse_matrix_text("2 1\n1 1")
     assert b.data == a.data
     with pytest.raises(InputParseError):
@@ -224,3 +229,23 @@ def test_version_1_files_load_and_verify(tmp_path, capsys):
     assert main(["fill", "--cycle", str(cycle_path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["cost=%d" % rep.cost, "verified=True"]
+
+
+def test_legacy_trace_fields_load_and_verify(tmp_path, capsys):
+    # a version 2 file whose records still carry params and class_delta
+    # verifies to the same output as the file reduce writes today
+    path, legacy = tmp_path / "cert.json", tmp_path / "legacy.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    assert obj["trace"] and all(sorted(r) == ["cost", "kind"]
+                                for r in obj["trace"])
+    for record in obj["trace"]:
+        record.update(LEGACY_FIELDS)
+    legacy.write_text(v2_text(obj))
+    assert main(["fill", "--verify", str(path)]) == 0
+    want = capsys.readouterr().out
+    assert main(["fill", "--verify", str(legacy)]) == 0
+    assert capsys.readouterr().out == want
+    assert want.splitlines()[:2] == ["cost=27", "verified=True"]
+    assert load_certificate(legacy) == load_certificate(path)

@@ -9,9 +9,8 @@ import pytest
 from torfill.errors import PrecisionExhausted
 from torfill.exactlinalg import IntMatrix, det_exact, mat_pow
 from torfill.spectral import (_deriv, analyze, basic_inequalities,
-                              ck_det_formula, cyclotomic,
-                              entropy, fv_lower_bound, gelfand_sequence,
-                              poly_div_exact, poly_gcd,
+                              cyclotomic, entropy, fv_lower_bound,
+                              gelfand_sequence, poly_div_exact, poly_gcd,
                               primitive_roots_of_unity, split_cyclotomic,
                               squarefree_decomposition, torsion_growth_table)
 
@@ -193,17 +192,9 @@ def test_gelfand_matches_certified_rho():
         assert tail >= s.rho * (1 - 0.35) - 1e-9
 
 
-def test_ck_det_formula_examples():
-    b = IntMatrix(((3, 1), (2, 1)))  # no eigenvalue 1
-    assert ck_det_formula(b, 1) == 1.0
-    assert ck_det_formula(ANOSOV2, 2) == 5.0
-    unipotent = IntMatrix(((1, 1), (0, 1)))
-    for k in (1, 2, 3, 7):
-        assert ck_det_formula(unipotent, k) == float(k)
-    assert ck_det_formula(IntMatrix.identity(2), 5) == 1.0
-
-
-def test_ck_det_formula_matches_det_ratio_and_roots():
+def test_det_ratio_matches_root_product():
+    # |det(A^k - I)| / |det(A - I)| = prod |lambda^k - 1| / |lambda - 1|
+    # over the roots analyze certifies
     rng = random.Random(79)
     checked = 0
     while checked < 40:
@@ -214,13 +205,11 @@ def test_ck_det_formula_matches_det_ratio_and_roots():
         if d1 == 0:
             continue
         k = rng.randint(1, 6)
-        val = ck_det_formula(a, k)
         expected = abs(det_exact(mat_pow(a, k) - ident)) / abs(d1)
-        assert abs(val - expected) < 1e-9 * max(1.0, expected)
         # det(A - I) != 0, so 1 is not an eigenvalue
         via_roots = math.prod((abs(r.value ** k - 1) / abs(r.value - 1))
                               ** r.multiplicity for r in analyze(a).roots)
-        assert abs(val - via_roots) < 1e-6 * max(1.0, expected)
+        assert abs(expected - via_roots) < 1e-6 * max(1.0, expected)
         checked += 1
 
 
