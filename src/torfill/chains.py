@@ -121,12 +121,6 @@ class TorusChain:
     def __sub__(self, other: "TorusChain") -> "TorusChain":
         return self + (-other)
 
-    def scale(self, k: int) -> "TorusChain":
-        if k == 0:
-            return TorusChain.zero(self.ambient_dim, self.degree)
-        return TorusChain(self.ambient_dim, self.degree,
-                          {s: k * c for s, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, TorusChain):
             return NotImplemented

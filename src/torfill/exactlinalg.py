@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms, Diophantine
-solving, fraction-free determinants, characteristic polynomials, cokernels.
+"""Exact integer linear algebra: Hermite normal forms, Smith normal forms
+built from alternating Hermite forms, Diophantine solving, fraction-free
+determinants, characteristic polynomials, cokernels.
 
 Everything is arbitrary-precision; normal-form results carry their unimodular
 transforms and are re-verified by multiplication before being returned.
@@ -43,8 +44,8 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
                                for i in range(n)))
 
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+    def transpose(self) -> "IntMatrix":
+        return IntMatrix(tuple(zip(*self.data)))
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
@@ -181,99 +182,57 @@ class SnfResult:
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, re-verified by multiplication.
 
-    Pivoting: smallest-magnitude nonzero entry, full row/column sweeps, then a
-    divisibility sweep over the remaining block.  Entry growth is accepted;
-    everything is arbitrary precision.
+    Column Hermite forms of M and of M^T alternate until M is diagonal.
+    Then, for i < j with d_i not dividing d_j, P2 = [[x, y], [-s, t]] on
+    rows i, j and Q2 = [[1, -ys], [1, xt]] on columns i, j, where
+    x d_i + y d_j = g, s = d_j / g and t = d_i / g, take diag(d_i, d_j) to
+    diag(g, d_i s); rows of P are negated to make the entries nonnegative.
+
+    The alternation ends.  From the second form on, entry (0, 0) is a
+    positive pivot, the gcd of the row 0 that form is given, so it never
+    grows.  If a later form keeps it at g, then g divides that row 0, and
+    the form before cleared column 0 (its own row 0), so subtracting
+    multiples of column 0 clears the row without changing the column
+    lattice.  The reduced Hermite form depends only on the lattice, and that
+    of diag(g, B) is diag(g, hnf(B)); so the form returns row 0 and column 0
+    clear, and they stay clear, as the same holds for M^T.  The forms then
+    act on B alone, and induction on its size ends the loop.
     """
-    r, c = a.rows, a.cols
-    m = [list(row) for row in a.data]
-    p = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    q = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    m = a
+    p = IntMatrix.identity(a.rows)
+    q = IntMatrix.identity(a.cols)
+    while any(x for i, row in enumerate(m.data)
+              for j, x in enumerate(row) if i != j):
+        by_cols = hnf(m)
+        by_rows = hnf(by_cols.h.transpose())
+        q = q @ by_cols.u
+        p = by_rows.u.transpose() @ p
+        m = by_rows.h.transpose()
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, f):
-        mrow, srow = m[dst], m[src]
-        for j in range(c):
-            mrow[j] += f * srow[j]
-        prow, psrc = p[dst], p[src]
-        for j in range(r):
-            prow[j] += f * psrc[j]
-
-    def addmul_col(dst, src, f):
-        for row in m:
-            row[dst] += f * row[src]
-        for row in q:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(r, c):
-        # smallest-magnitude nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = m[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    f = m[i][t] // m[t][t]
-                    addmul_row(i, t, -f)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
+    p = [list(r) for r in p.data]
+    q = [list(r) for r in q.data]
+    diag = [m.data[i][i] for i in range(min(a.rows, a.cols))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            di, dj = diag[i], diag[j]
+            if (dj % di if di else dj) == 0:
                 continue
-            # clear row t
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    f = m[t][j] // m[t][t]
-                    addmul_col(j, t, -f)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the remaining block
-            witness = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if m[i][j] % m[t][t]:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            addmul_row(t, witness, 1)
-        if m[t][t] < 0:
-            for j in range(c):
-                m[t][j] = -m[t][j]
-            for j in range(r):
-                p[t][j] = -p[t][j]
-        t += 1
+            x, y, g = _xgcd(di, dj)
+            s, t = dj // g, di // g
+            p[i], p[j] = ([x * u + y * v for u, v in zip(p[i], p[j])],
+                          [t * v - s * u for u, v in zip(p[i], p[j])])
+            for r in q:
+                r[i], r[j] = r[i] + r[j], x * t * r[j] - y * s * r[i]
+            diag[i], diag[j] = g, di * s
+    for i, v in enumerate(diag):
+        if v < 0:
+            diag[i] = -v
+            p[i] = [-x for x in p[i]]
 
+    d = tuple(tuple(diag[i] if i == j else 0 for j in range(a.cols))
+              for i in range(a.rows))
     result = SnfResult(IntMatrix(tuple(map(tuple, p))),
-                       IntMatrix(tuple(map(tuple, q))),
-                       IntMatrix(tuple(map(tuple, m))),
-                       a)
+                       IntMatrix(tuple(map(tuple, q))), IntMatrix(d), a)
     _verify_snf(result)
     return result
 
@@ -315,20 +274,15 @@ def hnf(a: IntMatrix) -> HnfResult:
     r, c = a.rows, a.cols
     m = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    stacked = m + u  # a column operation acts on the rows of both
 
     def addmul_col(dst, src, f):
-        for row in m:
-            row[dst] += f * row[src]
-        for row in u:
+        for row in stacked:
             row[dst] += f * row[src]
 
     def combine_cols(j1, j2, x, y, xx, yy):
         # col j1 <- x*col j1 + y*col j2 ; col j2 <- xx*col j1 + yy*col j2
-        for row in m:
-            a1, a2 = row[j1], row[j2]
-            row[j1] = x * a1 + y * a2
-            row[j2] = xx * a1 + yy * a2
-        for row in u:
+        for row in stacked:
             a1, a2 = row[j1], row[j2]
             row[j1] = x * a1 + y * a2
             row[j2] = xx * a1 + yy * a2
@@ -343,9 +297,7 @@ def hnf(a: IntMatrix) -> HnfResult:
             continue
         j0 = j_nonzero[0]
         if j0 != pivot_col:
-            for row in m:
-                row[pivot_col], row[j0] = row[j0], row[pivot_col]
-            for row in u:
+            for row in stacked:
                 row[pivot_col], row[j0] = row[j0], row[pivot_col]
         for j in range(pivot_col + 1, c):
             if m[i][j]:
@@ -353,9 +305,7 @@ def hnf(a: IntMatrix) -> HnfResult:
                 x, y, g = _xgcd(aa, bb)
                 combine_cols(pivot_col, j, x, y, -(bb // g), aa // g)
         if m[i][pivot_col] < 0:
-            for row in m:
-                row[pivot_col] = -row[pivot_col]
-            for row in u:
+            for row in stacked:
                 row[pivot_col] = -row[pivot_col]
         piv = m[i][pivot_col]
         for j in range(pivot_col):

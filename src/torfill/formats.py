@@ -41,7 +41,7 @@ def parse_matrix_inline(text: str) -> IntMatrix:
     try:
         return IntMatrix(tuple(tuple(map(int, row.split(",")))
                                for row in text.split(";")))
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad inline matrix %r: %s" % (text, exc)) from None
 
 
@@ -57,7 +57,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
         if not rows:
             raise ValueError("no rows")
         return IntMatrix(tuple(rows))
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad matrix file: %s" % exc) from None
 
 

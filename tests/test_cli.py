@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from torfill import psl2z
 from torfill.chains import TorusChain, faces
 from torfill.cli import build_parser, main
 from torfill.filling import base
@@ -416,13 +417,44 @@ def test_psl2z_matrix(capsys):
     assert kv["word"] == "S"
 
 
-def test_input_errors_exit_3(capsys):
+@pytest.mark.parametrize("argv, honest", [
+    (["psl2z", "-m", "2,1;1,1"], 0),
+    (["psl2z", "-m", "2,1;1,1", "--power", "3"], 1),
+], ids=["decompose", "word_power"])
+def test_psl2z_verification_failure_exit_2(monkeypatch, capsys, argv, honest):
+    # the first `honest` reductions are left alone, so the power case reaches
+    # word_power's own check; a dropped letter must be refused with exit 2
+    # before any word is printed
+    reduce = psl2z._reduce
+    calls = []
+
+    def dropping(letters):
+        calls.append(letters)
+        out = reduce(letters)
+        return out if len(calls) <= honest else out[:-1]
+
+    monkeypatch.setattr(psl2z, "_reduce", dropping)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "verification failure" in captured.err
+    assert "word=" not in captured.out and "Traceback" not in captured.err
+    assert len(calls) == honest + 1
+
+
+def test_input_errors_exit_3(tmp_path, capsys):
     assert main(["bounds", "-m", "2,x;1,1"]) == 3
     capsys.readouterr()
     assert main(["bounds"]) == 3
     capsys.readouterr()
     assert main(["reduce", "-m", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"]) == 3
     capsys.readouterr()
+    # a ragged matrix names the text it refused, as every other bad matrix does
+    assert main(["bounds", "-m", "2,1;1"]) == 3
+    assert "bad inline matrix '2,1;1': ragged rows" in capsys.readouterr().err
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("2 1\n1\n")
+    assert main(["bounds", "--matrix-file", str(ragged)]) == 3
+    assert "bad matrix file: ragged rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Normal forms, Diophantine solving, determinants, characteristic polynomials."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from torfill.errors import NonSquare
 from torfill.exactlinalg import (IntMatrix, charpoly, coker_structure,
-                                 det_exact, hnf, mat_pow, snf,
+                                 det_exact, det_rows, hnf, mat_pow, snf,
                                  solve_diophantine)
 
 
@@ -30,6 +32,56 @@ def test_snf_random_and_unimodular_transforms():
         res = snf(a)  # snf re-verifies P A Q = D and the divisibility chain
         assert abs(det_exact(res.p)) == 1
         assert abs(det_exact(res.q)) == 1
+
+
+def _minor_gcd(a, k):
+    """gcd of all k x k minors of a."""
+    g = 0
+    for rows in itertools.combinations(a.data, k):
+        for cols in itertools.combinations(range(a.cols), k):
+            g = math.gcd(g, det_rows([[row[j] for j in cols] for row in rows]))
+    return g
+
+
+def test_snf_matches_determinantal_divisors():
+    # d_1 ... d_k is the gcd of all k x k minors: an invariant reached with
+    # no elimination at all
+    rng = random.Random(67)
+    cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=9)
+             for _ in range(120)]
+    for _ in range(30):  # zero and repeated rows
+        a = random_matrix(rng, rng.randint(2, 4), rng.randint(1, 4), span=12)
+        rows = list(a.data)
+        rows[rng.randrange(len(rows))] = rows[0]
+        rows[rng.randrange(len(rows))] = (0,) * a.cols
+        cases.append(IntMatrix(tuple(rows)))
+    cases += [IntMatrix(((-4, 6), (6, -9))), IntMatrix(((-6, 0), (0, 4))),
+              IntMatrix(((0, 0, -3), (0, 5, 0), (-2, 0, 0))),
+              IntMatrix(((12, -18, 30), (-20, 8, 4)))]
+    # A^k - I; the companion of (x^2 + 1)(x - 2) has the eigenvalues +-i,
+    # so A^k - I is singular for 4 | k
+    singular = 0
+    for a in (IntMatrix(((2, 1), (1, 1))),
+              IntMatrix(((0, 0, 2), (1, 0, -1), (0, 1, 2)))):
+        ident = IntMatrix.identity(a.rows)
+        for k in range(1, 13):
+            cases.append(mat_pow(a, k) - ident)
+            singular += det_exact(cases[-1]) == 0
+    assert singular == 3
+    for a in cases:
+        diag = snf(a).diagonal()
+        for k in range(1, len(diag) + 1):
+            assert math.prod(diag[:k]) == _minor_gcd(a, k), (a.data, diag)
+
+
+def test_coker_torsion_of_10x10_six_digit_matrix():
+    rng = random.Random(71)
+    a = IntMatrix(tuple(tuple(rng.choice((-1, 1))
+                              * rng.randint(10 ** 5, 10 ** 6 - 1)
+                              for _ in range(10)) for _ in range(10)))
+    d = det_exact(a)
+    assert d != 0
+    assert coker_structure(a).torsion_order == abs(d)
 
 
 def test_hnf_examples():

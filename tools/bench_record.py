@@ -1,0 +1,198 @@
+"""Record alternating benchmark pairs as BENCH_<pr>.json.
+
+    python3 tools/bench_record.py --out BENCH_17.json --pairs 10 --against DIR
+
+DIR is a second checkout, such as the parent commit made with `git clone`
+or `git archive`.  For each pair and each workload (reduce-sl2, invariants)
+this runs
+
+    perfbench/run.py --workload W --seed 12001 --seconds 40 --trace 0
+
+as a subprocess once in this checkout ("new") and once in DIR ("old"),
+alternating from pair to pair which side runs first (pair 0: old first).
+Without --against only this checkout runs.  Nothing under perfbench/ is
+changed or imported.
+
+A run's last line is its JSON result: the end-to-end metrics, `failed`,
+`attempted` and `correct`.  Its `metric cert_cost_mean=` and
+`metric k_hat_log2=` lines add the certificate costs (lower is better);
+"n/a" is recorded as null.  For every metric of every workload the file
+holds each side's values in run order, their median and quartiles, and
+the pairs in which "new" was better, worse or tied, with "better" taken
+from BENCHMARK.json.  It also holds the Python and mpmath versions,
+os.cpu_count(), each side's commit and one tier-1 wall time of this
+checkout, run before the pairs.  Progress goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+import mpmath
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("reduce-sl2", "invariants")
+RUN_ARGS = ("--seed", "12001", "--seconds", "40", "--trace", "0")
+COST_METRICS = ("cert_cost_mean", "k_hat_log2")
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--pairs", type=int, default=10,
+                   help="runs per side and workload (default 10)")
+    p.add_argument("--against", metavar="DIR",
+                   help="checkout to compare with, run as the old side")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    if args.against and not os.path.isfile(
+            os.path.join(args.against, "perfbench", "run.py")):
+        p.error("--against %s has no perfbench/run.py" % args.against)
+    return args
+
+
+def commit(root):
+    """HEAD of a git checkout, with "-dirty" when a tracked file differs;
+    None when root is not a git checkout."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True, check=True)
+        status = subprocess.run(["git", "status", "--porcelain",
+                                 "--untracked-files=no"], cwd=root,
+                                capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
+
+
+def tier1(root):
+    """Wall time and summary line of the tier-1 suite in root."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"], cwd=root,
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def bench_run(root, workload):
+    """One perfbench run: {metric: value}, failed, attempted, correct."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py",
+                           "--workload", workload, *RUN_ARGS], cwd=root,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise RuntimeError("perfbench in %s exited %d: %s"
+                           % (root, proc.returncode, proc.stderr[-2000:]))
+    result = json.loads(lines[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    for line in lines:
+        for name in COST_METRICS:
+            prefix = "metric %s=" % name
+            if line.startswith(prefix):
+                text = line[len(prefix):].split()[0]
+                values[name] = None if text == "n/a" else float(text)
+    return values, {key: result[key] for key in ("failed", "attempted",
+                                                 "correct")}
+
+
+def spread(values):
+    """Median and quartiles of the values that are not None."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return {"median": None, "q1": None, "q3": None}
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pair_counts(new, old, better):
+    """Pairs in which new is better, worse or tied; a pair with a null
+    value counts for none of them."""
+    counts = {"new_better": 0, "new_worse": 0, "tied": 0}
+    for a, b in zip(new, old):
+        if a is None or b is None:
+            continue
+        if a == b:
+            counts["tied"] += 1
+        elif (a < b) == (better == "lower"):
+            counts["new_better"] += 1
+        else:
+            counts["new_worse"] += 1
+    return counts
+
+
+def summarise(runs, sides, better):
+    """runs[side] is a list of (values, status) in run order."""
+    out = {}
+    for key in ("failed", "attempted", "correct"):
+        out[key] = {side: [status[key] for _, status in runs[side]]
+                    for side in sides}
+    metrics = {}
+    names = sorted({n for side in sides for values, _ in runs[side]
+                    for n in values})
+    for name in names:
+        entry = {"better": better.get(name, "lower")}
+        for side in sides:
+            values = [values.get(name) for values, _ in runs[side]]
+            entry[side] = dict(values=values, **spread(values))
+        if "old" in sides:
+            entry.update(pair_counts(entry["new"]["values"],
+                                     entry["old"]["values"], entry["better"]))
+        metrics[name] = entry
+    out["metrics"] = metrics
+    return out
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"]
+                  for m in json.load(fh)["end_to_end"]}
+    roots = {"new": ROOT}
+    if args.against:
+        roots["old"] = os.path.abspath(args.against)
+    sides = tuple(roots)
+    record = {
+        "command": "perfbench/run.py --workload W " + " ".join(RUN_ARGS),
+        "env": {"python": sys.version.split()[0],
+                "mpmath": mpmath.__version__, "cpu_count": os.cpu_count()},
+        "commits": {side: commit(root) for side, root in roots.items()},
+        "pairs": args.pairs,
+    }
+    sys.stderr.write("tier-1 in %s\n" % ROOT)
+    record["tier1"] = tier1(ROOT)
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    order = []
+    for i in range(args.pairs):
+        first = sides[::-1] if i % 2 == 0 else sides  # pair 0: old first
+        order.append("-".join(first))
+        for workload in WORKLOADS:
+            for side in first:
+                sys.stderr.write("pair %d/%d %s %s\n"
+                                 % (i + 1, args.pairs, workload, side))
+                runs[workload][side].append(bench_run(roots[side], workload))
+    record["order"] = order
+    record["workloads"] = {w: summarise(runs[w], sides, better)
+                           for w in WORKLOADS}
+    tmp = args.out + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
