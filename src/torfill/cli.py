@@ -63,11 +63,11 @@ def _read_matrix(args):
     return parse_matrix_text(text)
 
 
-def _save(path, cert, trace=()):
+def _save(path, cert):
     """save_certificate; an unwritable path is an input error (exit 3)."""
     from .formats import save_certificate
     try:
-        save_certificate(path, cert, trace)
+        save_certificate(path, cert)
     except OSError as exc:
         raise InputParseError("cannot write certificate %s: %s"
                               % (path, exc)) from None
@@ -137,7 +137,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_bounds(args) -> int:
-    from .spectral import analyze
+    from .spectral import analyze, fv_lower_coefficient
     a = _read_matrix(args)
     summary = analyze(a, args.precision_cap)
     n = a.rows
@@ -148,7 +148,7 @@ def _cmd_bounds(args) -> int:
     _emit("entropy_ln", summary.log_sum)
     _emit("n_ln_rho", n * math.log(summary.rho) if summary.rho > 0
           else float("-inf"))
-    _emit("fv_lower_ln", 2.0 / (n * (n + 1) * math.log(n + 1)) * summary.log_sum)
+    _emit("fv_lower_ln", fv_lower_coefficient(n) * summary.log_sum)
     _emit("unit_root_flag", summary.unit_root_flag)
     for i, r in enumerate(summary.roots):
         _row("root_%d" % i, "%.12g%+.12gi" % (r.value.real, r.value.imag),
@@ -161,15 +161,16 @@ def _cmd_reduce(args) -> int:
     from .filling import reduce_parallelogram
     a = _read_matrix(args)
     report = reduce_parallelogram(a)  # raises VerificationFailure (exit 2)
+    cert = report.certificate
     if args.out:  # a write failure (exit 3) leaves stdout empty
-        _save(args.out, report.certificate, report.trace)
+        _save(args.out, cert)
     _emit("det", report.det)
-    _emit("cost", report.cost)
+    _emit("cost", cert.cost)
     _emit("log2_norm", report.log2_norm)
-    _emit("moves", len(report.trace))
+    _emit("moves", len(cert.trace))
     _emit("verified", True)
     if args.trace:
-        for i, r in enumerate(report.trace):
+        for i, r in enumerate(cert.trace):
             _row("move_%d" % i, r.kind, "cost=%d" % r.cost)
     if args.out:
         _emit("certificate_file", args.out)
@@ -241,13 +242,8 @@ def _cmd_fill(args) -> int:
     from .filling import fill_by_solve, verify_certificate
     from .formats import load_certificate, load_chain
     if args.verify:
-        cert, trace = load_certificate(args.verify)
+        cert = load_certificate(args.verify)
         ok, diag = verify_certificate(cert)
-        traced = sum(r.cost for r in trace)
-        if trace and traced != cert.cost:
-            ok = False
-            diag.append("trace costs sum to %d, cost field %d"
-                        % (traced, cert.cost))
         _emit("cost", cert.cost)
         _emit("verified", ok)
         if not ok:

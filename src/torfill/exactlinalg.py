@@ -179,10 +179,16 @@ class SnfResult:
         return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
 
+def _is_diagonal(m: IntMatrix) -> bool:
+    return not any(x for i, row in enumerate(m.data)
+                   for j, x in enumerate(row) if i != j)
+
+
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, re-verified by multiplication.
 
-    Column Hermite forms of M and of M^T alternate until M is diagonal.
+    Column Hermite forms of M and of M^T alternate until M is diagonal,
+    which is tested after every form.
     Then, for i < j with d_i not dividing d_j, P2 = [[x, y], [-s, t]] on
     rows i, j and Q2 = [[1, -ys], [1, xt]] on columns i, j, where
     x d_i + y d_j = g, s = d_j / g and t = d_i / g, take diag(d_i, d_j) to
@@ -201,11 +207,13 @@ def snf(a: IntMatrix) -> SnfResult:
     m = a
     p = IntMatrix.identity(a.rows)
     q = IntMatrix.identity(a.cols)
-    while any(x for i, row in enumerate(m.data)
-              for j, x in enumerate(row) if i != j):
+    while not _is_diagonal(m):
         by_cols = hnf(m)
-        by_rows = hnf(by_cols.h.transpose())
         q = q @ by_cols.u
+        m = by_cols.h
+        if _is_diagonal(m):
+            break
+        by_rows = hnf(m.transpose())
         p = by_rows.u.transpose() @ p
         m = by_rows.h.transpose()
 

@@ -2,16 +2,16 @@
 
 Certificates witness upper bounds for the integral filling norm: a target
 cycle, a witness chain one degree higher with boundary(witness) = target
-exactly, and the witness l^1 norm as the cost.  Composite moves are realized
-as pushforwards and prism lifts of a table of 11 base certificates, found
-once by exact Diophantine solving and shipped as package data that is
-re-verified on load.  Every move and reduction step returns a Piece:
-symbolic per-move chunks (a base key, an integer column matrix and a
-coefficient) that carry no cycles; a chunk's target is derived from its key
-as the key's universal presentation pushed along its columns.  Each chunk
-is tagged with its move's kind; assembly gives one MoveRecord (kind, cost)
-per chunk.  Piece.certificate() and reduce_parallelogram build each chunk's
-witness chain once, assemble and verify it.
+exactly, the witness l^1 norm as the cost and, for a reduction, the move
+trace of (kind, cost) records summing to that cost.  Composite moves are
+realized as pushforwards and prism lifts of a table of 11 base
+certificates, found once by exact Diophantine solving and shipped as
+package data that is re-verified on load.  Every move and reduction step
+returns a Piece: symbolic per-move chunks (a base key, an integer column
+matrix and a coefficient), each tagged with its move's kind, that carry no
+cycles.  Piece.certificate(claim) builds each chunk's witness chain once,
+assembles it with one MoveRecord per chunk, and verifies it against the
+target its caller claims; reduce_parallelogram claims Q(A) - R(det A, 1..1).
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

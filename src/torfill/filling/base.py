@@ -77,7 +77,7 @@ def base_certificate(key) -> FillingCertificate:
     if key not in BASE_KEYS:
         raise UnsupportedDimension("unsupported base key %r" % (key,))
     try:
-        cert, _ = load_certificate(TABLE_DIR / _key_filename(key))
+        cert = load_certificate(TABLE_DIR / _key_filename(key))
         if cert.target != universal_cycle(key):
             raise VerificationFailure("its target is not the universal cycle")
         return require_valid(cert)

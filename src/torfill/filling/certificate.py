@@ -1,15 +1,18 @@
 """Filling certificates, move records, and the exact verifier.
 
+A FillingCertificate is a target, a witness, its cost and, when a
+reduction built it, the move trace: one MoveRecord of the move's kind and
+marginal cost per move, which verify_certificate checks against the cost.
+
 A Piece is the one form of a certificate in progress, and it is symbolic: a
-list of witness chunks, one per move, each tagged with the move's kind.
-Assembly turns each tag into a MoveRecord of the kind and the move's
-marginal cost, which is all a trace keeps.  A chunk names a base key, an
-integer column matrix F = [f | v_1..v_d] and a coefficient; it stands for
-coeff * F_*(base witness prism-lifted d times).  A chunk carries no cycles:
-its target is derived from its key, as coeff * F_* of the key's universal
-presentation with the lift vectors appended to every generator tuple.
-Pieces add like elements of the chain group; pushforwards and prism lifts
-act on the columns only.  Each witness chain is built once, in
+list of witness chunks, one per move, each tagged with the move's kind.  A
+chunk names a base key, an integer column matrix F = [f | v_1..v_d] and a
+coefficient; it stands for coeff * F_*(base witness prism-lifted d times).
+A piece carries no target.  Piece.certificate(claim) builds the target
+from the cycles its caller claims the piece fills and verifies the
+assembled witness against it, so a schedule that drops or alters a move
+fails there.  Pieces add like elements of the chain group; pushforwards and
+prism lifts act on the columns only.  Each witness chain is built once, in
 Piece.assemble, so the per-move costs are the costs actually realized.
 
 lifted(key, d) memoises each lifted base witness as an index table: its
@@ -49,7 +52,8 @@ class MoveRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class FillingCertificate:
-    """target = boundary(witness) exactly; cost = l1(witness).
+    """target = boundary(witness) exactly; cost = l1(witness); the trace's
+    record costs, when it has any, sum to cost.
 
     The cost is an upper-bound witness for the filling norm of the target;
     minimality is never claimed.
@@ -58,10 +62,12 @@ class FillingCertificate:
     target: TorusChain
     witness: TorusChain
     cost: int
+    trace: tuple = ()  # MoveRecords, one per move
 
     @staticmethod
-    def build(target: TorusChain, witness: TorusChain) -> "FillingCertificate":
-        return FillingCertificate(target, witness, l1_norm(witness))
+    def build(target: TorusChain, witness: TorusChain,
+              trace=()) -> "FillingCertificate":
+        return FillingCertificate(target, witness, l1_norm(witness), trace)
 
 
 def presentation_chain(ambient_dim, degree, presentation) -> TorusChain:
@@ -90,7 +96,8 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
 
     Checks that the witness lies in the target's torus one degree higher,
     then boundary(witness) = target with integer arithmetic (no tolerance),
-    and cost = l1(witness).  When `presentation` gives the target as a signed
+    cost = l1(witness) and, for a non-empty trace, that the record costs
+    sum to cost.  When `presentation` gives the target as a signed
     sum of parallelogram cycles [(coeff, generator-tuples)], additionally
     checks that the presentation reproduces the target and that the signed
     class sum vanishes.
@@ -114,6 +121,10 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
     if cert.cost != l1_norm(w):
         diagnostics.append("cost field %d != l1(witness) %d"
                            % (cert.cost, l1_norm(w)))
+    traced = sum(r.cost for r in cert.trace)
+    if cert.trace and traced != cert.cost:
+        diagnostics.append("trace costs sum to %d, cost field %d"
+                           % (traced, cert.cost))
     if presentation is not None:
         n, k = t.ambient_dim, t.degree
         if presentation_chain(n, k, presentation) != t:
@@ -206,16 +217,6 @@ class Chunk(NamedTuple):
         return len(self.columns) - _shape(self.source)[0]
 
     @property
-    def cycles(self) -> tuple:
-        """The chunk's target as ((coeff, gens), ...): the lifted universal
-        presentation of its key pushed along its columns, times coeff."""
-        if not self.coeff:
-            return ()
-        image = linear_map(self.columns)
-        return tuple((self.coeff * c, tuple(map(image, gens))) for c, gens
-                     in lifted_presentation(self.source, self.depth))
-
-    @property
     def terms(self) -> dict:
         """The chunk's witness terms, built from its base witness.
 
@@ -239,8 +240,8 @@ class Piece:
     """Certificate in progress: [(kind, Chunk)], one pair per move, where
     kind names the move for its MoveRecord.
 
-    A piece holds no chains and no cycles.  Its target is derived on demand
-    from the chunks' keys and columns, and assemble() builds the witness.
+    A piece holds no chains and no cycles: assemble() builds the witness,
+    and certificate(claim) checks it against the target its caller claims.
     """
 
     ambient_dim: int
@@ -254,17 +255,12 @@ class Piece:
     @staticmethod
     def move(key, kind, columns) -> "Piece":
         """One move of the given kind: the base certificate of `key` pushed
-        along the map E_i -> columns[i]; its target is the key's universal
-        cycle pushed the same way."""
+        along the map E_i -> columns[i]; it fills the key's universal cycle
+        pushed the same way."""
         columns = tuple(map(tuple, columns))
         m, k = _shape(key)
         return Piece(len(columns[0]), k + len(columns) - m,
                      [(kind, Chunk(key, columns, 1))])
-
-    @property
-    def target(self) -> TorusChain:
-        return presentation_chain(self.ambient_dim, self.degree, [
-            cycle for _, chunk in self.chunks for cycle in chunk.cycles])
 
     def marked(self, kind) -> "Piece":
         """This piece with a marker chunk (no witness) appended; it records
@@ -335,6 +331,13 @@ class Piece:
                                       " %d" % (norm, l1_norm(witness)))
         return witness, tuple(records)
 
-    def certificate(self) -> FillingCertificate:
-        witness, _ = self.assemble()
-        return require_valid(FillingCertificate.build(self.target, witness))
+    def certificate(self, claim) -> FillingCertificate:
+        """The assembled certificate, with its trace, for the target the
+        caller claims the piece fills: claim = [(coeff, gens), ...], a
+        signed sum of parallelogram cycles.  Raises VerificationFailure
+        unless the witness's boundary is that target and the claim's class
+        sum vanishes."""
+        witness, records = self.assemble()
+        target = presentation_chain(self.ambient_dim, self.degree, claim)
+        cert = FillingCertificate.build(target, witness, records)
+        return require_valid(cert, presentation=claim)

@@ -115,18 +115,15 @@ class S1Trace:
     """Execution trace of the two-phase circle reduction of Q(a, l).
 
     phase1: (x_i, y_i, k_i) rows of the doubling recursion on Q(1, .);
-    phase2: the halving sequence a_i of |a| with its odd/even index sets.
+    phase2: the halving sequence a_0, .., a_N of |a|.
     Invariants: x_i = 2^i, 2^i | y_i, y_M = 0, M <= 1 + log2(L)/2,
-    a_i <= |a| / 2^i, L = l * (2^N + sum_{i in I_o} 2^i) = |a| * |l|.
+    a_i <= |a| / 2^i, L = l * (2^N + sum_{i < N, a_i odd} 2^i) = |a| * |l|.
     """
 
     a: int
     l: int
     phase1: tuple  # (x_i, y_i, k_i)
     phase2: tuple  # a_0, .., a_N
-    odd_indices: tuple
-    even_indices: tuple
-    n_steps: int  # N
     m_steps: int  # M = len(phase1)
     total: int  # L
     move_count: int
@@ -145,12 +142,12 @@ def s1_moves(a: int, l: int):
     x, y = a, l
 
     if y == 0:
-        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 1)
+        trace = S1Trace(a, l, (), (), 0, 0, 1)
         moves.append((sign, "ZERO", (x,)))
         return moves, trace
     if x == 0:
         # Q(0, y) = -Q(y, 0) exactly
-        trace = S1Trace(a, l, (), (), (), (), 0, 0, 0, 1)
+        trace = S1Trace(a, l, (), (), 0, 0, 1)
         moves.append((-sign, "ZERO", (y,)))
         return moves, trace
 
@@ -163,15 +160,11 @@ def s1_moves(a: int, l: int):
 
     # phase 2: halve the first generator, doubling the second
     phase2 = [x]
-    odd, even = [], []
     pending = []  # second components of the split-off Q(1, .) remainders
     i = 0
     while x > 1:
         second = (1 << i) * y
-        if x % 2 == 0:
-            even.append(i)
-        else:
-            odd.append(i)
+        if x % 2:
             moves.append((sign, "SPLIT1", (x, second, x - 1, 1)))
             pending.append(second)
             x -= 1
@@ -179,9 +172,8 @@ def s1_moves(a: int, l: int):
         x //= 2
         i += 1
         phase2.append(x)
-    n_steps = i
 
-    big_l = (1 << n_steps) * y
+    big_l = (1 << i) * y
     for extra in reversed(pending):
         moves.append((-sign, "SPLIT2", (1, big_l + extra, big_l, extra)))
         big_l += extra
@@ -190,7 +182,6 @@ def s1_moves(a: int, l: int):
     phase1 = []
     x1, y1 = 1, big_l
     while y1 >= x1:
-        i = x1.bit_length() - 1
         k = (y1 // x1) % 4
         phase1.append((x1, y1, k))
         if k:
@@ -201,8 +192,8 @@ def s1_moves(a: int, l: int):
     _check(y1 == 0, "phase 1 must land on a zero second generator")
     moves.append((sign, "ZERO", (x1,)))
 
-    trace = S1Trace(a, l, tuple(phase1), tuple(phase2), tuple(odd),
-                    tuple(even), n_steps, len(phase1), big_l, len(moves))
+    trace = S1Trace(a, l, tuple(phase1), tuple(phase2), len(phase1), big_l,
+                    len(moves))
     return moves, trace
 
 

@@ -4,8 +4,9 @@ Pipeline: split generators along the last coordinate and recurse the
 singleton terms (paral_to_rects), fill the linearly dependent remainders
 (slim_piece), normalize each rectangle to unit heights by the four-slide
 schedule (rect_to_unit), and merge the unit rectangles (combine_rects).
-Each step returns a Piece; the assembled witness satisfies
-boundary(witness) = Q(columns) - R(det, 1..1) with exact integer arithmetic.
+Each step returns a Piece whose docstring states the cycles it fills; the
+final certificate is checked, with exact integer arithmetic, against the
+claim Q(columns) - R(det, 1..1), and carries the move trace.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
 from ..exactlinalg import IntMatrix, _check, det_exact, hnf, mat_pow
-from .certificate import (FillingCertificate, Piece, _unit,
-                          presentation_chain, require_valid)
+from .certificate import FillingCertificate, Piece, _unit
 from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
                     move_zero_gen, primitive_decomposition, s1_piece,
                     slide_first, slide_second)
@@ -57,7 +57,7 @@ def _parallel_pair(gens):
 
 
 def slim_piece(gens) -> Piece:
-    """Piece with target Q(gens) for linearly dependent generators; raises
+    """Piece filling Q(gens) for linearly dependent generators; raises
     NotDependent when they are independent."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
@@ -110,7 +110,7 @@ def _round_div(a, b) -> int:
 def paral_to_rects(gens):
     """Decompose Q(gens) against at most n! signed rectangle cycles.
 
-    Returns (rects, piece) with piece.target = Q(gens) - sum_i eps_i R(sizes_i);
+    Returns (rects, piece) where piece fills Q(gens) - sum_i eps_i R(sizes_i);
     each rect is (eps_i, sizes_i) with all sizes bounded by max |gens|_inf.
     """
     gens = tuple(_vec(g) for g in gens)
@@ -159,7 +159,7 @@ def paral_to_rects(gens):
 
 
 def rect_to_unit(sizes) -> Piece:
-    """piece.target = R(sizes) - R(prod(sizes), 1, .., 1)."""
+    """Piece filling R(sizes) - R(prod(sizes), 1, .., 1)."""
     sizes = tuple(int(a) for a in sizes)
     n = len(sizes)
     if n == 1 or all(a == 1 for a in sizes[1:]):
@@ -218,14 +218,14 @@ def _rect_to_unit_2d(sizes) -> Piece:
     total = Piece.zero(2, 2)
     for s in steps:
         total = total + s
-    # total.target = Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
+    # total fills Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
     neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1)
     return -total - neg
 
 
 def combine_rects(signed_lengths, n):
-    """(total, piece) merging signed unit rectangles:
-    piece.target = sum_i eps_i R(l_i, 1..1) - R(total, 1..1)."""
+    """(total, piece) merging signed unit rectangles: piece fills
+    sum_i eps_i R(l_i, 1..1) - R(total, 1..1)."""
     piece = Piece.zero(n, n)
     normalized = []
     for eps, length in signed_lengths:
@@ -253,12 +253,11 @@ def combine_rects(signed_lengths, n):
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Certificate and walk data for Q(columns of A) -> R(det A, 1, .., 1)."""
+    """Certificate, with its move trace, for Q(columns of A) ->
+    R(det A, 1, .., 1)."""
 
     matrix: IntMatrix
     certificate: FillingCertificate
-    trace: tuple
-    cost: int
     det: int
     log2_norm: float
 
@@ -288,15 +287,11 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
         raise VerificationFailure("class bookkeeping: combined length %d != "
                                   "det %d" % (total, det))
 
-    witness, records = piece.assemble()
     unit_rect_gens = tuple(
         _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))
-    claim = [(1, gens), (-1, unit_rect_gens)]
-    cert = FillingCertificate.build(presentation_chain(n, n, claim), witness)
-    require_valid(cert, presentation=claim)
+    cert = piece.certificate([(1, gens), (-1, unit_rect_gens)])
     norm = a.max_abs()
-    return ReductionReport(a, cert, records, cert.cost, det,
-                           math.log2(norm) if norm else 0.0)
+    return ReductionReport(a, cert, det, math.log2(norm) if norm else 0.0)
 
 
 @dataclass(frozen=True)
@@ -316,7 +311,8 @@ def fv_upper_experiment(a: IntMatrix, j_max: int) -> UpperBoundExperiment:
     rows = []
     for j in range(1, j_max + 1):
         report = reduce_parallelogram(mat_pow(a, j))
-        rows.append((j, report.cost, report.cost / j, report.log2_norm))
+        cost = report.certificate.cost
+        rows.append((j, cost, cost / j, report.log2_norm))
     xs = [r[3] for r in rows]
     ys = [r[1] for r in rows]
     k_hat = _ls_slope(xs, ys)

@@ -20,8 +20,7 @@ from .certificate import FillingCertificate, require_valid
 TUPLE_CAP = 2_500_000
 
 
-def enumerate_candidates(ambient_dim, degree, box, include_degenerate,
-                         tuple_cap=TUPLE_CAP):
+def enumerate_candidates(ambient_dim, degree, box, include_degenerate):
     """Canonical vertex tuples of the degree-`degree` simplices with a
     vertex representative inside [0, box]^n."""
     points = list(product(range(box + 1), repeat=ambient_dim))
@@ -34,7 +33,7 @@ def enumerate_candidates(ambient_dim, degree, box, include_degenerate,
         for i in range(n_vertices):
             total *= max(0, len(points) - i)
         source = permutations(points, n_vertices)
-    if total > tuple_cap:
+    if total > TUPLE_CAP:
         raise CandidateSetTooLarge(
             "box %d would enumerate %d vertex tuples" % (box, total))
     seen = set()

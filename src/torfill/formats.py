@@ -5,10 +5,10 @@ All big integers are serialized as decimal strings.  A chain is an object
 once, as a list of coordinates, in order of first use over the sorted
 simplices, and terms is a list of records {coeff, vertices} sorted by
 simplex, where vertices are indices into points.  A certificate container
-carries version (2), ambient_dim, degree, target, witness, cost, and the
-move trace, a list of records {kind, cost}: the move's kind and its
-marginal cost.  A file is ``json.dumps(obj, sort_keys=True)`` of its object
-and a newline; the shipped base table is in this layout.
+carries version (2), ambient_dim, degree, and the certificate's target,
+witness, cost and move trace, a list of records {kind, cost}: the move's
+kind and its marginal cost.  A file is ``json.dumps(obj, sort_keys=True)``
+of its object and a newline; the shipped base table is in this layout.
 
 The reader accepts only that spelling: a coefficient, coordinate or cost is
 a string equal to ``str()`` of its integer, a trace kind is a string, a
@@ -149,7 +149,7 @@ def _strings_to_ints(value):
     return _int(value)
 
 
-def write_certificate(fh, cert: FillingCertificate, trace=()):
+def write_certificate(fh, cert: FillingCertificate):
     """Write the certificate container, and a final newline, to text file fh.
 
     json.dumps without indent runs on the C encoder."""
@@ -160,7 +160,7 @@ def write_certificate(fh, cert: FillingCertificate, trace=()):
         "target": chain_to_obj(cert.target),
         "witness": chain_to_obj(cert.witness),
         "cost": str(cert.cost),
-        "trace": [{"cost": str(r.cost), "kind": r.kind} for r in trace],
+        "trace": [{"cost": str(r.cost), "kind": r.kind} for r in cert.trace],
     }, sort_keys=True) + "\n")
 
 
@@ -175,7 +175,7 @@ def _move_record(r) -> MoveRecord:
     return MoveRecord(r["kind"], _int(r["cost"]))
 
 
-def obj_to_certificate(obj):
+def obj_to_certificate(obj) -> FillingCertificate:
     try:
         if _json_int(obj["version"]) not in (1, FORMAT_VERSION):
             raise ValueError("unsupported version %r" % obj["version"])
@@ -188,7 +188,7 @@ def obj_to_certificate(obj):
                              % (shape + (target.ambient_dim, target.degree)))
         cost = _int(obj["cost"])
         trace = tuple(map(_move_record, obj.get("trace", ())))
-        return FillingCertificate(target, witness, cost), trace
+        return FillingCertificate(target, witness, cost, trace)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputParseError("bad certificate object: %s" % exc) from None
 
@@ -209,9 +209,9 @@ def _atomic_open(path):
         raise
 
 
-def save_certificate(path, cert: FillingCertificate, trace=()):
+def save_certificate(path, cert: FillingCertificate):
     with _atomic_open(path) as fh:
-        write_certificate(fh, cert, trace)
+        write_certificate(fh, cert)
 
 
 def _load_json(path, what):
@@ -225,7 +225,7 @@ def _load_json(path, what):
                               % (what, path, exc)) from None
 
 
-def load_certificate(path):
+def load_certificate(path) -> FillingCertificate:
     return obj_to_certificate(_load_json(path, "certificate"))
 
 

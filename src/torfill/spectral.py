@@ -305,12 +305,17 @@ def entropy(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
     return analyze(a, dps_cap).log_sum
 
 
+def fv_lower_coefficient(n: int) -> float:
+    """2 / (n(n+1) ln(n+1)), the factor of the entropy in the filling-volume
+    lower bound for n x n matrices; natural logarithms."""
+    return 2.0 / (n * (n + 1) * math.log(n + 1))
+
+
 def fv_lower_bound(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
-    """(2 / (n(n+1) ln(n+1))) * entropy(A) for n x n A; natural logarithms."""
+    """fv_lower_coefficient(n) * entropy(A) for n x n A."""
     if not a.is_square():
         raise NonSquare("fv_lower_bound needs a square matrix")
-    n = a.rows
-    return 2.0 / (n * (n + 1) * math.log(n + 1)) * entropy(a, dps_cap)
+    return fv_lower_coefficient(a.rows) * entropy(a, dps_cap)
 
 
 def basic_inequalities(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP):

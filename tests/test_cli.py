@@ -314,7 +314,7 @@ def test_fill_verify_names_first_mismatch(tmp_path, capsys):
     path = tmp_path / "cert.json"
     assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
     capsys.readouterr()
-    cert, _ = load_certificate(path)
+    cert = load_certificate(path)
     obj = json.loads(path.read_text())
     middle = len(cert.witness.terms) // 2
     record = obj["witness"]["terms"][middle]  # records are sorted by simplex

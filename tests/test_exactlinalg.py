@@ -23,6 +23,22 @@ def test_snf_examples():
     assert snf(IntMatrix(((0, 0, 0),) * 3)).diagonal() == (0, 0, 0)
 
 
+def test_snf_stops_at_the_first_diagonal_form(monkeypatch):
+    # the column Hermite form of [[1, 0], [5, 1]] is already the identity,
+    # so no Hermite form of its transpose is run
+    from torfill import exactlinalg
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hnf(m)
+
+    monkeypatch.setattr(exactlinalg, "hnf", counting)
+    res = snf(IntMatrix(((1, 0), (5, 1))))
+    assert res.diagonal() == (1, 1)
+    assert len(calls) == 1
+
+
 def test_snf_random_and_unimodular_transforms():
     rng = random.Random(41)
     for _ in range(60):

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from torfill.chains import (TorusChain, boundary, parallelogram_class,
-                            parallelogram_cycle, pushforward)
-from torfill.errors import NotDependent, Unfillable, UnsupportedDimension
+from torfill.chains import (TorusChain, boundary, linear_map,
+                            parallelogram_class, parallelogram_cycle,
+                            pushforward)
+from torfill.errors import (NotDependent, Unfillable, UnsupportedDimension,
+                            VerificationFailure)
 from torfill.exactlinalg import IntMatrix
 from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              combine_rects, fill_by_solve, fv_upper_experiment,
@@ -16,7 +18,8 @@ from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              universal_cycle, verify_certificate)
 from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
                                   default_cache)
-from torfill.filling.certificate import (Chunk, _lift, _shape, class_sum,
+from torfill.filling.certificate import (Chunk, Piece, _lift, _shape,
+                                        class_sum, lifted_presentation,
                                         presentation_chain)
 from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
                                    move_split, move_zero_gen)
@@ -24,11 +27,21 @@ from torfill.filling.moves import (move_dehn, move_double_halve, move_negate,
 E1, E2 = (1, 0), (0, 1)
 
 
+def _rect_gens(sizes):
+    """a_1 e_1, ..., a_n e_n, the generators of the rectangle R(sizes)."""
+    n = len(sizes)
+    return tuple(tuple(a if i == j else 0 for j in range(n))
+                 for i, a in enumerate(sizes))
+
+
 def rectangle_cycle(sizes):
     """Q(a_1 e_1, ..., a_n e_n), the diagonal parallelogram cycle."""
-    n = len(sizes)
-    return parallelogram_cycle([tuple(a if i == j else 0 for j in range(n))
-                                for i, a in enumerate(sizes)])
+    return parallelogram_cycle(_rect_gens(sizes))
+
+
+def _rects(*signed):
+    """The claim sum_i eps_i R(sizes_i) over (eps_i, sizes_i) pairs."""
+    return [(eps, _rect_gens(sizes)) for eps, sizes in signed]
 
 
 # --- solver -------------------------------------------------------------------
@@ -131,8 +144,9 @@ def test_universal_cycle_matches_reference():
 
 
 def test_chunk_cycles_present_chunk_boundary():
-    # a chunk's derived cycles sum to the boundary of its own witness terms,
-    # for every key, one prism lift or none, and any integer columns
+    # a chunk's witness terms fill coeff times its key's lifted universal
+    # presentation pushed along its columns, for every key, one prism lift
+    # or none, and any integer columns
     rng = random.Random(15)
     for key in BASE_KEYS + (None,):
         m, k = _shape(key)
@@ -143,7 +157,10 @@ def test_chunk_cycles_present_chunk_boundary():
                                 for _ in range(m + d))
                 chunk = Chunk(key, columns, coeff)
                 witness = TorusChain(n, k + d + 1, chunk.terms)
-                assert (presentation_chain(n, k + d, chunk.cycles)
+                image = linear_map(columns)
+                cycles = [(coeff * c, tuple(map(image, gens)))
+                          for c, gens in lifted_presentation(key, d)]
+                assert (presentation_chain(n, k + d, cycles)
                         == boundary(witness)), (key, d, columns, coeff)
 
 
@@ -175,6 +192,30 @@ def test_verify_catches_perturbations():
     inflated = FillingCertificate(cert.target, cert.witness, cert.cost + 1)
     ok, diag = verify_certificate(inflated)
     assert not ok and any("cost" in d for d in diag)
+
+
+def test_verify_checks_trace_costs():
+    cert = reduce_parallelogram(IntMatrix(((2, 1), (1, 1)))).certificate
+    assert cert.trace and verify_certificate(cert) == (True, [])
+    first = cert.trace[0]
+    bad = FillingCertificate(cert.target, cert.witness, cert.cost,
+                             (first._replace(cost=first.cost + 5),)
+                             + cert.trace[1:])
+    assert verify_certificate(bad) == (False, [
+        "trace costs sum to %d, cost field %d" % (cert.cost + 5, cert.cost)])
+
+
+def test_piece_certificate_checks_the_claim():
+    claim = [(1, ((5,), (3,)))]
+    piece, _ = s1_piece(5, 3)
+    assert piece.certificate(claim).target == parallelogram_cycle([(5,), (3,)])
+    # the schedule without its second move fills some other cycle
+    dropped = Piece(piece.ambient_dim, piece.degree,
+                    piece.chunks[:1] + piece.chunks[2:])
+    with pytest.raises(VerificationFailure, match="boundary mismatch"):
+        dropped.certificate(claim)
+    with pytest.raises(VerificationFailure, match="boundary mismatch"):
+        piece.certificate([(1, ((5,), (4,)))])
 
 
 # --- chunks ---------------------------------------------------------------------
@@ -214,36 +255,54 @@ def _q(*gens):
     return parallelogram_cycle(gens)
 
 
+def _sum_q(claim):
+    """sum_i c_i Q(gens_i) over a claim whose coefficients are +-1, built
+    with parallelogram_cycle alone."""
+    total = parallelogram_cycle(claim[0][1])
+    for coeff, gens in claim[1:]:
+        q = parallelogram_cycle(gens)
+        total = total + q if coeff == 1 else total - q
+    return total
+
+
 def test_move_certificates_verify():
     moves = [
-        (move_negate(((3, 1), (1, 2)), 0), _q((3, 1), (1, 2)) + _q((-3, -1), (1, 2))),
-        (move_negate(((3, 1), (1, 2)), 1), _q((3, 1), (1, 2)) + _q((3, 1), (-1, -2))),
+        (move_negate(((3, 1), (1, 2)), 0),
+         [(1, ((3, 1), (1, 2))), (1, ((-3, -1), (1, 2)))]),
+        (move_negate(((3, 1), (1, 2)), 1),
+         [(1, ((3, 1), (1, 2))), (1, ((3, 1), (-1, -2)))]),
         (move_negate(((1, 0, 2), (0, 1, 1), (2, 0, 1)), 0),
-         _q((1, 0, 2), (0, 1, 1), (2, 0, 1)) + _q((-1, 0, -2), (0, 1, 1), (2, 0, 1))),
+         [(1, ((1, 0, 2), (0, 1, 1), (2, 0, 1))),
+          (1, ((-1, 0, -2), (0, 1, 1), (2, 0, 1)))]),
         (move_negate(((1, 0, 2), (0, 1, 1), (2, 0, 1)), 2),
-         _q((1, 0, 2), (0, 1, 1), (2, 0, 1)) + _q((1, 0, 2), (0, 1, 1), (-2, 0, -1))),
+         [(1, ((1, 0, 2), (0, 1, 1), (2, 0, 1))),
+          (1, ((1, 0, 2), (0, 1, 1), (-2, 0, -1)))]),
         (move_split(((2, 1), (5, 3)), 1, (2, 2), (3, 1)),
-         _q((2, 1), (5, 3)) - _q((2, 1), (2, 2)) - _q((2, 1), (3, 1))),
+         [(1, ((2, 1), (5, 3))), (-1, ((2, 1), (2, 2))),
+          (-1, ((2, 1), (3, 1)))]),
         (move_split(((2, 1), (5, 3)), 0, (1, 1), (1, 0)),
-         _q((2, 1), (5, 3)) - _q((1, 1), (5, 3)) - _q((1, 0), (5, 3))),
+         [(1, ((2, 1), (5, 3))), (-1, ((1, 1), (5, 3))),
+          (-1, ((1, 0), (5, 3)))]),
         (move_split(((1, 0, 0), (0, 2, 1), (3, 1, 1)), 0, (1, 1, 0), (0, -1, 0)),
-         _q((1, 0, 0), (0, 2, 1), (3, 1, 1)) - _q((1, 1, 0), (0, 2, 1), (3, 1, 1))
-         - _q((0, -1, 0), (0, 2, 1), (3, 1, 1))),
+         [(1, ((1, 0, 0), (0, 2, 1), (3, 1, 1))),
+          (-1, ((1, 1, 0), (0, 2, 1), (3, 1, 1))),
+          (-1, ((0, -1, 0), (0, 2, 1), (3, 1, 1)))]),
         (move_split(((1, 0, 0), (0, 2, 1), (3, 1, 1)), 2, (1, 1, 0), (2, 0, 1)),
-         _q((1, 0, 0), (0, 2, 1), (3, 1, 1)) - _q((1, 0, 0), (0, 2, 1), (1, 1, 0))
-         - _q((1, 0, 0), (0, 2, 1), (2, 0, 1))),
-        (move_zero_gen(((4, 1), (0, 0))), _q((4, 1), (0, 0))),
+         [(1, ((1, 0, 0), (0, 2, 1), (3, 1, 1))),
+          (-1, ((1, 0, 0), (0, 2, 1), (1, 1, 0))),
+          (-1, ((1, 0, 0), (0, 2, 1), (2, 0, 1)))]),
+        (move_zero_gen(((4, 1), (0, 0))), [(1, ((4, 1), (0, 0)))]),
         (move_zero_gen(((0, 0, 0), (1, 2, 0), (0, 1, 1))),
-         _q((0, 0, 0), (1, 2, 0), (0, 1, 1))),
-        (move_zero_gen(((0, 0),)), _q((0, 0))),
-        (move_dehn(3, 7, 2), _q((3,), (7,)) - _q((3,), (1,))),
-        (move_double_halve(5, 8), _q((5,), (8,)) - _q((10,), (4,))),
+         [(1, ((0, 0, 0), (1, 2, 0), (0, 1, 1)))]),
+        (move_zero_gen(((0, 0),)), [(1, ((0, 0),))]),
+        (move_dehn(3, 7, 2), [(1, ((3,), (7,))), (-1, ((3,), (1,)))]),
+        (move_double_halve(5, 8), [(1, ((5,), (8,))), (-1, ((10,), (4,)))]),
     ]
-    for piece, want in moves:
-        cert = piece.certificate()
+    for piece, claim in moves:
+        cert = piece.certificate(claim)
         ok, diag = verify_certificate(cert)
         assert ok, diag
-        assert cert.target == want
+        assert cert.target == _sum_q(claim)
 
 
 def test_pushforward_never_raises_cost():
@@ -264,15 +323,19 @@ def test_single_moves_and_prism_lift():
             == -parallelogram_cycle([(1, 1), (2, 1)]))
     assert (parallelogram_cycle([(1, 0, 2), (0, 1, 1), (2, 0, 1)])
             == -parallelogram_cycle([(1, 0, 2), (2, 0, 1), (0, 1, 1)]))
-    cert = move_split(((1, 0), (2, 0)), 1, (1, 0), (1, 0)).certificate()
+    cert = move_split(((1, 0), (2, 0)), 1, (1, 0), (1, 0)).certificate(
+        [(1, ((1, 0), (2, 0))), (-2, ((1, 0), (1, 0)))])
     assert verify_certificate(cert)[0]
-    cert = move_dehn(2, 5, 3).certificate()
+    cert = move_dehn(2, 5, 3).certificate([(1, ((2,), (5,))),
+                                           (-1, ((2,), (-1,)))])
     assert verify_certificate(cert)[0]
     base = move_double_halve(3, 4)
-    lifted = base.prism_lift((1,)).certificate()
+    lifted = base.prism_lift((1,)).certificate([(1, ((3,), (4,), (1,))),
+                                                (-1, ((6,), (2,), (1,)))])
     assert verify_certificate(lifted)[0]
     # degree 2 target: factor <= k+2
-    assert lifted.cost <= 4 * base.certificate().cost
+    assert lifted.cost <= 4 * base.certificate([(1, ((3,), (4,))),
+                                                (-1, ((6,), (2,)))]).cost
 
 
 def test_split_move_matches_spec_example():
@@ -280,8 +343,9 @@ def test_split_move_matches_spec_example():
     piece = move_split(((2, 0), (0, 1)), 0, (1, 0), (1, 0))
     unit = parallelogram_cycle([(1, 0), (0, 1)])
     want = parallelogram_cycle([(2, 0), (0, 1)]) - unit - unit
-    assert piece.target == want
-    assert verify_certificate(piece.certificate())[0]
+    cert = piece.certificate([(1, ((2, 0), (0, 1))), (-2, ((1, 0), (0, 1)))])
+    assert cert.target == want
+    assert verify_certificate(cert)[0]
 
 
 # --- s1 -------------------------------------------------------------------------
@@ -297,8 +361,10 @@ def test_s1_trace_examples():
 
     _, tr = s1_moves(5, 3)
     assert tr.phase2 == (5, 2, 1)
-    assert tr.odd_indices == (0,) and tr.even_indices == (1,)
-    assert tr.n_steps == 2 and tr.total == 15 == 5 * 3
+    halved = tr.phase2[:-1]  # a_0, .., a_(N-1): N = 2 halving steps
+    assert [i for i, x in enumerate(halved) if x % 2] == [0]
+    assert [i for i, x in enumerate(halved) if x % 2 == 0] == [1]
+    assert tr.total == 15 == 3 * (2 ** 2 + 2 ** 0)
 
 
 def test_s1_certificates_and_move_counts():
@@ -308,7 +374,7 @@ def test_s1_certificates_and_move_counts():
         a = rng.choice([-1, 1]) * rng.randint(1, 200)
         l = rng.choice([-1, 1]) * rng.randint(1, 200)
         piece, tr = s1_piece(a, l)
-        cert = piece.certificate()
+        cert = piece.certificate([(1, ((a,), (l,)))])
         ok, diag = verify_certificate(cert)
         assert ok, diag
         assert cert.target == parallelogram_cycle([(a,), (l,)])
@@ -318,11 +384,13 @@ def test_s1_certificates_and_move_counts():
 
 def test_s1_zero_routes():
     piece, _ = s1_piece(4, 0)
-    assert verify_certificate(piece.certificate())[0]
-    assert piece.certificate().target == _q((4,), (0,))
+    cert = piece.certificate([(1, ((4,), (0,)))])
+    assert verify_certificate(cert)[0]
+    assert cert.target == _q((4,), (0,))
     piece, _ = s1_piece(0, 9)
-    assert verify_certificate(piece.certificate())[0]
-    assert piece.certificate().target == _q((0,), (9,))
+    cert = piece.certificate([(1, ((0,), (9,)))])
+    assert verify_certificate(cert)[0]
+    assert cert.target == _q((0,), (9,))
 
 
 # --- slide ----------------------------------------------------------------------
@@ -332,14 +400,16 @@ def test_slide_examples():
     piece = slide(E1, 3, 4, (0, 4))
     want = (parallelogram_cycle([(3, 0), (4, 4)])
             - parallelogram_cycle([(3, 0), (0, 4)]))
-    assert piece.target == want
-    assert verify_certificate(piece.certificate())[0]
+    cert = piece.certificate([(1, ((3, 0), (4, 4))), (-1, ((3, 0), (0, 4)))])
+    assert cert.target == want
+    assert verify_certificate(cert)[0]
 
-    assert slide(E1, 5, 0, (0, 2)).target.is_zero()
+    assert slide(E1, 5, 0, (0, 2)).certificate([]).target.is_zero()
 
     # schedule step 4 shape: u0 = e1, d = a1*a2, m = 1-a1
     piece = slide(E1, 12, -3, (3, -1))
-    cert = piece.certificate()
+    cert = piece.certificate([(1, ((12, 0), (0, -1))),
+                              (-1, ((12, 0), (3, -1)))])
     assert verify_certificate(cert)[0]
     assert cert.target == _q((12, 0), (0, -1)) - _q((12, 0), (3, -1))
 
@@ -347,17 +417,11 @@ def test_slide_examples():
 # --- slim -----------------------------------------------------------------------
 
 def test_slim_examples():
-    cert = slim_piece(((1, 0), (0, 0))).certificate()
-    assert verify_certificate(cert)[0]
-    assert cert.target == parallelogram_cycle([(1, 0), (0, 0)])
-
-    cert = slim_piece(((2, 0), (3, 0))).certificate()
-    assert verify_certificate(cert)[0]
-    assert cert.target == parallelogram_cycle([(2, 0), (3, 0)])
-
-    cert = slim_piece(((2, 1), (1, 1), (3, 2))).certificate()
-    assert verify_certificate(cert)[0]
-    assert cert.target == parallelogram_cycle([(2, 1), (1, 1), (3, 2)])
+    for gens in (((1, 0), (0, 0)), ((2, 0), (3, 0)),
+                 ((2, 1), (1, 1), (3, 2))):
+        cert = slim_piece(gens).certificate([(1, gens)])
+        assert verify_certificate(cert)[0]
+        assert cert.target == parallelogram_cycle(gens)
 
     with pytest.raises(NotDependent):
         slim_piece(((1, 0), (0, 1)))
@@ -374,38 +438,32 @@ def test_slim_random_dependent():
             from torfill.exactlinalg import hnf
             if len(hnf(_gens_matrix(tuple(vecs))).pivots) < k:
                 break
-        cert = slim_piece(tuple(vecs)).certificate()
+        cert = slim_piece(tuple(vecs)).certificate([(1, tuple(vecs))])
         assert verify_certificate(cert)[0]
         assert cert.target == parallelogram_cycle(vecs)
 
 
 # --- rectangles ------------------------------------------------------------------
 
-def _rects_target(gens, rects):
-    """Q(gens) - sum_i eps_i R(sizes_i), the target paral_to_rects claims."""
-    want = parallelogram_cycle(gens)
-    for eps, sizes in rects:
-        rect = rectangle_cycle(sizes)
-        want = want - TorusChain(rect.ambient_dim, rect.degree,
-                                 {s: eps * c for s, c in rect.terms.items()})
-    return want
+def _rects_claim(gens, rects):
+    """Q(gens) - sum_i eps_i R(sizes_i), the cycles paral_to_rects fills."""
+    return [(1, gens)] + _rects(*((-eps, sizes) for eps, sizes in rects))
 
 
 def test_paral_to_rects_examples():
     rects, piece = paral_to_rects(((2, 1), (1, 1)))
     assert len(rects) <= 2
     assert all(max(abs(s) for s in sizes) <= 2 for _, sizes in rects)
-    cert = piece.certificate()
+    cert = piece.certificate(_rects_claim(((2, 1), (1, 1)), rects))
     assert verify_certificate(cert)[0]
-    assert cert.target == _rects_target(((2, 1), (1, 1)), rects)
 
     rects, piece = paral_to_rects((E1, E2))
-    assert rects == [(1, (1, 1))] and piece.certificate().cost == 0
+    assert rects == [(1, (1, 1))]
+    assert piece.certificate(_rects_claim((E1, E2), rects)).cost == 0
 
     rects, piece = paral_to_rects(((1, 0), (1, 1)))
-    cert = piece.certificate()
+    cert = piece.certificate(_rects_claim(((1, 0), (1, 1)), rects))
     assert verify_certificate(cert)[0]
-    assert cert.target == _rects_target(((1, 0), (1, 1)), rects)
     assert (1, (1, 1)) in rects
 
 
@@ -416,9 +474,8 @@ def test_paral_to_rects_random():
         vecs = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                      for _ in range(n))
         rects, piece = paral_to_rects(vecs)
-        cert = piece.certificate()
+        cert = piece.certificate(_rects_claim(vecs, rects))
         assert verify_certificate(cert)[0]
-        assert cert.target == _rects_target(vecs, rects)
         bound = max(max(abs(x) for x in v) for v in vecs)
         factorial = math.factorial(n)
         assert len(rects) <= factorial
@@ -436,61 +493,59 @@ def test_paral_to_rects_random():
 
 
 def test_rect_to_unit_examples():
-    cert = rect_to_unit((2, 3)).certificate()
-    assert cert.target == rectangle_cycle((2, 3)) - rectangle_cycle((6, 1))
-    assert verify_certificate(cert)[0]
-    assert rect_to_unit((1, 1)).certificate().cost == 0
-    assert rect_to_unit((7, 1)).certificate().cost == 0
-    cert = rect_to_unit((2, 0)).certificate()
-    assert verify_certificate(cert)[0]
-    assert cert.target == rectangle_cycle((2, 0)) - rectangle_cycle((0, 1))
-    cert = rect_to_unit((-3, 2)).certificate()
-    assert cert.target == rectangle_cycle((-3, 2)) - rectangle_cycle((-6, 1))
-    assert verify_certificate(cert)[0]
-    cert = rect_to_unit((2, 3, 2)).certificate()
-    assert cert.target == rectangle_cycle((2, 3, 2)) - rectangle_cycle((12, 1, 1))
-    assert verify_certificate(cert)[0]
+    def certificate(sizes, unit):
+        cert = rect_to_unit(sizes).certificate(_rects((1, sizes), (-1, unit)))
+        assert cert.target == rectangle_cycle(sizes) - rectangle_cycle(unit)
+        assert verify_certificate(cert)[0]
+        return cert
+
+    certificate((2, 3), (6, 1))
+    assert certificate((1, 1), (1, 1)).cost == 0
+    assert certificate((7, 1), (7, 1)).cost == 0
+    certificate((2, 0), (0, 1))
+    certificate((-3, 2), (-6, 1))
+    certificate((2, 3, 2), (12, 1, 1))
     # the inner step of (2, 3, 2); with the check above it pins the first
     # phase: R(2, 3, 2) - R(4, 3, 1)
-    cert = rect_to_unit((4, 3)).certificate()
-    assert cert.target == rectangle_cycle((4, 3)) - rectangle_cycle((12, 1))
-    cert = rect_to_unit((2, 0, 3)).certificate()
-    assert cert.target == rectangle_cycle((2, 0, 3)) - rectangle_cycle((0, 1, 1))
+    certificate((4, 3), (12, 1))
+    certificate((2, 0, 3), (0, 1, 1))
 
 
 def test_combine_rects_examples():
     total, piece = combine_rects([(1, 2), (1, 3)], 2)
-    cert = piece.certificate()
+    cert = piece.certificate(_rects((1, (2, 1)), (1, (3, 1)), (-1, (5, 1))))
     assert total == 5
     assert cert.target == (rectangle_cycle((2, 1)) + rectangle_cycle((3, 1))
                            - rectangle_cycle((5, 1)))
     assert verify_certificate(cert)[0]
 
     total, piece = combine_rects([(1, 4)], 2)
-    assert total == 4 and piece.certificate().cost == 0
-    assert piece.target.is_zero()
+    cert = piece.certificate([])  # R(4, 1) - R(4, 1)
+    assert total == 4 and cert.cost == 0 and cert.target.is_zero()
 
     total, piece = combine_rects([(1, 2), (-1, 2)], 2)
-    cert = piece.certificate()
+    cert = piece.certificate(_rects((-1, (0, 1))))
     assert total == 0
     assert verify_certificate(cert)[0]
     assert cert.target == -rectangle_cycle((0, 1))
 
     total, piece = combine_rects([(-1, 3), (1, 1)], 3)
-    cert = piece.certificate()
+    cert = piece.certificate(_rects((1, (1, 1, 1)), (-1, (3, 1, 1)),
+                                    (-1, (-2, 1, 1))))
     assert total == -2
     assert cert.target == (rectangle_cycle((1, 1, 1)) - rectangle_cycle((3, 1, 1))
                            - rectangle_cycle((-2, 1, 1)))
 
     total, piece = combine_rects([], 2)
-    assert total == 0 and piece.certificate().target == -rectangle_cycle((0, 1))
+    cert = piece.certificate(_rects((-1, (0, 1))))
+    assert total == 0 and cert.target == -rectangle_cycle((0, 1))
 
 
 # --- the full reduction ------------------------------------------------------------
 
 def test_reduce_identity():
     rep = reduce_parallelogram(IntMatrix.identity(2))
-    assert rep.cost == 0 and rep.det == 1
+    assert rep.certificate.cost == 0 and rep.det == 1
     ok, _ = verify_certificate(rep.certificate)
     assert ok
 
@@ -501,10 +556,10 @@ def test_reduce_anosov_and_dehn():
     assert rep.certificate.target == (
         parallelogram_cycle([(2, 1), (1, 1)]) - rectangle_cycle((1, 1)))
     assert verify_certificate(rep.certificate)[0]
-    assert rep.cost == sum(r.cost for r in rep.trace)
+    assert rep.certificate.cost == sum(r.cost for r in rep.certificate.trace)
 
     rep = reduce_parallelogram(IntMatrix(((1, 1), (0, 1))))
-    assert rep.cost <= 60  # Dehn twist reduces at bounded cost
+    assert rep.certificate.cost <= 60  # Dehn twist reduces at bounded cost
 
 
 def test_reduce_non_unit_determinant():
@@ -525,7 +580,7 @@ def test_reduce_dimension_three():
     rep = reduce_parallelogram(a)
     assert rep.det == 2
     assert verify_certificate(rep.certificate)[0]
-    assert rep.cost == sum(r.cost for r in rep.trace)
+    assert rep.certificate.cost == sum(r.cost for r in rep.certificate.trace)
     with pytest.raises(UnsupportedDimension):
         reduce_parallelogram(IntMatrix.identity(4))
 
@@ -544,7 +599,7 @@ def test_reduce_dimension_three_negative_relation():
     rep = reduce_parallelogram(a)
     assert rep.det == -5
     assert verify_certificate(rep.certificate)[0]
-    assert rep.cost == sum(r.cost for r in rep.trace)
+    assert rep.certificate.cost == sum(r.cost for r in rep.certificate.trace)
 
 
 def test_tracer_assemble_measure_reads_real_pieces(monkeypatch):
@@ -605,11 +660,12 @@ def test_reduce_random_sl2_exactness():
         rep = reduce_parallelogram(a)
         assert rep.det == 1
         assert verify_certificate(rep.certificate)[0]
-        assert rep.cost == sum(r.cost for r in rep.trace)
+        assert (rep.certificate.cost
+                == sum(r.cost for r in rep.certificate.trace))
 
 
 def test_candidate_cap():
     from torfill.errors import CandidateSetTooLarge
     from torfill.filling.solver import enumerate_candidates
     with pytest.raises(CandidateSetTooLarge):
-        enumerate_candidates(3, 4, 3, True, tuple_cap=10 ** 5)
+        enumerate_candidates(3, 4, 3, True)

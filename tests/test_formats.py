@@ -41,7 +41,7 @@ def record_obj(r, legacy=False):
                 **(LEGACY_FIELDS if legacy else {}))
 
 
-def v1_certificate_obj(cert, trace=()):
+def v1_certificate_obj(cert):
     return {
         "version": 1,
         "ambient_dim": cert.target.ambient_dim,
@@ -49,7 +49,7 @@ def v1_certificate_obj(cert, trace=()):
         "target": v1_chain_obj(cert.target),
         "witness": v1_chain_obj(cert.witness),
         "cost": str(cert.cost),
-        "trace": [record_obj(r, legacy=True) for r in trace],
+        "trace": [record_obj(r, legacy=True) for r in cert.trace],
     }
 
 
@@ -71,11 +71,11 @@ def v2_chain_obj(c):
                 position[tuple(v)] for v in r["vertices"]]} for r in terms]}
 
 
-def v2_certificate_obj(cert, trace=()):
-    return dict(v1_certificate_obj(cert, trace), version=2,
+def v2_certificate_obj(cert):
+    return dict(v1_certificate_obj(cert), version=2,
                 target=v2_chain_obj(cert.target),
                 witness=v2_chain_obj(cert.witness),
-                trace=[record_obj(r) for r in trace])
+                trace=[record_obj(r) for r in cert.trace])
 
 
 def v2_text(obj):
@@ -111,12 +111,12 @@ def test_chain_rejects_non_canonical():
 def test_certificate_round_trip(tmp_path):
     cert = base_certificate(("DOUBLE_HALVE",))
     path = tmp_path / "cert.json"
-    save_certificate(path, cert, trace=())
-    loaded, trace = load_certificate(path)
+    save_certificate(path, cert)
+    loaded = load_certificate(path)
     assert loaded.target == cert.target
     assert loaded.witness == cert.witness
     assert loaded.cost == cert.cost
-    assert trace == ()
+    assert loaded.trace == ()
 
 
 def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
@@ -126,9 +126,9 @@ def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
     before = path.read_bytes()
     write = formats.write_certificate
 
-    def partial_write(fh, cert, trace=()):
+    def partial_write(fh, cert):
         buf = io.StringIO()
-        write(buf, cert, trace)
+        write(buf, cert)
         fh.write(buf.getvalue()[:100])
         raise OSError("disk full")
 
@@ -140,13 +140,12 @@ def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
 
 
 def test_certificate_trace_round_trip():
-    rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
-    obj = v1_certificate_obj(rep.certificate, rep.trace)
-    cert2, trace2 = obj_to_certificate(obj)
-    assert cert2.cost == rep.cost
-    assert len(trace2) == len(rep.trace)
-    assert [r.kind for r in trace2] == [r.kind for r in rep.trace]
-    assert [r.cost for r in trace2] == [r.cost for r in rep.trace]
+    cert = reduce_parallelogram(IntMatrix(((2, 1), (1, 1)))).certificate
+    cert2 = obj_to_certificate(v1_certificate_obj(cert))
+    assert cert2.cost == cert.cost
+    assert len(cert2.trace) == len(cert.trace)
+    assert [r.kind for r in cert2.trace] == [r.kind for r in cert.trace]
+    assert [r.cost for r in cert2.trace] == [r.cost for r in cert.trace]
 
 
 def test_bad_certificate_object():
@@ -159,7 +158,7 @@ def test_deeply_nested_trace_params_input_error():
     # load whose trace params are nested deeper than the reader can recurse
     rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
     sink = io.StringIO()
-    write_certificate(sink, rep.certificate, rep.trace)
+    write_certificate(sink, rep.certificate)
     obj = json.loads(sink.getvalue())
     params = []
     for _ in range(sys.getrecursionlimit()):
@@ -172,35 +171,33 @@ def test_deeply_nested_trace_params_input_error():
 # --- the writer against the reference layouts ---------------------------------
 
 def _reduced(rows):
-    rep = reduce_parallelogram(IntMatrix(rows))
-    return rep.certificate, rep.trace
+    return reduce_parallelogram(IntMatrix(rows)).certificate
 
 
-def _same_certificate(loaded, cert, trace):
-    got, got_trace = loaded
+def _same_certificate(got, cert):
     assert (got.target, got.witness, got.cost) == (cert.target, cert.witness,
                                                    cert.cost)
-    assert got_trace == tuple(trace)
+    assert got.trace == cert.trace
 
 
 @pytest.mark.parametrize("make", [
-    *[lambda key=key: (base_certificate(key), ()) for key in BASE_KEYS],
+    *[lambda key=key: base_certificate(key) for key in BASE_KEYS],
     lambda: _reduced(((2, 1), (1, 1))),
     lambda: _reduced(((3, -1, -5), (5, 3, -4), (-1, 0, 1))),
 ], ids=["/".join(map(str, k)) for k in BASE_KEYS] + ["2x2", "3x3-negative"])
 def test_certificate_writer_matches_reference(tmp_path, make):
-    cert, trace = make()
-    want = v2_text(v2_certificate_obj(cert, trace))
+    cert = make()
+    want = v2_text(v2_certificate_obj(cert))
     path = tmp_path / "out.json"
-    save_certificate(path, cert, trace)
+    save_certificate(path, cert)
     assert path.read_text() == want
     buf = io.StringIO()
-    write_certificate(buf, cert, trace)
+    write_certificate(buf, cert)
     assert buf.getvalue() == want
-    _same_certificate(load_certificate(path), cert, trace)
+    _same_certificate(load_certificate(path), cert)
     # the version-1 file of the same certificate loads to the same one
-    path.write_text(v1_text(v1_certificate_obj(cert, trace)))
-    _same_certificate(load_certificate(path), cert, trace)
+    path.write_text(v1_text(v1_certificate_obj(cert)))
+    _same_certificate(load_certificate(path), cert)
 
 
 @pytest.mark.parametrize("make", [
@@ -219,8 +216,7 @@ def test_chain_writer_matches_reference(make):
 def test_version_1_files_load_and_verify(tmp_path, capsys):
     rep = reduce_parallelogram(IntMatrix(((2, 1), (1, 1))))
     cert_path, cycle_path = tmp_path / "cert.json", tmp_path / "cycle.json"
-    cert_path.write_text(v1_text(v1_certificate_obj(rep.certificate,
-                                                    rep.trace)))
+    cert_path.write_text(v1_text(v1_certificate_obj(rep.certificate)))
     # null-homologous with a small-box witness: Q(e1,e2) + Q(-e1,e2)
     z = (parallelogram_cycle([(1, 0), (0, 1)])
          + parallelogram_cycle([(-1, 0), (0, 1)]))
@@ -228,7 +224,7 @@ def test_version_1_files_load_and_verify(tmp_path, capsys):
     assert main(["fill", "--verify", str(cert_path)]) == 0
     assert main(["fill", "--cycle", str(cycle_path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[:2] == ["cost=%d" % rep.cost, "verified=True"]
+    assert out[:2] == ["cost=%d" % rep.certificate.cost, "verified=True"]
 
 
 def test_legacy_trace_fields_load_and_verify(tmp_path, capsys):
