@@ -1,9 +1,16 @@
 """Top-level reduction: a parallelogram cycle to its rectangle normal form.
 
-Pipeline: split generators along the last coordinate and recurse the
-singleton terms (paral_to_rects), fill the linearly dependent remainders
-(slim_piece), normalize each rectangle to unit heights by the four-slide
-schedule (rect_to_unit), and merge the unit rectangles (combine_rects).
+A 2x2 matrix with det A = +-1 takes the column walk (_column_walk):
+Euclid's algorithm with nearest rounding on the top row, steered to land
+on diag(det A, 1).  A column shear w -> w - q*v fills Q(v, w) - Q(v, w - qv),
+the Dehn-step cycle pushed along [v | w]; it is made of DEHN/k chunks,
+k <= 3, or of one slide when that costs less (_shear).
+
+Every other matrix takes the rectangle pipeline: split generators along
+the last coordinate and recurse the singleton terms (paral_to_rects), fill
+the linearly dependent remainders (slim_piece), normalize each rectangle
+to unit heights by the four-slide schedule (rect_to_unit), and merge the
+unit rectangles (combine_rects).
 Each step returns a Piece whose docstring states the cycles it fills; the
 final certificate is checked, with exact integer arithmetic, against the
 claim Q(columns) - R(det, 1..1), and carries the move trace.
@@ -11,11 +18,14 @@ claim Q(columns) - R(det, 1..1), and carries the move trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+from ..chains import TorusChain, l1_norm
 from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
 from ..exactlinalg import IntMatrix, _check, det_exact, hnf, mat_pow
+from .base import base_certificate
 from .certificate import FillingCertificate, Piece, _unit
 from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
                     move_zero_gen, primitive_decomposition, s1_piece,
@@ -251,6 +261,125 @@ def combine_rects(signed_lengths, n):
     return running, piece
 
 
+_E1 = (1, 0)
+
+
+def _dehn_cost(k) -> int:
+    return base_certificate(("DEHN", k)).cost
+
+
+@functools.cache
+def _dehn_parts(q) -> tuple:
+    """The steps k, 1 <= k <= 3, adding up to q >= 0 whose DEHN/k base
+    costs sum least; fewest steps on ties."""
+    if q == 0:
+        return ()
+    return min((_dehn_parts(q - k) + (k,) for k in (3, 2, 1) if k <= q),
+               key=lambda parts: (sum(map(_dehn_cost, parts)), len(parts)))
+
+
+def _dehn_shear(q) -> Piece:
+    """Q(e1, e2) - Q(e1, e2 - q*e1) for q >= 1 as DEHN chunks."""
+    piece = Piece.zero(2, 2)
+    w = (0, 1)
+    for k in _dehn_parts(q):
+        piece = piece + Piece.move(("DEHN", k), "DEHN", [_E1, w])
+        w = (w[0] - k, 1)
+    return piece
+
+
+def _slide_shear(q) -> Piece:
+    """Q(e1, e2) - Q(e1, e2 - q*e1) as one slide."""
+    return slide_second(_E1, (-q, 1), (q, 0))
+
+
+def _realized_cost(piece) -> int:
+    """The l1 norm of a plane piece's witness, summed from its chunks
+    without Piece.assemble: a reduction assembles its piece once, and
+    choosing a shear leaves that so."""
+    return l1_norm(TorusChain.from_pairs(2, 3, (
+        term for _, chunk in piece.chunks for term in chunk.terms.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _slide_is_cheaper(q) -> bool:
+    """Whether one slide fills the shear by q >= 1 at less cost than DEHN
+    chunks.  Their base costs add to at least q * least_rate, and the
+    slide realizes at most the sum of its chunks' base costs.  Between those
+    bounds the assembled costs decide, since a slide's chunks cancel in part
+    (at q = 20 their base costs add to 21 and the slide costs 17)."""
+    slide = _slide_shear(q)
+    least_rate = min(_dehn_cost(k) / k for k in (1, 2, 3))
+    slide_bound = sum(abs(chunk.coeff) * base_certificate(chunk.source).cost
+                      for _, chunk in slide.chunks if chunk.coeff)
+    if q * least_rate > slide_bound:
+        return True
+    return _realized_cost(slide) < _realized_cost(_dehn_shear(q))
+
+
+def _shear(q) -> Piece:
+    """Piece filling Q(e1, e2) - Q(e1, e2 - q*e1) in T^2, the cheaper of
+    DEHN chunks and one slide.  Pushed along a unimodular [v | w] it fills
+    Q(v, w) - Q(v, w - q*v) at the same cost."""
+    if q < 0:
+        # the shear by -q from the shifted columns [e1 | e2 - q*e1], negated
+        return -_shear(-q).pushforward([_E1, (-q, 1)])
+    if q == 0:
+        return Piece.zero(2, 2)
+    return _slide_shear(q) if _slide_is_cheaper(q) else _dehn_shear(q)
+
+
+def _column_walk(v, w, det) -> Piece:
+    """Piece filling Q(v, w) - Q((det, 0), (0, 1)) for det [v | w] = det,
+    det = +-1, by column shears.
+
+    Euclid with nearest rounding on the top row stops when one entry is
+    +-1.  Then v0 is made det (if v0 = -det, w0 is made +-1 first), w0 is
+    cleared, which leaves w = (0, 1), and v1 is cleared."""
+    cols = [v, w]
+    piece = Piece.zero(2, 2)
+
+    def shear(i, q):
+        """Column i -= q * column j, filling Q(cols) - Q(new cols); a shear
+        of v fills -(Q(w, v) - Q(w, v - q*w)), since Q(v, w) = -Q(w, v)."""
+        nonlocal piece
+        if q:
+            j = 1 - i
+            step = _shear(q).pushforward([cols[j], cols[i]])
+            piece = piece + (step if i else -step)
+            cols[i] = _add_vec(cols[i], _scale_vec(-q, cols[j]))
+
+    while abs(cols[0][0]) != 1 and abs(cols[1][0]) != 1:
+        i = 0 if abs(cols[0][0]) > abs(cols[1][0]) else 1
+        shear(i, _round_div(cols[i][0], cols[1 - i][0]))
+    if cols[0][0] == -det and abs(cols[1][0]) != 1:
+        w0 = cols[1][0]
+        shear(1, min(((w0 - t) * -det for t in (1, -1)), key=abs))
+    shear(0, (cols[0][0] - det) * cols[1][0])  # 0 unless w0 = +-1
+    shear(1, cols[1][0] * det)
+    shear(0, cols[0][1])
+    _check(cols == [(det, 0), (0, 1)], "the walk must land on diag(det, 1)")
+    return piece
+
+
+def _rectangle_reduction(gens, det) -> Piece:
+    """Piece filling Q(gens) - R(det, 1, .., 1) by the rectangle pipeline."""
+    n = len(gens)
+    rects, piece = paral_to_rects(gens)
+    lengths = []
+    for eps, sizes in rects:
+        piece = piece + rect_to_unit(sizes).scale(eps)
+        prod = 1
+        for s in sizes:
+            prod *= s
+        lengths.append((eps, prod))
+    total, combine_piece = combine_rects(lengths, n)
+    if total != det:
+        raise VerificationFailure("class bookkeeping: combined length %d != "
+                                  "det %d" % (total, det))
+    return piece + combine_piece
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """Certificate, with its move trace, for Q(columns of A) ->
@@ -271,21 +400,11 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
     if n > 3:
         raise UnsupportedDimension("desk scale supports n <= 3")
     gens = tuple(a.column(j) for j in range(n))
-    rects, piece = paral_to_rects(gens)
-    lengths = []
-    for eps, sizes in rects:
-        piece = piece + rect_to_unit(sizes).scale(eps)
-        prod = 1
-        for s in sizes:
-            prod *= s
-        lengths.append((eps, prod))
-    total, combine_piece = combine_rects(lengths, n)
-    piece = piece + combine_piece
-
     det = det_exact(a)
-    if total != det:
-        raise VerificationFailure("class bookkeeping: combined length %d != "
-                                  "det %d" % (total, det))
+    if n == 2 and abs(det) == 1:
+        piece = _column_walk(*gens, det)
+    else:
+        piece = _rectangle_reduction(gens, det)
 
     unit_rect_gens = tuple(
         _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))

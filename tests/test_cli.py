@@ -344,7 +344,7 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
-    ("2,1;1,1", "27", "14", "05d5937b163e8a25"),
+    ("2,1;1,1", "2", "2", "6472560ddfab5c48"),
     ("3,-1,-5;5,3,-4;-1,0,1", "2068", "313", "8ec4e53440a1da7b"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
@@ -400,7 +400,7 @@ def test_fvupper(capsys):
 
 def test_fvupper_pinned(capsys):
     code, kv, rows = run(capsys, "fvupper", "--matrix=2,1;1,1", "--jmax", "8")
-    assert code == 0 and kv["k_hat_log2"] == "123.768561978"
+    assert code == 0 and kv["k_hat_log2"] == "2.23948077663"
 
 
 def test_psl2z_family(capsys):
@@ -492,22 +492,31 @@ def _missing_file(path):
     path.unlink()
 
 
+# (base file, a matrix whose reduction loads it, the key the error names):
+# a det +-1 2x2 matrix takes the column walk of DEHN chunks, and any other
+# determinant the rectangle path, which closes with NEGATE
+_LOADED_BASES = [("dehn_1.json", "2,1;1,1", "('DEHN', 1)"),
+                 ("negate_2.json", "2,0;0,3", "('NEGATE', 2)")]
+
+
 @pytest.mark.parametrize("tamper", [_flip_first_witness_coeff,
                                     _other_keys_certificate, _missing_file])
 def test_bad_base_certificate_exit_2(tmp_path, monkeypatch, capsys, tamper):
-    table = tmp_path / "base_table"
-    shutil.copytree(base.TABLE_DIR, table)
-    tamper(table / "negate_2.json")
-    monkeypatch.setattr(base, "TABLE_DIR", table)
-    base.base_certificate.cache_clear()
-    lifted.cache_clear()  # lifted base witnesses are memoised per process too
-    try:
-        assert main(["reduce", "--matrix=2,1;1,1"]) == 2
-    finally:
+    shipped = base.TABLE_DIR
+    for name, matrix, key in _LOADED_BASES:
+        table = tmp_path / name / "base_table"
+        shutil.copytree(shipped, table)
+        tamper(table / name)
+        monkeypatch.setattr(base, "TABLE_DIR", table)
         base.base_certificate.cache_clear()
-        lifted.cache_clear()
-    err = capsys.readouterr().err
-    assert "('NEGATE', 2)" in err and "Traceback" not in err
+        lifted.cache_clear()  # lifted base witnesses are memoised too
+        try:
+            assert main(["reduce", "--matrix=" + matrix]) == 2, name
+        finally:
+            base.base_certificate.cache_clear()
+            lifted.cache_clear()
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err, name
 
 
 def test_reduce_verification_failure_exit_2(monkeypatch, capsys):

@@ -664,6 +664,118 @@ def test_reduce_random_sl2_exactness():
                 == sum(r.cost for r in rep.certificate.trace))
 
 
+def _det2(a):
+    (p, q), (r, t) = a.data
+    return p * t - q * r
+
+
+def _walk_claim(a):
+    """Q(columns of A) - R(det A, 1) for a 2x2 A."""
+    (p, q), (r, t) = a.data
+    return [(1, ((p, r), (q, t))), (-1, ((_det2(a), 0), (0, 1)))]
+
+
+def _unimodular(rng, digits):
+    """A random 2x2 integer matrix with det +-1 and norm about 10^digits:
+    a product of elementary shears, its second column negated at random."""
+    p, q, r, t = 1, 0, 0, 1
+    while max(map(abs, (p, q, r, t))) < 10 ** digits:
+        k = rng.randint(-30, 30)
+        if rng.random() < 0.5:
+            q, t = q + k * p, t + k * r
+        else:
+            p, r = p + k * q, r + k * t
+    sign = rng.choice([1, -1])
+    return IntMatrix(((p, sign * q), (r, sign * t)))
+
+
+def test_column_walk_random_unimodular():
+    rng = random.Random(23)
+    mats = [_unimodular(rng, 1 + i % 9) for i in range(40)]
+    mats += [IntMatrix(m) for m in (((0, 1), (-1, 7)), ((5, -1), (1, 0)),
+                                    ((1, 0), (-9, -1)), ((0, -1), (1, 0)))]
+    assert {_det2(a) for a in mats} == {1, -1}
+    for a in mats:
+        rep = reduce_parallelogram(a)
+        claim = _walk_claim(a)
+        assert rep.det == _det2(a)
+        assert rep.certificate.target == _sum_q(claim)
+        assert verify_certificate(rep.certificate, claim)[0]
+
+
+def test_column_walk_edge_costs():
+    costs = {((1, 0), (0, 1)): 0, ((-1, 0), (0, -1)): 6,
+             ((0, -1), (1, 0)): 3, ((0, 1), (-1, 0)): 3,
+             ((0, 1), (1, 0)): 3, ((1, 0), (0, -1)): 6,
+             ((1, 10 ** 6), (0, 1)): 54}
+    for rows, cost in costs.items():
+        a = IntMatrix(rows)
+        rep = reduce_parallelogram(a)
+        assert rep.certificate.cost == cost, rows
+        assert rep.certificate.target == _sum_q(_walk_claim(a))
+
+
+def test_column_walk_large_quotient_slides():
+    # a shear by 10^6 is one slide; DEHN chunks would cost 10^6
+    rep = reduce_parallelogram(IntMatrix(((1, 0), (10 ** 6, 1))))
+    kinds = [r.kind for r in rep.certificate.trace]
+    assert kinds.count("SLIDE") == 1 and kinds[0] == "SPLIT"
+    assert rep.certificate.cost == 54
+
+
+def test_shear_takes_the_cheaper_realized_option():
+    from torfill.filling.reduce import _dehn_shear, _shear, _slide_shear
+
+    def cost(piece):
+        return sum(map(abs, piece.assemble()[0].terms.values()))
+
+    for q in range(1, 41):
+        dehn, slide = _dehn_shear(q), _slide_shear(q)
+        want = min(cost(dehn), cost(slide))
+        assert cost(_shear(q)) == want and cost(_shear(-q)) == want, q
+        assert all(ch.source[0] == "DEHN" for _, ch in dehn.chunks)
+    # at q = 20 the slide's chunks add to more than 20, yet it realizes 17
+    assert cost(_shear(20)) == 17
+    assert [kind for kind, _ in _shear(16).chunks] == ["DEHN"] * 6
+
+
+def test_column_walk_costs_no_more_than_rectangles():
+    from torfill.filling.reduce import _rectangle_reduction
+    from torfill.selftest import random_sl2_word
+    rng = random.Random(12001)
+    mats = [random_sl2_word(rng) for _ in range(6)]
+    mats += [IntMatrix(m) for q in (14, 16, 20, 23, -20)
+             for m in (((1, q), (0, 1)), ((1, 0), (q, 1)))]
+    for a in mats:
+        gens = (a.column(0), a.column(1))
+        rects = _rectangle_reduction(gens, _det2(a)).certificate(
+            _walk_claim(a))
+        assert reduce_parallelogram(a).certificate.cost <= rects.cost, a
+
+
+def test_column_walk_chunks_are_dehn_outside_slides():
+    from torfill.filling.reduce import _column_walk
+    from torfill.selftest import random_sl2_word
+    rng = random.Random(12001)
+    mats = [random_sl2_word(rng) for _ in range(20)]
+    mats += [IntMatrix(((1, 0), (20, 1))), IntMatrix(((-1, 0), (0, -1)))]
+    slides = 0
+    for a in mats:
+        (p, q), (r, t) = a.data
+        piece = _column_walk((p, r), (q, t), _det2(a))
+        in_slide = False
+        for kind, chunk in piece.chunks:
+            if in_slide:
+                in_slide = kind != "SLIDE"
+            elif kind == "SPLIT":  # a slide opens with its split
+                in_slide, slides = True, slides + 1
+            else:
+                assert kind == "DEHN" and chunk.source[0] == "DEHN", a
+                assert 1 <= chunk.source[1] <= 3 and abs(chunk.coeff) == 1
+        assert not in_slide
+    assert slides >= 1
+
+
 def test_candidate_cap():
     from torfill.errors import CandidateSetTooLarge
     from torfill.filling.solver import enumerate_candidates

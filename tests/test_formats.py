@@ -243,5 +243,5 @@ def test_legacy_trace_fields_load_and_verify(tmp_path, capsys):
     want = capsys.readouterr().out
     assert main(["fill", "--verify", str(legacy)]) == 0
     assert capsys.readouterr().out == want
-    assert want.splitlines()[:2] == ["cost=27", "verified=True"]
+    assert want.splitlines()[:2] == ["cost=2", "verified=True"]
     assert load_certificate(legacy) == load_certificate(path)
