@@ -509,7 +509,7 @@ def test_bad_base_certificate_exit_2(tmp_path, monkeypatch, capsys, tamper):
         tamper(table / name)
         monkeypatch.setattr(base, "TABLE_DIR", table)
         base.base_certificate.cache_clear()
-        lifted.cache_clear()  # lifted base witnesses are memoised too
+        lifted.cache_clear()  # lifted witnesses are memoised per process
         try:
             assert main(["reduce", "--matrix=" + matrix]) == 2, name
         finally:
