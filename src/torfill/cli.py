@@ -95,6 +95,9 @@ def build_parser() -> _Parser:
     _add_matrix_args(p)
     p.add_argument("--precision-cap", type=int, default=640,
                    help="decimal digits cap for root certification")
+    p.add_argument("--stats", action="store_true",
+                   help="also print the dps reached and, per certified "
+                        "factor, its degree, closest gap and that gap's bound")
 
     p = subs.add_parser("reduce", help="reduce a parallelogram cycle to its "
                                        "rectangle normal form")
@@ -154,6 +157,14 @@ def _cmd_bounds(args) -> int:
         _row("root_%d" % i, "%.12g%+.12gi" % (r.value.real, r.value.imag),
              "mult=%d" % r.multiplicity, "radius=%.3g" % r.radius,
              "circle=%s" % r.on_unit_circle)
+    if args.stats:
+        from mpmath import nstr
+        certificates = summary.certificates
+        _emit("dps_max", max((c.dps for c in certificates), default=0))
+        for i, c in enumerate(certificates):
+            _emit("factor_%d_degree" % i, c.degree)
+            _emit("factor_%d_gap" % i, nstr(c.gap, 6))
+            _emit("factor_%d_bound" % i, nstr(c.bound, 6))
     return EXIT_OK
 
 

@@ -7,20 +7,30 @@ tables for powers.
 Unit-circle decisions are exact where exactness is possible: cyclotomic
 factors of the characteristic polynomial are divided out over Z first, and
 every remaining root is certified off the circle by one routine,
-`_certified_roots`.  It computes Weierstrass disks in mpmath at a working
-precision that doubles up to a cap, and decides at that precision, with the
-rounding error of evaluating the polynomial added to every radius (Rump,
-Verification methods, Acta Numerica 2010).  An algebraic integer can have
-SOME conjugates on the circle without being a root of unity, so a purely
-algebraic test cannot decide individual roots: PrecisionExhausted means a
-genuine near-circle case such as a Salem spectrum, and names the factor, the
-precision reached and the closest root's gap against its radius.
+`_certified_roots`.  Approximations are seeded by Durand-Kerner in complex
+doubles and refined by mpmath's polyroots at a working precision that
+doubles up to a cap; Weierstrass disks around them are decided at that
+precision, with the rounding error of evaluating the polynomial added to
+every radius (Rump, Verification methods, Acta Numerica 2010).  The disks
+certify whatever approximations they are given, so the seeds affect speed
+only; when seeding cannot help (coefficients beyond the double range, no
+convergence in doubles, or no disjoint disks from the seeded refinement),
+polyroots starts from its own points.  The roots of each factor are listed
+by (|im|, re, -im), so the + root of a conjugate pair comes first.
+
+An algebraic integer can have SOME conjugates on the circle without being a
+root of unity, so a purely algebraic test cannot decide individual roots:
+PrecisionExhausted means a genuine near-circle case such as a Salem
+spectrum, and names the factor, the precision reached and the closest
+root's gap against its radius.  Each certified factor records the same
+three numbers of its deciding attempt in a FactorCertificate.
 Logarithms are natural throughout this module; log-base-2 quantities appear
 only in the filling reports and carry a log2 tag there.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -197,11 +207,42 @@ class CertifiedRoot:
     outside_unit_circle: bool
 
 
-def _weierstrass_disks(coeffs):
+def _double_seeds(coeffs, maxsteps=500):
+    """Approximate roots of an integer polynomial for mp.polyroots to refine:
+    Durand-Kerner in complex doubles from mpmath's own start points
+    (0.4+0.9i)^k.  None when a coefficient ratio leaves the double range,
+    two iterates coincide, or the iteration does not converge to finite
+    values, so that the caller falls back to mpmath's start."""
+    try:
+        monic = [c / coeffs[0] for c in coeffs]
+        roots = [(0.4 + 0.9j) ** k for k in range(_degree(coeffs))]
+        for _ in range(maxsteps):
+            worst = 0.0
+            for i, z in enumerate(roots):
+                pz = 0j
+                for c in monic:
+                    pz = pz * z + c
+                for j, w in enumerate(roots):
+                    if j != i:
+                        pz /= z - w
+                roots[i] = z - pz
+                worst = max(worst, abs(pz) / max(abs(z), 1.0))
+            if not math.isfinite(worst):
+                return None
+            if worst < 1e-13:
+                return roots if all(map(cmath.isfinite, roots)) else None
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _weierstrass_disks(coeffs, seeds=None):
     """(z, radius, bound) mp triples for the roots of a squarefree integer
     polynomial at the working precision; None unless the bound disks are
     pairwise disjoint, so that each holds exactly one root.
 
+    The approximations z are mpmath's Durand-Kerner iterates, started from
+    `seeds` when given; the disks certify whatever approximations they get.
     radius = deg |p(z) / (lc prod_{w != z} (z - w))| is the Weierstrass
     radius of the computed residual; bound adds the rounding error of
     evaluating p(z), and doubles for the rounding of the denominator.
@@ -209,7 +250,8 @@ def _weierstrass_disks(coeffs):
     deg = _degree(coeffs)
     cs = [mp.mpf(c) for c in coeffs]
     try:
-        roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4)
+        roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4,
+                             roots_init=seeds)
     except mp.libmp.libhyper.NoConvergence:
         return None
     slack = 8 * (deg + 1) * mp.eps
@@ -233,23 +275,43 @@ def _weierstrass_disks(coeffs):
     return disks
 
 
+@dataclass(frozen=True)
+class FactorCertificate:
+    """How the roots of one squarefree factor were certified: at `dps`, the
+    root closest to the unit circle had distance `gap` (mpf) from it against
+    its disk's `bound` (mpf)."""
+
+    degree: int
+    dps: int
+    gap: mp.mpf
+    bound: mp.mpf
+
+
 def _certified_roots(factor, multiplicity, dps_cap):
-    """Roots of a squarefree integer factor, each in a disk that misses the
-    unit circle: the one precision loop of this module, decided in mpmath
-    at each dps."""
+    """(roots, FactorCertificate) for a squarefree integer factor, each root
+    in a disk that misses the unit circle, conjugate pairs in the order
+    (|im|, re, -im): the one precision loop of this module, decided in
+    mpmath at each dps."""
     dps, best = 40, "no attempt gave disjoint disks"
+    seeds = _double_seeds(factor)
     while dps <= dps_cap:
         with mp.workdps(dps):
-            disks = _weierstrass_disks(factor)
+            disks = _weierstrass_disks(factor, seeds)
+            if disks is None and seeds is not None:
+                disks = _weierstrass_disks(factor)
             if disks is not None:
                 gap, bound = min(
                     ((abs(abs(z) - 1), bound + 4 * mp.eps * (abs(z) + 1))
                      for z, _, bound in disks),
                     key=lambda gb: gb[0] - gb[1])
                 if gap > bound:
-                    return [CertifiedRoot(complex(z), float(radius),
-                                          multiplicity, False, abs(z) > 1)
-                            for z, radius, _ in disks]
+                    roots = [CertifiedRoot(complex(z), float(radius),
+                                           multiplicity, False, abs(z) > 1)
+                             for z, radius, _ in disks]
+                    roots.sort(key=lambda r: (abs(r.value.imag), r.value.real,
+                                              -r.value.imag))
+                    return roots, FactorCertificate(_degree(factor), dps,
+                                                    gap, bound)
                 best = "at dps %d the closest root has gap %s against " \
                     "radius %s" % (dps, mp.nstr(gap, 3), mp.nstr(bound, 3))
         dps *= 2
@@ -274,6 +336,7 @@ class SpectralSummary:
     log_sum: float
     unit_root_flag: bool
     cyclotomic_factors: tuple  # (m, multiplicity)
+    certificates: tuple  # FactorCertificate per non-cyclotomic factor
 
 
 def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
@@ -285,10 +348,14 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
     roots = [CertifiedRoot(z, 0.0, mult, True, False)
              for m, mult in cyclo for z in primitive_roots_of_unity(m)]
 
+    certificates = []
     if _degree(remaining) > 0:
         for factor, mult in squarefree_decomposition(remaining):
             if _degree(factor) > 0:
-                roots.extend(_certified_roots(factor, mult, dps_cap))
+                factor_roots, certificate = _certified_roots(factor, mult,
+                                                             dps_cap)
+                roots.extend(factor_roots)
+                certificates.append(certificate)
 
     rho = max((abs(r.value) if not r.on_unit_circle else 1.0 for r in roots),
               default=0.0)
@@ -296,7 +363,8 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
     for r in roots:
         if r.outside_unit_circle:
             log_sum += r.multiplicity * math.log(abs(r.value))
-    return SpectralSummary(p, tuple(roots), rho, log_sum, bool(cyclo), cyclo)
+    return SpectralSummary(p, tuple(roots), rho, log_sum, bool(cyclo), cyclo,
+                           tuple(certificates))
 
 
 def entropy(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:

@@ -54,6 +54,75 @@ def test_bounds_singular_matrix(capsys):
                     "root_1 0+0i mult=2 radius=0 circle=False"]
 
 
+def test_bounds_conjugate_pair_plus_root_first(capsys):
+    # x^2 - 2x + 3 is not cyclotomic; its roots 1 +- i sqrt(2) tie on
+    # (|im|, re), and the + root of the pair prints first
+    code, kv, rows = run(capsys, "bounds", "-m", "1,-2;1,1")
+    assert code == 0
+    assert kv["charpoly"] == "1,-2,3"
+    assert rows == ["root_0 1+1.41421356237i mult=1 radius=3.25e-41 "
+                    "circle=False",
+                    "root_1 1-1.41421356237i mult=1 radius=3.25e-41 "
+                    "circle=False"]
+
+
+def test_bounds_stats_adds_only_key_value_lines(capsys):
+    matrix = "0,0,10000000;1,0,-10000000;0,1,10000001"
+    assert main(["bounds", "-m", matrix]) == 0
+    plain = capsys.readouterr().out
+    assert main(["bounds", "-m", matrix, "--stats"]) == 0
+    with_stats = capsys.readouterr().out
+    assert "dps_max" not in plain
+    assert with_stats.startswith(plain)
+    assert with_stats[len(plain):].splitlines() == [
+        "dps_max=40", "factor_0_degree=3", "factor_0_gap=5.0e-15",
+        "factor_0_bound=7.86002e-39"]
+
+
+def test_bounds_stats_per_factor_and_cyclotomic_only(capsys):
+    # (x^2 - 3x + 1)^2 (x^2 - 2x + 3): one certified factor per multiplicity;
+    # a cyclotomic charpoly needs no precision
+    code, kv, rows = run(capsys, "bounds", "--stats", "-m",
+                         "2,1,0,0,0,0;1,1,0,0,0,0;0,0,2,1,0,0;"
+                         "0,0,1,1,0,0;0,0,0,0,1,-2;0,0,0,0,1,1")
+    assert code == 0 and len(rows) == 4
+    assert kv["dps_max"] == "40"
+    assert [kv["factor_%d_degree" % i] for i in range(2)] == ["2", "2"]
+    assert "factor_2_degree" not in kv
+    for i in range(2):
+        gap, bound = kv["factor_%d_gap" % i], kv["factor_%d_bound" % i]
+        assert float(gap) > float(bound)
+    code, kv, rows = run(capsys, "bounds", "--stats", "-m", "0,-1;1,0")
+    assert code == 0 and kv["dps_max"] == "0"
+    assert not any(key.startswith("factor_") for key in kv)
+
+
+def test_bounds_coefficients_beyond_double_range(capsys):
+    # charpoly (x - 10^200)(x - 1): a coefficient near the top of the double
+    # range; the output is pinned byte for byte
+    big = 10 ** 200
+    assert main(["bounds", "--matrix=%d,0;0,1" % big]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "n=2\ncharpoly=1,-%d,%d\nrho=1e+200\nln_rho=460.517018599\n"
+        "entropy_ln=460.517018599\nn_ln_rho=921.034037198\n"
+        "fv_lower_ln=139.726884953\nunit_root_flag=True\n"
+        "row root_0 1-2.44929359829e-16i mult=1 radius=0 circle=True\n"
+        "row root_1 1e+200+0i mult=1 radius=0 circle=False\n" % (big + 1, big))
+    # charpoly coefficients up to 10^360 overflow a double: the roots are
+    # sought from mpmath's own start, which does not converge, so the
+    # documented PrecisionExhausted exit stays
+    e = 10 ** 120
+    assert main(["bounds", "--matrix=%d,1,0;0,%d,1;1,0,%d" % (e, e, e)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: factor 1,-%d,%d,-%d: roots not separated from the unit "
+        "circle within dps cap 640; no attempt gave disjoint disks\n"
+        % (3 * e, 3 * e * e, e ** 3 + 1))
+
+
 @pytest.mark.parametrize("command", ["bounds", "reduce"])
 @pytest.mark.parametrize("text", ["2,,1;1,1", "2,1,;1,1"],
                          ids=["inner", "trailing"])

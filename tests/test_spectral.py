@@ -8,9 +8,9 @@ import pytest
 
 from torfill.errors import PrecisionExhausted
 from torfill.exactlinalg import IntMatrix, det_exact, mat_pow
-from torfill.spectral import (_deriv, analyze, basic_inequalities,
-                              cyclotomic, entropy, fv_lower_bound,
-                              gelfand_sequence, poly_div_exact, poly_gcd,
+from torfill.spectral import (_deriv, _double_seeds, analyze,
+                              basic_inequalities, cyclotomic, entropy,
+                              fv_lower_bound, gelfand_sequence, poly_div_exact, poly_gcd,
                               primitive_roots_of_unity, split_cyclotomic,
                               squarefree_decomposition, torsion_growth_table)
 
@@ -81,6 +81,113 @@ def test_analyze_near_circle_family(n_value):
     for r in pair:
         assert not r.outside_unit_circle and not r.on_unit_circle
     assert abs(s.log_sum - math.log(big[0].value.real)) < 1e-12
+
+
+# analyze() on a fixed list, pinned from the unseeded refinement: (matrix,
+# charpoly, rho, log_sum, [(root, multiplicity, "%.3g" radius)]).  Family
+# matrices i = 1..10, near-circle companions at N = 10^7 and 10^8, and one
+# 6 x 6 matrix with entries in [-5, 5].
+PINNED_ANALYSES = [
+    (((2, 1), (1, 1)),
+     (1, -3, 1), 2.618033988749895, 0.9624236501192069,
+     [((0.38196601125010515+0j), 1, '0'),
+      ((2.618033988749895+0j), 1, '2.05e-41')]),
+    (((3, 2), (1, 1)),
+     (1, -4, 1), 3.732050807568877, 1.3169578969248166,
+     [((0.2679491924311227+0j), 1, '0'),
+      ((3.732050807568877+0j), 1, '3.98e-41')]),
+    (((4, 3), (1, 1)),
+     (1, -5, 1), 4.79128784747792, 1.566799236972411,
+     [((0.20871215252208+0j), 1, '0'),
+      ((4.79128784747792+0j), 1, '4.51e-41')]),
+    (((5, 4), (1, 1)),
+     (1, -6, 1), 5.82842712474619, 1.762747174039086,
+     [((0.1715728752538099+0j), 1, '0'),
+      ((5.82842712474619+0j), 1, '5.28e-41')]),
+    (((6, 5), (1, 1)),
+     (1, -7, 1), 6.854101966249685, 1.9248473002384139,
+     [((0.14589803375031546+0j), 1, '0'),
+      ((6.854101966249685+0j), 1, '3.42e-41')]),
+    (((7, 6), (1, 1)),
+     (1, -8, 1), 7.872983346207417, 2.0634370688955608,
+     [((0.12701665379258312+0j), 1, '0'),
+      ((7.872983346207417+0j), 1, '1.19e-41')]),
+    (((8, 7), (1, 1)),
+     (1, -9, 1), 8.88748219369606, 2.1846437916051085,
+     [((0.11251780630393897+0j), 1, '0'),
+      ((8.88748219369606+0j), 1, '5.76e-41')]),
+    (((9, 8), (1, 1)),
+     (1, -10, 1), 9.898979485566356, 2.2924316695611777,
+     [((0.10102051443364381+0j), 1, '0'),
+      ((9.898979485566356+0j), 1, '9.14e-41')]),
+    (((10, 9), (1, 1)),
+     (1, -11, 1), 10.908326913195983, 2.3895264345742184,
+     [((0.09167308680401606+0j), 1, '2.12e-42'),
+      ((10.908326913195983+0j), 1, '1.06e-40')]),
+    (((11, 10), (1, 1)),
+     (1, -12, 1), 11.916079783099615, 2.477888730288475,
+     [((0.08392021690038395+0j), 1, '0'),
+      ((11.916079783099615+0j), 1, '7.37e-41')]),
+    (((0, 0, 10000000), (1, 0, -10000000),
+      (0, 1, 10000001)),
+     (1, -10000001, 10000000, -10000000), 10000000.0000001, 16.11809565095833,
+     [((0.499999949999995-0.8660254326519473j), 1, '2.06e-41'),
+      ((0.499999949999995+0.8660254326519473j), 1, '2.06e-41'),
+      ((10000000.0000001+0j), 1, '2.29e-34')]),
+    (((0, 0, 100000000), (1, 0, -100000000),
+      (0, 1, 100000001)),
+     (1, -100000001, 100000000, -100000000), 100000000.00000001,
+     18.420680743952367,
+     [((0.499999995-0.86602540667119j), 1, '4.57e-42'),
+      ((0.499999995+0.86602540667119j), 1, '4.57e-42'),
+      ((100000000.00000001+0j), 1, '2.26e-33')]),
+    (((-5, -4, -4, 0, -3, 5), (-1, -1, 4, -2, 4, -5), (4, 5, -3, 1, 5, 1),
+      (3, 0, 3, 2, 3, -1), (-5, -5, 0, 2, 0, 1), (1, 3, -3, 3, -3, -2)),
+     (1, 9, 26, -112, -823, 484, 4718), 6.028498062275029, 8.45914025996762,
+     [((-5.141073894398355+0j), 1, '2.7e-40'),
+      ((-3.5461805675614757-4.875181254999976j), 1, '2.32e-40'),
+      ((-3.5461805675614757+4.875181254999976j), 1, '2.32e-40'),
+      ((-2.74809599107427+0j), 1, '0'),
+      ((2.990765510297788-0.4939826597621085j), 1, '1.88e-40'),
+      ((2.990765510297788+0.4939826597621085j), 1, '1.88e-40')]),
+]
+
+
+@pytest.mark.parametrize("matrix, poly, rho, log_sum, roots", PINNED_ANALYSES)
+def test_analyze_pinned(matrix, poly, rho, log_sum, roots):
+    s = analyze(IntMatrix(matrix))
+    assert s.charpoly == poly
+    assert s.rho == rho
+    assert s.log_sum == pytest.approx(log_sum, rel=1e-15, abs=0)
+
+    def key(root):
+        return root[0].real, root[0].imag
+    assert sorted(((r.value, r.multiplicity, "%.3g" % r.radius)
+                   for r in s.roots), key=key) == sorted(roots, key=key)
+
+
+def test_double_seeds_fall_back_outside_the_double_range():
+    small, large = sorted(_double_seeds((1, -3, 1)), key=abs)
+    assert abs(small - (3 - math.sqrt(5)) / 2) < 1e-14
+    assert abs(large - (3 + math.sqrt(5)) / 2) < 1e-14
+    assert _double_seeds((1, -(10 ** 400), 1)) is None
+
+
+def test_conjugate_pairs_put_the_plus_root_first():
+    for matrix in (((1, -2), (1, 1)), ((0, -3), (1, 1)),
+                   PINNED_ANALYSES[-1][0]):
+        values = [r.value for r in analyze(IntMatrix(matrix)).roots]
+        for z, w in zip(values, values[1:]):
+            if z.imag and w == z.conjugate():
+                assert z.imag > 0
+
+
+def test_certificates_record_the_deciding_attempt():
+    s = analyze(near_circle_companion(10 ** 8))
+    (cert,) = s.certificates
+    assert cert.degree == 3 and cert.dps == 40
+    assert 0 < cert.bound < cert.gap < 1e-7
+    assert analyze(IntMatrix.identity(2)).certificates == ()
 
 
 def test_entropy_examples():
