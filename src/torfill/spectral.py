@@ -12,11 +12,11 @@ doubles and refined by mpmath's polyroots at a working precision that
 doubles up to a cap; Weierstrass disks around them are decided at that
 precision, with the rounding error of evaluating the polynomial added to
 every radius (Rump, Verification methods, Acta Numerica 2010).  The disks
-certify whatever approximations they are given, so the seeds affect speed
-only; when seeding cannot help (coefficients beyond the double range, no
-convergence in doubles, or no disjoint disks from the seeded refinement),
-polyroots starts from its own points.  The roots of each factor are listed
-by (|im|, re, -im), so the + root of a conjugate pair comes first.
+certify whatever approximations they are given, so the seeds only save
+mpmath sweeps; when seeding cannot help (coefficients beyond the double
+range, or no convergence in doubles), polyroots starts from its own
+points.  The roots of each factor are listed by (|im|, re, -im), so the +
+root of a conjugate pair comes first.
 
 An algebraic integer can have SOME conjugates on the circle without being a
 root of unity, so a purely algebraic test cannot decide individual roots:
@@ -207,16 +207,16 @@ class CertifiedRoot:
     outside_unit_circle: bool
 
 
-def _double_seeds(coeffs, maxsteps=500):
+def _double_seeds(coeffs):
     """Approximate roots of an integer polynomial for mp.polyroots to refine:
     Durand-Kerner in complex doubles from mpmath's own start points
     (0.4+0.9i)^k.  None when a coefficient ratio leaves the double range,
-    two iterates coincide, or the iteration does not converge to finite
-    values, so that the caller falls back to mpmath's start."""
+    two iterates coincide, or 500 sweeps do not converge to finite values,
+    so that the caller falls back to mpmath's start."""
     try:
         monic = [c / coeffs[0] for c in coeffs]
         roots = [(0.4 + 0.9j) ** k for k in range(_degree(coeffs))]
-        for _ in range(maxsteps):
+        for _ in range(500):
             worst = 0.0
             for i, z in enumerate(roots):
                 pz = 0j
@@ -236,13 +236,13 @@ def _double_seeds(coeffs, maxsteps=500):
     return None
 
 
-def _weierstrass_disks(coeffs, seeds=None):
+def _weierstrass_disks(coeffs, seeds):
     """(z, radius, bound) mp triples for the roots of a squarefree integer
     polynomial at the working precision; None unless the bound disks are
     pairwise disjoint, so that each holds exactly one root.
 
     The approximations z are mpmath's Durand-Kerner iterates, started from
-    `seeds` when given; the disks certify whatever approximations they get.
+    `seeds` unless None; the disks certify whatever approximations they get.
     radius = deg |p(z) / (lc prod_{w != z} (z - w))| is the Weierstrass
     radius of the computed residual; bound adds the rounding error of
     evaluating p(z), and doubles for the rounding of the denominator.
@@ -278,8 +278,8 @@ def _weierstrass_disks(coeffs, seeds=None):
 @dataclass(frozen=True)
 class FactorCertificate:
     """How the roots of one squarefree factor were certified: at `dps`, the
-    root closest to the unit circle had distance `gap` (mpf) from it against
-    its disk's `bound` (mpf)."""
+    root with the least margin gap - bound had distance `gap` (mpf) from the
+    unit circle against its disk's `bound` (mpf)."""
 
     degree: int
     dps: int
@@ -297,8 +297,6 @@ def _certified_roots(factor, multiplicity, dps_cap):
     while dps <= dps_cap:
         with mp.workdps(dps):
             disks = _weierstrass_disks(factor, seeds)
-            if disks is None and seeds is not None:
-                disks = _weierstrass_disks(factor)
             if disks is not None:
                 gap, bound = min(
                     ((abs(abs(z) - 1), bound + 4 * mp.eps * (abs(z) + 1))
