@@ -10,7 +10,8 @@ from torfill.errors import PrecisionExhausted
 from torfill.exactlinalg import IntMatrix, det_exact, mat_pow
 from torfill.spectral import (_deriv, _double_seeds, analyze,
                               basic_inequalities, cyclotomic, entropy,
-                              fv_lower_bound, gelfand_sequence, poly_div_exact, poly_gcd,
+                              fv_lower_bound, gelfand_sequence,
+                              poly_div_exact, poly_gcd,
                               primitive_roots_of_unity, split_cyclotomic,
                               squarefree_decomposition, torsion_growth_table)
 
