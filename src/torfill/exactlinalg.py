@@ -3,7 +3,9 @@ built from alternating Hermite forms, Diophantine solving, fraction-free
 determinants, characteristic polynomials, cokernels.
 
 Everything is arbitrary-precision; normal-form results carry their unimodular
-transforms and are re-verified by multiplication before being returned.
+transforms, which are checked to have |det| = 1, and are re-verified by
+multiplication before being returned.  The normal forms run on plain lists
+of integer rows and build an IntMatrix only for their results.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
                                for i in range(n)))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data)))
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
@@ -65,10 +64,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        bt = list(zip(*other.data))
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                     for col in bt)
-                               for row in self.data))
+        return IntMatrix(_mul_rows(self.data, other.data))
 
     def apply(self, vec) -> tuple:
         vec = tuple(int(x) for x in vec)
@@ -81,6 +77,14 @@ class IntMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+
+def _mul_rows(a, b) -> tuple:
+    """Product of two integer matrices given as sequences of rows, whose
+    shapes the caller has checked."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -179,8 +183,8 @@ class SnfResult:
         return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
 
-def _is_diagonal(m: IntMatrix) -> bool:
-    return not any(x for i, row in enumerate(m.data)
+def _is_diagonal(rows) -> bool:
+    return not any(x for i, row in enumerate(rows)
                    for j, x in enumerate(row) if i != j)
 
 
@@ -188,7 +192,10 @@ def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, re-verified by multiplication.
 
     Column Hermite forms of M and of M^T alternate until M is diagonal,
-    which is tested after every form.
+    which is tested after every form.  Both run `_hermite_cols` on row
+    lists: Q stacked under M for the column form, P^T under M^T for the
+    form of the transpose, so each transform is updated by the same column
+    operations as M.
     Then, for i < j with d_i not dividing d_j, P2 = [[x, y], [-s, t]] on
     rows i, j and Q2 = [[1, -ys], [1, xt]] on columns i, j, where
     x d_i + y d_j = g, s = d_j / g and t = d_i / g, take diag(d_i, d_j) to
@@ -204,22 +211,23 @@ def snf(a: IntMatrix) -> SnfResult:
     clear, and they stay clear, as the same holds for M^T.  The forms then
     act on B alone, and induction on its size ends the loop.
     """
-    m = a
-    p = IntMatrix.identity(a.rows)
-    q = IntMatrix.identity(a.cols)
+    r, c = a.rows, a.cols
+    m = [list(row) for row in a.data]
+    q = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    pt = [[1 if i == j else 0 for j in range(r)] for i in range(r)]  # P^T
     while not _is_diagonal(m):
-        by_cols = hnf(m)
-        q = q @ by_cols.u
-        m = by_cols.h
+        stacked = m + q
+        _hermite_cols(stacked, r)
+        m, q = stacked[:r], stacked[r:]
         if _is_diagonal(m):
             break
-        by_rows = hnf(m.transpose())
-        p = by_rows.u.transpose() @ p
-        m = by_rows.h.transpose()
+        stacked = [list(col) for col in zip(*m)] + pt
+        _hermite_cols(stacked, c)
+        m = [list(row) for row in zip(*stacked[:c])]
+        pt = stacked[c:]
 
-    p = [list(r) for r in p.data]
-    q = [list(r) for r in q.data]
-    diag = [m.data[i][i] for i in range(min(a.rows, a.cols))]
+    p = [list(row) for row in zip(*pt)]
+    diag = [m[i][i] for i in range(min(r, c))]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             di, dj = diag[i], diag[j]
@@ -229,16 +237,16 @@ def snf(a: IntMatrix) -> SnfResult:
             s, t = dj // g, di // g
             p[i], p[j] = ([x * u + y * v for u, v in zip(p[i], p[j])],
                           [t * v - s * u for u, v in zip(p[i], p[j])])
-            for r in q:
-                r[i], r[j] = r[i] + r[j], x * t * r[j] - y * s * r[i]
+            for row in q:
+                row[i], row[j] = row[i] + row[j], x * t * row[j] - y * s * row[i]
             diag[i], diag[j] = g, di * s
     for i, v in enumerate(diag):
         if v < 0:
             diag[i] = -v
             p[i] = [-x for x in p[i]]
 
-    d = tuple(tuple(diag[i] if i == j else 0 for j in range(a.cols))
-              for i in range(a.rows))
+    d = tuple(tuple(diag[i] if i == j else 0 for j in range(c))
+              for i in range(r))
     result = SnfResult(IntMatrix(tuple(map(tuple, p))),
                        IntMatrix(tuple(map(tuple, q))), IntMatrix(d), a)
     _verify_snf(result)
@@ -246,13 +254,18 @@ def snf(a: IntMatrix) -> SnfResult:
 
 
 def _verify_snf(res: SnfResult):
-    prod = (res.p @ res.original) @ res.q
-    _check(prod.data == res.d.data, "SNF transform check failed")
+    a, p, q, d = res.original, res.p, res.q, res.d
+    _check(p.rows == p.cols == a.rows and q.rows == q.cols == a.cols
+           and (d.rows, d.cols) == (a.rows, a.cols), "SNF shapes do not match")
+    _check(_mul_rows(_mul_rows(p.data, a.data), q.data) == d.data,
+           "SNF transform check failed")
+    _check(abs(det_rows(p.data)) == 1, "SNF transform P is not unimodular")
+    _check(abs(det_rows(q.data)) == 1, "SNF transform Q is not unimodular")
     diag = res.diagonal()
-    for i in range(res.d.rows):
-        for j in range(res.d.cols):
+    for i in range(d.rows):
+        for j in range(d.cols):
             if j != i:
-                _check(res.d.data[i][j] == 0, "SNF not diagonal")
+                _check(d.data[i][j] == 0, "SNF not diagonal")
     seen_zero = False
     for i, v in enumerate(diag):
         _check(v >= 0, "SNF diagonal must be nonnegative")
@@ -279,28 +292,40 @@ class HnfResult:
 
 
 def hnf(a: IntMatrix) -> HnfResult:
+    """Column Hermite form of A with its transform, re-verified."""
     r, c = a.rows, a.cols
-    m = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    stacked = m + u  # a column operation acts on the rows of both
+    stacked = [list(row) for row in a.data] + \
+        [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    pivots = _hermite_cols(stacked, r)
+    result = HnfResult(IntMatrix(tuple(map(tuple, stacked[:r]))),
+                       IntMatrix(tuple(map(tuple, stacked[r:]))),
+                       tuple(pivots))
+    _verify_hnf(a, result)
+    return result
 
-    def addmul_col(dst, src, f):
-        for row in stacked:
-            row[dst] += f * row[src]
 
-    def combine_cols(j1, j2, x, y, xx, yy):
-        # col j1 <- x*col j1 + y*col j2 ; col j2 <- xx*col j1 + yy*col j2
-        for row in stacked:
-            a1, a2 = row[j1], row[j2]
-            row[j1] = x * a1 + y * a2
-            row[j2] = xx * a1 + yy * a2
+def _verify_hnf(a: IntMatrix, res: HnfResult):
+    u = res.u
+    _check(u.rows == u.cols == a.cols, "HNF transform has the wrong shape")
+    _check(_mul_rows(a.data, u.data) == res.h.data,
+           "HNF transform check failed")
+    _check(abs(det_rows(u.data)) == 1, "HNF transform U is not unimodular")
 
+
+def _hermite_cols(stacked, r):
+    """Column Hermite form, in place, of the matrix held in the first r of
+    the row lists `stacked` (shape as in HnfResult).  Every column operation
+    acts on all the rows, so the rows below r, a transform, are multiplied
+    on the right by the same unimodular U.  Returns the (row, col) pivots.
+    """
+    c = len(stacked[0]) if stacked else 0
     pivots = []
     pivot_col = 0
     for i in range(r):
         if pivot_col >= c:
             break
-        j_nonzero = [j for j in range(pivot_col, c) if m[i][j]]
+        row_i = stacked[i]
+        j_nonzero = [j for j in range(pivot_col, c) if row_i[j]]
         if not j_nonzero:
             continue
         j0 = j_nonzero[0]
@@ -308,26 +333,26 @@ def hnf(a: IntMatrix) -> HnfResult:
             for row in stacked:
                 row[pivot_col], row[j0] = row[j0], row[pivot_col]
         for j in range(pivot_col + 1, c):
-            if m[i][j]:
-                aa, bb = m[i][pivot_col], m[i][j]
+            if row_i[j]:
+                aa, bb = row_i[pivot_col], row_i[j]
                 x, y, g = _xgcd(aa, bb)
-                combine_cols(pivot_col, j, x, y, -(bb // g), aa // g)
-        if m[i][pivot_col] < 0:
+                xx, yy = -(bb // g), aa // g
+                for row in stacked:
+                    a1, a2 = row[pivot_col], row[j]
+                    row[pivot_col] = x * a1 + y * a2
+                    row[j] = xx * a1 + yy * a2
+        if row_i[pivot_col] < 0:
             for row in stacked:
                 row[pivot_col] = -row[pivot_col]
-        piv = m[i][pivot_col]
+        piv = row_i[pivot_col]
         for j in range(pivot_col):
-            f = m[i][j] // piv
+            f = row_i[j] // piv
             if f:
-                addmul_col(j, pivot_col, -f)
+                for row in stacked:
+                    row[j] -= f * row[pivot_col]
         pivots.append((i, pivot_col))
         pivot_col += 1
-
-    result = HnfResult(IntMatrix(tuple(map(tuple, m))),
-                       IntMatrix(tuple(map(tuple, u))),
-                       tuple(pivots))
-    _check((a @ result.u).data == result.h.data, "HNF transform check failed")
-    return result
+    return pivots
 
 
 def _xgcd(a, b):

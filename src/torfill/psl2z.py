@@ -23,9 +23,14 @@ from .exactlinalg import IntMatrix, _check, mat_pow
 S_MAT = IntMatrix(((0, -1), (1, 0)))
 U_MAT = IntMatrix(((0, -1), (1, -1)))
 U2_MAT = U_MAT @ U_MAT
-T_MAT = IntMatrix(((1, 1), (0, 1)))
 
-_LETTER_MATS = {"S": S_MAT, "U": U_MAT, "U2": U2_MAT}
+# right multiplication by a letter, on the entries (a, b, c, d) of
+# [[a, b], [c, d]]
+_LETTER_ACTIONS = {
+    "S": lambda a, b, c, d: (b, -a, d, -c),
+    "U": lambda a, b, c, d: (b, -a - b, d, -c - d),
+    "U2": lambda a, b, c, d: (-a - b, a, -c - d, c),
+}
 
 
 def _factor(letter: str) -> int:
@@ -77,12 +82,11 @@ class Psl2Word:
 
 def reconstruct(word: Psl2Word) -> IntMatrix:
     """Exact matrix product sign * L_1 ... L_m."""
-    m = IntMatrix.identity(2)
+    entries = (word.sign, 0, 0, word.sign)
     for letter in word.letters:
-        m = m @ _LETTER_MATS[letter]
-    if word.sign < 0:
-        m = IntMatrix(tuple(tuple(-x for x in row) for row in m.data))
-    return m
+        entries = _LETTER_ACTIONS[letter](*entries)
+    a, b, c, d = entries
+    return IntMatrix(((a, b), (c, d)))
 
 
 def _signed(letters, target: IntMatrix, what) -> Psl2Word:

@@ -34,7 +34,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -45,7 +44,7 @@ DEFAULT_DPS_CAP = 640
 
 
 # ---------------------------------------------------------------------------
-# dense integer/rational polynomials, coefficients descending
+# dense integer polynomials, coefficients descending
 # ---------------------------------------------------------------------------
 
 def _trim(p):
@@ -66,27 +65,43 @@ def _deriv(p):
     return tuple(c * (n - i) for i, c in enumerate(p[:-1]))
 
 
-def _divmod_frac(p, q):
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
+def _div_int(p, d):
+    """The quotient of p by d over Z, or None when d does not divide p there:
+    a division step whose leading coefficient d[0] does not divide, or a
+    nonzero remainder.  None means d does not divide p over Q either when d
+    is monic, or primitive (Gauss's lemma), which every caller's d is."""
+    p = list(p)
+    lead, n = d[0], len(p) - len(d) + 1
     out = []
-    while len(p) >= len(q):
-        f = p[0] / q[0]
+    for k in range(n):
+        f, r = divmod(p[k], lead)
+        if r:
+            return None
         out.append(f)
-        for i in range(len(q)):
-            p[i] -= f * q[i]
-        _check(p[0] == 0, "leading term of the division step must cancel")
-        p.pop(0)
-    if not out:
-        out = [Fraction(0)]
-    rem = _trim(tuple(p)) if p else (Fraction(0),)
-    return tuple(out), rem
+        if f:
+            for i in range(1, len(d)):
+                p[k + i] -= f * d[i]
+    if any(p[max(n, 0):]):
+        return None
+    return tuple(out) if out else (0,)
+
+
+def _prem(a, b):
+    """A pseudo-remainder of a by b over Z: c a - q b for a nonzero integer c
+    and an integer polynomial q, of degree below b's."""
+    r = list(a)
+    lead = b[0]
+    while len(r) >= len(b):
+        g = math.gcd(lead, r[0])
+        s, f = lead // g, r[0] // g
+        r = [s * x - f * y for x, y in zip(r[1:], b[1:])] + \
+            [s * x for x in r[len(b):]]
+    return _trim(r) if r else (0,)
 
 
 def _primitive(p):
-    """Clear denominators, divide by content, make leading coefficient > 0."""
-    lcm = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = _trim([int(Fraction(c) * lcm) for c in p])
+    """Divide an integer polynomial by its content; leading coefficient > 0."""
+    ints = _trim(p)
     g = math.gcd(*ints) or 1
     if ints[0] < 0:
         g = -g
@@ -94,23 +109,24 @@ def _primitive(p):
 
 
 def poly_gcd(p, q):
-    """Primitive gcd over Z with positive leading coefficient."""
-    a, b = _trim(p), _trim(q)
+    """Primitive gcd over Z with positive leading coefficient: the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(p), _primitive(q)
     while any(b):
-        a, b = b, _divmod_frac(a, b)[1]
-    return _primitive(a)
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def poly_divides(d, p) -> bool:
-    _, rem = _divmod_frac(p, d)
-    return all(c == 0 for c in rem)
+    """Whether d divides p; d monic or primitive (see _div_int)."""
+    return _div_int(p, d) is not None
 
 
 def poly_div_exact(p, d):
-    quo, rem = _divmod_frac(p, d)
-    _check(all(c == 0 for c in rem), "exact polynomial division expected")
-    _check(all(c.denominator == 1 for c in quo), "integer quotient expected")
-    return tuple(int(c) for c in quo)
+    """p / d over Z; d monic or primitive (see _div_int)."""
+    quo = _div_int(p, d)
+    _check(quo is not None, "exact polynomial division over Z expected")
+    return quo
 
 
 def euler_phi(m: int) -> int:

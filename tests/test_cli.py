@@ -612,7 +612,8 @@ _UNDER_O = textwrap.dedent("""
     from dataclasses import replace
     from torfill.cli import main
     from torfill.errors import VerificationFailure
-    from torfill.exactlinalg import IntMatrix, _verify_snf, snf
+    from torfill.exactlinalg import (HnfResult, IntMatrix, SnfResult,
+                                     _verify_hnf, _verify_snf, snf)
     from torfill.filling import base
     from torfill.filling.moves import move_negate, move_split
     from torfill.spectral import poly_div_exact
@@ -623,6 +624,16 @@ _UNDER_O = textwrap.dedent("""
         _verify_snf(replace(res, d=IntMatrix(((1, 0), (0, 8)))))
     except VerificationFailure:
         print("tampered SNF refused")
+    two, one = IntMatrix(((2, 0), (0, 2))), IntMatrix.identity(2)
+    try:
+        _verify_snf(SnfResult(two, one, two, one))  # det P = 4
+    except VerificationFailure:
+        print("non-unimodular SNF refused")
+    try:
+        _verify_hnf(IntMatrix(((0,),)), HnfResult(IntMatrix(((0,),)),
+                                                  IntMatrix(((2,),)), ()))
+    except VerificationFailure:
+        print("non-unimodular HNF refused")
     # a NEGATE presentation of class 2, not 0, after the shipped certificate
     # was loaded against the true one: the per-(key, d) check refuses it
     key = ("NEGATE", 2)
@@ -655,7 +666,8 @@ def test_proof_checks_survive_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:4] == ["tampered SNF refused", "class sum refused",
+    assert lines[:6] == ["tampered SNF refused", "non-unimodular SNF refused",
+                         "non-unimodular HNF refused", "class sum refused",
                          "inexact division refused", "split parts refused"]
     assert "verified=True" in lines
 

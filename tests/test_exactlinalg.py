@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from torfill.errors import NonSquare
-from torfill.exactlinalg import (IntMatrix, charpoly, coker_structure,
+from torfill.errors import NonSquare, VerificationFailure
+from torfill.exactlinalg import (HnfResult, IntMatrix, SnfResult, _verify_hnf,
+                                 _verify_snf, charpoly, coker_structure,
                                  det_exact, det_rows, hnf, mat_pow, snf,
                                  solve_diophantine)
 
@@ -28,12 +29,13 @@ def test_snf_stops_at_the_first_diagonal_form(monkeypatch):
     # so no Hermite form of its transpose is run
     from torfill import exactlinalg
     calls = []
+    kernel = exactlinalg._hermite_cols
 
-    def counting(m):
-        calls.append(m)
-        return hnf(m)
+    def counting(stacked, r):
+        calls.append(r)
+        return kernel(stacked, r)
 
-    monkeypatch.setattr(exactlinalg, "hnf", counting)
+    monkeypatch.setattr(exactlinalg, "_hermite_cols", counting)
     res = snf(IntMatrix(((1, 0), (5, 1))))
     assert res.diagonal() == (1, 1)
     assert len(calls) == 1
@@ -48,6 +50,32 @@ def test_snf_random_and_unimodular_transforms():
         res = snf(a)  # snf re-verifies P A Q = D and the divisibility chain
         assert abs(det_exact(res.p)) == 1
         assert abs(det_exact(res.q)) == 1
+
+
+def test_verify_snf_refuses_non_unimodular_transforms():
+    # 2I . I . I = 2I passes the product and the shape of D, but P has
+    # det 4: accepting it would give the trivial cokernel of I order 4
+    two, one = IntMatrix(((2, 0), (0, 2))), IntMatrix.identity(2)
+    with pytest.raises(VerificationFailure, match="P is not unimodular"):
+        _verify_snf(SnfResult(two, one, two, one))
+    with pytest.raises(VerificationFailure, match="Q is not unimodular"):
+        _verify_snf(SnfResult(one, two, two, one))
+    res = snf(IntMatrix(((2, 4), (6, 8))))
+    _verify_snf(res)
+    with pytest.raises(VerificationFailure, match="shapes"):
+        _verify_snf(SnfResult(IntMatrix.identity(3), res.q, res.d,
+                              res.original))
+
+
+def test_verify_hnf_refuses_non_unimodular_transform():
+    zero = IntMatrix(((0,),))
+    with pytest.raises(VerificationFailure, match="not unimodular"):
+        _verify_hnf(zero, HnfResult(zero, IntMatrix(((2,),)), ()))
+    a = IntMatrix(((2, 4), (1, 3)))
+    res = hnf(a)
+    _verify_hnf(a, res)
+    with pytest.raises(VerificationFailure, match="shape"):
+        _verify_hnf(a, HnfResult(res.h, IntMatrix.identity(3), res.pivots))
 
 
 def _minor_gcd(a, k):

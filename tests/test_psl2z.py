@@ -57,6 +57,18 @@ def test_reconstruct_examples():
     assert s_squared.data == ((-1, 0), (0, -1))
 
 
+def test_letter_actions_are_right_multiplication():
+    rng = random.Random(7)
+    mats = {"S": S_MAT, "U": U_MAT, "U2": U2_MAT}
+    assert set(psl2z._LETTER_ACTIONS) == set(mats)
+    for _ in range(20):
+        m = IntMatrix(tuple(tuple(rng.randint(-50, 50) for _ in range(2))
+                            for _ in range(2)))
+        for letter, mat in mats.items():
+            a, b, c, d = psl2z._LETTER_ACTIONS[letter](*m.data[0], *m.data[1])
+            assert ((a, b), (c, d)) == (m @ mat).data
+
+
 def test_reconstruct_decompose_roundtrip():
     rng = random.Random(89)
     for _ in range(500):

@@ -13,6 +13,15 @@ alternating from pair to pair which side runs first (pair 0: old first).
 Without --against only this checkout runs.  Nothing under perfbench/ is
 changed or imported.
 
+Each pair also runs, per side and in the same order, one subprocess that
+times in process, with that side's src/ on PYTHONPATH:
+- `reduce` on the 50 seed-12001 `reduce-3x3` matrices (entries in
+  [-6, 6], drawn as perfbench draws them): `reduce_3x3_cost_mean`, null
+  when one of them fails;
+- then `fvupper -m "0,0,1;1,0,-1;0,1,3" --jmax 6`:
+  `fvupper_3x3_k_hat_log2` and `fvupper_3x3_s`, its wall time.
+These go under "3x3" in the same layout as a workload.
+
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
 `attempted` and `correct`.  Its `metric cert_cost_mean=` and
 `metric k_hat_log2=` lines add the certificate costs (lower is better);
@@ -32,6 +41,7 @@ import os
 import statistics
 import subprocess
 import sys
+import textwrap
 import time
 
 import mpmath
@@ -40,6 +50,44 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("reduce-sl2", "invariants")
 RUN_ARGS = ("--seed", "12001", "--seconds", "40", "--trace", "0")
 COST_METRICS = ("cert_cost_mean", "k_hat_log2")
+THREE_BY_THREE = textwrap.dedent("""
+    import contextlib, io, json, random, time
+    from torfill.cli import main
+
+    def call(argv):
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        seconds = time.perf_counter() - t0
+        values = dict(line.split("=", 1) for line in out.getvalue().splitlines()
+                      if "=" in line and not line.startswith("row "))
+        return code, values, seconds
+
+    rng = random.Random(12001)
+    costs, failed = [], 0
+    for _ in range(50):
+        a = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        code, values, _ = call(["reduce", "--matrix="
+                                + ";".join(",".join(map(str, r)) for r in a)])
+        if code == 0 and values.get("verified") == "True":
+            costs.append(int(values["cost"]))
+        else:
+            failed += 1
+    code, values, seconds = call(["fvupper", "-m", "0,0,1;1,0,-1;0,1,3",
+                                  "--jmax", "6"])
+    fv_ok = code == 0 and "k_hat_log2" in values
+    failed += not fv_ok
+    print(json.dumps({
+        "values": {
+            "reduce_3x3_cost_mean": sum(costs) / 50 if len(costs) == 50
+            else None,
+            "fvupper_3x3_k_hat_log2": float(values["k_hat_log2"])
+            if fv_ok else None,
+            "fvupper_3x3_s": seconds if fv_ok else None},
+        "status": {"failed": failed, "attempted": 51,
+                   "correct": failed == 0}}))
+""")
 
 
 def parse_args(argv=None):
@@ -104,6 +152,19 @@ def bench_run(root, workload):
                 values[name] = None if text == "n/a" else float(text)
     return values, {key: result[key] for key in ("failed", "attempted",
                                                  "correct")}
+
+
+def three_by_three(root):
+    """The 3x3 numbers of one side: ({metric: value}, status)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", THREE_BY_THREE], cwd=root,
+                          env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise RuntimeError("3x3 run in %s exited %d: %s"
+                           % (root, proc.returncode, proc.stderr[-2000:]))
+    result = json.loads(lines[-1])
+    return result["values"], result["status"]
 
 
 def spread(values):
@@ -173,7 +234,7 @@ def main(argv=None):
     }
     sys.stderr.write("tier-1 in %s\n" % ROOT)
     record["tier1"] = tier1(ROOT)
-    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS + ("3x3",)}
     order = []
     for i in range(args.pairs):
         first = sides[::-1] if i % 2 == 0 else sides  # pair 0: old first
@@ -183,9 +244,13 @@ def main(argv=None):
                 sys.stderr.write("pair %d/%d %s %s\n"
                                  % (i + 1, args.pairs, workload, side))
                 runs[workload][side].append(bench_run(roots[side], workload))
+        for side in first:
+            sys.stderr.write("pair %d/%d 3x3 %s\n" % (i + 1, args.pairs, side))
+            runs["3x3"][side].append(three_by_three(roots[side]))
     record["order"] = order
     record["workloads"] = {w: summarise(runs[w], sides, better)
                            for w in WORKLOADS}
+    record["3x3"] = summarise(runs["3x3"], sides, better)
     tmp = args.out + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
