@@ -37,10 +37,6 @@ class UnsupportedDimension(TorfillError):
     """Requested base certificate / reduction outside the desk-scale table."""
 
 
-class NotDependent(TorfillError):
-    """slim_piece requires linearly dependent generators."""
-
-
 class NotUnimodular(TorfillError):
     """Word decomposition requires det = 1."""
 

@@ -11,7 +11,8 @@ returns a Piece: symbolic per-move chunks (a base key, an integer column
 matrix and a coefficient), each tagged with its move's kind, that carry no
 cycles.  Piece.certificate(claim) builds each chunk's witness chain once,
 assembles it with one MoveRecord per chunk, and verifies it against the
-target its caller claims; reduce_parallelogram claims Q(A) - R(det A, 1..1).
+target its caller claims; reduce_parallelogram claims Q(A) - R(det A, 1..1)
+and fills it by one column walk of shears for every A, n <= 3.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,
@@ -19,14 +20,13 @@ from .certificate import (FillingCertificate, MoveRecord, Piece,
 from .solver import fill_by_solve
 from .base import BASE_KEYS, base_certificate, universal_cycle
 from .moves import S1Trace, s1_moves, s1_piece, slide
-from .reduce import (ReductionReport, combine_rects, fv_upper_experiment,
-                     paral_to_rects, rect_to_unit, reduce_parallelogram,
-                     slim_piece)
+from .reduce import (ReductionReport, fv_upper_experiment, rect_to_unit,
+                     reduce_parallelogram)
 
 __all__ = [
     "FillingCertificate", "MoveRecord", "Piece", "verify_certificate",
     "fill_by_solve", "BASE_KEYS", "base_certificate", "universal_cycle",
     "S1Trace", "s1_moves", "s1_piece", "slide",
-    "ReductionReport", "combine_rects", "fv_upper_experiment",
-    "paral_to_rects", "rect_to_unit", "reduce_parallelogram", "slim_piece",
+    "ReductionReport", "fv_upper_experiment", "rect_to_unit",
+    "reduce_parallelogram",
 ]

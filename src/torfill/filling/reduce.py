@@ -1,16 +1,14 @@
 """Top-level reduction: a parallelogram cycle to its rectangle normal form.
 
-A 2x2 matrix with det A = +-1 takes the column walk (_column_walk):
-Euclid's algorithm with nearest rounding on the top row, steered to land
-on diag(det A, 1).  A column shear w -> w - q*v fills Q(v, w) - Q(v, w - qv),
-the Dehn-step cycle pushed along [v | w]; it is made of DEHN/k chunks,
-k <= 3, or of one slide when that costs less (_shear).
-
-Every other matrix takes the rectangle pipeline: split generators along
-the last coordinate and recurse the singleton terms (paral_to_rects), fill
-the linearly dependent remainders (slim_piece), normalize each rectangle
-to unit heights by the four-slide schedule (rect_to_unit), and merge the
-unit rectangles (combine_rects).
+One column walk serves every matrix, n <= 3 (_column_walk).  A column shear
+w -> w - q*v fills Q(v, w) - Q(v, w - qv), the Dehn-step cycle pushed along
+[v | w], prism-lifted by the other columns in T^3; it is made of DEHN/k
+chunks, k <= 3, or of one slide when that costs less (_shear).  Row by row,
+Euclid brings out the row's gcd and steers it onto the diagonal.  Entries
+left below the diagonal split off, and each dependent tuple that leaves is
+sheared down to a zero column (ZERO_GEN), as is the whole matrix when
+det = 0.  The diagonal R(d_1, .., d_n) goes to R(det, 1, .., 1) by the
+four-slide schedule (rect_to_unit); for det = +-1 it is that already.
 Each step returns a Piece whose docstring states the cycles it fills; the
 final certificate is checked, with exact integer arithmetic, against the
 claim Q(columns) - R(det, 1..1), and carries the move trace.
@@ -23,90 +21,12 @@ import math
 from dataclasses import dataclass
 
 from ..chains import TorusChain, l1_norm
-from ..errors import NotDependent, UnsupportedDimension, VerificationFailure
-from ..exactlinalg import IntMatrix, _check, det_exact, hnf, mat_pow
+from ..errors import UnsupportedDimension
+from ..exactlinalg import IntMatrix, _check, det_exact, mat_pow
 from .base import base_certificate
 from .certificate import FillingCertificate, Piece, _unit
-from .moves import (_add_vec, _scale_vec, _vec, move_negate, move_split,
-                    move_zero_gen, primitive_decomposition, s1_piece,
-                    slide_first, slide_second)
-
-
-def _gens_matrix(gens) -> IntMatrix:
-    n = len(gens[0])
-    return IntMatrix(tuple(tuple(g[i] for g in gens) for i in range(n)))
-
-
-def _dependency(gens):
-    """Primitive integer relation sum c_i * gens_i = 0, or None."""
-    a = _gens_matrix(gens)
-    res = hnf(a)
-    pivot_cols = {c for _, c in res.pivots}
-    for j in range(a.cols):
-        if j not in pivot_cols:
-            rel = res.u.column(j)
-            g = math.gcd(*rel)
-            return tuple(x // g for x in rel)
-    return None
-
-
-def _parallel_pair(gens):
-    """(i, j, u0, alpha, beta) with gens[i] = alpha*u0, gens[j] = beta*u0."""
-    for i in range(len(gens)):
-        if not any(gens[i]):
-            continue
-        d_i, u0 = primitive_decomposition(gens[i])
-        for j in range(i + 1, len(gens)):
-            if not any(gens[j]):
-                continue
-            nz = next(t for t, x in enumerate(u0) if x)
-            beta, r = divmod(gens[j][nz], u0[nz])
-            if r == 0 and _scale_vec(beta, u0) == gens[j]:
-                return i, j, u0, d_i, beta
-    return None
-
-
-def slim_piece(gens) -> Piece:
-    """Piece filling Q(gens) for linearly dependent generators; raises
-    NotDependent when they are independent."""
-    gens = tuple(_vec(g) for g in gens)
-    k = len(gens)
-    n = len(gens[0])
-    zero = (0,) * n
-
-    if zero in gens:
-        return move_zero_gen(gens)
-
-    pair = _parallel_pair(gens)
-    if pair is not None:
-        i, j, u0, alpha, beta = pair
-        inner, _ = s1_piece(alpha, beta)
-        piece = inner.pushforward([u0])
-        for t in range(k):
-            if t not in (i, j):
-                piece = piece.prism_lift(gens[t])
-        # the sign of sending positions i < j to the front: bubble i to 0
-        # (i swaps), then j to 1 (j - 1 swaps)
-        return piece.scale(-1 if (i + j - 1) % 2 else 1)
-
-    if k > 3:
-        raise UnsupportedDimension("slim reduction supported up to 3 generators")
-
-    # general integral dependence: Euclidean quotient-splitting
-    rel = _dependency(gens)
-    if rel is None:
-        raise NotDependent("generators are linearly independent")
-    i = max(range(k), key=lambda t: abs(rel[t]))
-    j = min((t for t in range(k) if t != i), key=lambda t: abs(rel[t]))
-    # split gens[j] = (gens[j] + s*gens[i]) + (-s*gens[i]); the second term
-    # gives a parallel pair with gens[i], the first shrinks the relation
-    s = _round_div(rel[i], rel[j])
-    v1 = _add_vec(gens[j], _scale_vec(s, gens[i]))
-    v2 = _scale_vec(-s, gens[i])
-    piece = move_split(gens, j, v1, v2)
-    with_pair = gens[:j] + (v2,) + gens[j + 1:]
-    remainder = gens[:j] + (v1,) + gens[j + 1:]
-    return piece + slim_piece(with_pair) + slim_piece(remainder)
+from .moves import (_add_vec, _scale_vec, move_negate, move_split,
+                    move_zero_gen, slide_first, slide_second)
 
 
 def _round_div(a, b) -> int:
@@ -117,68 +37,12 @@ def _round_div(a, b) -> int:
     return q
 
 
-def paral_to_rects(gens):
-    """Decompose Q(gens) against at most n! signed rectangle cycles.
-
-    Returns (rects, piece) where piece fills Q(gens) - sum_i eps_i R(sizes_i);
-    each rect is (eps_i, sizes_i) with all sizes bounded by max |gens|_inf.
-    """
-    gens = tuple(_vec(g) for g in gens)
-    n = len(gens[0])
-    _check(len(gens) == n, "a parallelogram in T^n needs n generators")
-    if n == 1:
-        return [(1, (gens[0][0],))], Piece.zero(1, 1)
-    zero = (0,) * n
-    if zero in gens:
-        return [], move_zero_gen(gens)
-
-    piece = Piece.zero(n, n)
-    leaves = [gens]
-    for pos in range(n):
-        new_leaves = []
-        for leaf in leaves:
-            v = leaf[pos]
-            v_par = tuple(0 if t < n - 1 else v[n - 1] for t in range(n))
-            v_perp = tuple(x - y for x, y in zip(v, v_par))
-            if not any(v_par) or not any(v_perp):
-                new_leaves.append(leaf)
-                continue
-            piece = piece + move_split(leaf, pos, v_perp, v_par)
-            new_leaves.append(leaf[:pos] + (v_perp,) + leaf[pos + 1:])
-            new_leaves.append(leaf[:pos] + (v_par,) + leaf[pos + 1:])
-        leaves = new_leaves
-
-    rects = []
-    for leaf in leaves:
-        par_positions = [t for t in range(n) if leaf[t][n - 1] != 0]
-        if len(par_positions) == 1:
-            p = par_positions[0]
-            height = leaf[p][n - 1]
-            inner_gens = tuple(leaf[t][:n - 1] for t in range(n) if t != p)
-            inner_rects, inner_piece = paral_to_rects(inner_gens)
-            embed = [_unit(n, t) for t in range(n - 1)]
-            lifted = inner_piece.pushforward(embed).prism_lift(
-                _scale_vec(height, _unit(n, n - 1)))
-            sign = -1 if (n - 1 - p) % 2 else 1
-            piece = piece + lifted.scale(sign)
-            rects.extend((sign * eps, sizes + (height,))
-                         for eps, sizes in inner_rects)
-        else:
-            piece = piece + slim_piece(leaf)
-    return rects, piece
-
-
 def rect_to_unit(sizes) -> Piece:
     """Piece filling R(sizes) - R(prod(sizes), 1, .., 1)."""
     sizes = tuple(int(a) for a in sizes)
     n = len(sizes)
-    if n == 1 or all(a == 1 for a in sizes[1:]):
+    if all(a == 1 for a in sizes[1:]):
         return Piece.zero(n, n)
-    if any(a == 0 for a in sizes):
-        gens = tuple(_scale_vec(sizes[t], _unit(n, t)) for t in range(n))
-        unit_gens = (_scale_vec(0, _unit(n, 0)),) + tuple(
-            _unit(n, t) for t in range(1, n))
-        return move_zero_gen(gens) - move_zero_gen(unit_gens)
     if n == 2:
         return _rect_to_unit_2d(sizes)
     if n > 3:
@@ -225,40 +89,10 @@ def _rect_to_unit_2d(sizes) -> Piece:
     _check(v == (0, -1) and w == (a * b, 0),
            "the slides must end at (0, -1), (a*b, 0)")
 
-    total = Piece.zero(2, 2)
-    for s in steps:
-        total = total + s
+    total = sum(steps, Piece.zero(2, 2))
     # total fills Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
     neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1)
     return -total - neg
-
-
-def combine_rects(signed_lengths, n):
-    """(total, piece) merging signed unit rectangles: piece fills
-    sum_i eps_i R(l_i, 1..1) - R(total, 1..1)."""
-    piece = Piece.zero(n, n)
-    normalized = []
-    for eps, length in signed_lengths:
-        if eps == -1:
-            gens = (_scale_vec(length, _unit(n, 0)),) + tuple(
-                _unit(n, t) for t in range(1, n))
-            piece = piece - move_negate(gens, 0)
-            normalized.append(-length)
-        else:
-            normalized.append(length)
-    if not normalized:
-        gens0 = (_scale_vec(0, _unit(n, 0)),) + tuple(
-            _unit(n, t) for t in range(1, n))
-        return 0, piece - move_zero_gen(gens0)
-    running = normalized[0]
-    unit_tail = tuple(_unit(n, t) for t in range(1, n))
-    for length in normalized[1:]:
-        gens = (_scale_vec(running + length, _unit(n, 0)),) + unit_tail
-        piece = piece - move_split(gens, 0,
-                                   _scale_vec(running, _unit(n, 0)),
-                                   _scale_vec(length, _unit(n, 0)))
-        running += length
-    return running, piece
 
 
 _E1 = (1, 0)
@@ -329,55 +163,127 @@ def _shear(q) -> Piece:
     return _slide_shear(q) if _slide_is_cheaper(q) else _dehn_shear(q)
 
 
-def _column_walk(v, w, det) -> Piece:
-    """Piece filling Q(v, w) - Q((det, 0), (0, 1)) for det [v | w] = det,
-    det = +-1, by column shears.
+def _unit_rect(n, det) -> tuple:
+    """det*e_1, e_2, .., e_n: the generators of R(det, 1, .., 1)."""
+    return tuple(_scale_vec(det if t == 0 else 1, _unit(n, t))
+                 for t in range(n))
 
-    Euclid with nearest rounding on the top row stops when one entry is
-    +-1.  Then v0 is made det (if v0 = -det, w0 is made +-1 first), w0 is
-    cleared, which leaves w = (0, 1), and v1 is cleared."""
-    cols = [v, w]
-    piece = Piece.zero(2, 2)
 
-    def shear(i, q):
-        """Column i -= q * column j, filling Q(cols) - Q(new cols); a shear
-        of v fills -(Q(w, v) - Q(w, v - q*w)), since Q(v, w) = -Q(w, v)."""
-        nonlocal piece
+@functools.cache
+def _perm_sign(perm) -> int:
+    """The sign of a permutation, given as a sequence of distinct integers."""
+    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _column_shear(cols, i, j, q) -> Piece:
+    """Piece filling Q(cols) - Q(cols with column i -= q * column j): the
+    plane shear pushed along [c_j | c_i], prism-lifted by each remaining
+    column in order, times the sign of the column order (j, i, rest)."""
+    rest = [k for k in range(len(cols)) if k not in (i, j)]
+    step = _shear(q).pushforward([cols[j], cols[i]])
+    for k in rest:
+        step = step.prism_lift(cols[k])
+    return step.scale(_perm_sign((j, i, *rest)))
+
+
+def _walk_shears(cols, det):
+    """The shears (i, j, q), column i -= q * column j, of the walk; the
+    caller applies each to cols before asking for the next, and q = 0 is
+    none.
+
+    Row by row, over the columns that hold no pivot yet: Euclid with
+    nearest rounding, the largest entry less a multiple of the next
+    largest, until an entry is +-g, g the gcd of the row's entries.  For
+    det != 0 that entry is steered onto the diagonal as s*g, s the sign of
+    det on row 0 and 1 on later rows, the rest of the row is cleared, and
+    then each entry below the diagonal is reduced modulo its row's pivot;
+    the product of the pivots is det.  For det = 0 the entry +-g is the
+    pivot where it stands, and the walk runs until some column is zero."""
+    n = len(cols)
+    live = list(range(n))
+    for r in range(n):
+        def size(c):
+            return abs(cols[c][r])
+
+        g = math.gcd(*(cols[c][r] for c in live))
+        if not g:
+            continue
+        while g not in map(size, live):
+            # the largest entry by the next largest, in distinct columns
+            i, j = sorted(live, key=size, reverse=True)[:2]
+            yield i, j, _round_div(cols[i][r], cols[j][r])
+        if det:
+            p = live[0]
+            target = -g if det < 0 and r == 0 else g
+            if cols[p][r] != target:
+                m = next((c for c in live if c != p and size(c) == g), None)
+                if m is None:  # cols[p][r] = -target is the only +-g
+                    m, q = min(((c, (cols[c][r] - t) // cols[p][r])
+                                for c in live if c != p for t in (g, -g)),
+                               key=lambda cq: abs(cq[1]))
+                    yield m, p, q
+                yield p, m, (cols[p][r] - target) // cols[m][r]
+        else:
+            p = next(c for c in live if size(c) == g)
+        for c in live:
+            if c != p:
+                yield c, p, cols[c][r] // cols[p][r]
+        live.remove(p)
+    if det:
+        for r in range(1, n):
+            for c in range(r):
+                yield c, r, _round_div(cols[c][r], cols[r][r])
+
+
+def _sheared(cols, det):
+    """(piece, sheared cols) for the shears of _walk_shears, stopping at the
+    first zero column; piece fills Q(cols) - Q(sheared cols)."""
+    cols = list(cols)
+    zero, chunks = (0,) * len(cols), []
+    for i, j, q in _walk_shears(cols, det):
+        if zero in cols:
+            break
         if q:
-            j = 1 - i
-            step = _shear(q).pushforward([cols[j], cols[i]])
-            piece = piece + (step if i else -step)
+            chunks += _column_shear(cols, i, j, q).chunks
             cols[i] = _add_vec(cols[i], _scale_vec(-q, cols[j]))
-
-    while abs(cols[0][0]) != 1 and abs(cols[1][0]) != 1:
-        i = 0 if abs(cols[0][0]) > abs(cols[1][0]) else 1
-        shear(i, _round_div(cols[i][0], cols[1 - i][0]))
-    if cols[0][0] == -det and abs(cols[1][0]) != 1:
-        w0 = cols[1][0]
-        shear(1, min(((w0 - t) * -det for t in (1, -1)), key=abs))
-    shear(0, (cols[0][0] - det) * cols[1][0])  # 0 unless w0 = +-1
-    shear(1, cols[1][0] * det)
-    shear(0, cols[0][1])
-    _check(cols == [(det, 0), (0, 1)], "the walk must land on diag(det, 1)")
-    return piece
+    return Piece(len(cols), len(cols), chunks), cols
 
 
-def _rectangle_reduction(gens, det) -> Piece:
-    """Piece filling Q(gens) - R(det, 1, .., 1) by the rectangle pipeline."""
+def _fill_dependent(cols) -> Piece:
+    """Piece filling Q(cols) for linearly dependent cols: shears down to a
+    zero column, which ZERO_GEN closes."""
+    piece, cols = _sheared(cols, 0)
+    return piece + move_zero_gen(cols)
+
+
+def _column_walk(gens, det) -> Piece:
+    """Piece filling Q(gens) - R(det, 1, .., 1), det = det[gens], n <= 3.
+
+    The shears of _walk_shears take gens to a lower triangular matrix.
+    Each entry left below the diagonal, rho at row r, splits off as
+    rho*e_r; that leaves a dependent tuple, filled by _fill_dependent.  The
+    diagonal R(d_1, .., d_n) that remains goes to rect_to_unit.  For
+    det = 0 the shears end at a zero column instead."""
     n = len(gens)
-    rects, piece = paral_to_rects(gens)
-    lengths = []
-    for eps, sizes in rects:
-        piece = piece + rect_to_unit(sizes).scale(eps)
-        prod = 1
-        for s in sizes:
-            prod *= s
-        lengths.append((eps, prod))
-    total, combine_piece = combine_rects(lengths, n)
-    if total != det:
-        raise VerificationFailure("class bookkeeping: combined length %d != "
-                                  "det %d" % (total, det))
-    return piece + combine_piece
+    target = _unit_rect(n, det)
+    if gens == target:
+        return Piece.zero(n, n)
+    if not det:
+        return _fill_dependent(gens) - move_zero_gen(target)
+    piece, cols = _sheared(gens, det)
+    for r in range(1, n):
+        for c in range(r):
+            if cols[c][r]:
+                part = _scale_vec(cols[c][r], _unit(n, r))
+                rest = _add_vec(cols[c], _scale_vec(-1, part))
+                piece = (piece + move_split(cols, c, rest, part)
+                         + _fill_dependent(cols[:c] + [part] + cols[c + 1:]))
+                cols[c] = rest
+    diag = tuple(cols[t][t] for t in range(n))
+    _check(cols == [_scale_vec(d, _unit(n, t)) for t, d in enumerate(diag)],
+           "the walk must land on a diagonal matrix")
+    return piece + rect_to_unit(diag)
 
 
 @dataclass(frozen=True)
@@ -401,14 +307,8 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
         raise UnsupportedDimension("desk scale supports n <= 3")
     gens = tuple(a.column(j) for j in range(n))
     det = det_exact(a)
-    if n == 2 and abs(det) == 1:
-        piece = _column_walk(*gens, det)
-    else:
-        piece = _rectangle_reduction(gens, det)
-
-    unit_rect_gens = tuple(
-        _scale_vec(det if t == 0 else 1, _unit(n, t)) for t in range(n))
-    cert = piece.certificate([(1, gens), (-1, unit_rect_gens)])
+    cert = _column_walk(gens, det).certificate(
+        [(1, gens), (-1, _unit_rect(n, det))])
     norm = a.max_abs()
     return ReductionReport(a, cert, det, math.log2(norm) if norm else 0.0)
 

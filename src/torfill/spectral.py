@@ -309,6 +309,10 @@ def _certified_roots(factor, multiplicity, dps_cap):
     (|im|, re, -im): the one precision loop of this module, decided in
     mpmath at each dps."""
     dps, best = 40, "no attempt gave disjoint disks"
+    if dps_cap < dps:
+        raise PrecisionExhausted(
+            "factor %s: no attempt ran, as the dps cap %d is below the first"
+            " attempt's dps %d" % (",".join(map(str, factor)), dps_cap, dps))
     seeds = _double_seeds(factor)
     while dps <= dps_cap:
         with mp.workdps(dps):

@@ -45,6 +45,24 @@ def test_bounds_unit_circle(capsys):
     assert float(kv["fv_lower_ln"]) == 0.0
 
 
+def test_bounds_precision_cap_below_first_attempt_exit_3(capsys):
+    # no root-finding attempt runs below dps 40, so nothing may blame the
+    # unit circle
+    assert main(["bounds", "-m", "2,1;1,1", "--precision-cap", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("factor 1,-3,1: no attempt ran, as the dps cap 0 is below the"
+            " first attempt's dps 40") in captured.err
+    assert "unit circle" not in captured.err
+
+
+def test_bounds_precision_cap_zero_cyclotomic_exit_0(capsys):
+    # a cyclotomic charpoly needs no root finding at any cap
+    code, kv, rows = run(capsys, "bounds", "-m", "1,0;0,1",
+                         "--precision-cap", "0")
+    assert code == 0 and kv["unit_root_flag"] == "True"
+
+
 def test_bounds_singular_matrix(capsys):
     # x^3 - 3x^2: the zero root keeps its multiplicity 2 through the division
     code, kv, rows = run(capsys, "bounds", "-m", "3,0,0;0,0,0;0,0,0")
@@ -414,7 +432,7 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
     ("2,1;1,1", "2", "2", "6472560ddfab5c48"),
-    ("3,-1,-5;5,3,-4;-1,0,1", "2068", "313", "8ec4e53440a1da7b"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "480", "81", "107a3370228eb9b4"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
                                          moves, digest):
@@ -470,6 +488,15 @@ def test_fvupper(capsys):
 def test_fvupper_pinned(capsys):
     code, kv, rows = run(capsys, "fvupper", "--matrix=2,1;1,1", "--jmax", "8")
     assert code == 0 and kv["k_hat_log2"] == "2.23948077663"
+
+
+def test_fvupper_sl3_pinned(capsys):
+    # the companion of x^3 - 3x^2 + x - 1, det 1
+    code, kv, rows = run(capsys, "fvupper", "-m", "0,0,1;1,0,-1;0,1,3",
+                         "--jmax", "6")
+    assert code == 0 and kv["k_hat_log2"] == "14.411250739"
+    assert [row.split()[1] for row in rows] == [
+        "cost=32", "cost=52", "cost=64", "cost=72", "cost=128", "cost=132"]
 
 
 def test_psl2z_family(capsys):

@@ -8,13 +8,12 @@ import pytest
 from torfill.chains import (TorusChain, boundary, linear_map,
                             parallelogram_class, parallelogram_cycle,
                             pushforward)
-from torfill.errors import (NotDependent, Unfillable, UnsupportedDimension,
+from torfill.errors import (Unfillable, UnsupportedDimension,
                             VerificationFailure)
-from torfill.exactlinalg import IntMatrix
+from torfill.exactlinalg import IntMatrix, det_exact
 from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
-                             combine_rects, fill_by_solve, fv_upper_experiment,
-                             paral_to_rects, rect_to_unit, reduce_parallelogram,
-                             s1_moves, s1_piece, slide, slim_piece,
+                             fill_by_solve, fv_upper_experiment, rect_to_unit,
+                             reduce_parallelogram, s1_moves, s1_piece, slide,
                              universal_cycle, verify_certificate)
 from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
                                   default_cache)
@@ -414,83 +413,7 @@ def test_slide_examples():
     assert cert.target == _q((12, 0), (0, -1)) - _q((12, 0), (3, -1))
 
 
-# --- slim -----------------------------------------------------------------------
-
-def test_slim_examples():
-    for gens in (((1, 0), (0, 0)), ((2, 0), (3, 0)),
-                 ((2, 1), (1, 1), (3, 2))):
-        cert = slim_piece(gens).certificate([(1, gens)])
-        assert verify_certificate(cert)[0]
-        assert cert.target == parallelogram_cycle(gens)
-
-    with pytest.raises(NotDependent):
-        slim_piece(((1, 0), (0, 1)))
-
-
-def test_slim_random_dependent():
-    rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        k = n + rng.randint(0, 1) if n < 3 else 3
-        while True:
-            vecs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(k)]
-            from torfill.filling.reduce import _gens_matrix
-            from torfill.exactlinalg import hnf
-            if len(hnf(_gens_matrix(tuple(vecs))).pivots) < k:
-                break
-        cert = slim_piece(tuple(vecs)).certificate([(1, tuple(vecs))])
-        assert verify_certificate(cert)[0]
-        assert cert.target == parallelogram_cycle(vecs)
-
-
 # --- rectangles ------------------------------------------------------------------
-
-def _rects_claim(gens, rects):
-    """Q(gens) - sum_i eps_i R(sizes_i), the cycles paral_to_rects fills."""
-    return [(1, gens)] + _rects(*((-eps, sizes) for eps, sizes in rects))
-
-
-def test_paral_to_rects_examples():
-    rects, piece = paral_to_rects(((2, 1), (1, 1)))
-    assert len(rects) <= 2
-    assert all(max(abs(s) for s in sizes) <= 2 for _, sizes in rects)
-    cert = piece.certificate(_rects_claim(((2, 1), (1, 1)), rects))
-    assert verify_certificate(cert)[0]
-
-    rects, piece = paral_to_rects((E1, E2))
-    assert rects == [(1, (1, 1))]
-    assert piece.certificate(_rects_claim((E1, E2), rects)).cost == 0
-
-    rects, piece = paral_to_rects(((1, 0), (1, 1)))
-    cert = piece.certificate(_rects_claim(((1, 0), (1, 1)), rects))
-    assert verify_certificate(cert)[0]
-    assert (1, (1, 1)) in rects
-
-
-def test_paral_to_rects_random():
-    rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        vecs = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
-                     for _ in range(n))
-        rects, piece = paral_to_rects(vecs)
-        cert = piece.certificate(_rects_claim(vecs, rects))
-        assert verify_certificate(cert)[0]
-        bound = max(max(abs(x) for x in v) for v in vecs)
-        factorial = math.factorial(n)
-        assert len(rects) <= factorial
-        for _, sizes in rects:
-            assert max(abs(s) for s in sizes) <= bound
-        # class bookkeeping: sum of eps*prod(sizes) = det
-        det = parallelogram_class(vecs)[0]
-        acc = 0
-        for eps, sizes in rects:
-            prod = 1
-            for s in sizes:
-                prod *= s
-            acc += eps * prod
-        assert acc == det
-
 
 def test_rect_to_unit_examples():
     def certificate(sizes, unit):
@@ -502,43 +425,11 @@ def test_rect_to_unit_examples():
     certificate((2, 3), (6, 1))
     assert certificate((1, 1), (1, 1)).cost == 0
     assert certificate((7, 1), (7, 1)).cost == 0
-    certificate((2, 0), (0, 1))
     certificate((-3, 2), (-6, 1))
     certificate((2, 3, 2), (12, 1, 1))
     # the inner step of (2, 3, 2); with the check above it pins the first
     # phase: R(2, 3, 2) - R(4, 3, 1)
     certificate((4, 3), (12, 1))
-    certificate((2, 0, 3), (0, 1, 1))
-
-
-def test_combine_rects_examples():
-    total, piece = combine_rects([(1, 2), (1, 3)], 2)
-    cert = piece.certificate(_rects((1, (2, 1)), (1, (3, 1)), (-1, (5, 1))))
-    assert total == 5
-    assert cert.target == (rectangle_cycle((2, 1)) + rectangle_cycle((3, 1))
-                           - rectangle_cycle((5, 1)))
-    assert verify_certificate(cert)[0]
-
-    total, piece = combine_rects([(1, 4)], 2)
-    cert = piece.certificate([])  # R(4, 1) - R(4, 1)
-    assert total == 4 and cert.cost == 0 and cert.target.is_zero()
-
-    total, piece = combine_rects([(1, 2), (-1, 2)], 2)
-    cert = piece.certificate(_rects((-1, (0, 1))))
-    assert total == 0
-    assert verify_certificate(cert)[0]
-    assert cert.target == -rectangle_cycle((0, 1))
-
-    total, piece = combine_rects([(-1, 3), (1, 1)], 3)
-    cert = piece.certificate(_rects((1, (1, 1, 1)), (-1, (3, 1, 1)),
-                                    (-1, (-2, 1, 1))))
-    assert total == -2
-    assert cert.target == (rectangle_cycle((1, 1, 1)) - rectangle_cycle((3, 1, 1))
-                           - rectangle_cycle((-2, 1, 1)))
-
-    total, piece = combine_rects([], 2)
-    cert = piece.certificate(_rects((-1, (0, 1))))
-    assert total == 0 and cert.target == -rectangle_cycle((0, 1))
 
 
 # --- the full reduction ------------------------------------------------------------
@@ -594,7 +485,7 @@ def test_round_div_sign_table():
 
 
 def test_reduce_dimension_three_negative_relation():
-    # the slim step divides by a negative relation entry here
+    # negative det: the sign lands on the first pivot
     a = IntMatrix(((3, -1, -5), (5, 3, -4), (-1, 0, 1)))
     rep = reduce_parallelogram(a)
     assert rep.det == -5
@@ -670,9 +561,10 @@ def _det2(a):
 
 
 def _walk_claim(a):
-    """Q(columns of A) - R(det A, 1) for a 2x2 A."""
-    (p, q), (r, t) = a.data
-    return [(1, ((p, r), (q, t))), (-1, ((_det2(a), 0), (0, 1)))]
+    """Q(columns of A) - R(det A, 1, .., 1)."""
+    n = a.rows
+    return [(1, tuple(a.column(j) for j in range(n))),
+            (-1, _rect_gens((det_exact(a),) + (1,) * (n - 1)))]
 
 
 def _unimodular(rng, digits):
@@ -739,18 +631,21 @@ def test_shear_takes_the_cheaper_realized_option():
     assert [kind for kind, _ in _shear(16).chunks] == ["DEHN"] * 6
 
 
+# the rectangle pipeline's costs for the same matrices, measured before the
+# one walk replaced it
+_RECTANGLE_COSTS = (1969, 1092, 575, 1994, 1232, 1329,
+                    15, 42, 18, 18, 17, 29, 18, 38, 18, 32)
+
+
 def test_column_walk_costs_no_more_than_rectangles():
-    from torfill.filling.reduce import _rectangle_reduction
     from torfill.selftest import random_sl2_word
     rng = random.Random(12001)
     mats = [random_sl2_word(rng) for _ in range(6)]
     mats += [IntMatrix(m) for q in (14, 16, 20, 23, -20)
              for m in (((1, q), (0, 1)), ((1, 0), (q, 1)))]
-    for a in mats:
-        gens = (a.column(0), a.column(1))
-        rects = _rectangle_reduction(gens, _det2(a)).certificate(
-            _walk_claim(a))
-        assert reduce_parallelogram(a).certificate.cost <= rects.cost, a
+    assert len(mats) == len(_RECTANGLE_COSTS)
+    for a, rects in zip(mats, _RECTANGLE_COSTS):
+        assert reduce_parallelogram(a).certificate.cost <= rects, a
 
 
 def test_column_walk_chunks_are_dehn_outside_slides():
@@ -762,7 +657,7 @@ def test_column_walk_chunks_are_dehn_outside_slides():
     slides = 0
     for a in mats:
         (p, q), (r, t) = a.data
-        piece = _column_walk((p, r), (q, t), _det2(a))
+        piece = _column_walk(((p, r), (q, t)), _det2(a))
         in_slide = False
         for kind, chunk in piece.chunks:
             if in_slide:
@@ -774,6 +669,66 @@ def test_column_walk_chunks_are_dehn_outside_slides():
                 assert 1 <= chunk.source[1] <= 3 and abs(chunk.coeff) == 1
         assert not in_slide
     assert slides >= 1
+
+
+def _gl3_product(rng, length):
+    """A product of elementary 3x3 shears and sign flips: det +-1."""
+    a = IntMatrix.identity(3)
+    for _ in range(length):
+        rows = [list(r) for r in IntMatrix.identity(3).data]
+        i, j = rng.sample(range(3), 2)
+        if rng.random() < 0.2:
+            rows[i][i] = -1
+        else:
+            rows[i][j] = rng.choice([-3, -2, -1, 1, 2, 3])
+        a = a @ IntMatrix(tuple(map(tuple, rows)))
+    return a
+
+
+def test_column_walk_gl3_products():
+    rng = random.Random(29)
+    mats = [_gl3_product(rng, rng.randint(1, 12)) for _ in range(30)]
+    assert {det_exact(a) for a in mats} == {1, -1}
+    for a in mats:
+        rep = reduce_parallelogram(a)
+        claim = _walk_claim(a)
+        assert rep.certificate.target == _sum_q(claim)
+        assert verify_certificate(rep.certificate, claim)[0]
+        assert rep.certificate.cost == sum(r.cost
+                                           for r in rep.certificate.trace)
+
+
+@pytest.mark.parametrize("rows", [
+    ((0, 0), (0, 0)), ((1, 2), (2, 4)),
+    ((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
+], ids=["zero", "rank1", "rank2", "nilpotent"])
+def test_column_walk_det_zero(rows):
+    a = IntMatrix(rows)
+    rep = reduce_parallelogram(a)
+    claim = _walk_claim(a)
+    assert rep.det == 0
+    assert rep.certificate.target == _sum_q(claim)
+    assert verify_certificate(rep.certificate, claim)[0]
+
+
+@pytest.mark.parametrize("rows", [
+    # the square of the companion of x^3 - 3x^2 + x - 1, det 1
+    ((0, 1, 3), (0, -1, -2), (1, 3, 8)),
+    ((3, -1, -5), (5, 3, -4), (-1, 0, 1)),
+], ids=["sl3", "det-5"])
+def test_column_walk_dropping_a_shear_chunk_fails(rows):
+    from torfill.filling.reduce import _column_walk
+    a = IntMatrix(rows)
+    gens = tuple(a.column(j) for j in range(3))
+    claim = _walk_claim(a)
+    piece = _column_walk(gens, det_exact(a))
+    piece.certificate(claim)
+    shears = [i for i, (kind, _) in enumerate(piece.chunks) if kind == "DEHN"]
+    assert shears
+    for i in shears:
+        dropped = Piece(3, 3, piece.chunks[:i] + piece.chunks[i + 1:])
+        with pytest.raises(VerificationFailure):
+            dropped.certificate(claim)
 
 
 def test_candidate_cap():

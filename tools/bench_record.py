@@ -17,9 +17,11 @@ Each pair also runs, per side and in the same order, one subprocess that
 times in process, with that side's src/ on PYTHONPATH:
 - `reduce` on the 50 seed-12001 `reduce-3x3` matrices (entries in
   [-6, 6], drawn as perfbench draws them): `reduce_3x3_cost_mean`, null
-  when one of them fails;
+  when one of them fails, and `reduce_3x3_s`, the wall time of the 50;
 - then `fvupper -m "0,0,1;1,0,-1;0,1,3" --jmax 6`:
-  `fvupper_3x3_k_hat_log2` and `fvupper_3x3_s`, its wall time.
+  `fvupper_3x3_k_hat_log2` and `fvupper_3x3_s`, its wall time;
+- then `reduce` on 50 2x2 matrices with entries in [-6, 6], drawn the same
+  way from their own `Random(12001)`: `reduce_2x2_cost_mean`.
 These go under "3x3" in the same layout as a workload.
 
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
@@ -64,28 +66,37 @@ THREE_BY_THREE = textwrap.dedent("""
                       if "=" in line and not line.startswith("row "))
         return code, values, seconds
 
-    rng = random.Random(12001)
-    costs, failed = [], 0
-    for _ in range(50):
-        a = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-        code, values, _ = call(["reduce", "--matrix="
-                                + ";".join(",".join(map(str, r)) for r in a)])
-        if code == 0 and values.get("verified") == "True":
-            costs.append(int(values["cost"]))
-        else:
-            failed += 1
+    def reduce_set(n):
+        # (cost mean or None, wall seconds, failures) of reduce on 50
+        # seed-12001 nxn matrices with entries in [-6, 6]
+        rng = random.Random(12001)
+        costs, seconds = [], 0.0
+        for _ in range(50):
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            code, values, s = call(["reduce", "--matrix=" + ";".join(
+                ",".join(map(str, r)) for r in a)])
+            seconds += s
+            if code == 0 and values.get("verified") == "True":
+                costs.append(int(values["cost"]))
+        mean = sum(costs) / 50 if len(costs) == 50 else None
+        return mean, seconds, 50 - len(costs)
+
+    mean_3x3, seconds_3x3, failed = reduce_set(3)
     code, values, seconds = call(["fvupper", "-m", "0,0,1;1,0,-1;0,1,3",
                                   "--jmax", "6"])
     fv_ok = code == 0 and "k_hat_log2" in values
     failed += not fv_ok
+    mean_2x2, _, failed_2x2 = reduce_set(2)
+    failed += failed_2x2
     print(json.dumps({
         "values": {
-            "reduce_3x3_cost_mean": sum(costs) / 50 if len(costs) == 50
-            else None,
+            "reduce_3x3_cost_mean": mean_3x3,
+            "reduce_3x3_s": seconds_3x3 if mean_3x3 is not None else None,
             "fvupper_3x3_k_hat_log2": float(values["k_hat_log2"])
             if fv_ok else None,
-            "fvupper_3x3_s": seconds if fv_ok else None},
-        "status": {"failed": failed, "attempted": 51,
+            "fvupper_3x3_s": seconds if fv_ok else None,
+            "reduce_2x2_cost_mean": mean_2x2},
+        "status": {"failed": failed, "attempted": 101,
                    "correct": failed == 0}}))
 """)
 
