@@ -170,21 +170,24 @@ def _unit_rect(n, det) -> tuple:
 
 
 @functools.cache
-def _perm_sign(perm) -> int:
-    """The sign of a permutation, given as a sequence of distinct integers."""
+def _shear_frame(n, i, j) -> tuple:
+    """(rest, sign) for a shear of column i by column j of n: the other
+    columns in order, and the sign of the column order (j, i, rest)."""
+    rest = tuple(k for k in range(n) if k not in (i, j))
+    perm = (j, i) + rest
     inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
-    return -1 if inversions % 2 else 1
+    return rest, -1 if inversions % 2 else 1
 
 
 def _column_shear(cols, i, j, q) -> Piece:
     """Piece filling Q(cols) - Q(cols with column i -= q * column j): the
     plane shear pushed along [c_j | c_i], prism-lifted by each remaining
     column in order, times the sign of the column order (j, i, rest)."""
-    rest = [k for k in range(len(cols)) if k not in (i, j)]
+    rest, sign = _shear_frame(len(cols), i, j)
     step = _shear(q).pushforward([cols[j], cols[i]])
     for k in rest:
         step = step.prism_lift(cols[k])
-    return step.scale(_perm_sign((j, i, *rest)))
+    return step.scale(sign)
 
 
 def _walk_shears(cols, det):
@@ -209,7 +212,7 @@ def _walk_shears(cols, det):
         g = math.gcd(*(cols[c][r] for c in live))
         if not g:
             continue
-        while g not in map(size, live):
+        while g not in [abs(cols[c][r]) for c in live]:
             # the largest entry by the next largest, in distinct columns
             i, j = sorted(live, key=size, reverse=True)[:2]
             yield i, j, _round_div(cols[i][r], cols[j][r])
@@ -266,10 +269,10 @@ def _column_walk(gens, det) -> Piece:
     diagonal R(d_1, .., d_n) that remains goes to rect_to_unit.  For
     det = 0 the shears end at a zero column instead."""
     n = len(gens)
-    target = _unit_rect(n, det)
-    if gens == target:
-        return Piece.zero(n, n)
     if not det:
+        target = _unit_rect(n, 0)
+        if gens == target:
+            return Piece.zero(n, n)
         return _fill_dependent(gens) - move_zero_gen(target)
     piece, cols = _sheared(gens, det)
     for r in range(1, n):
@@ -280,10 +283,10 @@ def _column_walk(gens, det) -> Piece:
                 piece = (piece + move_split(cols, c, rest, part)
                          + _fill_dependent(cols[:c] + [part] + cols[c + 1:]))
                 cols[c] = rest
-    diag = tuple(cols[t][t] for t in range(n))
-    _check(cols == [_scale_vec(d, _unit(n, t)) for t, d in enumerate(diag)],
+    _check(not any(x for t, c in enumerate(cols)
+                   for s, x in enumerate(c) if s != t),
            "the walk must land on a diagonal matrix")
-    return piece + rect_to_unit(diag)
+    return piece + rect_to_unit(cols[t][t] for t in range(n))
 
 
 @dataclass(frozen=True)
