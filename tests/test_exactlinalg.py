@@ -7,8 +7,9 @@ import random
 import pytest
 
 from torfill.errors import NonSquare, VerificationFailure
-from torfill.exactlinalg import (HnfResult, IntMatrix, SnfResult, _verify_hnf,
-                                 _verify_snf, charpoly, coker_structure,
+from torfill.exactlinalg import (CokernelStructure, HnfResult, IntMatrix,
+                                 SnfResult, _verify_hnf, _verify_snf,
+                                 charpoly, coker_structure,
                                  det_exact, det_rows, hnf, mat_pow, snf,
                                  solve_diophantine)
 
@@ -87,9 +88,7 @@ def _minor_gcd(a, k):
     return g
 
 
-def test_snf_matches_determinantal_divisors():
-    # d_1 ... d_k is the gcd of all k x k minors: an invariant reached with
-    # no elimination at all
+def _determinantal_cases():
     rng = random.Random(67)
     cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=9)
              for _ in range(120)]
@@ -112,10 +111,61 @@ def test_snf_matches_determinantal_divisors():
             cases.append(mat_pow(a, k) - ident)
             singular += det_exact(cases[-1]) == 0
     assert singular == 3
-    for a in cases:
+    return cases
+
+
+def test_snf_matches_determinantal_divisors():
+    # d_1 ... d_k is the gcd of all k x k minors: an invariant reached with
+    # no elimination at all
+    for a in _determinantal_cases():
         diag = snf(a).diagonal()
         for k in range(1, len(diag) + 1):
             assert math.prod(diag[:k]) == _minor_gcd(a, k), (a.data, diag)
+
+
+def _coker_from_snf(a):
+    """The cokernel read off the verified Smith form: the reference."""
+    nonzero = [d for d in snf(a).diagonal() if d]
+    return CokernelStructure(tuple(d for d in nonzero if d > 1),
+                             a.rows - len(nonzero), math.prod(nonzero))
+
+
+def test_coker_structure_matches_snf(monkeypatch):
+    rng = random.Random(73)
+    cases = _determinantal_cases()
+    for n in range(1, 5):
+        cases.append(IntMatrix(((0,) * n,) * n))
+        for _ in range(125):
+            a = random_matrix(rng, n, n, span=rng.choice((2, 9, 10 ** 6)))
+            if n > 1 and rng.random() < 0.3:  # det 0 by a repeated row
+                rows = list(a.data)
+                rows[-1] = rows[0]
+                a = IntMatrix(tuple(rows))
+            cases.append(a)
+    assert sum(a.is_square() and det_exact(a) == 0 for a in cases) > 100
+    expected = [_coker_from_snf(a) for a in cases]
+    # up to 4 x 4 no Smith form is computed
+    from torfill import exactlinalg
+    monkeypatch.setattr(exactlinalg, "snf", None)
+    for a, want in zip(cases, expected):
+        assert coker_structure(a) == want, a.data
+        assert coker_structure(a.data) == want, a.data
+
+
+def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
+    from torfill import exactlinalg
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(exactlinalg, "snf", counting)
+    a = random_matrix(random.Random(79), 5, 5, span=5)
+    want = _coker_from_snf(a)
+    assert coker_structure(a) == want
+    assert coker_structure(a.data) == want
+    assert [m.data for m in calls] == [a.data, a.data]
 
 
 def test_coker_torsion_of_10x10_six_digit_matrix():

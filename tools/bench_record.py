@@ -21,7 +21,12 @@ times in process, with that side's src/ on PYTHONPATH:
 - then `fvupper -m "0,0,1;1,0,-1;0,1,3" --jmax 6`:
   `fvupper_3x3_k_hat_log2` and `fvupper_3x3_s`, its wall time;
 - then `reduce` on 50 2x2 matrices with entries in [-6, 6], drawn the same
-  way from their own `Random(12001)`: `reduce_2x2_cost_mean`.
+  way from their own `Random(12001)`: `reduce_2x2_cost_mean`;
+- then `torsion --kmax 40` on 20 4x4 and on 20 5x5 matrices with entries
+  in [-5, 5], each size from its own `Random(12001)`: `torsion_4x4_s` and
+  `torsion_5x5_s`, the wall time of each 20, null when one of them fails.
+  Cokernels up to 4x4 are read off determinantal divisors and larger ones
+  off the Smith form, so the pair shows each route.
 These go under "3x3" in the same layout as a workload.
 
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
@@ -81,6 +86,20 @@ THREE_BY_THREE = textwrap.dedent("""
         mean = sum(costs) / 50 if len(costs) == 50 else None
         return mean, seconds, 50 - len(costs)
 
+    def torsion_set(n):
+        # (wall seconds or None, failures) of torsion --kmax 40 on 20
+        # seed-12001 nxn matrices with entries in [-5, 5]
+        rng = random.Random(12001)
+        seconds, failed = 0.0, 0
+        for _ in range(20):
+            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            code, values, s = call(["torsion", "--kmax", "40", "--matrix="
+                                    + ";".join(",".join(map(str, r))
+                                               for r in a)])
+            seconds += s
+            failed += code != 0 or "target_ln" not in values
+        return (seconds if not failed else None), failed
+
     mean_3x3, seconds_3x3, failed = reduce_set(3)
     code, values, seconds = call(["fvupper", "-m", "0,0,1;1,0,-1;0,1,3",
                                   "--jmax", "6"])
@@ -88,6 +107,9 @@ THREE_BY_THREE = textwrap.dedent("""
     failed += not fv_ok
     mean_2x2, _, failed_2x2 = reduce_set(2)
     failed += failed_2x2
+    torsion_4x4, failed_4x4 = torsion_set(4)
+    torsion_5x5, failed_5x5 = torsion_set(5)
+    failed += failed_4x4 + failed_5x5
     print(json.dumps({
         "values": {
             "reduce_3x3_cost_mean": mean_3x3,
@@ -95,8 +117,10 @@ THREE_BY_THREE = textwrap.dedent("""
             "fvupper_3x3_k_hat_log2": float(values["k_hat_log2"])
             if fv_ok else None,
             "fvupper_3x3_s": seconds if fv_ok else None,
-            "reduce_2x2_cost_mean": mean_2x2},
-        "status": {"failed": failed, "attempted": 101,
+            "reduce_2x2_cost_mean": mean_2x2,
+            "torsion_4x4_s": torsion_4x4,
+            "torsion_5x5_s": torsion_5x5},
+        "status": {"failed": failed, "attempted": 141,
                    "correct": failed == 0}}))
 """)
 
