@@ -444,8 +444,7 @@ def coker_structure(a) -> CokernelStructure:
     if max(r, c) <= MINORS_MAX_N:
         factors = _determinantal_factors(rows, r, c)
     else:
-        m = a if isinstance(a, IntMatrix) else IntMatrix(rows)
-        factors = [d for d in snf(m).diagonal() if d]
+        factors = [d for d in snf(IntMatrix(rows)).diagonal() if d]
     return CokernelStructure(tuple(d for d in factors if d > 1),
                              r - len(factors), math.prod(factors))
 
