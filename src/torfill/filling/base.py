@@ -26,12 +26,10 @@ TABLE_DIR = Path(__file__).parent / "base_table"
 
 
 # Each key's universal target as ((coeff, gens), ...), a signed sum of
-# parallelogram cycles Q(gens) in T^m, m = len(gens[0]); the keys after None
-# in BASE_KEYS order.  None is Q(0) in T^1, which the constant 2-simplex
-# [0, 0, 0] fills.  Transposing two generators negates a cycle exactly, so
+# parallelogram cycles Q(gens) in T^m, m = len(gens[0]); the keys in
+# BASE_KEYS order.  Transposing two generators negates a cycle exactly, so
 # REARR(2) sums to the zero chain.
 _PRESENTATIONS = {
-    None: ((1, ((0,),)),),
     ("REARR", 2): ((1, ((1, 0), (0, 1))), (1, ((0, 1), (1, 0)))),
     ("REARR", 3): ((1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
                    (1, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))),
@@ -45,12 +43,12 @@ _PRESENTATIONS = {
     ("DOUBLE_HALVE",): ((1, ((1, 0), (0, 2))), (-1, ((2, 0), (0, 1)))),
 }
 
-BASE_KEYS = tuple(key for key in _PRESENTATIONS if key is not None)
+BASE_KEYS = tuple(_PRESENTATIONS)
 
 
 def universal_presentation(key) -> tuple:
-    """The universal target of a base key (or None) as ((coeff, gens), ...),
-    from the constant table above."""
+    """The universal target of a base key as ((coeff, gens), ...), from the
+    constant table above."""
     try:
         return _PRESENTATIONS[key]
     except KeyError:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from ..chains import (TorusChain, boundary, l1_norm, linear_map,
                       parallelogram_class, parallelogram_cycle, prism_v,
-                      pushforward, simplex_chain)
+                      pushforward)
 from ..errors import VerificationFailure
 from ..exactlinalg import _check
 
@@ -148,11 +148,8 @@ def _unit(n, i):
 
 def _lift(key, d) -> TorusChain:
     """The base witness of `key` in T^m, embedded in T^(m+d) and prism-lifted
-    along e_(m+1), .., e_(m+d) in turn.  Key None stands for the constant
-    2-simplex [0, 0, 0] in T^1, which fills Q(0)."""
+    along e_(m+1), .., e_(m+d) in turn."""
     if d == 0:
-        if key is None:
-            return simplex_chain([(0,)] * 3)
         from .base import base_certificate
         return base_certificate(key).witness
     inner = _lift(key, d - 1)
@@ -204,10 +201,11 @@ class Chunk(NamedTuple):
     """coeff * F_*(_lift(source, d)), where F = columns = [f | v_1..v_d].
 
     Exact because pushforward commutes with prism:
-    F_*(prism_e(c)) = prism_{Fe}(F_* c).  Marker chunks have coeff 0.
+    F_*(prism_e(c)) = prism_{Fe}(F_* c).  Marker chunks are
+    Chunk(None, (), 0); a chunk with coeff 0 builds no terms.
     """
 
-    source: tuple  # a base key, or None
+    source: tuple  # a base key, or None in a marker chunk
     columns: tuple
     coeff: int
 

@@ -10,7 +10,6 @@ Dehn-step, and double-halve certificates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import UnsupportedDimension
@@ -32,29 +31,15 @@ def _add_vec(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def primitive_decomposition(v):
-    """v = d * u0 with d > 0 and u0 primitive (same direction as v)."""
-    v = _vec(v)
-    d = math.gcd(*v)
-    if d == 0:
-        raise ValueError("zero vector has no primitive direction")
-    return d, tuple(x // d for x in v)
-
-
 def move_negate(gens, pos) -> Piece:
-    """Target Q(gens) + Q(gens with -v at pos)."""
+    """Target Q(gens) + Q(gens with -v at pos), for two generators."""
     gens = tuple(_vec(g) for g in gens)
-    k = len(gens)
-    if k < 2 or k > 3:
-        raise UnsupportedDimension("negation supported for 2 or 3 generators")
-    if pos == 0 and k == 2:
-        return Piece.move(("NEGATE", 2), "NEGATE", gens)
+    if len(gens) != 2:
+        raise UnsupportedDimension("negation supported for 2 generators")
     if pos == 0:
-        return move_negate(gens[:2], 0).prism_lift(gens[2])
-    # conjugate by an exact transposition: Q(..a,b..) = -Q(..b,a..)
-    swapped = list(gens)
-    swapped[pos - 1], swapped[pos] = swapped[pos], swapped[pos - 1]
-    return -move_negate(tuple(swapped), pos - 1)
+        return Piece.move(("NEGATE", 2), "NEGATE", gens)
+    # conjugate by an exact transposition: Q(a, b) = -Q(b, a)
+    return -move_negate(gens[::-1], 0)
 
 
 def move_split(gens, pos, v1, v2) -> Piece:
@@ -71,23 +56,18 @@ def move_split(gens, pos, v1, v2) -> Piece:
         return -move_split((gens[1], gens[0]), 1, v1, v2)
     if k == 3 and pos < 2:
         return move_split(gens[:2], pos, v1, v2).prism_lift(gens[2])
-    if k == 3 and pos == 2:
-        return -move_split((gens[0], gens[2], gens[1]), 1, v1, v2)
-    raise UnsupportedDimension("split supported for 2 or 3 generators")
+    raise UnsupportedDimension("split supported for 2 generators, or 3 with"
+                               " the split in the first two")
 
 
 def move_zero_gen(gens) -> Piece:
     """Target Q(gens), where some generator is the zero vector."""
     gens = tuple(_vec(g) for g in gens)
     k = len(gens)
-    n = len(gens[0])
-    zero = (0,) * n
-    pos = gens.index(zero)
-    if k == 1:
-        # Q(0) = [0,0] bounds the constant 2-simplex [0,0,0] exactly
-        return Piece.move(None, "ZERO_GEN", [zero])
+    pos = gens.index((0,) * len(gens[0]))
     if k - 1 not in (1, 2):
-        raise UnsupportedDimension("zero-generator fill needs k <= 3")
+        raise UnsupportedDimension("zero-generator fill needs 2 or 3"
+                                   " generators")
     sign = -1 if (k - 1 - pos) % 2 else 1
     return Piece.move(("ZERO", k - 1), "ZERO_GEN",
                       gens[:pos] + gens[pos + 1:]).scale(sign)
@@ -221,28 +201,9 @@ def slide(u0, d, m, w) -> Piece:
     """Target Q(d*u0, w + m*u0) - Q(d*u0, w): one split plus the circle
     certificate for Q(d, m) pushed along t -> t*u0."""
     u0, w = _vec(u0), _vec(w)
-    n = len(u0)
-    if m == 0:
-        return Piece.zero(n, 2)
     v = _scale_vec(d, u0)
     shifted = _add_vec(w, _scale_vec(m, u0))
     piece = move_split((v, shifted), 1, w, _scale_vec(m, u0))
     inner, _ = s1_piece(d, m)
     piece = piece + inner.pushforward([u0])
     return piece.marked("SLIDE")
-
-
-def slide_second(v, w, delta) -> Piece:
-    """Target Q(v, w + delta) - Q(v, w) for delta parallel to v."""
-    d, u0 = primitive_decomposition(v)
-    delta = _vec(delta)
-    nz = next(i for i, x in enumerate(u0) if x)
-    m, r = divmod(delta[nz], u0[nz])
-    _check(r == 0 and _scale_vec(m, u0) == delta,
-           "delta must be a u0 multiple")
-    return slide(u0, d, m, w)
-
-
-def slide_first(v, w, delta) -> Piece:
-    """Target Q(v + delta, w) - Q(v, w) for delta parallel to w."""
-    return -slide_second(w, v, delta)

@@ -7,8 +7,9 @@ chunks, k <= 3, or of one slide when that costs less (_shear).  Row by row,
 Euclid brings out the row's gcd and steers it onto the diagonal.  Entries
 left below the diagonal split off, and each dependent tuple that leaves is
 sheared down to a zero column (ZERO_GEN), as is the whole matrix when
-det = 0.  The diagonal R(d_1, .., d_n) goes to R(det, 1, .., 1) by the
-four-slide schedule (rect_to_unit); for det = +-1 it is that already.
+det = 0.  The diagonal R(d_1, .., d_n) goes to R(det, 1, .., 1) by
+rect_to_unit, which halves each later size by DOUBLE_HALVE moves, doubling
+the first; for det = +-1 it is that already.
 Each step returns a Piece whose docstring states the cycles it fills; the
 final certificate is checked, with exact integer arithmetic, against the
 claim Q(columns) - R(det, 1..1), and carries the move trace.
@@ -25,8 +26,7 @@ from ..errors import UnsupportedDimension
 from ..exactlinalg import IntMatrix, _check, det_exact, mat_pow
 from .base import base_certificate
 from .certificate import FillingCertificate, Piece, _unit
-from .moves import (_add_vec, _scale_vec, move_negate, move_split,
-                    move_zero_gen, slide_first, slide_second)
+from .moves import _add_vec, _scale_vec, move_split, move_zero_gen, slide
 
 
 def _round_div(a, b) -> int:
@@ -37,12 +37,24 @@ def _round_div(a, b) -> int:
     return q
 
 
+_E1, _E2 = (1, 0), (0, 1)
+
+
 def rect_to_unit(sizes) -> Piece:
-    """Piece filling R(sizes) - R(prod(sizes), 1, .., 1)."""
+    """Piece filling R(sizes) - R(prod(sizes), 1, .., 1), n <= 3.
+
+    Every size after the first must be >= 1, as the walk produces them.
+    In the plane, _rect_to_unit_2d halves the second size; for n = 3,
+    R(a_1, a_2, a_3) goes to R(a_1*a_3, a_2, 1) by the plane piece of
+    (a_1, a_3) prism-lifted by a_2*e_2, and that to R(prod, 1, 1) by the
+    plane piece of (a_1*a_3, a_2) prism-lifted by e_3."""
     sizes = tuple(int(a) for a in sizes)
     n = len(sizes)
     if all(a == 1 for a in sizes[1:]):
         return Piece.zero(n, n)
+    _check(all(a >= 1 for a in sizes[1:]),
+           "rect_to_unit needs every size after the first >= 1, got %r"
+           % (sizes,))
     if n == 2:
         return _rect_to_unit_2d(sizes)
     if n > 3:
@@ -61,41 +73,27 @@ def rect_to_unit(sizes) -> Piece:
 
 
 def _rect_to_unit_2d(sizes) -> Piece:
-    """Four-slide schedule in the plane; the fourth slide is skipped when
-    the first size is 1."""
-    a, b = sizes
-    if b == 1:
-        return Piece.zero(2, 2)  # R(a, 1) is already in unit-height form
-    e1, e2 = (1, 0), (0, 1)
-    v, w = _scale_vec(a, e1), _scale_vec(b, e2)
-    steps = []
-
-    delta1 = _scale_vec(b, e1)
-    steps.append(slide_second(v, w, delta1))
-    w = _add_vec(w, delta1)  # (b, b)
-
-    delta2 = (-1, -1)
-    steps.append(slide_first(v, w, delta2))
-    v = _add_vec(v, delta2)  # (a-1, -1)
-
-    delta3 = _scale_vec(b, v)
-    steps.append(slide_second(v, w, delta3))
-    w = _add_vec(w, delta3)  # (a*b, 0)
-
-    if a != 1:
-        delta4 = _scale_vec(1 - a, e1)
-        steps.append(slide_first(v, w, delta4))
-        v = _add_vec(v, delta4)  # (0, -1)
-    _check(v == (0, -1) and w == (a * b, 0),
-           "the slides must end at (0, -1), (a*b, 0)")
-
-    total = sum(steps, Piece.zero(2, 2))
-    # total fills Q((0,-1),(ab,0)) - R(a, b); negate the -e2 generator
-    neg = move_negate((_scale_vec(a * b, e1), (0, -1)), 1)
-    return -total - neg
-
-
-_E1 = (1, 0)
+    """R(a, b) - R(a*b, 1), b >= 1, by halving: while y > 1, an odd y
+    first splits off R(x, 1), then DOUBLE_HALVE takes R(x, y) to
+    R(2x, y/2); the split-off rectangles merge back into the first
+    generator at the end."""
+    x, y = sizes
+    piece, pending = Piece.zero(2, 2), []
+    while y > 1:
+        if y % 2:
+            piece = piece + move_split(((x, 0), (0, y)), 1, (0, y - 1), _E2)
+            pending.append(x)
+            y -= 1
+        piece = piece + Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE",
+                                   [(x, 0), (0, y // 2)])
+        x, y = 2 * x, y // 2
+    for extra in reversed(pending):
+        piece = piece - move_split(((x + extra, 0), _E2), 0, (x, 0),
+                                   (extra, 0))
+        x += extra
+    _check(x == sizes[0] * sizes[1],
+           "the halving must end at R(a*b, 1)")
+    return piece
 
 
 def _dehn_cost(k) -> int:
@@ -124,7 +122,7 @@ def _dehn_shear(q) -> Piece:
 
 def _slide_shear(q) -> Piece:
     """Q(e1, e2) - Q(e1, e2 - q*e1) as one slide."""
-    return slide_second(_E1, (-q, 1), (q, 0))
+    return slide(_E1, 1, q, (-q, 1))
 
 
 def _realized_cost(piece) -> int:

@@ -397,10 +397,10 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
                            tuple(certificates))
 
 
-def entropy(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
+def entropy(a: IntMatrix) -> float:
     """Topological entropy of the induced linear torus map: sum of ln|lambda|
     over eigenvalues outside the unit circle."""
-    return analyze(a, dps_cap).log_sum
+    return analyze(a).log_sum
 
 
 def fv_lower_coefficient(n: int) -> float:
@@ -409,14 +409,14 @@ def fv_lower_coefficient(n: int) -> float:
     return 2.0 / (n * (n + 1) * math.log(n + 1))
 
 
-def fv_lower_bound(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> float:
+def fv_lower_bound(a: IntMatrix) -> float:
     """fv_lower_coefficient(n) * entropy(A) for n x n A."""
     if not a.is_square():
         raise NonSquare("fv_lower_bound needs a square matrix")
-    return fv_lower_coefficient(a.rows) * entropy(a, dps_cap)
+    return fv_lower_coefficient(a.rows) * entropy(a)
 
 
-def basic_inequalities(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP):
+def basic_inequalities(a: IntMatrix):
     """(ln rho, entropy, n ln rho); asserts ln rho <= entropy <= n ln rho
     within the combined certification radii.
 
@@ -424,7 +424,7 @@ def basic_inequalities(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP):
     multiply to a nonzero integer), so the inequalities are meaningful;
     nilpotent matrices return (-inf, 0, -inf) without asserting.
     """
-    summary = analyze(a, dps_cap)
+    summary = analyze(a)
     n = a.rows
     ent = summary.log_sum
     if summary.rho == 0.0:
@@ -461,8 +461,7 @@ class GrowthRow:
     full_rank: bool  # det(A^k - I) != 0; degenerate rows are skipped in limits
 
 
-def torsion_growth_table(a: IntMatrix, k_max: int,
-                         dps_cap: int = DEFAULT_DPS_CAP):
+def torsion_growth_table(a: IntMatrix, k_max: int):
     """Rows k = 1..k_max of torsion data for coker(A^k - I).
 
     torsion_order equals |tors H_1| of the degree-k cyclic cover of the
@@ -471,7 +470,7 @@ def torsion_growth_table(a: IntMatrix, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
-    target = entropy(a, dps_cap)
+    target = entropy(a)
     rows = []
     power = IntMatrix.identity(a.rows).data
     for k in range(1, k_max + 1):

@@ -432,7 +432,7 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
     ("2,1;1,1", "2", "2", "6472560ddfab5c48"),
-    ("3,-1,-5;5,3,-4;-1,0,1", "480", "81", "107a3370228eb9b4"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "312", "45", "39a6e67924afe4a1"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
                                          moves, digest):
@@ -608,9 +608,9 @@ def _missing_file(path):
 
 # (base file, a matrix whose reduction loads it, the key the error names):
 # a det +-1 2x2 matrix takes the column walk of DEHN chunks, and any other
-# determinant the rectangle path, which closes with NEGATE
+# determinant ends in rect_to_unit, which halves by DOUBLE_HALVE
 _LOADED_BASES = [("dehn_1.json", "2,1;1,1", "('DEHN', 1)"),
-                 ("negate_2.json", "2,0;0,3", "('NEGATE', 2)")]
+                 ("double_halve.json", "2,0;0,3", "('DOUBLE_HALVE',)")]
 
 
 @pytest.mark.parametrize("tamper", [_flip_first_witness_coeff,
