@@ -94,9 +94,10 @@ def build_parser() -> _Parser:
     p = subs.add_parser("bounds", help="spectral radius, entropy, lower bound")
     _add_matrix_args(p)
     p.add_argument("--precision-cap", type=int, default=640,
-                   help="decimal digits cap for root certification")
+                   help="decimal digits cap for root certification, "
+                        "taken as ceil(cap log2 10) bits")
     p.add_argument("--stats", action="store_true",
-                   help="also print the dps reached and, per certified "
+                   help="also print the bits reached and, per certified "
                         "factor, its degree, closest gap and that gap's bound")
 
     p = subs.add_parser("reduce", help="reduce a parallelogram cycle to its "
@@ -140,7 +141,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_bounds(args) -> int:
-    from .spectral import analyze, fv_lower_coefficient
+    from .spectral import analyze, format_g, fv_lower_coefficient
     a = _read_matrix(args)
     summary = analyze(a, args.precision_cap)
     n = a.rows
@@ -158,13 +159,12 @@ def _cmd_bounds(args) -> int:
              "mult=%d" % r.multiplicity, "radius=%.3g" % r.radius,
              "circle=%s" % r.on_unit_circle)
     if args.stats:
-        from mpmath import nstr
         certificates = summary.certificates
-        _emit("dps_max", max((c.dps for c in certificates), default=0))
+        _emit("bits_max", max((c.bits for c in certificates), default=0))
         for i, c in enumerate(certificates):
             _emit("factor_%d_degree" % i, c.degree)
-            _emit("factor_%d_gap" % i, nstr(c.gap, 6))
-            _emit("factor_%d_bound" % i, nstr(c.bound, 6))
+            _emit("factor_%d_gap" % i, format_g(c.gap, 6))
+            _emit("factor_%d_bound" % i, format_g(c.bound, 6))
     return EXIT_OK
 
 

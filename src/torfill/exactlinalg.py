@@ -161,16 +161,16 @@ def charpoly(a: IntMatrix) -> tuple:
         raise NonSquare("charpoly of a non-square matrix")
     n = a.rows
     coeffs = [1]
-    m = IntMatrix.identity(n)
+    m = a.data
     for k in range(1, n + 1):
-        m = a @ m
-        tr = sum(m.data[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
+        q, r = divmod(-sum(m[i][i] for i in range(n)), k)
         _check(r == 0, "Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         if k < n:
-            m = m + IntMatrix(tuple(tuple(q if i == j else 0 for j in range(n))
-                                    for i in range(n)))
+            m = [list(row) for row in m]
+            for i in range(n):
+                m[i][i] += q
+            m = _mul_rows(a.data, m)
     return tuple(coeffs)
 
 

@@ -4,28 +4,34 @@ Spectral radius, entropy-type eigenvalue sums, the filling-volume lower
 bound, Gelfand iteration, exact root-of-unity detection, and torsion growth
 tables for powers.
 
-Unit-circle decisions are exact where exactness is possible: cyclotomic
-factors of the characteristic polynomial are divided out over Z first, and
-every remaining root is certified off the circle by one routine,
-`_certified_roots`.  Approximations are seeded by Durand-Kerner in complex
-doubles and refined by mpmath's polyroots at a working precision that
-doubles up to a cap; Weierstrass disks around them are decided at that
-precision, with the rounding error of evaluating the polynomial added to
-every radius (Rump, Verification methods, Acta Numerica 2010).  The disks
-certify whatever approximations they are given, so the seeds only save
-mpmath sweeps; when seeding cannot help (coefficients beyond the double
-range, or no convergence in doubles), polyroots starts from its own
-points.  The roots of each factor are listed by (|im|, re, -im), so the +
-root of a conjugate pair comes first.
+Unit-circle decisions are exact: cyclotomic factors of the characteristic
+polynomial are divided out over Z first, and every remaining root is
+certified off the circle by one routine, `_certified_roots`, in integer
+arithmetic only.  Each approximation is a Gaussian dyadic Z / 2^F.  The
+start points are Durand-Kerner iterates in complex doubles, rounded to
+F = 64 bits; when the coefficients leave the double range, those of the
+polynomial shifted exactly by its rounded centroid, or else fixed points
+that exact sweeps take from there.  Around the approximations, Weierstrass
+disks are bounded from above by integer square roots, and disjointness and
+each disk's side of the unit circle are decided by comparing integers
+(Rump, Verification methods, Acta Numerica 2010).  A failed decision takes
+one exact Durand-Kerner sweep, which doubles F once the approximations have
+settled, up to ceil(dps_cap log2 10) bits, so the cap keeps its meaning in
+decimal digits.  Certified roots are refined until each component is known
+to 2^-80 of itself, so that it rounds to the double nearest the root.  A
+root whose conjugate disk misses every other disk is real, and one whose
+disk reflected in the imaginary axis misses every other disk of a factor
+whose roots come in pairs z, -z is imaginary.  The roots of each factor
+are listed by (|im|, re, -im), so the + root of a conjugate pair comes
+first.
 
 An algebraic integer can have SOME conjugates on the circle without being a
 root of unity, so a purely algebraic test cannot decide individual roots:
 PrecisionExhausted means a genuine near-circle case such as a Salem
-spectrum, and names the factor, the precision reached and the closest
-root's gap against its radius; when the root finder converged at no
-precision up to the cap, it says that instead.  Each certified factor
-records the same three numbers of its deciding attempt in a
-FactorCertificate.
+spectrum, and names the factor, the bits reached and the closest root's
+gap against its radius; when the disks never separate from each other, it
+names the two that overlap instead.  Each certified factor records the
+same numbers of its deciding attempt in a FactorCertificate.
 Logarithms are natural throughout this module; log-base-2 quantities appear
 only in the filling reports and carry a log2 tag there.
 """
@@ -36,8 +42,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
+from decimal import Decimal
+from fractions import Fraction
 
 from .errors import NonSquare, PrecisionExhausted
 from .exactlinalg import (IntMatrix, _check, _mul_rows, charpoly,
@@ -215,9 +221,19 @@ def squarefree_decomposition(p):
 # certified roots
 # ---------------------------------------------------------------------------
 
+SEED_BITS = 64    # fixed-point bits of the start points
+PRINT_BITS = 80   # relative bits a root is refined to, well past a double's 53
+MAX_SWEEPS = 500  # exact Durand-Kerner sweeps per squarefree part
+
+
 @dataclass(frozen=True)
 class CertifiedRoot:
-    """One eigenvalue: approximation, Weierstrass radius, exact flags."""
+    """One eigenvalue: approximation, radius, exact flags.
+
+    A certified root lies within `radius` of `value`: the radius of the disk
+    that decided it, widened by the distance from that disk's centre to
+    `value` and rounded up.  Roots of cyclotomic factors are exact by their
+    factor and carry radius 0."""
 
     value: complex
     radius: float
@@ -227,11 +243,10 @@ class CertifiedRoot:
 
 
 def _double_seeds(coeffs):
-    """Approximate roots of an integer polynomial for mp.polyroots to refine:
-    Durand-Kerner in complex doubles from mpmath's own start points
-    (0.4+0.9i)^k.  None when a coefficient ratio leaves the double range,
-    two iterates coincide, or 500 sweeps do not converge to finite values,
-    so that the caller falls back to mpmath's start."""
+    """Approximate roots of an integer polynomial: Durand-Kerner in complex
+    doubles from the start points (0.4+0.9i)^k.  None when a coefficient
+    ratio leaves the double range, two iterates coincide, or 500 sweeps do
+    not converge to finite values."""
     try:
         monic = [c / coeffs[0] for c in coeffs]
         roots = [(0.4 + 0.9j) ** k for k in range(_degree(coeffs))]
@@ -255,99 +270,284 @@ def _double_seeds(coeffs):
     return None
 
 
-def _weierstrass_disks(coeffs, seeds):
-    """(z, radius, bound) mp triples for the roots of a squarefree integer
-    polynomial at the working precision; None unless the bound disks are
-    pairwise disjoint, so that each holds exactly one root.  mpmath's
-    NoConvergence propagates, so that a root-finder failure is told apart
-    from disks that overlap.
+def _taylor_shift(p, c):
+    """p(x + c), coefficients descending, exactly over Z."""
+    q = list(p)
+    n = _degree(p)
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            q[j] += c * q[j - 1]
+    return tuple(q)
 
-    The approximations z are mpmath's Durand-Kerner iterates, started from
-    `seeds` unless None; the disks certify whatever approximations they get.
-    radius = deg |p(z) / (lc prod_{w != z} (z - w))| is the Weierstrass
-    radius of the computed residual; bound adds the rounding error of
-    evaluating p(z), and doubles for the rounding of the denominator.
-    """
-    deg = _degree(coeffs)
-    cs = [mp.mpf(c) for c in coeffs]
-    roots = mp.polyroots(cs, maxsteps=200, extraprec=mp.mp.dps * 4,
-                         roots_init=seeds)
-    slack = 8 * (deg + 1) * mp.eps
-    magnitudes = [abs(c) for c in cs]
-    disks = []
-    for i, z in enumerate(roots):
-        denom = cs[0]
-        for j, w in enumerate(roots):
-            if j != i:
-                denom *= z - w
-        if denom == 0:
-            return None  # coincident approximations; retry higher dps
-        pz = mp.polyval(cs, z)
-        error = slack * mp.polyval(magnitudes, abs(z))
-        disks.append((z, deg * abs(pz / denom),
-                      2 * deg * (abs(pz) + error) / abs(denom)))
-    for i, (zi, _, bi) in enumerate(disks):
-        for zj, _, bj in disks[i + 1:]:
-            if abs(zi - zj) <= bi + bj:
-                return None
-    return disks
+
+def _ceil_sqrt(n):
+    r = math.isqrt(n)
+    return r + (r * r < n)
+
+
+def _fixed(v, bits):
+    """The integer nearest v * 2^bits, for a finite float v."""
+    n, m = v.as_integer_ratio()
+    return (2 * (n << bits) + m) // (2 * m)
+
+
+def _to_float(n, bits):
+    """n / 2^bits correctly rounded; +-inf beyond the double range."""
+    try:
+        return n / (1 << bits)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def format_g(q, digits):
+    """A Fraction as %.<digits>g; beyond the double range, in the same style
+    through Decimal, so that nothing overflows or reads 0."""
+    if q == 0 or 1e-300 < abs(q) < 1e300:
+        return "%.*g" % (digits, q)
+    return format((Decimal(q.numerator) / q.denominator).normalize(),
+                  ".%dg" % digits)
+
+
+def _float_up(n, bits):
+    """The least float >= n / 2^bits, or inf."""
+    f = _to_float(n, bits)
+    if math.isfinite(f):
+        a, b = f.as_integer_ratio()
+        if a << bits < n * b:
+            f = math.nextafter(f, math.inf)
+    return f
+
+
+def _horner(scaled, x, y):
+    """P = 2^(Fd) p(Z / 2^F) at the Gaussian integer Z = x + iy, from
+    scaled[k] = a_k 2^(Fk)."""
+    px = py = 0
+    for c in scaled:
+        px, py = px * x - py * y + c, px * y + py * x
+    return px, py
+
+
+def _product(lead, roots, i):
+    """Q = lc prod_{j != i} (Z_i - Z_j) = 2^(F(d-1)) lc prod (z_i - z_j),
+    so that the Weierstrass correction of z_i is P / Q in units of 2^-F."""
+    x, y = roots[i]
+    qx, qy = lead, 0
+    for j, (u, v) in enumerate(roots):
+        if j != i:
+            u, v = x - u, y - v
+            qx, qy = qx * u - qy * v, qx * v + qy * u
+    return qx, qy
+
+
+def _sweep(lead, roots, values):
+    """One exact Durand-Kerner sweep in place, root by root: Z_i -= P_i / Q_i
+    rounded to a Gaussian integer, with P_i = values[i] (Z_i is not yet
+    moved when its turn comes) and Q_i against the roots moved so far.  A
+    root whose Q_i is 0 stays."""
+    for i, (px, py) in enumerate(values):
+        qx, qy = _product(lead, roots, i)
+        den = qx * qx + qy * qy
+        if den:
+            x, y = roots[i]
+            roots[i] = (x - (2 * (px * qx + py * qy) + den) // (2 * den),
+                        y - (2 * (py * qx - px * qy) + den) // (2 * den))
+
+
+def _start(coeffs):
+    """Gaussian integers Z_i with Z_i / 2^SEED_BITS the start points: double
+    seeds; when they fail, double seeds of the polynomial shifted exactly
+    by its rounded centroid -a_1 / (d a_0), which turns a cluster far from 0
+    into one near 0; failing both, the points (0.4+0.9i)^k = (4+9i)^k / 10^k,
+    which _disks's exact sweeps take from there."""
+    d, lead = _degree(coeffs), coeffs[0]
+    seeds = _double_seeds(coeffs)
+    shift = 0
+    if seeds is None:
+        shift = (d * lead - 2 * coeffs[1]) // (2 * d * lead)
+        seeds = _double_seeds(_taylor_shift(coeffs, shift))
+    if seeds is not None:
+        return [(_fixed(z.real, SEED_BITS) + (shift << SEED_BITS),
+                 _fixed(z.imag, SEED_BITS)) for z in seeds]
+    roots, gx, gy = [], 1, 0
+    for k in range(d):
+        den = 2 * 10 ** k
+        roots.append(((2 * (gx << SEED_BITS) + 10 ** k) // den,
+                      (2 * (gy << SEED_BITS) + 10 ** k) // den))
+        gx, gy = 4 * gx - 9 * gy, 9 * gx + 4 * gy
+    return roots
+
+
+def _axis(roots, radii, i, sx, sy):
+    """Whether the disk of root i mapped by (x, y) -> (sx x, sy y) misses
+    every other disk."""
+    (x, y), r = roots[i], radii[i]
+    return all((sx * x - u) ** 2 + (sy * y - v) ** 2 > (r + radii[j]) ** 2
+               for j, (u, v) in enumerate(roots) if j != i)
+
+
+def _disks(coeffs, mirrored, bits_cap, name):
+    """Certified disks of the roots of a squarefree integer polynomial.
+
+    Returns (F, disks, closest): disks[i] = (x, y, r, real, imag) holds
+    exactly one root, within r / 2^F of (x + iy) / 2^F and off the unit
+    circle; real and imag are True when that root is proven real or
+    purely imaginary.  closest = (gap, r) of the root with the least margin,
+    whose centre lies at least gap / 2^F from the circle.
+
+    Every test compares integers at F bits.  r = ceil(sqrt(ceil(d^2 |P|^2 /
+    |Q|^2))) bounds the Weierstrass radius d |P / Q| from above (Rump,
+    Verification methods, Acta Numerica 2010): when the disks are pairwise
+    disjoint each holds exactly one root.  A disk is off the circle when
+    gap > r, gap being isqrt(x^2 + y^2) - 2^F or 2^F - ceil(sqrt(x^2 +
+    y^2)).  A root is real when the conjugate of its disk misses every
+    other disk, for the conjugate root then lies in its own disk, which
+    holds one root; not real when its disk misses the real axis.  With
+    `mirrored` (an even polynomial, whose roots come in pairs z, -conj(z)),
+    the same reflected in the imaginary axis.
+
+    An attempt stands when its disks are disjoint and off the circle, and
+    each printed component is known to 2^-PRINT_BITS of itself with each
+    root's axes decided, so that it rounds to the double nearest the root.
+    Otherwise one exact sweep follows: at 2F bits once the attempt has
+    settled, every radius within 2^(-F/2) of max(|z|, 1), and at F bits
+    before that.  The last attempt, after MAX_SWEEPS sweeps or settled with
+    2F above bits_cap, stands once its disks are disjoint and off the
+    circle."""
+    d, lead = _degree(coeffs), coeffs[0]
+    roots, bits = _start(coeffs), SEED_BITS
+    for sweep in range(MAX_SWEEPS + 1):
+        one = 1 << bits
+        scaled = [c << bits * k for k, c in enumerate(coeffs)]
+        values = [_horner(scaled, x, y) for x, y in roots]
+        radii = []
+        for i, (px, py) in enumerate(values):
+            qx, qy = _product(lead, roots, i)
+            den = qx * qx + qy * qy
+            radii.append(_ceil_sqrt(-(-d * d * (px * px + py * py) // den))
+                         if den else None)
+        settled = None not in radii and all(
+            (r * r) << bits <= max(x * x + y * y, one * one)
+            for (x, y), r in zip(roots, radii))
+        last = sweep == MAX_SWEEPS or settled and 2 * bits > bits_cap
+        overlap = next(((i, j) for i in range(d) for j in range(i + 1, d)
+                        if radii[i] is None or radii[j] is None or
+                        (roots[i][0] - roots[j][0]) ** 2 +
+                        (roots[i][1] - roots[j][1]) ** 2
+                        <= (radii[i] + radii[j]) ** 2), None)
+        if overlap is None:
+            gaps = []
+            for x, y in roots:
+                s = math.isqrt(x * x + y * y)
+                gaps.append(s - one if s >= one
+                            else one - _ceil_sqrt(x * x + y * y))
+            closest = min(zip(gaps, radii), key=lambda gr: gr[0] - gr[1])
+            if closest[0] > closest[1]:
+                disks = []
+                for i, ((x, y), r) in enumerate(zip(roots, radii)):
+                    real = False if y * y > r * r else \
+                        _axis(roots, radii, i, 1, -1) or None
+                    imag = False if not mirrored or x * x > r * r else \
+                        _axis(roots, radii, i, -1, 1) or None
+                    disks.append((x, y, r, real, imag))
+                if last or all(real is not None and imag is not None and
+                               (real or r << PRINT_BITS <= abs(y)) and
+                               (imag or r << PRINT_BITS <= abs(x))
+                               for x, y, r, real, imag in disks):
+                    return bits, disks, closest
+        if last:
+            break
+        if settled:
+            roots = [(x << bits, y << bits) for x, y in roots]
+            values = [(px << bits * d, py << bits * d) for px, py in values]
+            bits *= 2
+        _sweep(lead, roots, values)
+    reason = "in %d sweeps" % MAX_SWEEPS if sweep == MAX_SWEEPS else \
+        "within the bit cap %d" % bits_cap
+    if overlap is not None:
+        raise PrecisionExhausted(
+            "factor %s: roots not separated from each other %s; at %d bits "
+            "the disks about %s and %s overlap" % ((name, reason, bits) + tuple(
+                "(%s, %s)" % tuple(format_g(Fraction(c, one), 6)
+                                   for c in roots[k]) for k in overlap)))
+    raise PrecisionExhausted(
+        "factor %s: roots not separated from the unit circle %s; at %d bits "
+        "the closest root has gap %s against radius %s" % ((name, reason, bits)
+        + tuple(format_g(Fraction(c, one), 3) for c in closest)))
+
+
+def _axis_split(f):
+    """[(part, mirrored)] with f squarefree the product of the parts: with
+    f = E(x^2) + x O(x^2), g(x) = gcd(E, O)(x^2) is the even factor of f
+    whose roots z have -z as roots too, and mirrored; f / g has no root on
+    the imaginary axis but perhaps 0."""
+    d = _degree(f)
+    half = poly_gcd(f[d % 2::2], f[(d + 1) % 2::2])
+    if _degree(half) == 0:
+        return [(f, False)]
+    g = tuple(c for k in half for c in (k, 0))[:-1]
+    h = poly_div_exact(f, g)
+    return [(g, True)] + ([(h, False)] if _degree(h) > 0 else [])
+
+
+def _radius_about(value, x, y, r, bits):
+    """A float bound on the distance from `value` to a root within r / 2^bits
+    of (x + iy) / 2^bits, computed in integers and rounded up."""
+    if not cmath.isfinite(value):
+        return math.inf
+    (ax, bx), (ay, by) = (value.real.as_integer_ratio(),
+                          value.imag.as_integer_ratio())
+    scale = max(bits, bx.bit_length() - 1, by.bit_length() - 1)
+    up = scale - bits
+    dx = (ax << scale) // bx - (x << up)
+    dy = (ay << scale) // by - (y << up)
+    return _float_up((r << up) + _ceil_sqrt(dx * dx + dy * dy), scale)
 
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    """How the roots of one squarefree factor were certified: at `dps`, the
-    root with the least margin gap - bound had distance `gap` (mpf) from the
-    unit circle against its disk's `bound` (mpf)."""
+    """How the roots of one squarefree factor were certified: at `bits`, the
+    root with the least margin gap - bound had distance at least `gap`
+    from the unit circle against its disk's radius `bound`, both exact
+    Fractions."""
 
     degree: int
-    dps: int
-    gap: mp.mpf
-    bound: mp.mpf
+    bits: int
+    gap: Fraction
+    bound: Fraction
 
 
 def _certified_roots(factor, multiplicity, dps_cap):
     """(roots, FactorCertificate) for a squarefree integer factor, each root
     in a disk that misses the unit circle, conjugate pairs in the order
-    (|im|, re, -im): the one precision loop of this module, decided in
-    mpmath at each dps.  When the root finder converges at no dps up to the
-    cap, PrecisionExhausted says so instead of blaming the unit circle."""
-    dps, best, converged = 40, "no attempt gave disjoint disks", False
-    if dps_cap < dps:
+    (|im|, re, -im), certified by _disks over _axis_split's parts within
+    ceil(dps_cap log2 10) bits.  A real root is exact when its disk holds an
+    integer root (the only rational roots of a monic factor), so that it
+    rounds to a double like that integer."""
+    name = ",".join(map(str, factor))
+    bits_cap = math.ceil(dps_cap * math.log2(10))
+    if bits_cap < SEED_BITS:
         raise PrecisionExhausted(
-            "factor %s: no attempt ran, as the dps cap %d is below the first"
-            " attempt's dps %d" % (",".join(map(str, factor)), dps_cap, dps))
-    seeds = _double_seeds(factor)
-    while dps <= dps_cap:
-        with mp.workdps(dps):
-            try:
-                disks = _weierstrass_disks(factor, seeds)
-            except mp.libmp.libhyper.NoConvergence:
-                disks = None
-            else:
-                converged = True
-            if disks is not None:
-                gap, bound = min(
-                    ((abs(abs(z) - 1), bound + 4 * mp.eps * (abs(z) + 1))
-                     for z, _, bound in disks),
-                    key=lambda gb: gb[0] - gb[1])
-                if gap > bound:
-                    roots = [CertifiedRoot(complex(z), float(radius),
-                                           multiplicity, False, abs(z) > 1)
-                             for z, radius, _ in disks]
-                    roots.sort(key=lambda r: (abs(r.value.imag), r.value.real,
-                                              -r.value.imag))
-                    return roots, FactorCertificate(_degree(factor), dps,
-                                                    gap, bound)
-                best = "at dps %d the closest root has gap %s against " \
-                    "radius %s" % (dps, mp.nstr(gap, 3), mp.nstr(bound, 3))
-        dps *= 2
-    if not converged:
-        raise PrecisionExhausted(
-            "factor %s: the root finder did not converge at any dps up to the"
-            " cap %d" % (",".join(map(str, factor)), dps_cap))
-    raise PrecisionExhausted(
-        "factor %s: roots not separated from the unit circle within dps cap"
-        " %d; %s" % (",".join(map(str, factor)), dps_cap, best))
+            "factor %s: no attempt ran, as the bit cap %d is below the first"
+            " attempt's %d bits" % (name, bits_cap, SEED_BITS))
+    roots, bits, margins = [], 0, []
+    for part, mirrored in _axis_split(factor):
+        part_bits, disks, (gap, r) = _disks(part, mirrored, bits_cap, name)
+        bits = max(bits, part_bits)
+        margins.append((Fraction(gap, 1 << part_bits),
+                        Fraction(r, 1 << part_bits)))
+        for x, y, r, real, imag in disks:
+            n = (x + (1 << part_bits - 1)) >> part_bits
+            if real and _horner(part, n, 0) == (0, 0) and \
+                    ((n << part_bits) - x) ** 2 + y * y <= r * r:
+                x, y, r = n << part_bits, 0, 0  # the root is the integer n
+            value = complex(0.0 if imag else _to_float(x, part_bits),
+                            0.0 if real else _to_float(y, part_bits))
+            roots.append(CertifiedRoot(
+                value, _radius_about(value, x, y, r, part_bits), multiplicity,
+                False, x * x + y * y > 1 << 2 * part_bits))
+    roots.sort(key=lambda r: (abs(r.value.imag), r.value.real, -r.value.imag))
+    gap, bound = min(margins, key=lambda gb: gb[0] - gb[1])
+    return roots, FactorCertificate(_degree(factor), bits, gap, bound)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ def test_bounds(capsys):
     assert abs(float(kv["fv_lower_ln"]) - 0.2921) < 5e-4
     assert kv["unit_root_flag"] == "False"
     assert kv["charpoly"] == "1,-3,1"
+    # each radius is the certified bound, nonzero for the inexact 0.381966
+    assert rows == ["root_0 0.38196601125+0i mult=1 radius=1.19e-18 "
+                    "circle=False",
+                    "root_1 2.61803398875+0i mult=1 radius=5.43e-17 "
+                    "circle=False"]
 
 
 def test_bounds_unit_circle(capsys):
@@ -46,13 +51,13 @@ def test_bounds_unit_circle(capsys):
 
 
 def test_bounds_precision_cap_below_first_attempt_exit_3(capsys):
-    # no root-finding attempt runs below dps 40, so nothing may blame the
+    # no root-finding attempt runs below 64 bits, so nothing may blame the
     # unit circle
     assert main(["bounds", "-m", "2,1;1,1", "--precision-cap", "0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("factor 1,-3,1: no attempt ran, as the dps cap 0 is below the"
-            " first attempt's dps 40") in captured.err
+    assert ("factor 1,-3,1: no attempt ran, as the bit cap 0 is below the"
+            " first attempt's 64 bits") in captured.err
     assert "unit circle" not in captured.err
 
 
@@ -78,10 +83,30 @@ def test_bounds_conjugate_pair_plus_root_first(capsys):
     code, kv, rows = run(capsys, "bounds", "-m", "1,-2;1,1")
     assert code == 0
     assert kv["charpoly"] == "1,-2,3"
-    assert rows == ["root_0 1+1.41421356237i mult=1 radius=3.25e-41 "
+    assert rows == ["root_0 1+1.41421356237i mult=1 radius=9.67e-17 "
                     "circle=False",
-                    "root_1 1-1.41421356237i mult=1 radius=3.25e-41 "
+                    "root_1 1-1.41421356237i mult=1 radius=9.67e-17 "
                     "circle=False"]
+
+
+def test_bounds_roots_on_the_axes_keep_exact_zero_parts(capsys):
+    # (x^2 + 2)(x - 3) is not even, x^2 + 2 is, and x (x^2 - x - 1) has the
+    # root 0: each root on an axis prints a zero part, as exact
+    for matrix, expected in (
+            ("0,-2,0;1,0,0;0,0,3",
+             ["root_0 3+0i mult=1 radius=0 circle=False",
+              "root_1 0+1.41421356237i mult=1 radius=9.67e-17 circle=False",
+              "root_2 0-1.41421356237i mult=1 radius=9.67e-17 circle=False"]),
+            ("0,-2;1,0",
+             ["root_0 0+1.41421356237i mult=1 radius=9.67e-17 circle=False",
+              "root_1 0-1.41421356237i mult=1 radius=9.67e-17 circle=False"]),
+            ("1,1,0;1,0,0;0,0,0",
+             ["root_0 -0.61803398875+0i mult=1 radius=5.43e-17 circle=False",
+              "root_1 0+0i mult=1 radius=0 circle=False",
+              "root_2 1.61803398875+0i mult=1 radius=5.43e-17 "
+              "circle=False"])):
+        code, kv, rows = run(capsys, "bounds", "-m", matrix)
+        assert code == 0 and rows == expected
 
 
 def test_bounds_stats_adds_only_key_value_lines(capsys):
@@ -90,11 +115,11 @@ def test_bounds_stats_adds_only_key_value_lines(capsys):
     plain = capsys.readouterr().out
     assert main(["bounds", "-m", matrix, "--stats"]) == 0
     with_stats = capsys.readouterr().out
-    assert "dps_max" not in plain
+    assert "bits_max" not in plain
     assert with_stats.startswith(plain)
     assert with_stats[len(plain):].splitlines() == [
-        "dps_max=40", "factor_0_degree=3", "factor_0_gap=5.0e-15",
-        "factor_0_bound=7.86002e-39"]
+        "bits_max=128", "factor_0_degree=3", "factor_0_gap=5e-15",
+        "factor_0_bound=1.68454e-33"]
 
 
 def test_bounds_stats_per_factor_and_cyclotomic_only(capsys):
@@ -104,14 +129,14 @@ def test_bounds_stats_per_factor_and_cyclotomic_only(capsys):
                          "2,1,0,0,0,0;1,1,0,0,0,0;0,0,2,1,0,0;"
                          "0,0,1,1,0,0;0,0,0,0,1,-2;0,0,0,0,1,1")
     assert code == 0 and len(rows) == 4
-    assert kv["dps_max"] == "40"
+    assert kv["bits_max"] == "128"
     assert [kv["factor_%d_degree" % i] for i in range(2)] == ["2", "2"]
     assert "factor_2_degree" not in kv
     for i in range(2):
         gap, bound = kv["factor_%d_gap" % i], kv["factor_%d_bound" % i]
         assert float(gap) > float(bound)
     code, kv, rows = run(capsys, "bounds", "--stats", "-m", "0,-1;1,0")
-    assert code == 0 and kv["dps_max"] == "0"
+    assert code == 0 and kv["bits_max"] == "0"
     assert not any(key.startswith("factor_") for key in kv)
 
 
@@ -127,18 +152,31 @@ def test_bounds_coefficients_beyond_double_range(capsys):
         "entropy_ln=460.517018599\nn_ln_rho=921.034037198\n"
         "fv_lower_ln=139.726884953\nunit_root_flag=True\n"
         "row root_0 1-2.44929359829e-16i mult=1 radius=0 circle=True\n"
-        "row root_1 1e+200+0i mult=1 radius=0 circle=False\n" % (big + 1, big))
-    # charpoly coefficients up to 10^360 overflow a double: the roots are
-    # sought from mpmath's own start, which does not converge, so the
-    # documented PrecisionExhausted exit stays, and its message names the
-    # root finder, not the unit circle
+        "row root_1 1e+200+0i mult=1 radius=3.03e+183 circle=False\n"
+        % (big + 1, big))
+    # charpoly coefficients up to 10^360 overflow a double: the exact shift
+    # by the rounded centroid 10^120 gives y^3 - 1, whose double seeds
+    # certify the roots 10^120 + 1 and 10^120 + (-1 +- i sqrt 3) / 2
     e = 10 ** 120
-    assert main(["bounds", "--matrix=%d,1,0;0,%d,1;1,0,%d" % (e, e, e)]) == 3
+    assert main(["bounds", "--matrix=%d,1,0;0,%d,1;1,0,%d" % (e, e, e)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "input error: factor 1,-%d,%d,-%d: the root finder did not converge "
-        "at any dps up to the cap 640\n" % (3 * e, 3 * e * e, e ** 3 + 1))
+    assert captured.err == ""
+    assert captured.out == (
+        "n=3\ncharpoly=1,-%d,%d,-%d\nrho=1e+120\nln_rho=276.310211159\n"
+        "entropy_ln=828.930633478\nn_ln_rho=828.930633478\n"
+        "fv_lower_ln=99.6578428466\nunit_root_flag=False\n"
+        "row root_0 1e+120+0i mult=1 radius=2e+103 circle=False\n"
+        "row root_1 1e+120+0.866025403784i mult=1 radius=2e+103 circle=False\n"
+        "row root_2 1e+120-0.866025403784i mult=1 radius=2e+103 circle=False\n"
+        % (3 * e, 3 * e * e, e ** 3 + 1))
+    # roots 2, 10^150 and 10^200: no shift brings the coefficients into the
+    # double range, so the exact Durand-Kerner correction seeds the roots
+    code, kv, rows = run(capsys, "bounds", "--matrix=%d,0,0;0,%d,0;0,0,2"
+                         % (big, 10 ** 150))
+    assert code == 0 and kv["rho"] == "1e+200"
+    assert rows == ["root_0 2+0i mult=1 radius=0 circle=False",
+                    "root_1 1e+150+0i mult=1 radius=1.92e+133 circle=False",
+                    "root_2 1e+200+0i mult=1 radius=3.03e+183 circle=False"]
 
 
 @pytest.mark.parametrize("command", ["bounds", "reduce"])
@@ -736,6 +774,25 @@ def test_runtime_does_not_import_scipy(tmp_path):
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "codes=0,0 scipy=False"
+
+
+_NO_MPMATH = textwrap.dedent("""
+    import sys
+    import torfill.cli, torfill.spectral
+    code = torfill.cli.main(["bounds", "--stats", "-m", "1,1,1;1,0,0;0,1,0"])
+    print("code=%d mpmath=%s" % (code, "mpmath" in sys.modules))
+""")
+
+
+def test_runtime_does_not_import_mpmath():
+    # roots are certified in integers; mpmath is no dependency of torfill
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "code=0 mpmath=False"
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

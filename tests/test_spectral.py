@@ -60,7 +60,8 @@ def test_analyze_salem_precision_exhausted():
         (0, 0, 1, 0),
     ))
     with pytest.raises(PrecisionExhausted,
-                       match=r"factor 1,-1,-1,-1,1: .* dps 80 the closest root"):
+                       match=r"factor 1,-1,-1,-1,1: .* at 256 bits the closest"
+                             r" root"):
         analyze(companion, dps_cap=80)
 
 
@@ -84,73 +85,74 @@ def test_analyze_near_circle_family(n_value):
     assert abs(s.log_sum - math.log(big[0].value.real)) < 1e-12
 
 
-# analyze() on a fixed list, pinned from the unseeded refinement: (matrix,
-# charpoly, rho, log_sum, [(root, multiplicity, "%.3g" radius)]).  Family
+# analyze() on a fixed list: (matrix, charpoly, rho, log_sum, [(root,
+# multiplicity, "%.3g" radius)]).  Roots, rho and log_sum are pinned from the
+# unseeded mpmath refinement, the radii from the integer certifier.  Family
 # matrices i = 1..10, near-circle companions at N = 10^7 and 10^8, and one
 # 6 x 6 matrix with entries in [-5, 5].
 PINNED_ANALYSES = [
     (((2, 1), (1, 1)),
      (1, -3, 1), 2.618033988749895, 0.9624236501192069,
-     [((0.38196601125010515+0j), 1, '0'),
-      ((2.618033988749895+0j), 1, '2.05e-41')]),
+     [((0.38196601125010515+0j), 1, '1.19e-18'),
+      ((2.618033988749895+0j), 1, '5.43e-17')]),
     (((3, 2), (1, 1)),
      (1, -4, 1), 3.732050807568877, 1.3169578969248166,
-     [((0.2679491924311227+0j), 1, '0'),
-      ((3.732050807568877+0j), 1, '3.98e-41')]),
+     [((0.2679491924311227+0j), 1, '1.07e-17'),
+      ((3.732050807568877+0j), 1, '1e-16')]),
     (((4, 3), (1, 1)),
      (1, -5, 1), 4.79128784747792, 1.566799236972411,
-     [((0.20871215252208+0j), 1, '0'),
-      ((4.79128784747792+0j), 1, '4.51e-41')]),
+     [((0.20871215252208+0j), 1, '5.53e-18'),
+      ((4.79128784747792+0j), 1, '3.55e-16')]),
     (((5, 4), (1, 1)),
      (1, -6, 1), 5.82842712474619, 1.762747174039086,
-     [((0.1715728752538099+0j), 1, '0'),
-      ((5.82842712474619+0j), 1, '5.28e-41')]),
+     [((0.1715728752538099+0j), 1, '9.43e-19'),
+      ((5.82842712474619+0j), 1, '2.51e-16')]),
     (((6, 5), (1, 1)),
      (1, -7, 1), 6.854101966249685, 1.9248473002384139,
-     [((0.14589803375031546+0j), 1, '0'),
-      ((6.854101966249685+0j), 1, '3.42e-41')]),
+     [((0.14589803375031546+0j), 1, '3.57e-18'),
+      ((6.854101966249685+0j), 1, '1.63e-16')]),
     (((7, 6), (1, 1)),
      (1, -8, 1), 7.872983346207417, 2.0634370688955608,
-     [((0.12701665379258312+0j), 1, '0'),
-      ((7.872983346207417+0j), 1, '1.19e-41')]),
+     [((0.12701665379258312+0j), 1, '2.57e-18'),
+      ((7.872983346207417+0j), 1, '1.36e-16')]),
     (((8, 7), (1, 1)),
      (1, -9, 1), 8.88748219369606, 2.1846437916051085,
-     [((0.11251780630393897+0j), 1, '0'),
-      ((8.88748219369606+0j), 1, '5.76e-41')]),
+     [((0.11251780630393897+0j), 1, '5.93e-19'),
+      ((8.88748219369606+0j), 1, '6.24e-16')]),
     (((9, 8), (1, 1)),
      (1, -10, 1), 9.898979485566356, 2.2924316695611777,
-     [((0.10102051443364381+0j), 1, '0'),
-      ((9.898979485566356+0j), 1, '9.14e-41')]),
+     [((0.10102051443364381+0j), 1, '3.51e-18'),
+      ((9.898979485566356+0j), 1, '4.34e-16')]),
     (((10, 9), (1, 1)),
      (1, -11, 1), 10.908326913195983, 2.3895264345742184,
-     [((0.09167308680401606+0j), 1, '2.12e-42'),
-      ((10.908326913195983+0j), 1, '1.06e-40')]),
+     [((0.09167308680401606+0j), 1, '2.59e-18'),
+      ((10.908326913195983+0j), 1, '4.74e-16')]),
     (((11, 10), (1, 1)),
      (1, -12, 1), 11.916079783099615, 2.477888730288475,
-     [((0.08392021690038395+0j), 1, '0'),
-      ((11.916079783099615+0j), 1, '7.37e-41')]),
+     [((0.08392021690038395+0j), 1, '3.67e-18'),
+      ((11.916079783099615+0j), 1, '8.01e-16')]),
     (((0, 0, 10000000), (1, 0, -10000000),
       (0, 1, 10000001)),
      (1, -10000001, 10000000, -10000000), 10000000.0000001, 16.11809565095833,
-     [((0.499999949999995-0.8660254326519473j), 1, '2.06e-41'),
-      ((0.499999949999995+0.8660254326519473j), 1, '2.06e-41'),
-      ((10000000.0000001+0j), 1, '2.29e-34')]),
+     [((0.499999949999995-0.8660254326519473j), 1, '3.12e-17'),
+      ((0.499999949999995+0.8660254326519473j), 1, '3.12e-17'),
+      ((10000000.0000001+0j), 1, '5.83e-10')]),
     (((0, 0, 100000000), (1, 0, -100000000),
       (0, 1, 100000001)),
      (1, -100000001, 100000000, -100000000), 100000000.00000001,
      18.420680743952367,
-     [((0.499999995-0.86602540667119j), 1, '4.57e-42'),
-      ((0.499999995+0.86602540667119j), 1, '4.57e-42'),
-      ((100000000.00000001+0j), 1, '2.26e-33')]),
+     [((0.499999995-0.86602540667119j), 1, '5.18e-17'),
+      ((0.499999995+0.86602540667119j), 1, '5.18e-17'),
+      ((100000000.00000001+0j), 1, '4.9e-09')]),
     (((-5, -4, -4, 0, -3, 5), (-1, -1, 4, -2, 4, -5), (4, 5, -3, 1, 5, 1),
       (3, 0, 3, 2, 3, -1), (-5, -5, 0, 2, 0, 1), (1, 3, -3, 3, -3, -2)),
      (1, 9, 26, -112, -823, 484, 4718), 6.028498062275029, 8.45914025996762,
-     [((-5.141073894398355+0j), 1, '2.7e-40'),
-      ((-3.5461805675614757-4.875181254999976j), 1, '2.32e-40'),
-      ((-3.5461805675614757+4.875181254999976j), 1, '2.32e-40'),
-      ((-2.74809599107427+0j), 1, '0'),
-      ((2.990765510297788-0.4939826597621085j), 1, '1.88e-40'),
-      ((2.990765510297788+0.4939826597621085j), 1, '1.88e-40')]),
+     [((-5.141073894398355+0j), 1, '3.13e-16'),
+      ((-3.5461805675614757-4.875181254999976j), 1, '1.94e-16'),
+      ((-3.5461805675614757+4.875181254999976j), 1, '1.94e-16'),
+      ((-2.74809599107427+0j), 1, '8.93e-17'),
+      ((2.990765510297788-0.4939826597621085j), 1, '1.42e-16'),
+      ((2.990765510297788+0.4939826597621085j), 1, '1.42e-16')]),
 ]
 
 
@@ -172,6 +174,58 @@ def test_double_seeds_fall_back_outside_the_double_range():
     assert abs(small - (3 - math.sqrt(5)) / 2) < 1e-14
     assert abs(large - (3 + math.sqrt(5)) / 2) < 1e-14
     assert _double_seeds((1, -(10 ** 400), 1)) is None
+
+
+def test_certified_disks_hold_the_closed_form_roots():
+    # x^2 - 3x + 1 has the roots (3 +- sqrt 5) / 2 and x^2 - 2x + 3 the roots
+    # 1 +- i sqrt 2; each lies within its radius of its value, checked in
+    # integers at 2^-200 against isqrt brackets of the square roots
+    k = 200
+
+    def scaled(v):
+        n, d = v.as_integer_ratio()
+        assert (n << k) % d == 0
+        return (n << k) // d
+
+    s5, s2 = math.isqrt(5 << 2 * k), math.isqrt(2 << 2 * k)
+    roots = analyze(ANOSOV2).roots
+    assert len(roots) == 2
+    for r in roots:
+        x, rad = scaled(r.value.real), scaled(r.radius)
+        assert r.value.imag == 0 and rad > 0
+        # 2^(k+1) root lies in [3 2^k + sign s5, 3 2^k + sign (s5 + 1)]
+        sign = 1 if r.value.real > 1.5 else -1
+        ends = ((3 << k) + sign * s5, (3 << k) + sign * (s5 + 1))
+        assert 2 * (x - rad) <= min(ends) and max(ends) <= 2 * (x + rad)
+    roots = analyze(IntMatrix(((1, -2), (1, 1)))).roots
+    assert len(roots) == 2
+    for r in roots:
+        x, y, rad = (scaled(r.value.real), scaled(r.value.imag),
+                     scaled(r.radius))
+        sign = 1 if y > 0 else -1
+        dy = max(abs(y - sign * s2), abs(y - sign * (s2 + 1)))
+        assert (x - (1 << k)) ** 2 + dy ** 2 <= rad ** 2
+
+
+def test_close_roots_separate_by_exact_sweeps():
+    # x^2 - 2 10^16 x + 10^32 - 1 has the integer roots 10^16 +- 1, which no
+    # double tells apart, and x^3 - 2 (10^6 x - 1)^2 two real roots 1.4e-15
+    # apart near 10^-6; both start from a conjugate pair of double seeds,
+    # which root-by-root sweeps at fixed bits take apart onto the real line
+    big = 10 ** 16
+    roots = analyze(IntMatrix(((0, 1 - big * big), (1, 2 * big)))).roots
+    assert [(r.value, r.radius) for r in roots] == [(1e16, 1.0), (1e16, 1.0)]
+    mignotte = IntMatrix(((0, 0, 2), (1, 0, -4 * 10 ** 6),
+                          (0, 1, 2 * 10 ** 12)))
+    assert [r.value for r in analyze(mignotte).roots] == [
+        9.999999992928933e-07, 1.0000000007071069e-06, 2e12]
+    # 20 digits allow 67 bits, one attempt at 64, where the two disks near
+    # 10^-6 overlap: the refusal names the factor and the pair
+    with pytest.raises(PrecisionExhausted, match=(
+            r"^factor 1,-2000000000000,4000000,-2: roots not separated from "
+            r"each other within the bit cap 67; at 64 bits the disks about "
+            r"\(1e-06, \S+\) and \(1e-06, \S+\) overlap$")):
+        analyze(mignotte, dps_cap=20)
 
 
 def test_conjugate_pairs_put_the_plus_root_first():

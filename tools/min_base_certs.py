@@ -22,7 +22,8 @@ bound, the shipped cost before the run, and whether the file was replaced.
 
 The keys not in BOXES are at their floor already: REARR/2, REARR/3 and
 DEHN/0 fill the zero cycle at cost 0, and DEHN/1 costs 1.  This is the only
-code in the repository that imports scipy; torfill needs only mpmath.
+code in the repository that imports scipy; torfill needs only the
+standard library.
 """
 
 from __future__ import annotations
