@@ -464,11 +464,13 @@ def _disks(coeffs, mirrored, bits_cap, name):
     reason = "in %d sweeps" % MAX_SWEEPS if sweep == MAX_SWEEPS else \
         "within the bit cap %d" % bits_cap
     if overlap is not None:
+        centres = tuple("(%s, %s)" % tuple(format_g(Fraction(c, one), 6)
+                                           for c in roots[k])
+                        for k in overlap)
         raise PrecisionExhausted(
             "factor %s: roots not separated from each other %s; at %d bits "
-            "the disks about %s and %s overlap" % ((name, reason, bits) + tuple(
-                "(%s, %s)" % tuple(format_g(Fraction(c, one), 6)
-                                   for c in roots[k]) for k in overlap)))
+            "the disks about %s and %s overlap" % ((name, reason, bits)
+                                                   + centres))
     raise PrecisionExhausted(
         "factor %s: roots not separated from the unit circle %s; at %d bits "
         "the closest root has gap %s against radius %s" % ((name, reason, bits)

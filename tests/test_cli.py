@@ -789,8 +789,9 @@ def test_runtime_does_not_import_mpmath():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_MPMATH], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300)
+        [sys.executable, "-c", _NO_MPMATH],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "code=0 mpmath=False"
 

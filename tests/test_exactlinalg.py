@@ -277,13 +277,13 @@ def test_cayley_hamilton():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n, span=7)
         coeffs = charpoly(a)
-        val = IntMatrix(((0,) * n,) * n)
+        val = ((0,) * n,) * n
         power = IntMatrix.identity(n)
         for c in reversed(coeffs):
-            val = val + IntMatrix(tuple(tuple(c * x for x in row)
-                                        for row in power.data))
+            val = tuple(tuple(v + c * x for v, x in zip(vrow, prow))
+                        for vrow, prow in zip(val, power.data))
             power = power @ a
-        assert val.data == ((0,) * n,) * n
+        assert val == ((0,) * n,) * n
 
 
 def test_coker_examples():
