@@ -228,8 +228,7 @@ def _cmd_gelfand(args) -> int:
 
 def _cmd_psl2z(args) -> int:
     from .formats import parse_matrix_inline
-    from .psl2z import (cyclically_reduced_length, decompose, delta_bounds,
-                        family_matrix, word_power)
+    from .psl2z import decompose, delta_bounds, family_matrix, word_power
     family = None
     if args.family is not None:
         a = family_matrix(args.family)
@@ -243,7 +242,7 @@ def _cmd_psl2z(args) -> int:
     bounds = delta_bounds(word, family)
     _emit("word", str(word))
     _emit("sign", word.sign)
-    _emit("length_cyc", cyclically_reduced_length(word))
+    _emit("length_cyc", bounds.lower_coeff)
     _emit("delta_lower", bounds.lower_str())
     _emit("delta_upper", bounds.upper if bounds.upper is not None else "n/a")
     return EXIT_OK

@@ -163,15 +163,11 @@ def cyclotomic(m: int) -> tuple:
     return p
 
 
-def cyclotomics_up_to_degree(n: int):
+@functools.cache
+def cyclotomics_up_to_degree(n: int) -> tuple:
     """All (m, Phi_m) with phi(m) <= n.  phi(m) >= sqrt(m/2) bounds the list."""
-    out = []
-    m = 1
-    while m <= max(2 * n * n, 6):
-        if euler_phi(m) <= n:
-            out.append((m, cyclotomic(m)))
-        m += 1
-    return out
+    return tuple((m, cyclotomic(m)) for m in range(1, max(2 * n * n, 6) + 1)
+                 if euler_phi(m) <= n)
 
 
 def split_cyclotomic(p):
@@ -677,9 +673,8 @@ def torsion_growth_table(a: IntMatrix, k_max: int):
     power = IntMatrix.identity(a.rows).data
     for k in range(1, k_max + 1):
         power = _mul_rows(power, a.data)
-        cs = coker_structure(tuple(
-            tuple(x - 1 if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(power)))
+        cs = coker_structure(tuple(row[:i] + (row[i] - 1,) + row[i + 1:]
+                                   for i, row in enumerate(power)))
         rows.append(GrowthRow(k, cs.torsion_factors, cs.torsion_order,
                               math.log(cs.torsion_order) / k, target,
                               cs.free_rank == 0))

@@ -19,6 +19,12 @@ def random_matrix(rng, r, c, span=20):
                            for _ in range(r)))
 
 
+def power_minus_identity(a, k):
+    """A^k - I."""
+    return IntMatrix(tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                           for i, row in enumerate(mat_pow(a, k).data)))
+
+
 def test_snf_examples():
     assert snf(IntMatrix(((2, 0), (0, 3)))).diagonal() == (1, 6)
     assert snf(IntMatrix(((1, 1), (1, 0)))).diagonal() == (1, 1)
@@ -106,9 +112,8 @@ def _determinantal_cases():
     singular = 0
     for a in (IntMatrix(((2, 1), (1, 1))),
               IntMatrix(((0, 0, 2), (1, 0, -1), (0, 1, 2)))):
-        ident = IntMatrix.identity(a.rows)
         for k in range(1, 13):
-            cases.append(mat_pow(a, k) - ident)
+            cases.append(power_minus_identity(a, k))
             singular += det_exact(cases[-1]) == 0
     assert singular == 3
     return cases
@@ -150,6 +155,28 @@ def test_coker_structure_matches_snf(monkeypatch):
     for a, want in zip(cases, expected):
         assert coker_structure(a) == want, a.data
         assert coker_structure(a.data) == want, a.data
+
+
+def test_coker_structure_of_powers_minus_identity(monkeypatch):
+    # the rows of a torsion table: A^k - I for k = 1..40, whose entries pass
+    # 2^100; the companion of (x^2 + 1)(x^2 - 3x + 1) has the eigenvalues
+    # +-i, so A^k - I has rank 2 for 4 | k
+    rng = random.Random(89)
+    companion = IntMatrix(((0, 0, 0, -1), (1, 0, 0, 3), (0, 1, 0, -2),
+                           (0, 0, 1, 3)))
+    bases = [random_matrix(rng, 4, 4, span=5) for _ in range(3)] + [companion]
+    cases = [power_minus_identity(a, k) for a in bases for k in range(1, 41)]
+    assert max(a.max_abs() for a in cases) > 2 ** 100
+    expected = [_coker_from_snf(a) for a in cases]
+    assert [k for k, want in enumerate(expected[-40:], 1)
+            if want.free_rank] == list(range(4, 41, 4))
+    assert all(want.free_rank == 2 for want in expected[-40:][3::4])
+    # d_2 > 1 in some: D_2 and D_3 are not the trivial 1
+    assert sum(len(want.torsion_factors) > 2 for want in expected) > 20
+    from torfill import exactlinalg
+    monkeypatch.setattr(exactlinalg, "snf", None)
+    for a, want in zip(cases, expected):
+        assert coker_structure(a) == want, a.data
 
 
 def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
