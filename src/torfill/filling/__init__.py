@@ -4,7 +4,7 @@ Certificates witness upper bounds for the integral filling norm: a target
 cycle, a witness chain one degree higher with boundary(witness) = target
 exactly, the witness l^1 norm as the cost and, for a reduction, the move
 trace of (kind, cost) records summing to that cost.  Composite moves are
-realized as pushforwards and prism lifts of a table of 11 base
+realized as pushforwards and prism lifts of a table of 7 base
 certificates, found once by exact Diophantine solving and shipped as
 package data that is re-verified on load.  Every move and reduction step
 returns a Piece: symbolic per-move chunks (a base key, an integer column

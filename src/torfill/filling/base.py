@@ -2,10 +2,10 @@
 
 Every constant-cost move of the reduction engine is the pushforward of a
 single universal certificate living in a low-dimensional torus.  The table
-of 11 ships as package data in base_table/.  Each entry is a minimum-cost
+of 7 ships as package data in base_table/.  Each entry is a minimum-cost
 filling over a fixed candidate box: the offline integer-program tool
-tools/min_base_certs.py wrote seven, and the other four (cost 0 or 1) are
-fill_by_solve's first solutions.  Each entry is re-verified exactly when a
+tools/min_base_certs.py wrote six, and the seventh, DEHN/1 at cost 1, is
+fill_by_solve's first solution.  Each entry is re-verified exactly when a
 process first loads it, so a missing or corrupt file fails loudly instead
 of poisoning proofs.
 """
@@ -27,19 +27,14 @@ TABLE_DIR = Path(__file__).parent / "base_table"
 
 # Each key's universal target as ((coeff, gens), ...), a signed sum of
 # parallelogram cycles Q(gens) in T^m, m = len(gens[0]); the keys in
-# BASE_KEYS order.  Transposing two generators negates a cycle exactly, so
-# REARR(2) sums to the zero chain.
+# BASE_KEYS order.
 _PRESENTATIONS = {
-    ("REARR", 2): ((1, ((1, 0), (0, 1))), (1, ((0, 1), (1, 0)))),
-    ("REARR", 3): ((1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-                   (1, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))),
-    ("NEGATE", 2): ((1, ((1, 0), (0, 1))), (1, ((-1, 0), (0, 1)))),
     ("SPLIT", 2): ((1, ((1, 0, 0), (0, 1, 1))), (-1, ((1, 0, 0), (0, 1, 0))),
                    (-1, ((1, 0, 0), (0, 0, 1)))),
     ("ZERO", 1): ((1, ((1,), (0,))),),
     ("ZERO", 2): ((1, ((1, 0), (0, 1), (0, 0))),),
     **{("DEHN", k): ((1, ((1, 0), (0, 1))), (-1, ((1, 0), (-k, 1))))
-       for k in range(4)},
+       for k in range(1, 4)},
     ("DOUBLE_HALVE",): ((1, ((1, 0), (0, 2))), (-1, ((2, 0), (0, 1)))),
 }
 

@@ -40,10 +40,10 @@ from ..exactlinalg import _check
 class MoveRecord(NamedTuple):
     """One move of the reduction walk: its kind and its cost.
 
-    kind is one of NEGATE, SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE, PRISM_LIFT,
-    SLIDE; cost is the move's marginal contribution to the assembled
-    witness's l^1 norm (negative when its chunk cancels simplices already
-    present), so the record costs sum exactly to the certificate cost.
+    kind is one of SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE, PRISM_LIFT, SLIDE;
+    cost is the move's marginal contribution to the assembled witness's l^1
+    norm (negative when its chunk cancels simplices already present), so
+    the record costs sum exactly to the certificate cost.
     """
 
     kind: str

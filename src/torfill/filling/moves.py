@@ -4,8 +4,8 @@ as pushforwards or prism lifts of the shipped base certificates.
 Prism operators anticommute exactly under the adopted sign convention, so
 generator permutations act on parallelogram cycles by their sign at the
 chain level; rearrangements are therefore exact zero-cost moves, and the
-move table below only ever solves for negation, splitting, zero-generator,
-Dehn-step, and double-halve certificates.
+move table below only ever solves for splitting, zero-generator, Dehn-step,
+and double-halve certificates.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ def _scale_vec(k, v) -> Vec:
 
 def _add_vec(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def move_negate(gens, pos) -> Piece:
-    """Target Q(gens) + Q(gens with -v at pos), for two generators."""
-    gens = tuple(_vec(g) for g in gens)
-    if len(gens) != 2:
-        raise UnsupportedDimension("negation supported for 2 generators")
-    if pos == 0:
-        return Piece.move(("NEGATE", 2), "NEGATE", gens)
-    # conjugate by an exact transposition: Q(a, b) = -Q(b, a)
-    return -move_negate(gens[::-1], 0)
 
 
 def move_split(gens, pos, v1, v2) -> Piece:
@@ -74,9 +63,7 @@ def move_zero_gen(gens) -> Piece:
 
 
 def move_dehn(x, y, kappa) -> Piece:
-    """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 0..3."""
-    if kappa == 0:
-        return Piece.zero(1, 2)
+    """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 1..3."""
     return Piece.move(("DEHN", kappa), "DEHN", [(x,), (y,)])
 
 
@@ -95,9 +82,9 @@ class S1Trace:
     """Execution trace of the two-phase circle reduction of Q(a, l).
 
     phase1: (x_i, y_i, k_i) rows of the doubling recursion on Q(1, .);
-    phase2: the halving sequence a_0, .., a_N of |a|.
+    phase2: the halving sequence a_0, .., a_N of a.
     Invariants: x_i = 2^i, 2^i | y_i, y_M = 0, M <= 1 + log2(L)/2,
-    a_i <= |a| / 2^i, L = l * (2^N + sum_{i < N, a_i odd} 2^i) = |a| * |l|.
+    a_i <= a / 2^i, L = l * (2^N + sum_{i < N, a_i odd} 2^i) = a * l.
     """
 
     a: int
@@ -110,33 +97,16 @@ class S1Trace:
 
 
 def s1_moves(a: int, l: int):
-    """Move schedule filling Q(a, l) in T^1, shared by the certificate
-    builder and the sweep counter.
+    """Move schedule filling Q(a, l) in T^1, a, l >= 1, shared by the
+    certificate builder and the sweep counter.
 
     Returns (moves, trace); each move is (sign, kind, args) with the
     invariant  Q(a, l) = sum_i sign_i * target_i  exactly.
     """
     a, l = int(a), int(l)
+    _check(a >= 1 and l >= 1, "the circle schedule needs a, l >= 1")
     moves = []
-    sign = 1
     x, y = a, l
-
-    if y == 0:
-        trace = S1Trace(a, l, (), (), 0, 0, 1)
-        moves.append((sign, "ZERO", (x,)))
-        return moves, trace
-    if x == 0:
-        # Q(0, y) = -Q(y, 0) exactly
-        trace = S1Trace(a, l, (), (), 0, 0, 1)
-        moves.append((-sign, "ZERO", (y,)))
-        return moves, trace
-
-    if x < 0:
-        moves.append((sign, "NEG1", (x, y)))
-        sign, x = -sign, -x
-    if y < 0:
-        moves.append((sign, "NEG2", (x, y)))
-        sign, y = -sign, -y
 
     # phase 2: halve the first generator, doubling the second
     phase2 = [x]
@@ -145,17 +115,17 @@ def s1_moves(a: int, l: int):
     while x > 1:
         second = (1 << i) * y
         if x % 2:
-            moves.append((sign, "SPLIT1", (x, second, x - 1, 1)))
+            moves.append((1, "SPLIT1", (x, second, x - 1, 1)))
             pending.append(second)
             x -= 1
-        moves.append((-sign, "DH", (x // 2, 2 * second)))
+        moves.append((-1, "DH", (x // 2, 2 * second)))
         x //= 2
         i += 1
         phase2.append(x)
 
     big_l = (1 << i) * y
     for extra in reversed(pending):
-        moves.append((-sign, "SPLIT2", (1, big_l + extra, big_l, extra)))
+        moves.append((-1, "SPLIT2", (1, big_l + extra, big_l, extra)))
         big_l += extra
 
     # phase 1 on Q(1, big_l)
@@ -165,12 +135,12 @@ def s1_moves(a: int, l: int):
         k = (y1 // x1) % 4
         phase1.append((x1, y1, k))
         if k:
-            moves.append((sign, "DEHN", (x1, y1, k)))
+            moves.append((1, "DEHN", (x1, y1, k)))
             y1 -= k * x1
-        moves.append((sign, "DH", (x1, y1)))
+        moves.append((1, "DH", (x1, y1)))
         x1, y1 = 2 * x1, y1 // 2
     _check(y1 == 0, "phase 1 must land on a zero second generator")
-    moves.append((sign, "ZERO", (x1,)))
+    moves.append((1, "ZERO", (x1,)))
 
     trace = S1Trace(a, l, tuple(phase1), tuple(phase2), len(phase1), big_l,
                     len(moves))
@@ -179,8 +149,6 @@ def s1_moves(a: int, l: int):
 
 # the Piece of each s1_moves kind, from its args
 _S1_MOVES = {
-    "NEG1": lambda x, y: move_negate(((x,), (y,)), 0),
-    "NEG2": lambda x, y: move_negate(((x,), (y,)), 1),
     "DEHN": move_dehn,
     "DH": move_double_halve,
     "SPLIT1": lambda x, y, p1, p2: move_split(((x,), (y,)), 0, (p1,), (p2,)),
@@ -191,19 +159,18 @@ _S1_MOVES = {
 
 def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
-    doubling/halving schedule.  Move count is O(log|al|)."""
+    doubling/halving schedule.  Move count is O(log al)."""
     moves, trace = s1_moves(a, l)
     return Piece(1, 2, [pair for sign, kind, args in moves for pair
                         in _S1_MOVES[kind](*args).scale(sign).chunks]), trace
 
 
-def slide(u0, d, m, w) -> Piece:
-    """Target Q(d*u0, w + m*u0) - Q(d*u0, w): one split plus the circle
-    certificate for Q(d, m) pushed along t -> t*u0."""
+def slide(u0, m, w) -> Piece:
+    """Target Q(u0, w + m*u0) - Q(u0, w), m >= 1: one split plus the
+    circle certificate for Q(1, m) pushed along t -> t*u0."""
     u0, w = _vec(u0), _vec(w)
-    v = _scale_vec(d, u0)
     shifted = _add_vec(w, _scale_vec(m, u0))
-    piece = move_split((v, shifted), 1, w, _scale_vec(m, u0))
-    inner, _ = s1_piece(d, m)
+    piece = move_split((u0, shifted), 1, w, _scale_vec(m, u0))
+    inner, _ = s1_piece(1, m)
     piece = piece + inner.pushforward([u0])
     return piece.marked("SLIDE")

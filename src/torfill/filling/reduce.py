@@ -122,7 +122,7 @@ def _dehn_shear(q) -> Piece:
 
 def _slide_shear(q) -> Piece:
     """Q(e1, e2) - Q(e1, e2 - q*e1) as one slide."""
-    return slide(_E1, 1, q, (-q, 1))
+    return slide(_E1, q, (-q, 1))
 
 
 def _realized_cost(piece) -> int:

@@ -11,13 +11,14 @@ kind and its marginal cost.  A file is ``json.dumps(obj, sort_keys=True)``
 of its object and a newline; the shipped base table is in this layout.
 
 The reader accepts only that spelling: a coefficient, coordinate or cost is
-a string equal to ``str()`` of its integer, a trace kind is a string, a
-point is a list of ambient_dim coordinates, an index is a JSON integer into
-points, and version, ambient_dim and degree are JSON integers.  Version 1
-files, whose chain records spell out each vertex as a list of coordinates
-and have no points, still load, under the same rules.  Trace records of
-older files also carry params (nested lists of integers) and class_delta (a
-list of integers); these are checked under the same rules and dropped.
+a string equal to ``str()`` of its integer, a trace is a list and its kinds
+are strings, a point is a list of ambient_dim coordinates, an index is a
+JSON integer into points, and version, ambient_dim and degree are JSON
+integers.  Version 1 files, whose chain records spell out each vertex as a
+list of coordinates and have no points, still load, under the same rules.
+Trace records of older files also carry params (nested lists of integers)
+and class_delta (a list of integers); these are checked under the same
+rules and dropped.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def obj_to_certificate(obj) -> FillingCertificate:
                              " ambient_dim %d, degree %d"
                              % (shape + (target.ambient_dim, target.degree)))
         cost = _int(obj["cost"])
-        trace = tuple(map(_move_record, obj.get("trace", ())))
+        trace = tuple(map(_move_record, _list(obj.get("trace", []))))
         return FillingCertificate(target, witness, cost, trace)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputParseError("bad certificate object: %s" % exc) from None

@@ -126,11 +126,6 @@ def poly_gcd(p, q):
     return a
 
 
-def poly_divides(d, p) -> bool:
-    """Whether d divides p; d monic or primitive (see _div_int)."""
-    return _div_int(p, d) is not None
-
-
 def poly_div_exact(p, d):
     """p / d over Z; d monic or primitive (see _div_int)."""
     quo = _div_int(p, d)
@@ -177,8 +172,11 @@ def split_cyclotomic(p):
     cyclo = []
     for m, phi in cyclotomics_up_to_degree(_degree(p)):
         mult = 0
-        while _degree(rest) >= _degree(phi) and poly_divides(phi, rest):
-            rest = poly_div_exact(rest, phi)
+        while _degree(rest) >= _degree(phi):
+            quo = _div_int(rest, phi)
+            if quo is None:
+                break
+            rest = quo
             mult += 1
         if mult:
             cyclo.append((m, mult))
@@ -577,13 +575,10 @@ def analyze(a: IntMatrix, dps_cap: int = DEFAULT_DPS_CAP) -> SpectralSummary:
              for m, mult in cyclo for z in primitive_roots_of_unity(m)]
 
     certificates = []
-    if _degree(remaining) > 0:
-        for factor, mult in squarefree_decomposition(remaining):
-            if _degree(factor) > 0:
-                factor_roots, certificate = _certified_roots(factor, mult,
-                                                             dps_cap)
-                roots.extend(factor_roots)
-                certificates.append(certificate)
+    for factor, mult in squarefree_decomposition(remaining):
+        factor_roots, certificate = _certified_roots(factor, mult, dps_cap)
+        roots.extend(factor_roots)
+        certificates.append(certificate)
 
     rho = max((abs(r.value) if not r.on_unit_circle else 1.0 for r in roots),
               default=0.0)

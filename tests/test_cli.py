@@ -377,7 +377,7 @@ _LOOSE_CHAIN = {"ambient_dim": 2, "degree": 1, "terms": [
     ("ambient_dim", "2"), ("ambient_dim", True), ("ambient_dim", 2.0),
     ("version", True), ("version", "1"), ("cost", "007"), ("cost", 7),
     ("trace.cost", "1e3"), ("trace.class_delta", 0), ("trace.params", 1.5),
-    ("trace.params", None),
+    ("trace.params", None), ("trace", {}), ("trace", ""),
 ])
 def test_fill_verify_non_canonical_integers_exit_3(tmp_path, capsys, field,
                                                    value):
@@ -698,7 +698,7 @@ _UNDER_O = textwrap.dedent("""
     from torfill.exactlinalg import (HnfResult, IntMatrix, SnfResult,
                                      _verify_hnf, _verify_snf, snf)
     from torfill.filling import base
-    from torfill.filling.moves import move_negate, move_split
+    from torfill.filling.moves import move_split
     from torfill.spectral import poly_div_exact
 
     assert False, "python -O strips plain asserts"
@@ -717,14 +717,17 @@ _UNDER_O = textwrap.dedent("""
                                                   IntMatrix(((2,),)), ()))
     except VerificationFailure:
         print("non-unimodular HNF refused")
-    # a NEGATE presentation of class 2, not 0, after the shipped certificate
-    # was loaded against the true one: the per-(key, d) check refuses it
-    key = ("NEGATE", 2)
+    # a SPLIT presentation of class 2 e1^e2, not 0, after the shipped
+    # certificate was loaded against the true one: the per-(key, d) check
+    # refuses it
+    key = ("SPLIT", 2)
     base.base_certificate(key)
     true = base._PRESENTATIONS[key]
-    base._PRESENTATIONS[key] = ((1, ((1, 0), (0, 1))), (1, ((1, 0), (0, 1))))
+    base._PRESENTATIONS[key] = ((1, ((1, 0, 0), (0, 1, 1))),
+                                (1, ((1, 0, 0), (0, 1, 0))),
+                                (-1, ((1, 0, 0), (0, 0, 1))))
     try:
-        move_negate(((1, 0), (0, 1)), 0).assemble()
+        move_split(((1, 0), (0, 2)), 1, (0, 1), (0, 1)).assemble()
     except VerificationFailure as exc:
         if "class" in str(exc):
             print("class sum refused")

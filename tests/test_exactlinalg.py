@@ -153,7 +153,6 @@ def test_coker_structure_matches_snf(monkeypatch):
     from torfill import exactlinalg
     monkeypatch.setattr(exactlinalg, "snf", None)
     for a, want in zip(cases, expected):
-        assert coker_structure(a) == want, a.data
         assert coker_structure(a.data) == want, a.data
 
 
@@ -176,7 +175,7 @@ def test_coker_structure_of_powers_minus_identity(monkeypatch):
     from torfill import exactlinalg
     monkeypatch.setattr(exactlinalg, "snf", None)
     for a, want in zip(cases, expected):
-        assert coker_structure(a) == want, a.data
+        assert coker_structure(a.data) == want, a.data
 
 
 def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
@@ -190,9 +189,8 @@ def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
     monkeypatch.setattr(exactlinalg, "snf", counting)
     a = random_matrix(random.Random(79), 5, 5, span=5)
     want = _coker_from_snf(a)
-    assert coker_structure(a) == want
     assert coker_structure(a.data) == want
-    assert [m.data for m in calls] == [a.data, a.data]
+    assert [m.data for m in calls] == [a.data]
 
 
 def test_coker_torsion_of_10x10_six_digit_matrix():
@@ -202,7 +200,7 @@ def test_coker_torsion_of_10x10_six_digit_matrix():
                               for _ in range(10)) for _ in range(10)))
     d = det_exact(a)
     assert d != 0
-    assert coker_structure(a).torsion_order == abs(d)
+    assert coker_structure(a.data).torsion_order == abs(d)
 
 
 def test_hnf_examples():
@@ -314,12 +312,11 @@ def test_cayley_hamilton():
 
 
 def test_coker_examples():
-    a = IntMatrix(((1, 1), (1, 0)))
-    cs = coker_structure(a)
+    cs = coker_structure(((1, 1), (1, 0)))
     assert cs.torsion_order == 1 and cs.free_rank == 0
-    cs = coker_structure(IntMatrix(((4, 3), (3, 1))))
+    cs = coker_structure(((4, 3), (3, 1)))
     assert cs.torsion_order == 5
-    cs = coker_structure(IntMatrix(((0, 0), (0, 0))))
+    cs = coker_structure(((0, 0), (0, 0)))
     assert cs.torsion_order == 1 and cs.free_rank == 2
 
 
@@ -332,7 +329,7 @@ def test_coker_torsion_equals_abs_det():
         d = det_exact(a)
         if d == 0:
             continue
-        assert coker_structure(a).torsion_order == abs(d)
+        assert coker_structure(a.data).torsion_order == abs(d)
         done += 1
 
 

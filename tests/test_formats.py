@@ -11,7 +11,8 @@ from torfill.chains import TorusChain, parallelogram_cycle
 from torfill.cli import main
 from torfill.errors import InputParseError
 from torfill.exactlinalg import IntMatrix
-from torfill.filling import BASE_KEYS, base_certificate, reduce_parallelogram
+from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
+                             reduce_parallelogram)
 from torfill.formats import (chain_to_obj, load_certificate,
                              obj_to_certificate, obj_to_chain,
                              parse_matrix_inline, parse_matrix_text,
@@ -184,7 +185,10 @@ def _same_certificate(got, cert):
     *[lambda key=key: base_certificate(key) for key in BASE_KEYS],
     lambda: _reduced(((2, 1), (1, 1))),
     lambda: _reduced(((3, -1, -5), (5, 3, -4), (-1, 0, 1))),
-], ids=["/".join(map(str, k)) for k in BASE_KEYS] + ["2x2", "3x3-negative"])
+    lambda: FillingCertificate.build(TorusChain.zero(2, 2),
+                                     TorusChain.zero(2, 3)),
+], ids=["/".join(map(str, k)) for k in BASE_KEYS]
+    + ["2x2", "3x3-negative", "empty"])
 def test_certificate_writer_matches_reference(tmp_path, make):
     cert = make()
     want = v2_text(v2_certificate_obj(cert))
@@ -201,7 +205,7 @@ def test_certificate_writer_matches_reference(tmp_path, make):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: base_certificate(("REARR", 2)).target,  # the empty chain
+    lambda: TorusChain.zero(2, 2),
     lambda: parallelogram_cycle([(10 ** 40 + 7, 1), (1, 2)]),
     lambda: TorusChain(0, 1, {((), ()): 1}),  # vertices with no coordinate
 ], ids=["empty", "big-coordinate", "T^0"])

@@ -35,9 +35,9 @@ A run's last line is its JSON result: the end-to-end metrics, `failed`,
 "n/a" is recorded as null.  For every metric of every workload the file
 holds each side's values in run order, their median and quartiles, and
 the pairs in which "new" was better, worse or tied, with "better" taken
-from BENCHMARK.json.  It also holds the Python and mpmath versions,
-os.cpu_count(), each side's commit and one tier-1 wall time of this
-checkout, run before the pairs.  Progress goes to stderr.
+from BENCHMARK.json.  It also holds the Python version, os.cpu_count(),
+each side's commit and one tier-1 wall time of this checkout, run before
+the pairs.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ import subprocess
 import sys
 import textwrap
 import time
-
-import mpmath
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("reduce-sl2", "invariants")
@@ -262,8 +260,7 @@ def main(argv=None):
     sides = tuple(roots)
     record = {
         "command": "perfbench/run.py --workload W " + " ".join(RUN_ARGS),
-        "env": {"python": sys.version.split()[0],
-                "mpmath": mpmath.__version__, "cpu_count": os.cpu_count()},
+        "env": {"python": sys.version.split()[0], "cpu_count": os.cpu_count()},
         "commits": {side: commit(root) for side, root in roots.items()},
         "pairs": args.pairs,
     }

@@ -20,9 +20,8 @@ file byte-identical.  The table is then reloaded through the package's
 loader.  One key=value line per key: box, candidates, MILP status, cost, LP
 bound, the shipped cost before the run, and whether the file was replaced.
 
-The keys not in BOXES are at their floor already: REARR/2, REARR/3 and
-DEHN/0 fill the zero cycle at cost 0, and DEHN/1 costs 1.  This is the only
-code in the repository that imports scipy; torfill needs only the
+The one key not in BOXES is at its floor already: DEHN/1 costs 1.  This is
+the only code in the repository that imports scipy; torfill needs only the
 standard library.
 """
 
@@ -49,7 +48,7 @@ from torfill.formats import save_certificate  # noqa: E402
 
 BOXES = {
     ("SPLIT", 2): 1,
-    ("NEGATE", 2): 2, ("ZERO", 1): 2, ("ZERO", 2): 2, ("DEHN", 2): 2,
+    ("ZERO", 1): 2, ("ZERO", 2): 2, ("DEHN", 2): 2,
     ("DOUBLE_HALVE",): 2,
     ("DEHN", 3): 3,
 }
