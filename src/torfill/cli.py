@@ -14,7 +14,7 @@ import math
 import sys
 
 from .errors import (CandidateSetTooLarge, InputParseError, TorfillError,
-                     Unfillable, UnsupportedDimension, VerificationFailure)
+                     Unfillable, VerificationFailure)
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (Unfillable, CandidateSetTooLarge, VerificationFailure) as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return EXIT_VERIFY
-    except (UnsupportedDimension, TorfillError) as exc:
+    except TorfillError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
 

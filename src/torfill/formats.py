@@ -18,7 +18,10 @@ integers.  Version 1 files, whose chain records spell out each vertex as a
 list of coordinates and have no points, still load, under the same rules.
 Trace records of older files also carry params (nested lists of integers)
 and class_delta (a list of integers); these are checked under the same
-rules and dropped.
+rules and dropped.  A trace kind may be any string: `verify_certificate`
+checks only that the record costs sum to cost, so a kind is a label, not a
+claim, and files written before the NEGATE move was retired still carry
+NEGATE, which MoveRecord no longer lists.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ normal form over the letters S, U, U2 with a sign recording the lift.
 
 Decomposition runs a continued-fraction descent on the first column using
 T = [[1,1],[0,1]] = U^2 S and S, then rewrites T-letters and reduces in the
-free product; the number of rewriting steps is linear in the bit size.
+free product.  Each quotient q of the descent becomes 2|q| letters, so the
+cost is linear in the sum of the |quotients|, not in the bit size:
+[[1, q], [0, 1]] decomposes into a word of 2q letters.
 """
 
 from __future__ import annotations

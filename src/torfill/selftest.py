@@ -2,11 +2,16 @@
 
 Each criterion function returns a SuiteResult with a pass flag and a short
 detail string; `run_all` executes every criterion at the requested level
-("quick" trims sample counts, "full" runs the documented sizes).
+("quick" trims sample counts, "full" runs the documented sizes).  A
+criterion body is plain check code run by `_criterion`: a failed check
+raises, and so may a library call; either error becomes a FAIL carrying
+its message, and `run_all` goes on to the next criterion.  `torfill
+selftest` exits 2 if any criterion fails.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 from .chains import (boundary, l1_norm, parallelogram_class,
                      parallelogram_cycle, prism_v, sample_degree)
-from .errors import VerificationFailure
-from .exactlinalg import IntMatrix
+from .errors import TorfillError, VerificationFailure
+from .exactlinalg import IntMatrix, _check
 from .filling import (BASE_KEYS, base_certificate, fill_by_solve,
                       universal_cycle, verify_certificate)
 from .filling.base import TABLE_DIR, _key_filename, base_costs
@@ -37,8 +42,21 @@ class SuiteResult:
     elapsed: float
 
 
-def _result(name, passed, detail, t0):
-    return SuiteResult(name, bool(passed), detail, time.time() - t0)
+def _criterion(name):
+    """Run the decorated check code as criterion `name`, timed: its returned
+    detail string is a PASS, and a TorfillError it raises is a FAIL whose
+    detail is the error's message.  Any other exception propagates."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.time()
+            try:
+                passed, detail = True, body(*args, **kwargs)
+            except TorfillError as exc:
+                passed, detail = False, str(exc)
+            return SuiteResult(name, passed, detail, time.time() - t0)
+        return run
+    return wrap
 
 
 def random_sl2_word(rng, max_len=40, cap=10 ** 6) -> IntMatrix:
@@ -116,19 +134,21 @@ def affine_fit_min_max_relative(xs, ys):
 
 # --- criteria -------------------------------------------------------------------
 
-def criterion_reduction_exactness(level="full", seed=12001):
-    """Exact reduction certificates for random SL(2,Z) words; collects the
-    (log2 norm, cost) data reused by the scaling criterion."""
-    t0 = time.time()
+@_criterion("reduction_exactness")
+def criterion_reduction_exactness(data, level="full", seed=12001):
+    """Exact reduction certificates for random SL(2,Z) words; appends the
+    (log2 norm, cost) pairs the scaling criterion fits to `data`."""
     rng = random.Random(seed)
     n_samples = 100 if level == "full" else 20
     base_costs()  # warm: the table load is not a reduction's time
-    data = []
     worst_dt = 0.0
     for _ in range(n_samples):
         a = random_sl2_word(rng)
         t = time.time()
-        report = reduce_parallelogram(a)
+        try:
+            report = reduce_parallelogram(a)
+        except TorfillError as exc:
+            raise VerificationFailure("reduce %r: %s" % (a.data, exc)) from exc
         dt = time.time() - t
         worst_dt = max(worst_dt, dt)
         # reduce checked the certificate against its presentation; check it
@@ -138,22 +158,20 @@ def criterion_reduction_exactness(level="full", seed=12001):
         write_certificate(buf, report.certificate)
         cert = obj_to_certificate(json.loads(buf.getvalue()))
         ok, diag = verify_certificate(cert)
-        if not ok or report.det != 1 or dt >= 5.0:
-            return _result("reduction_exactness", False,
-                           "failure: %s dt=%.2f" % (diag, dt), t0), data
+        _check(ok and report.det == 1 and dt < 5.0,
+               "failure: %s dt=%.2f" % (diag, dt))
         data.append((report.log2_norm, cert.cost))
-    detail = "%d matrices exact; worst per-matrix %.2fs" % (n_samples, worst_dt)
-    return _result("reduction_exactness", True, detail, t0), data
+    return "%d matrices exact; worst per-matrix %.2fs" % (n_samples, worst_dt)
 
 
+@_criterion("cost_scaling")
 def criterion_cost_scaling(data, level="full"):
     """Affine fit of cost against log2 norm within 20% relative residuals,
     plus boundedness of cost_j / j for the standard Anosov matrix."""
-    t0 = time.time()
+    _check(data, "no (log2 norm, cost) data: reduction_exactness failed")
     xs = [d[0] for d in data]
     ys = [d[1] for d in data]
     resid, slope, inter = affine_fit_min_max_relative(xs, ys)
-    fit_ok = resid <= 0.20
 
     a = IntMatrix(((2, 1), (1, 1)))
     j_max = 8 if level == "full" else 4
@@ -166,80 +184,72 @@ def criterion_cost_scaling(data, level="full"):
     detail = ("fit slope=%.1f icept=%.1f max_rel=%.3f; "
               "K_hat(ls)=%.1f K_hat(max)=%.1f bounded=%s"
               % (slope, inter, resid, exp.k_hat, k_hat_obs, bounded))
-    return _result("cost_scaling", fit_ok and bounded, detail, t0)
+    _check(resid <= 0.20 and bounded, detail)
+    return detail
 
 
+@_criterion("s1_invariants")
 def criterion_s1_invariants(level="full"):
-    t0 = time.time()
     limit = 200 if level == "full" else 60
     worst_c = 0.0
     for a in range(1, limit + 1):
         for l in range(1, limit + 1):
+            at = "at (%d,%d)" % (a, l)
             moves, tr = s1_moves(a, l)
-            for i, (x, y, k) in enumerate(tr.phase1):
-                if x != 2 ** i or y % (2 ** i) or not 0 <= k <= 3:
-                    return _result("s1_invariants", False,
-                                   "phase1 invariant broken at (%d,%d)" % (a, l), t0)
-            if moves[-1][1] != "ZERO" or moves[-1][2][0] != 2 ** tr.m_steps:
-                return _result("s1_invariants", False,
-                               "y_M != 0 (no terminal ZERO) at (%d,%d)" % (a, l), t0)
-            if tr.m_steps > 1 + math.log2(tr.total) / 2:
-                return _result("s1_invariants", False,
-                               "M bound broken at (%d,%d)" % (a, l), t0)
-            if any(ai > a / 2 ** i for i, ai in enumerate(tr.phase2)):
-                return _result("s1_invariants", False,
-                               "a_i bound broken at (%d,%d)" % (a, l), t0)
-            if tr.total != a * l or tr.total > 2 * a * l:
-                return _result("s1_invariants", False,
-                               "L identity broken at (%d,%d)" % (a, l), t0)
+            _check(all(x == 2 ** i and not y % (2 ** i) and 0 <= k <= 3
+                       for i, (x, y, k) in enumerate(tr.phase1)),
+                   "phase1 invariant broken " + at)
+            _check(moves[-1][1] == "ZERO" and moves[-1][2][0] == 2 ** tr.m_steps,
+                   "y_M != 0 (no terminal ZERO) " + at)
+            _check(tr.m_steps <= 1 + math.log2(tr.total) / 2,
+                   "M bound broken " + at)
+            _check(all(ai <= a / 2 ** i for i, ai in enumerate(tr.phase2)),
+                   "a_i bound broken " + at)
+            _check(tr.total == a * l and tr.total <= 2 * a * l,
+                   "L identity broken " + at)
             worst_c = max(worst_c, tr.move_count / (math.log2(a * l) + 1))
     # deterministic certificate subsample, each verified against Q(a, l)
     for a in range(1, limit + 1, 29):
         for l in range(1, limit + 1, 31):
-            piece, tr2 = s1_piece(a, l)
+            piece, _ = s1_piece(a, l)
             try:
                 piece.certificate([(1, ((a,), (l,)))])
-                ok = True
-            except VerificationFailure:
-                ok = False
-            moves, tr = s1_moves(a, l)
-            if not ok or tr2.move_count != tr.move_count:
-                return _result("s1_invariants", False,
-                               "certificate mismatch at (%d,%d)" % (a, l), t0)
-    ok = worst_c <= 8.0
-    return _result("s1_invariants", ok,
-                   "sweep %dx%d, fitted C=%.2f" % (limit, limit, worst_c), t0)
+            except VerificationFailure as exc:
+                raise VerificationFailure(
+                    "certificate mismatch at (%d,%d)" % (a, l)) from exc
+    detail = "sweep %dx%d, fitted C=%.2f" % (limit, limit, worst_c)
+    _check(worst_c <= 8.0, detail)
+    return detail
 
 
+@_criterion("torsion_growth")
 def criterion_torsion_growth(level="full"):
-    t0 = time.time()
     from .spectral import torsion_growth_table
     rows = torsion_growth_table(IntMatrix(((2, 1), (1, 1))), 40)
-    ok = (rows[0].torsion_order == 1 and rows[1].torsion_order == 5)
     last = rows[-1]
     rel = abs(last.log_tors_over_k - last.target) / last.target
-    ok = ok and rel < 0.05
-    return _result("torsion_growth", ok,
-                   "orders k=1,2: %d,%d; |log tors/k - target|/target = %.4f at k=40"
-                   % (rows[0].torsion_order, rows[1].torsion_order, rel), t0)
+    detail = ("orders k=1,2: %d,%d; |log tors/k - target|/target = %.4f at k=40"
+              % (rows[0].torsion_order, rows[1].torsion_order, rel))
+    _check(rows[0].torsion_order == 1 and rows[1].torsion_order == 5
+           and rel < 0.05, detail)
+    return detail
 
 
+@_criterion("degree_oracle")
 def criterion_degree_oracle(level="full", seed=12005):
-    t0 = time.time()
     rng = random.Random(seed)
     n_samples = 200 if level == "full" else 50
     for _ in range(n_samples):
         n = rng.randint(1, 3)
         vecs = [tuple(rng.randint(-10, 10) for _ in range(n)) for _ in range(n)]
         det = parallelogram_class(vecs)[0]
-        if sample_degree(parallelogram_cycle(vecs), rng) != det:
-            return _result("degree_oracle", False, "mismatch on %r" % (vecs,), t0)
-    return _result("degree_oracle", True,
-                   "%d random generator matrices, zero mismatches" % n_samples, t0)
+        _check(sample_degree(parallelogram_cycle(vecs), rng) == det,
+               "mismatch on %r" % (vecs,))
+    return "%d random generator matrices, zero mismatches" % n_samples
 
 
+@_criterion("chain_invariants")
 def criterion_chain_invariants(level="full", seed=12006):
-    t0 = time.time()
     rng = random.Random(seed)
     n_chains = 60 if level == "full" else 20
     from .chains import TorusChain, canonicalize
@@ -253,40 +263,34 @@ def criterion_chain_invariants(level="full", seed=12006):
                      for _ in range(k + 1)]
             pairs.append((canonicalize(verts), rng.choice([-2, -1, 1, 2])))
         c = TorusChain.from_pairs(n, k, pairs)
-        if not boundary(boundary(c)).is_zero():
-            return _result("chain_invariants", False, "dd != 0", t0)
+        _check(boundary(boundary(c)).is_zero(), "dd != 0")
         v = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
         pc = prism_v(v, c)
-        if boundary(pc) != prism_v(v, boundary(c)):
-            return _result("chain_invariants", False, "prism chain map", t0)
-        if l1_norm(pc) > (k + 1) * l1_norm(c):
-            return _result("chain_invariants", False, "prism norm bound", t0)
+        _check(boundary(pc) == prism_v(v, boundary(c)), "prism chain map")
+        _check(l1_norm(pc) <= (k + 1) * l1_norm(c), "prism norm bound")
     for _ in range(n_chains):
         n = rng.randint(1, 3)
         kk = rng.randint(1, 3)
         vecs = [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
                 for _ in range(kk)]
         q = parallelogram_cycle(vecs)
-        if not boundary(q).is_zero() or l1_norm(q) > math.factorial(kk):
-            return _result("chain_invariants", False, "Q cycle bound", t0)
-    return _result("chain_invariants", True,
-                   "dd=0, prism commutation/norm, cycle bounds on %d chains"
-                   % (2 * n_chains), t0)
+        _check(boundary(q).is_zero() and l1_norm(q) <= math.factorial(kk),
+               "Q cycle bound")
+    return ("dd=0, prism commutation/norm, cycle bounds on %d chains"
+            % (2 * n_chains))
 
 
+@_criterion("spectral")
 def criterion_spectral(level="full", seed=12007):
-    t0 = time.time()
     rng = random.Random(seed)
     n_samples = 500 if level == "full" else 80
-    checked = 0
-    while checked < n_samples:
+    for _ in range(n_samples):
         n = rng.randint(1, 4)
         a = IntMatrix(tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                             for _ in range(n)))
         lo, ent, hi = basic_inequalities(a)
-        if math.isfinite(lo) and not (lo <= ent + 1e-9 <= hi + 2e-9):
-            return _result("spectral", False, "basic inequality broke", t0)
-        checked += 1
+        _check(not math.isfinite(lo) or lo <= ent + 1e-9 <= hi + 2e-9,
+               "basic inequality broke")
     from .spectral import gelfand_sequence
     found = 0
     while found < (20 if level == "full" else 6):
@@ -299,18 +303,17 @@ def criterion_spectral(level="full", seed=12007):
                for r in s.roots):
             continue
         tail = gelfand_sequence(a, 64)[-1]
-        if abs(tail - s.rho) / s.rho >= 0.1:
-            return _result("spectral", False, "Gelfand tail off", t0)
+        _check(abs(tail - s.rho) / s.rho < 0.1, "Gelfand tail off")
         found += 1
     for i in range(1, 51):
         expected = (i + 2 + math.sqrt(i * i + 4 * i)) / 2
-        if abs(analyze(family_matrix(i)).rho - expected) > 1e-9:
-            return _result("spectral", False, "family radius off at i=%d" % i, t0)
-    return _result("spectral", True,
-                   "%d inequality samples; Gelfand tails; family radii to 1e-9"
-                   % n_samples, t0)
+        _check(abs(analyze(family_matrix(i)).rho - expected) <= 1e-9,
+               "family radius off at i=%d" % i)
+    return ("%d inequality samples; Gelfand tails; family radii to 1e-9"
+            % n_samples)
 
 
+@_criterion("base_bootstrap")
 def criterion_base_bootstrap(level="full"):
     """Cold solve of every key by fill_by_solve, exactly verified; each
     shipped certificate costs no more, and saving it writes its file's
@@ -320,30 +323,26 @@ def criterion_base_bootstrap(level="full"):
     for key in BASE_KEYS:
         cert = fill_by_solve(universal_cycle(key), box=1, max_expand=3)
         ok, diag = verify_certificate(cert)
-        if not ok:
-            return _result("base_bootstrap", False, "%r: %s" % (key, diag), t0)
+        _check(ok, "%r: %s" % (key, diag))
         costs[key] = cert.cost
         shipped = base_certificate(key)
-        if shipped.cost > cert.cost:
-            return _result("base_bootstrap", False,
-                           "shipped %r costs %d > cold solve %d"
-                           % (key, shipped.cost, cert.cost), t0)
+        _check(shipped.cost <= cert.cost, "shipped %r costs %d > cold solve %d"
+               % (key, shipped.cost, cert.cost))
         buf = io.StringIO()
         write_certificate(buf, shipped)
         path = TABLE_DIR / _key_filename(key)
-        if buf.getvalue().encode() != path.read_bytes():
-            return _result("base_bootstrap", False,
-                           "shipped %r does not match its file" % (key,), t0)
+        _check(buf.getvalue().encode() == path.read_bytes(),
+               "shipped %r does not match its file" % (key,))
     elapsed = time.time() - t0
-    ok = elapsed < 120.0
-    return _result("base_bootstrap", ok,
-                   "all %d keys solved cold in %.1fs; costs %s" %
-                   (len(BASE_KEYS), elapsed,
-                    {"/".join(map(str, k)): v for k, v in costs.items()}), t0)
+    detail = ("all %d keys solved cold in %.1fs; costs %s" %
+              (len(BASE_KEYS), elapsed,
+               {"/".join(map(str, k)): v for k, v in costs.items()}))
+    _check(elapsed < 120.0, detail)
+    return detail
 
 
+@_criterion("psl2z")
 def criterion_psl2z(level="full", seed=12009):
-    t0 = time.time()
     rng = random.Random(seed)
     n_samples = 500 if level == "full" else 100
     gens = [IntMatrix(((1, 1), (0, 1))), IntMatrix(((1, -1), (0, 1))),
@@ -352,67 +351,56 @@ def criterion_psl2z(level="full", seed=12009):
         a = IntMatrix.identity(2)
         for _ in range(rng.randint(1, 40)):
             a = a @ rng.choice(gens)
-        if reconstruct(decompose(a)).data != a.data:
-            return _result("psl2z", False, "roundtrip failed on %r" % (a.data,), t0)
+        _check(reconstruct(decompose(a)).data == a.data,
+               "roundtrip failed on %r" % (a.data,))
     for i in range(1, 11):
         w = decompose(family_matrix(i))
         for j in range(1, 11):
-            if cyclically_reduced_length(word_power(w, j)) != j * (2 * i + 2):
-                return _result("psl2z", False,
-                               "family length off at i=%d j=%d" % (i, j), t0)
-    return _result("psl2z", True,
-                   "%d roundtrips; family lengths j(2i+2) for i,j <= 10"
-                   % n_samples, t0)
+            _check(cyclically_reduced_length(word_power(w, j)) == j * (2 * i + 2),
+                   "family length off at i=%d j=%d" % (i, j))
+    return "%d roundtrips; family lengths j(2i+2) for i,j <= 10" % n_samples
 
 
+@_criterion("bounds_consistency")
 def criterion_bounds_consistency(level="full", seed=12010):
     """Lower bounds stay below the empirical upper-bound slope; certified
     unit-circle spectra give exactly zero."""
-    t0 = time.time()
     rng = random.Random(seed)
     a0 = IntMatrix(((2, 1), (1, 1)))
     exp = fv_upper_experiment(a0, 6 if level == "full" else 3)
     log2_rho0 = math.log2(analyze(a0).rho)
     k_hat = max(cost / j / log2_rho0 for j, cost, _, _ in exp.rows)
     rows = []
-    found = 0
-    while found < (12 if level == "full" else 4):
+    while len(rows) < (12 if level == "full" else 4):
         a = random_sl2_word(rng, max_len=14, cap=10 ** 3)
         s = analyze(a)
         if s.unit_root_flag or s.rho <= 1.0:
             continue
         lower = fv_lower_bound(a)
         upper_proxy = 2 * k_hat * math.log2(s.rho) + 64.0
-        rows.append((a.data, lower, upper_proxy))
-        if lower > upper_proxy:
-            return _result("bounds_consistency", False,
-                           "lower %.3f above proxy %.3f for %r"
-                           % (lower, upper_proxy, a.data), t0)
-        found += 1
+        _check(lower <= upper_proxy, "lower %.3f above proxy %.3f for %r"
+               % (lower, upper_proxy, a.data))
+        rows.append((lower, upper_proxy))
     for mat in (IntMatrix.identity(2), IntMatrix(((0, -1), (1, 0))),
                 IntMatrix(((0, -1), (1, -1)))):
-        if fv_lower_bound(mat) != 0.0:
-            return _result("bounds_consistency", False,
-                           "unit-circle spectrum must give exactly 0", t0)
-    margin = min(u - l for _, l, u in rows)
-    detail = ("K_hat=%.1f; %d Anosov rows consistent (max lower %.3f, "
-              "min upper-proxy margin %.1f); unit-circle rows exactly 0"
-              % (k_hat, len(rows), max(l for _, l, _ in rows), margin))
-    return _result("bounds_consistency", True, detail, t0)
+        _check(fv_lower_bound(mat) == 0.0,
+               "unit-circle spectrum must give exactly 0")
+    return ("K_hat=%.1f; %d Anosov rows consistent (max lower %.3f, "
+            "min upper-proxy margin %.1f); unit-circle rows exactly 0"
+            % (k_hat, len(rows), max(l for l, _ in rows),
+               min(u - l for l, u in rows)))
 
 
 def run_all(level="quick"):
     """All criteria in order; returns a list of SuiteResult."""
-    results = []
-    r1, data = criterion_reduction_exactness(level)
-    results.append(r1)
-    results.append(criterion_cost_scaling(data, level))
-    results.append(criterion_s1_invariants(level))
-    results.append(criterion_torsion_growth(level))
-    results.append(criterion_degree_oracle(level))
-    results.append(criterion_chain_invariants(level))
-    results.append(criterion_spectral(level))
-    results.append(criterion_base_bootstrap(level))
-    results.append(criterion_psl2z(level))
-    results.append(criterion_bounds_consistency(level))
-    return results
+    data = []
+    return [criterion_reduction_exactness(data, level),
+            criterion_cost_scaling(data, level),
+            criterion_s1_invariants(level),
+            criterion_torsion_growth(level),
+            criterion_degree_oracle(level),
+            criterion_chain_invariants(level),
+            criterion_spectral(level),
+            criterion_base_bootstrap(level),
+            criterion_psl2z(level),
+            criterion_bounds_consistency(level)]

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from torfill import psl2z
+from torfill import psl2z, selftest
 from torfill.chains import TorusChain, faces
 from torfill.cli import build_parser, main
+from torfill.errors import Unfillable
 from torfill.filling import base
+from torfill.filling import reduce as reduction
 from torfill.filling.certificate import Piece, lifted
 from torfill.formats import load_certificate
 
@@ -811,3 +813,53 @@ def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert out.count("PASS") >= 10
     assert list(scratch.iterdir()) == []
+
+
+def test_selftest_reports_every_criterion_when_a_library_call_raises(
+        monkeypatch, capsys):
+    # an empty walk fails reduce_parallelogram's own exact check, so every
+    # reduction raises: criterion 1 must report that as a FAIL naming the
+    # matrix, and the suite must go on and print the other nine verdicts
+    monkeypatch.setattr(reduction, "_column_walk",
+                        lambda gens, det: Piece.zero(len(gens), len(gens)))
+    # the cold DEHN/3 solve is most of a quick run and plays no part here
+    monkeypatch.setattr(selftest, "BASE_KEYS",
+                        tuple(k for k in base.BASE_KEYS if k != ("DEHN", 3)))
+    code = main(["selftest"])
+    verdicts = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("PASS ", "FAIL "))]
+    assert code == 2
+    assert len(verdicts) == 10
+    first = selftest.random_sl2_word(selftest.random.Random(12001))
+    assert verdicts[0].startswith("FAIL reduction_exactness")
+    assert repr(first.data) in verdicts[0]
+
+
+def test_selftest_cost_scaling_fails_without_reduction_data(monkeypatch):
+    monkeypatch.setattr(selftest, "verify_certificate",
+                        lambda cert: (False, "tampered"))
+    data = []
+    first = selftest.criterion_reduction_exactness(data, "quick")
+    assert not first.passed and first.detail.startswith("failure: tampered")
+    assert data == []
+    result = selftest.criterion_cost_scaling(data, "quick")
+    assert (result.name, result.passed) == ("cost_scaling", False)
+    assert "no (log2 norm, cost) data" in result.detail
+
+
+def test_selftest_criterion_reports_a_raising_library_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Unfillable("no filling within the box")
+
+    monkeypatch.setattr(selftest, "fill_by_solve", refuse)
+    result = selftest.criterion_base_bootstrap("quick")
+    assert (result.name, result.passed, result.detail) == (
+        "base_bootstrap", False, "no filling within the box")
+
+    # only package errors are verdicts: a programming error still raises
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(selftest, "fill_by_solve", broken)
+    with pytest.raises(ZeroDivisionError):
+        selftest.criterion_base_bootstrap("quick")
