@@ -391,13 +391,14 @@ def degree_at_point(c: TorusChain, point) -> int:
     return total
 
 
-def sample_degree(c: TorusChain, rng, tries: int = 32) -> int:
+def sample_degree(c: TorusChain, rng) -> int:
     """degree_at_point at fresh random rational points with odd denominators.
 
-    Resamples with a larger denominator whenever a non-generic point is hit.
+    Resamples with a larger denominator whenever a non-generic point is hit,
+    up to 32 points in all.
     """
     denom = 101
-    for _ in range(tries):
+    for _ in range(32):
         d = denom if denom % 2 else denom + 1
         pt = tuple(Fraction(rng.randrange(1, d), d) for _ in range(c.ambient_dim))
         try:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from ..chains import TorusChain, l1_norm
-from ..errors import UnsupportedDimension
+from ..errors import TorfillError, UnsupportedDimension
 from ..exactlinalg import IntMatrix, _check, det_exact, mat_pow
 from .base import base_certificate
 from .certificate import FillingCertificate, Piece, _unit
@@ -150,14 +150,12 @@ def _slide_is_cheaper(q) -> bool:
 
 
 def _shear(q) -> Piece:
-    """Piece filling Q(e1, e2) - Q(e1, e2 - q*e1) in T^2, the cheaper of
-    DEHN chunks and one slide.  Pushed along a unimodular [v | w] it fills
-    Q(v, w) - Q(v, w - q*v) at the same cost."""
+    """Piece filling Q(e1, e2) - Q(e1, e2 - q*e1) in T^2 for q != 0, the
+    cheaper of DEHN chunks and one slide.  Pushed along a unimodular [v | w]
+    it fills Q(v, w) - Q(v, w - q*v) at the same cost."""
     if q < 0:
         # the shear by -q from the shifted columns [e1 | e2 - q*e1], negated
         return -_shear(-q).pushforward([_E1, (-q, 1)])
-    if q == 0:
-        return Piece.zero(2, 2)
     return _slide_shear(q) if _slide_is_cheaper(q) else _dehn_shear(q)
 
 
@@ -330,7 +328,10 @@ def fv_upper_experiment(a: IntMatrix, j_max: int) -> UpperBoundExperiment:
         raise UnsupportedDimension("fv_upper_experiment requires det A = 1")
     rows = []
     for j in range(1, j_max + 1):
-        report = reduce_parallelogram(mat_pow(a, j))
+        try:
+            report = reduce_parallelogram(mat_pow(a, j))
+        except TorfillError as exc:
+            raise type(exc)("reduce A^%d: %s" % (j, exc)) from exc
         cost = report.certificate.cost
         rows.append((j, cost, cost / j, report.log2_norm))
     xs = [r[3] for r in rows]

@@ -217,16 +217,7 @@ def fill_by_solve(z: TorusChain, box: int = 1,
                 elif r in col:
                     del col[r]
             columns.append(col)
-        rhs = {}
-        missing = False
-        for simplex, coeff in z.terms.items():
-            if simplex not in row_ids and not include_degenerate and \
-                    _degenerate(simplex):
-                missing = True
-                break
-            rhs[row_of(simplex)] = coeff
-        if missing:
-            continue
+        rhs = {row_of(simplex): coeff for simplex, coeff in z.terms.items()}
         solution = _solve_sparse(columns, rhs)
         if solution is None:
             continue

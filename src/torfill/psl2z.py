@@ -8,11 +8,13 @@ by U, with the standard lifts
 (so S^2 = -I and U^3 = I in SL(2,Z)).  Words are stored in alternating
 normal form over the letters S, U, U2 with a sign recording the lift.
 
-Decomposition runs a continued-fraction descent on the first column using
-T = [[1,1],[0,1]] = U^2 S and S, then rewrites T-letters and reduces in the
-free product.  Each quotient q of the descent becomes 2|q| letters, so the
-cost is linear in the sum of the |quotients|, not in the bit size:
-[[1, q], [0, 1]] decomposes into a word of 2q letters.
+Decomposition runs one continued-fraction descent on the first column,
+emitting the letters of T = [[1,1],[0,1]] = U^2 S and S as it goes, then
+reduces once in the free product.  Each quotient q of the descent becomes
+2|q| letters, so the cost is linear in the sum of the |quotients|, not in
+the bit size: [[1, q], [0, 1]] decomposes into a word of 2q letters.
+Cyclic reduction works on the two ends only: an alternating word stays
+alternating when its ends cancel or merge.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from dataclasses import dataclass
 
 from .errors import NotUnimodular, VerificationFailure
 from .exactlinalg import IntMatrix, _check, mat_pow
-
-S_MAT = IntMatrix(((0, -1), (1, 0)))
-U_MAT = IntMatrix(((0, -1), (1, -1)))
-U2_MAT = U_MAT @ U_MAT
 
 # right multiplication by a letter, on the entries (a, b, c, d) of
 # [[a, b], [c, d]]
@@ -52,14 +50,12 @@ def _reduce(letters):
     """Free-product reduction to alternating normal form (stack scan)."""
     stack = []
     for letter in letters:
-        while stack and _factor(stack[-1]) == _factor(letter):
-            prev = stack.pop()
-            merged = _merge(prev, letter)
-            if merged is None:
-                letter = None
-                break
-            letter = merged
-        if letter is not None:
+        if stack and _factor(stack[-1]) == _factor(letter):
+            # the letter below differs in factor, so one merge settles it
+            merged = _merge(stack.pop(), letter)
+            if merged is not None:
+                stack.append(merged)
+        else:
             stack.append(letter)
     return tuple(stack)
 
@@ -103,60 +99,40 @@ def _signed(letters, target: IntMatrix, what) -> Psl2Word:
     return Psl2Word(letters, -1)
 
 
+def _t_power(k) -> list:
+    """Letters of T^k: T = U^2 S and T^{-1} = S U in PSL."""
+    return ["U2", "S"] * k if k > 0 else ["S", "U"] * -k
+
+
 def decompose(a: IntMatrix) -> Psl2Word:
     """Alternating word w with reconstruct(w) = A (sign resolves the lift)."""
     if a.rows != 2 or a.cols != 2:
         raise NotUnimodular("decompose needs a 2x2 matrix")
-    det = a.data[0][0] * a.data[1][1] - a.data[0][1] * a.data[1][0]
-    if det != 1:
+    (p, q), (r, s) = a.data
+    if p * s - q * r != 1:
         raise NotUnimodular("decompose needs det = 1")
-
-    # peel letters from the left: A = T^{q_1} S T^{q_2} S ... (+/- T^{q_last})
-    m = [list(a.data[0]), list(a.data[1])]
-    ts_blocks = []  # ("T", q) and ("S",) tokens
-    while m[1][0] != 0:
-        q = m[0][0] // m[1][0]
-        # T^{-q} then S^{-1} on the left; S^{-1} = [[0,1],[-1,0]]
-        row0 = [m[0][0] - q * m[1][0], m[0][1] - q * m[1][1]]
-        m = [m[1], [-row0[0], -row0[1]]]
-        ts_blocks.append(("T", q))
-        ts_blocks.append(("S",))
-    # now m = +/- T^b
-    _check(abs(m[0][0]) == 1 and m[0][0] == m[1][1],
-           "the peeled remainder is not +-T^b")
-    if m[0][0] == 1:
-        b = m[0][1]
-    else:
-        b = -m[0][1]
-    if b:
-        ts_blocks.append(("T", b))
-
+    # peel letters from the left: A = T^{k_1} S T^{k_2} S ... (+/- T^b);
+    # T^{-k} then S^{-1} = [[0,1],[-1,0]] on the left of [[p, q], [r, s]]
     letters = []
-    for block in ts_blocks:
-        if block[0] == "S":
-            letters.append("S")
-        else:
-            q = block[1]
-            if q > 0:
-                letters.extend(["U2", "S"] * q)   # T = U^2 S in PSL
-            elif q < 0:
-                letters.extend(["S", "U"] * (-q))  # T^{-1} = S U in PSL
+    while r != 0:
+        k = p // r
+        letters += _t_power(k) + ["S"]
+        p, q, r, s = r, s, k * r - p, k * s - q
+    _check(abs(p) == 1 and p == s, "the peeled remainder is not +-T^b")
+    letters += _t_power(p * q)
     return _signed(_reduce(letters), a, "decomposition")
 
 
 def cyclically_reduced_length(word: Psl2Word) -> int:
-    """Letters remaining after free and cyclic reduction."""
-    letters = list(_reduce(word.letters))
-    while len(letters) >= 2 and _factor(letters[0]) == _factor(letters[-1]):
-        first = letters[0]
-        last = letters.pop()
-        merged = _merge(last, first)
-        if merged is None:
-            letters = letters[1:]
-        else:
-            letters[0] = merged
-        letters = list(_reduce(letters))
-    return len(letters)
+    """Letters left after cyclic reduction: cancelling ends both go, and
+    merging ends leave ends of different factors."""
+    letters = word.letters
+    i, j = 0, len(letters) - 1
+    while i < j and _factor(letters[i]) == _factor(letters[j]):
+        if _merge(letters[j], letters[i]) is not None:
+            return j - i
+        i, j = i + 1, j - 1
+    return j - i + 1
 
 
 def word_power(w: Psl2Word, j: int) -> Psl2Word:

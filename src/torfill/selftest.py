@@ -135,10 +135,10 @@ def affine_fit_min_max_relative(xs, ys):
 # --- criteria -------------------------------------------------------------------
 
 @_criterion("reduction_exactness")
-def criterion_reduction_exactness(data, level="full", seed=12001):
+def criterion_reduction_exactness(data, level="full"):
     """Exact reduction certificates for random SL(2,Z) words; appends the
     (log2 norm, cost) pairs the scaling criterion fits to `data`."""
-    rng = random.Random(seed)
+    rng = random.Random(12001)
     n_samples = 100 if level == "full" else 20
     base_costs()  # warm: the table load is not a reduction's time
     worst_dt = 0.0
@@ -236,8 +236,8 @@ def criterion_torsion_growth(level="full"):
 
 
 @_criterion("degree_oracle")
-def criterion_degree_oracle(level="full", seed=12005):
-    rng = random.Random(seed)
+def criterion_degree_oracle(level="full"):
+    rng = random.Random(12005)
     n_samples = 200 if level == "full" else 50
     for _ in range(n_samples):
         n = rng.randint(1, 3)
@@ -249,8 +249,8 @@ def criterion_degree_oracle(level="full", seed=12005):
 
 
 @_criterion("chain_invariants")
-def criterion_chain_invariants(level="full", seed=12006):
-    rng = random.Random(seed)
+def criterion_chain_invariants(level="full"):
+    rng = random.Random(12006)
     n_chains = 60 if level == "full" else 20
     from .chains import TorusChain, canonicalize
     for _ in range(n_chains):
@@ -281,8 +281,8 @@ def criterion_chain_invariants(level="full", seed=12006):
 
 
 @_criterion("spectral")
-def criterion_spectral(level="full", seed=12007):
-    rng = random.Random(seed)
+def criterion_spectral(level="full"):
+    rng = random.Random(12007)
     n_samples = 500 if level == "full" else 80
     for _ in range(n_samples):
         n = rng.randint(1, 4)
@@ -342,8 +342,8 @@ def criterion_base_bootstrap(level="full"):
 
 
 @_criterion("psl2z")
-def criterion_psl2z(level="full", seed=12009):
-    rng = random.Random(seed)
+def criterion_psl2z(level="full"):
+    rng = random.Random(12009)
     n_samples = 500 if level == "full" else 100
     gens = [IntMatrix(((1, 1), (0, 1))), IntMatrix(((1, -1), (0, 1))),
             IntMatrix(((1, 0), (1, 1))), IntMatrix(((1, 0), (-1, 1)))]
@@ -362,10 +362,10 @@ def criterion_psl2z(level="full", seed=12009):
 
 
 @_criterion("bounds_consistency")
-def criterion_bounds_consistency(level="full", seed=12010):
+def criterion_bounds_consistency(level="full"):
     """Lower bounds stay below the empirical upper-bound slope; certified
     unit-circle spectra give exactly zero."""
-    rng = random.Random(seed)
+    rng = random.Random(12010)
     a0 = IntMatrix(((2, 1), (1, 1)))
     exp = fv_upper_experiment(a0, 6 if level == "full" else 3)
     log2_rho0 = math.log2(analyze(a0).rho)

@@ -833,6 +833,9 @@ def test_selftest_reports_every_criterion_when_a_library_call_raises(
     first = selftest.random_sl2_word(selftest.random.Random(12001))
     assert verdicts[0].startswith("FAIL reduction_exactness")
     assert repr(first.data) in verdicts[0]
+    # fv_upper_experiment names the power whose reduction raised
+    assert verdicts[9].startswith("FAIL bounds_consistency")
+    assert "A^1" in verdicts[9]
 
 
 def test_selftest_cost_scaling_fails_without_reduction_data(monkeypatch):

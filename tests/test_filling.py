@@ -76,6 +76,14 @@ def test_fill_by_solve_rejects_fundamental_class():
         fill_by_solve(z, box=1, max_expand=2)
 
 
+def test_solve_sparse_sends_rows_without_unit_entries_to_the_dense_core():
+    from torfill.filling.solver import _solve_sparse
+    assert _solve_sparse([{0: 2}], {0: 4}) == {0: 2}
+    assert _solve_sparse([{0: 2}], {0: 3}) is None
+    # row 0 has a unit pivot; after it row 1 reads 2*x1 = -2
+    assert _solve_sparse([{0: 1, 1: 2}, {1: 2}], {0: 3, 1: 4}) == {0: 3, 1: -1}
+
+
 # --- base table ---------------------------------------------------------------
 
 def test_base_table_bootstraps_and_verifies(tmp_path):

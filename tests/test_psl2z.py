@@ -7,9 +7,14 @@ import pytest
 from torfill import psl2z
 from torfill.errors import NotUnimodular, VerificationFailure
 from torfill.exactlinalg import IntMatrix, mat_pow
-from torfill.psl2z import (Psl2Word, S_MAT, U_MAT, U2_MAT,
-                           cyclically_reduced_length, decompose, delta_bounds,
-                           family_matrix, reconstruct, word_power)
+from torfill.psl2z import (Psl2Word, cyclically_reduced_length, decompose,
+                           delta_bounds, family_matrix, reconstruct,
+                           word_power)
+
+# the standard lifts of the letters, the reference for _LETTER_ACTIONS
+S_MAT = IntMatrix(((0, -1), (1, 0)))
+U_MAT = IntMatrix(((0, -1), (1, -1)))
+U2_MAT = U_MAT @ U_MAT
 
 
 def random_sl2(rng, length=40):
@@ -103,6 +108,14 @@ def test_cyclic_length_examples():
     assert cyclically_reduced_length(Psl2Word(())) == 0
     w2 = decompose(family_matrix(2))
     assert cyclically_reduced_length(word_power(w2, 3)) == 18
+    # hand-built words through both end cases: cancelling and merging ends
+    for letters, length in [
+            (("U", "S", "U2", "S", "U2"), 1),            # U2*U, then S*S
+            (("U", "S", "U"), 2),                        # U*U merges to U2
+            (("S", "U", "S"), 1),                        # S*S cancels
+            (("U2", "S", "U2", "S"), 4),                 # ends differ
+            (("U", "S", "U2", "S", "U", "S", "U2"), 1)]:  # three cancel
+        assert cyclically_reduced_length(Psl2Word(letters)) == length, letters
 
 
 def test_cyclic_length_subadditive_under_squaring():
