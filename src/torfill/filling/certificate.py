@@ -40,7 +40,9 @@ from ..exactlinalg import _check
 class MoveRecord(NamedTuple):
     """One move of the reduction walk: its kind and its cost.
 
-    kind is one of SPLIT, ZERO_GEN, DEHN, DOUBLE_HALVE, PRISM_LIFT, SLIDE;
+    kind is SPLIT, ZERO_GEN, DEHN or DOUBLE_HALVE, which Piece.move derives
+    from the move's base key, or PRISM_LIFT or SLIDE, which marker chunks
+    record;
     cost is the move's marginal contribution to the assembled witness's l^1
     norm (negative when its chunk cancels simplices already present), so
     the record costs sum exactly to the certificate cost.
@@ -236,7 +238,8 @@ class Chunk(NamedTuple):
 @dataclass
 class Piece:
     """Certificate in progress: [(kind, Chunk)], one pair per move, where
-    kind names the move for its MoveRecord.
+    kind names the move for its MoveRecord: Piece.move derives it from the
+    chunk's base key, and marked() gives it for a marker chunk.
 
     A piece holds no chains and no cycles: assemble() builds the witness,
     and certificate(claim) checks it against the target its caller claims.
@@ -251,12 +254,14 @@ class Piece:
         return Piece(ambient_dim, degree, [])
 
     @staticmethod
-    def move(key, kind, columns) -> "Piece":
-        """One move of the given kind: the base certificate of `key` pushed
-        along the map E_i -> columns[i]; it fills the key's universal cycle
-        pushed the same way."""
+    def move(key, columns) -> "Piece":
+        """One move: the base certificate of `key` pushed along the map
+        E_i -> columns[i]; it fills the key's universal cycle pushed the
+        same way.  The key names the move: its record kind is ZERO_GEN for
+        a ZERO key and key[0] otherwise."""
         columns = tuple(map(tuple, columns))
         m, k = _shape(key)
+        kind = "ZERO_GEN" if key[0] == "ZERO" else key[0]
         return Piece(len(columns[0]), k + len(columns) - m,
                      [(kind, Chunk(key, columns, 1))])
 

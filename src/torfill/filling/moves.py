@@ -1,11 +1,13 @@
-"""Composite moves: the constant-cost steps of the reduction walk, realized
-as pushforwards or prism lifts of the shipped base certificates.
+"""Composite moves: the constant-cost steps of the reduction walk.  Each
+is one chunk of a shipped base certificate, named by its base key alone
+(Piece.move) and pushed forward or prism-lifted.
 
 Prism operators anticommute exactly under the adopted sign convention, so
 generator permutations act on parallelogram cycles by their sign at the
 chain level; rearrangements are therefore exact zero-cost moves, and the
-move table below only ever solves for splitting, zero-generator, Dehn-step,
-and double-halve certificates.
+base table ships only splitting, zero-generator, Dehn-step and
+double-halve certificates.  The circle schedule s1_moves emits its moves
+as chunk data (sign, key, columns), which s1_piece turns into one piece.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def move_split(gens, pos, v1, v2) -> Piece:
            "split parts must sum to the generator")
     k = len(gens)
     if k == 2 and pos == 1:
-        return Piece.move(("SPLIT", 2), "SPLIT", [gens[0], v1, v2])
+        return Piece.move(("SPLIT", 2), [gens[0], v1, v2])
     if k == 2 and pos == 0:
         return -move_split((gens[1], gens[0]), 1, v1, v2)
     if k == 3 and pos < 2:
@@ -58,19 +60,7 @@ def move_zero_gen(gens) -> Piece:
         raise UnsupportedDimension("zero-generator fill needs 2 or 3"
                                    " generators")
     sign = -1 if (k - 1 - pos) % 2 else 1
-    return Piece.move(("ZERO", k - 1), "ZERO_GEN",
-                      gens[:pos] + gens[pos + 1:]).scale(sign)
-
-
-def move_dehn(x, y, kappa) -> Piece:
-    """Target Q(x, y) - Q(x, y - kappa*x) on the circle, kappa in 1..3."""
-    return Piece.move(("DEHN", kappa), "DEHN", [(x,), (y,)])
-
-
-def move_double_halve(x, y) -> Piece:
-    """Target Q(x, y) - Q(2x, y/2) on the circle; y must be even."""
-    _check(y % 2 == 0, "double-halve needs an even second generator")
-    return Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE", [(x,), (y // 2,)])
+    return Piece.move(("ZERO", k - 1), gens[:pos] + gens[pos + 1:]).scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -83,25 +73,25 @@ class S1Trace:
 
     phase1: (x_i, y_i, k_i) rows of the doubling recursion on Q(1, .);
     phase2: the halving sequence a_0, .., a_N of a.
-    Invariants: x_i = 2^i, 2^i | y_i, y_M = 0, M <= 1 + log2(L)/2,
-    a_i <= a / 2^i, L = l * (2^N + sum_{i < N, a_i odd} 2^i) = a * l.
+    Invariants, with M = len(phase1): x_i = 2^i, 2^i | y_i, y_M = 0,
+    M <= 1 + log2(L)/2, a_i <= a / 2^i,
+    L = l * (2^N + sum_{i < N, a_i odd} 2^i) = a * l.
     """
 
     a: int
     l: int
     phase1: tuple  # (x_i, y_i, k_i)
     phase2: tuple  # a_0, .., a_N
-    m_steps: int  # M = len(phase1)
     total: int  # L
-    move_count: int
 
 
 def s1_moves(a: int, l: int):
     """Move schedule filling Q(a, l) in T^1, a, l >= 1, shared by the
     certificate builder and the sweep counter.
 
-    Returns (moves, trace); each move is (sign, kind, args) with the
-    invariant  Q(a, l) = sum_i sign_i * target_i  exactly.
+    Returns (moves, trace).  Each move is chunk data (sign, key, columns):
+    sign * Piece.move(key, columns), whose target is the cycle noted where
+    the move is emitted.  Q(a, l) = sum of the moves' targets exactly.
     """
     a, l = int(a), int(l)
     _check(a >= 1 and l >= 1, "the circle schedule needs a, l >= 1")
@@ -115,17 +105,20 @@ def s1_moves(a: int, l: int):
     while x > 1:
         second = (1 << i) * y
         if x % 2:
-            moves.append((1, "SPLIT1", (x, second, x - 1, 1)))
+            # Q(x, second) - Q(x - 1, second) - Q(1, second)
+            moves.append((-1, ("SPLIT", 2), ((second,), (x - 1,), (1,))))
             pending.append(second)
             x -= 1
-        moves.append((-1, "DH", (x // 2, 2 * second)))
+        # Q(x, second) - Q(x/2, 2*second)
+        moves.append((-1, ("DOUBLE_HALVE",), ((x // 2,), (second,))))
         x //= 2
         i += 1
         phase2.append(x)
 
     big_l = (1 << i) * y
     for extra in reversed(pending):
-        moves.append((-1, "SPLIT2", (1, big_l + extra, big_l, extra)))
+        # Q(1, big_l) + Q(1, extra) - Q(1, big_l + extra)
+        moves.append((-1, ("SPLIT", 2), ((1,), (big_l,), (extra,))))
         big_l += extra
 
     # phase 1 on Q(1, big_l)
@@ -135,34 +128,26 @@ def s1_moves(a: int, l: int):
         k = (y1 // x1) % 4
         phase1.append((x1, y1, k))
         if k:
-            moves.append((1, "DEHN", (x1, y1, k)))
+            # Q(x1, y1) - Q(x1, y1 - k*x1)
+            moves.append((1, ("DEHN", k), ((x1,), (y1,))))
             y1 -= k * x1
-        moves.append((1, "DH", (x1, y1)))
+        # Q(x1, y1) - Q(2*x1, y1/2)
+        _check(y1 % 2 == 0, "double-halve needs an even second generator")
+        moves.append((1, ("DOUBLE_HALVE",), ((x1,), (y1 // 2,))))
         x1, y1 = 2 * x1, y1 // 2
     _check(y1 == 0, "phase 1 must land on a zero second generator")
-    moves.append((1, "ZERO", (x1,)))
+    # Q(x1, 0)
+    moves.append((1, ("ZERO", 1), ((x1,),)))
 
-    trace = S1Trace(a, l, tuple(phase1), tuple(phase2), len(phase1), big_l,
-                    len(moves))
-    return moves, trace
-
-
-# the Piece of each s1_moves kind, from its args
-_S1_MOVES = {
-    "DEHN": move_dehn,
-    "DH": move_double_halve,
-    "SPLIT1": lambda x, y, p1, p2: move_split(((x,), (y,)), 0, (p1,), (p2,)),
-    "SPLIT2": lambda x, y, p1, p2: move_split(((x,), (y,)), 1, (p1,), (p2,)),
-    "ZERO": lambda x: move_zero_gen(((x,), (0,))),
-}
+    return moves, S1Trace(a, l, tuple(phase1), tuple(phase2), big_l)
 
 
 def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
     doubling/halving schedule.  Move count is O(log al)."""
     moves, trace = s1_moves(a, l)
-    return Piece(1, 2, [pair for sign, kind, args in moves for pair
-                        in _S1_MOVES[kind](*args).scale(sign).chunks]), trace
+    return Piece(1, 2, [pair for sign, key, columns in moves for pair
+                        in Piece.move(key, columns).scale(sign).chunks]), trace
 
 
 def slide(u0, m, w) -> Piece:

@@ -60,15 +60,12 @@ def rect_to_unit(sizes) -> Piece:
     if n > 3:
         raise UnsupportedDimension("rectangle normalization needs n <= 3")
 
-    a1, mid, an = sizes[0], sizes[1:-1], sizes[-1]
-    # phase a: R(sizes) - R(a1*an, mid, 1); phase b: that to R(prod, 1, 1)
-    phase_a = _rect_to_unit_2d((a1, an)).pushforward(
-        [_unit(n, 0), _unit(n, n - 1)])
-    for t, a in enumerate(mid):
-        phase_a = phase_a.prism_lift(_scale_vec(a, _unit(n, 1 + t)))
-    phase_a = phase_a.scale(-1 if (n - 2) % 2 else 1)
-    phase_b = rect_to_unit((a1 * an,) + mid).pushforward(
-        [_unit(n, t) for t in range(n - 1)]).prism_lift(_unit(n, n - 1))
+    a1, a2, a3 = sizes
+    # phase a: R(sizes) - R(a1*a3, a2, 1); phase b: that to R(prod, 1, 1)
+    phase_a = -_rect_to_unit_2d((a1, a3)).pushforward(
+        [_unit(3, 0), _unit(3, 2)]).prism_lift((0, a2, 0))
+    phase_b = _rect_to_unit_2d((a1 * a3, a2)).pushforward(
+        [_unit(3, 0), _unit(3, 1)]).prism_lift(_unit(3, 2))
     return phase_a + phase_b
 
 
@@ -84,8 +81,7 @@ def _rect_to_unit_2d(sizes) -> Piece:
             piece = piece + move_split(((x, 0), (0, y)), 1, (0, y - 1), _E2)
             pending.append(x)
             y -= 1
-        piece = piece + Piece.move(("DOUBLE_HALVE",), "DOUBLE_HALVE",
-                                   [(x, 0), (0, y // 2)])
+        piece = piece + Piece.move(("DOUBLE_HALVE",), [(x, 0), (0, y // 2)])
         x, y = 2 * x, y // 2
     for extra in reversed(pending):
         piece = piece - move_split(((x + extra, 0), _E2), 0, (x, 0),
@@ -115,7 +111,7 @@ def _dehn_shear(q) -> Piece:
     piece = Piece.zero(2, 2)
     w = (0, 1)
     for k in _dehn_parts(q):
-        piece = piece + Piece.move(("DEHN", k), "DEHN", [_E1, w])
+        piece = piece + Piece.move(("DEHN", k), [_E1, w])
         w = (w[0] - k, 1)
     return piece
 

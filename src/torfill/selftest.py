@@ -199,15 +199,15 @@ def criterion_s1_invariants(level="full"):
             _check(all(x == 2 ** i and not y % (2 ** i) and 0 <= k <= 3
                        for i, (x, y, k) in enumerate(tr.phase1)),
                    "phase1 invariant broken " + at)
-            _check(moves[-1][1] == "ZERO" and moves[-1][2][0] == 2 ** tr.m_steps,
+            _check(moves[-1] == (1, ("ZERO", 1), ((2 ** len(tr.phase1),),)),
                    "y_M != 0 (no terminal ZERO) " + at)
-            _check(tr.m_steps <= 1 + math.log2(tr.total) / 2,
+            _check(len(tr.phase1) <= 1 + math.log2(tr.total) / 2,
                    "M bound broken " + at)
             _check(all(ai <= a / 2 ** i for i, ai in enumerate(tr.phase2)),
                    "a_i bound broken " + at)
             _check(tr.total == a * l and tr.total <= 2 * a * l,
                    "L identity broken " + at)
-            worst_c = max(worst_c, tr.move_count / (math.log2(a * l) + 1))
+            worst_c = max(worst_c, len(moves) / (math.log2(a * l) + 1))
     # deterministic certificate subsample, each verified against Q(a, l)
     for a in range(1, limit + 1, 29):
         for l in range(1, limit + 1, 31):

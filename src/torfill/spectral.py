@@ -183,9 +183,16 @@ def split_cyclotomic(p):
     return tuple(cyclo), rest
 
 
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
 def primitive_roots_of_unity(m: int):
-    """exp(2 pi i j / m) for 1 <= j <= m with gcd(j, m) = 1, as floats."""
-    return [complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
+    """exp(2 pi i j / m) for 1 <= j <= m with gcd(j, m) = 1, as floats.
+
+    The quarter turns 1, i, -1 and -i, the roots of Phi_1, Phi_2 and
+    Phi_4, are exact; every other root comes from cos and sin."""
+    return [_QUARTER_TURNS[4 * j // m % 4] if 4 * j % m == 0 else
+            complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
             for j in range(1, m + 1) if math.gcd(j, m) == 1]
 
 

@@ -153,7 +153,7 @@ def test_bounds_coefficients_beyond_double_range(capsys):
         "n=2\ncharpoly=1,-%d,%d\nrho=1e+200\nln_rho=460.517018599\n"
         "entropy_ln=460.517018599\nn_ln_rho=921.034037198\n"
         "fv_lower_ln=139.726884953\nunit_root_flag=True\n"
-        "row root_0 1-2.44929359829e-16i mult=1 radius=0 circle=True\n"
+        "row root_0 1+0i mult=1 radius=0 circle=True\n"
         "row root_1 1e+200+0i mult=1 radius=3.03e+183 circle=False\n"
         % (big + 1, big))
     # charpoly coefficients up to 10^360 overflow a double: the exact shift
@@ -179,6 +179,19 @@ def test_bounds_coefficients_beyond_double_range(capsys):
     assert rows == ["root_0 2+0i mult=1 radius=0 circle=False",
                     "root_1 1e+150+0i mult=1 radius=1.92e+133 circle=False",
                     "root_2 1e+200+0i mult=1 radius=3.03e+183 circle=False"]
+
+
+@pytest.mark.parametrize("matrix,want", [
+    ("1", ["root_0 1+0i mult=1 radius=0 circle=True"]),
+    ("-1", ["root_0 -1+0i mult=1 radius=0 circle=True"]),
+    ("0,-1;1,0", ["root_0 0+1i mult=1 radius=0 circle=True",
+                  "root_1 0-1i mult=1 radius=0 circle=True"]),
+])
+def test_bounds_prints_the_quarter_turn_roots_exactly(capsys, matrix, want):
+    # the roots of Phi_1, Phi_2 and Phi_4 are 1, -1 and +-i exactly, so their
+    # radius=0 is true
+    code, _, rows = run(capsys, "bounds", "--matrix=" + matrix)
+    assert code == 0 and rows == want
 
 
 @pytest.mark.parametrize("command", ["bounds", "reduce"])

@@ -16,12 +16,11 @@ from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
                              reduce_parallelogram, s1_moves, s1_piece, slide,
                              universal_cycle, verify_certificate)
 from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
-                                  default_cache)
-from torfill.filling.certificate import (Chunk, Piece, _lift, _shape,
-                                        class_sum, lifted_presentation,
+                                  default_cache, universal_presentation)
+from torfill.filling.certificate import (Chunk, MoveRecord, Piece, _lift,
+                                        _shape, class_sum, lifted_presentation,
                                         presentation_chain)
-from torfill.filling.moves import (move_dehn, move_double_halve, move_split,
-                                   move_zero_gen)
+from torfill.filling.moves import move_split, move_zero_gen
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -276,14 +275,30 @@ def test_move_certificates_verify():
         (move_zero_gen(((4, 1), (0, 0))), [(1, ((4, 1), (0, 0)))]),
         (move_zero_gen(((0, 0, 0), (1, 2, 0), (0, 1, 1))),
          [(1, ((0, 0, 0), (1, 2, 0), (0, 1, 1)))]),
-        (move_dehn(3, 7, 2), [(1, ((3,), (7,))), (-1, ((3,), (1,)))]),
-        (move_double_halve(5, 8), [(1, ((5,), (8,))), (-1, ((10,), (4,)))]),
+        (Piece.move(("DEHN", 2), [(3,), (7,)]),
+         [(1, ((3,), (7,))), (-1, ((3,), (1,)))]),
+        (Piece.move(("DOUBLE_HALVE",), [(5,), (4,)]),
+         [(1, ((5,), (8,))), (-1, ((10,), (4,)))]),
     ]
     for piece, claim in moves:
         cert = piece.certificate(claim)
         ok, diag = verify_certificate(cert)
         assert ok, diag
         assert cert.target == _sum_q(claim)
+
+
+_MOVE_KINDS = {"SPLIT": "SPLIT", "ZERO": "ZERO_GEN", "DEHN": "DEHN",
+               "DOUBLE_HALVE": "DOUBLE_HALVE"}
+
+
+@pytest.mark.parametrize("key", BASE_KEYS, ids=[str(k) for k in BASE_KEYS])
+def test_piece_move_records_the_kind_of_its_key(key):
+    # the base key alone names the move: its one record, at the base cost
+    m, _ = _shape(key)
+    columns = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    cert = Piece.move(key, columns).certificate(universal_presentation(key))
+    assert cert.trace == (MoveRecord(_MOVE_KINDS[key[0]],
+                                     base_certificate(key).cost),)
 
 
 def test_pushforward_never_raises_cost():
@@ -307,10 +322,10 @@ def test_single_moves_and_prism_lift():
     cert = move_split(((1, 0), (2, 0)), 1, (1, 0), (1, 0)).certificate(
         [(1, ((1, 0), (2, 0))), (-2, ((1, 0), (1, 0)))])
     assert verify_certificate(cert)[0]
-    cert = move_dehn(2, 5, 3).certificate([(1, ((2,), (5,))),
-                                           (-1, ((2,), (-1,)))])
+    cert = Piece.move(("DEHN", 3), [(2,), (5,)]).certificate(
+        [(1, ((2,), (5,))), (-1, ((2,), (-1,)))])
     assert verify_certificate(cert)[0]
-    base = move_double_halve(3, 4)
+    base = Piece.move(("DOUBLE_HALVE",), [(3,), (2,)])
     lifted = base.prism_lift((1,)).certificate([(1, ((3,), (4,), (1,))),
                                                 (-1, ((6,), (2,), (1,)))])
     assert verify_certificate(lifted)[0]
@@ -334,11 +349,11 @@ def test_split_move_matches_spec_example():
 def test_s1_trace_examples():
     _, tr = s1_moves(1, 12)
     assert [(x, y, k) for x, y, k in tr.phase1] == [(1, 12, 0), (2, 6, 3)]
-    assert tr.m_steps == 2 and tr.m_steps <= 1 + math.log2(12) / 2
+    assert len(tr.phase1) == 2 and len(tr.phase1) <= 1 + math.log2(12) / 2
 
     _, tr = s1_moves(1, 1)
     assert [(x, y, k) for x, y, k in tr.phase1] == [(1, 1, 1)]
-    assert tr.m_steps == 1
+    assert len(tr.phase1) == 1
 
     _, tr = s1_moves(5, 3)
     assert tr.phase2 == (5, 2, 1)
@@ -359,7 +374,7 @@ def test_s1_certificates_and_move_counts():
         ok, diag = verify_certificate(cert)
         assert ok, diag
         assert cert.target == parallelogram_cycle([(a,), (l,)])
-        worst = max(worst, tr.move_count / (math.log2(a * l) + 1))
+        worst = max(worst, len(s1_moves(a, l)[0]) / (math.log2(a * l) + 1))
     assert worst <= 8.0
 
 
