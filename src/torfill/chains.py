@@ -21,8 +21,6 @@ this is singular chain calculus, not a simplicial-set quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd
 from operator import add, mul, sub
@@ -66,17 +64,20 @@ def faces(simplex) -> list:
             for i in range(len(simplex))]
 
 
-@dataclass(frozen=True, eq=False)
 class TorusChain:
     """Finite integer combination of canonical straight simplices.
 
     ``terms`` maps canonical vertex tuples to nonzero coefficients; all
-    simplices share ``degree`` and ``ambient_dim``.  Treated as immutable.
+    simplices share ``degree`` and ``ambient_dim``.  Treated as immutable,
+    and unhashable, as its terms are a dict.
     """
 
-    ambient_dim: int
-    degree: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("ambient_dim", "degree", "terms")
+
+    def __init__(self, ambient_dim: int, degree: int, terms: dict):
+        self.ambient_dim = ambient_dim
+        self.degree = degree
+        self.terms = terms
 
     @staticmethod
     def zero(ambient_dim: int, degree: int) -> "TorusChain":
@@ -374,6 +375,8 @@ def degree_at_point(c: TorusChain, point) -> int:
     integer translates of `point` interior to the simplex.  For a cycle this
     is the multiple of the fundamental class it represents.
     """
+    # imported here: fractions loads decimal, and only the oracle needs it
+    from fractions import Fraction
     if c.degree != c.ambient_dim:
         raise DimensionMismatch("degree oracle needs degree == ambient dim")
     pt = tuple(Fraction(x) for x in point)
@@ -397,6 +400,7 @@ def sample_degree(c: TorusChain, rng) -> int:
     Resamples with a larger denominator whenever a non-generic point is hit,
     up to 32 points in all.
     """
+    from fractions import Fraction
     denom = 101
     for _ in range(32):
         d = denom if denom % 2 else denom + 1

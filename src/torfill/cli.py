@@ -3,7 +3,8 @@
 Reports are machine-parseable key=value lines (big integers as decimal
 strings, log bases tagged in the field names: _ln for natural logarithm,
 _log2 for base 2); table rows are prefixed with `row`.  Exit codes: 0 on
-success, 2 on verification failure, 3 on input error.
+success, 2 on verification failure, 3 on input error.  A reader that closes
+stdout early ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .errors import (CandidateSetTooLarge, InputParseError, TorfillError,
@@ -163,8 +165,8 @@ def _cmd_bounds(args) -> int:
         _emit("bits_max", max((c.bits for c in certificates), default=0))
         for i, c in enumerate(certificates):
             _emit("factor_%d_degree" % i, c.degree)
-            _emit("factor_%d_gap" % i, format_g(c.gap, 6))
-            _emit("factor_%d_bound" % i, format_g(c.bound, 6))
+            _emit("factor_%d_gap" % i, format_g(c.gap, c.bits, 6))
+            _emit("factor_%d_bound" % i, format_g(c.bound, c.bits, 6))
     return EXIT_OK
 
 
@@ -306,7 +308,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader chose to stop: send what is still buffered, which the
+        # interpreter flushes at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InputParseError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT

@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NonSquare, VerificationFailure
 
@@ -29,17 +29,25 @@ def _check(ok, what):
         raise VerificationFailure(what)
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Immutable rectangular integer matrix."""
+    """Rectangular integer matrix, treated as immutable; equal and hashed by
+    `data`, its tuple of row tuples."""
 
-    data: tuple  # tuple of row tuples
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.data)
+    def __init__(self, data):
+        rows = tuple(tuple(int(x) for x in r) for r in data)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "data", rows)
+        self.data = rows
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.data == other.data
+
+    def __hash__(self):
+        return hash(self.data)
 
     @property
     def rows(self) -> int:
@@ -165,8 +173,7 @@ def charpoly(a: IntMatrix) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """P @ original @ Q = D with P, Q unimodular and D = diag(d_1..d_r, 0..),
     d_i > 0 and d_i | d_{i+1}."""
 
@@ -273,8 +280,7 @@ def _verify_snf(res: SnfResult):
                 _check(diag[i + 1] % v == 0, "SNF divisibility chain broken")
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(NamedTuple):
     """Column Hermite normal form: original @ U = H with U unimodular.
 
     H is a lower staircase: pivots positive and descending left to right,
@@ -396,8 +402,7 @@ def solve_diophantine(a: IntMatrix, b):
     return x
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
+class CokernelStructure(NamedTuple):
     """Invariant-factor description of Z^n / im(A)."""
 
     torsion_factors: tuple  # invariant factors > 1, each dividing the next

@@ -25,7 +25,6 @@ re-canonicalization.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -52,8 +51,7 @@ class MoveRecord(NamedTuple):
     cost: int
 
 
-@dataclass(frozen=True)
-class FillingCertificate:
+class FillingCertificate(NamedTuple):
     """target = boundary(witness) exactly; cost = l1(witness); the trace's
     record costs, when it has any, sum to cost.
 
@@ -235,7 +233,6 @@ class Chunk(NamedTuple):
         return {s: v for s, v in acc.items() if v}
 
 
-@dataclass
 class Piece:
     """Certificate in progress: [(kind, Chunk)], one pair per move, where
     kind names the move for its MoveRecord: Piece.move derives it from the
@@ -245,9 +242,12 @@ class Piece:
     and certificate(claim) checks it against the target its caller claims.
     """
 
-    ambient_dim: int
-    degree: int  # degree of the target cycle
-    chunks: list = field(default_factory=list)
+    __slots__ = ("ambient_dim", "degree", "chunks")
+
+    def __init__(self, ambient_dim: int, degree: int, chunks: list):
+        self.ambient_dim = ambient_dim
+        self.degree = degree  # degree of the target cycle
+        self.chunks = chunks
 
     @staticmethod
     def zero(ambient_dim: int, degree: int) -> "Piece":

@@ -12,7 +12,7 @@ as chunk data (sign, key, columns), which s1_piece turns into one piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import UnsupportedDimension
 from ..exactlinalg import _check
@@ -67,8 +67,7 @@ def move_zero_gen(gens) -> Piece:
 # the S^1 slim algorithm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class S1Trace:
+class S1Trace(NamedTuple):
     """Execution trace of the two-phase circle reduction of Q(a, l).
 
     phase1: (x_i, y_i, k_i) rows of the doubling recursion on Q(1, .);

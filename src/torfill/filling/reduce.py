@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..chains import TorusChain, l1_norm
 from ..errors import TorfillError, UnsupportedDimension
@@ -281,8 +281,7 @@ def _column_walk(gens, det) -> Piece:
     return piece + rect_to_unit(cols[t][t] for t in range(n))
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Certificate, with its move trace, for Q(columns of A) ->
     R(det A, 1, .., 1)."""
 
@@ -308,8 +307,7 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
     return ReductionReport(a, cert, det, math.log2(norm) if norm else 0.0)
 
 
-@dataclass(frozen=True)
-class UpperBoundExperiment:
+class UpperBoundExperiment(NamedTuple):
     """Per-power reduction costs for det-1 matrices and the fitted slope."""
 
     matrix: IntMatrix

@@ -19,7 +19,7 @@ alternating when its ends cancel or merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotUnimodular, VerificationFailure
 from .exactlinalg import IntMatrix, _check, mat_pow
@@ -60,18 +60,27 @@ def _reduce(letters):
     return tuple(stack)
 
 
-@dataclass(frozen=True)
 class Psl2Word:
-    """Alternating word over {S, U, U2} plus the sign of its SL(2,Z) lift."""
+    """Alternating word over {S, U, U2} plus the sign of its SL(2,Z) lift;
+    treated as immutable, equal and hashed by (letters, sign)."""
 
-    letters: tuple
-    sign: int = 1
+    __slots__ = ("letters", "sign")
 
-    def __post_init__(self):
-        _check(self.sign in (1, -1), "the sign of a word is +1 or -1")
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple, sign: int = 1):
+        _check(sign in (1, -1), "the sign of a word is +1 or -1")
+        for a, b in zip(letters, letters[1:]):
             if _factor(a) == _factor(b):
                 raise VerificationFailure("word is not alternating")
+        self.letters = letters
+        self.sign = sign
+
+    def __eq__(self, other):
+        if not isinstance(other, Psl2Word):
+            return NotImplemented
+        return (self.letters, self.sign) == (other.letters, other.sign)
+
+    def __hash__(self):
+        return hash((self.letters, self.sign))
 
     def __str__(self):
         body = "·".join(self.letters) if self.letters else "e"
@@ -151,8 +160,7 @@ def family_matrix(i: int) -> IntMatrix:
     return IntMatrix(((i + 1, i), (1, 1)))
 
 
-@dataclass(frozen=True)
-class DeltaBounds:
+class DeltaBounds(NamedTuple):
     """Bracket for the minimal triangulation size of the associated bundle.
 
     lower = kappa * lower_coeff with kappa a universal (non-explicit)

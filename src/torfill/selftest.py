@@ -17,7 +17,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import (boundary, l1_norm, parallelogram_class,
                      parallelogram_cycle, prism_v, sample_degree)
@@ -34,8 +34,7 @@ from .psl2z import (cyclically_reduced_length, decompose, family_matrix,
 from .spectral import analyze, basic_inequalities, fv_lower_bound
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -41,9 +41,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonSquare, PrecisionExhausted
 from .exactlinalg import (IntMatrix, _check, _mul_rows, charpoly,
@@ -227,8 +225,7 @@ PRINT_BITS = 80   # relative bits a root is refined to, well past a double's 53
 MAX_SWEEPS = 500  # exact Durand-Kerner sweeps per squarefree part
 
 
-@dataclass(frozen=True)
-class CertifiedRoot:
+class CertifiedRoot(NamedTuple):
     """One eigenvalue: approximation, radius, exact flags.
 
     A certified root lies within `radius` of `value`: the radius of the disk
@@ -300,9 +297,13 @@ def _to_float(n, bits):
         return math.inf if n > 0 else -math.inf
 
 
-def format_g(q, digits):
-    """A Fraction as %.<digits>g; beyond the double range, in the same style
-    through Decimal, so that nothing overflows or reads 0."""
+def format_g(n, bits, digits):
+    """n / 2^bits as %.<digits>g; beyond the double range, in the same
+    style through Decimal, so that nothing overflows or reads 0."""
+    # imported here: only printing needs fractions, which loads decimal
+    from decimal import Decimal
+    from fractions import Fraction
+    q = Fraction(n, 1 << bits)
     if q == 0 or 1e-300 < abs(q) < 1e300:
         return "%.*g" % (digits, q)
     return format((Decimal(q.numerator) / q.denominator).normalize(),
@@ -465,7 +466,7 @@ def _disks(coeffs, mirrored, bits_cap, name):
     reason = "in %d sweeps" % MAX_SWEEPS if sweep == MAX_SWEEPS else \
         "within the bit cap %d" % bits_cap
     if overlap is not None:
-        centres = tuple("(%s, %s)" % tuple(format_g(Fraction(c, one), 6)
+        centres = tuple("(%s, %s)" % tuple(format_g(c, bits, 6)
                                            for c in roots[k])
                         for k in overlap)
         raise PrecisionExhausted(
@@ -475,7 +476,7 @@ def _disks(coeffs, mirrored, bits_cap, name):
     raise PrecisionExhausted(
         "factor %s: roots not separated from the unit circle %s; at %d bits "
         "the closest root has gap %s against radius %s" % ((name, reason, bits)
-        + tuple(format_g(Fraction(c, one), 3) for c in closest)))
+        + tuple(format_g(c, bits, 3) for c in closest)))
 
 
 def _axis_split(f):
@@ -506,17 +507,16 @@ def _radius_about(value, x, y, r, bits):
     return _float_up((r << up) + _ceil_sqrt(dx * dx + dy * dy), scale)
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(NamedTuple):
     """How the roots of one squarefree factor were certified: at `bits`, the
-    root with the least margin gap - bound had distance at least `gap`
-    from the unit circle against its disk's radius `bound`, both exact
-    Fractions."""
+    root with the least margin gap - bound had distance at least
+    gap / 2^bits from the unit circle against its disk's radius
+    bound / 2^bits, both integers."""
 
     degree: int
     bits: int
-    gap: Fraction
-    bound: Fraction
+    gap: int
+    bound: int
 
 
 def _certified_roots(factor, multiplicity, dps_cap):
@@ -536,8 +536,7 @@ def _certified_roots(factor, multiplicity, dps_cap):
     for part, mirrored in _axis_split(factor):
         part_bits, disks, (gap, r) = _disks(part, mirrored, bits_cap, name)
         bits = max(bits, part_bits)
-        margins.append((Fraction(gap, 1 << part_bits),
-                        Fraction(r, 1 << part_bits)))
+        margins.append((gap, r, part_bits))
         for x, y, r, real, imag in disks:
             n = (x + (1 << part_bits - 1)) >> part_bits
             if real and _horner(part, n, 0) == (0, 0) and \
@@ -549,12 +548,12 @@ def _certified_roots(factor, multiplicity, dps_cap):
                 value, _radius_about(value, x, y, r, part_bits), multiplicity,
                 False, x * x + y * y > 1 << 2 * part_bits))
     roots.sort(key=lambda r: (abs(r.value.imag), r.value.real, -r.value.imag))
-    gap, bound = min(margins, key=lambda gb: gb[0] - gb[1])
+    gap, bound = min(((gap << bits - b, r << bits - b)
+                      for gap, r, b in margins), key=lambda gb: gb[0] - gb[1])
     return roots, FactorCertificate(_degree(factor), bits, gap, bound)
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """Characteristic polynomial, certified roots, and derived quantities.
 
     rho is the spectral radius, log_sum = sum of ln|lambda| over the
@@ -649,8 +648,7 @@ def gelfand_sequence(a: IntMatrix, j_max: int):
     return out
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     """Torsion of coker(A^k - I) and its normalized logarithm."""
 
     k: int

@@ -707,7 +707,6 @@ def test_reduce_verification_failure_exit_2(monkeypatch, capsys):
 
 _UNDER_O = textwrap.dedent("""
     import sys
-    from dataclasses import replace
     from torfill.cli import main
     from torfill.errors import VerificationFailure
     from torfill.exactlinalg import (HnfResult, IntMatrix, SnfResult,
@@ -719,7 +718,7 @@ _UNDER_O = textwrap.dedent("""
     assert False, "python -O strips plain asserts"
     res = snf(IntMatrix(((2, 4), (6, 8))))
     try:
-        _verify_snf(replace(res, d=IntMatrix(((1, 0), (0, 8)))))
+        _verify_snf(res._replace(d=IntMatrix(((1, 0), (0, 8)))))
     except VerificationFailure:
         print("tampered SNF refused")
     two, one = IntMatrix(((2, 0), (0, 2))), IntMatrix.identity(2)
@@ -812,6 +811,49 @@ def test_runtime_does_not_import_mpmath():
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "code=0 mpmath=False"
+
+
+_STARTUP = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from probe import import_torfill
+    import_torfill(sys.argv[2])
+    loaded = set(sys.modules)
+    from tracing import KERNELS, SPANS
+    print(" ".join(m for m in ("dataclasses", "inspect", "fractions", "decimal")
+                   if m in loaded))
+    print(" ".join(sorted({module for module, _ in list(SPANS) + list(KERNELS)}
+                          - loaded)))
+""")
+
+
+def test_startup_imports_no_dataclasses_or_fractions():
+    # every command is a fresh process: the set-up probe's imports load
+    # neither dataclasses (with inspect) nor fractions (with decimal), and
+    # every module the tracer wraps, so that a traced run finds them
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, str(root / "perfbench"),
+         str(root / "src")], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n\n"
+
+
+def test_closed_stdout_ends_quietly_with_exit_0():
+    # `torfill torsion ... | head -1`: the reader stops after one line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torfill.cli", "torsion", "-m", "2,1;1,1",
+         "--kmax", "3000"], env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert first.startswith(b"row k=1 torsion=1 ")
+    assert (code, err) == (0, b"")
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

@@ -35,7 +35,10 @@ A run's last line is its JSON result: the end-to-end metrics, `failed`,
 "n/a" is recorded as null.  For every metric of every workload the file
 holds each side's values in run order, their median and quartiles, and
 the pairs in which "new" was better, worse or tied, with "better" taken
-from BENCHMARK.json.  It also holds the Python version, os.cpu_count(),
+from BENCHMARK.json, and `gain_shown`: whether new was better in at least
+9 of every 10 pairs with values (ties count for neither side) and its
+median beats the old median by more than the old side's q3 - q1.  It also
+holds the Python version, os.cpu_count(),
 each side's commit and one tier-1 wall time of this checkout, run before
 the pairs.  Progress goes to stderr.
 """
@@ -227,6 +230,21 @@ def pair_counts(new, old, better):
     return counts
 
 
+def gain_shown(entry):
+    """The rule for claiming a gain on one metric: new better in at least 9
+    of every 10 pairs that have values, and the medians apart, in the
+    better direction, by more than the old side's interquartile range."""
+    pairs = entry["new_better"] + entry["new_worse"] + entry["tied"]
+    if not pairs:
+        return False
+    new, old = entry["new"], entry["old"]
+    margin = new["median"] - old["median"]
+    if entry["better"] == "lower":
+        margin = -margin
+    return (10 * entry["new_better"] >= 9 * pairs
+            and margin > old["q3"] - old["q1"])
+
+
 def summarise(runs, sides, better):
     """runs[side] is a list of (values, status) in run order."""
     out = {}
@@ -244,6 +262,7 @@ def summarise(runs, sides, better):
         if "old" in sides:
             entry.update(pair_counts(entry["new"]["values"],
                                      entry["old"]["values"], entry["better"]))
+            entry["gain_shown"] = gain_shown(entry)
         metrics[name] = entry
     out["metrics"] = metrics
     return out
