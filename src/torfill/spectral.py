@@ -548,8 +548,8 @@ def _certified_roots(factor, multiplicity, dps_cap):
                 value, _radius_about(value, x, y, r, part_bits), multiplicity,
                 False, x * x + y * y > 1 << 2 * part_bits))
     roots.sort(key=lambda r: (abs(r.value.imag), r.value.real, -r.value.imag))
-    gap, bound = min(((gap << bits - b, r << bits - b)
-                      for gap, r, b in margins), key=lambda gb: gb[0] - gb[1])
+    gap, bound = min(((g << bits - b, r << bits - b) for g, r, b in margins),
+                     key=lambda gb: gb[0] - gb[1])
     return roots, FactorCertificate(_degree(factor), bits, gap, bound)
 
 

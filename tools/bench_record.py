@@ -38,9 +38,9 @@ the pairs in which "new" was better, worse or tied, with "better" taken
 from BENCHMARK.json, and `gain_shown`: whether new was better in at least
 9 of every 10 pairs with values (ties count for neither side) and its
 median beats the old median by more than the old side's q3 - q1.  It also
-holds the Python version, os.cpu_count(),
-each side's commit and one tier-1 wall time of this checkout, run before
-the pairs.  Progress goes to stderr.
+holds the Python version, os.cpu_count(), each side's commit and one
+tier-1 wall time of this checkout, run before the pairs.  Progress goes to
+stderr.
 """
 
 from __future__ import annotations
