@@ -4,7 +4,8 @@ Reports are machine-parseable key=value lines (big integers as decimal
 strings, log bases tagged in the field names: _ln for natural logarithm,
 _log2 for base 2); table rows are prefixed with `row`.  Exit codes: 0 on
 success, 2 on verification failure, 3 on input error.  A reader that closes
-stdout early ends the command quietly with exit 0.
+stdout early discards the rest of the output, quietly: the command still runs
+to its end and exits with its own code.
 """
 
 from __future__ import annotations
@@ -286,6 +287,36 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+class _ClosableStdout:
+    """Stdout for one command: once the reader has closed the pipe, the rest
+    of the output goes to devnull and the command carries on."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text):
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self):
+        # what is still buffered is flushed to devnull, here or at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 _COMMANDS = {
     "bounds": _cmd_bounds,
     "reduce": _cmd_reduce,
@@ -307,15 +338,11 @@ def main(argv=None) -> int:
                          % (args.max_expand, args.box))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
+    stdout, sys.stdout = sys.stdout, _ClosableStdout(sys.stdout)
     try:
         code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader chose to stop: send what is still buffered, which the
-        # interpreter flushes at exit, to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except InputParseError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
@@ -325,6 +352,8 @@ def main(argv=None) -> int:
     except TorfillError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -856,6 +856,34 @@ def test_closed_stdout_ends_quietly_with_exit_0():
     assert (code, err) == (0, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_keeps_the_exit_code_of_a_failed_verify(
+        tmp_path, capsys, unbuffered):
+    # `torfill fill --verify bad.json | true`: the reader leaves before the
+    # first line is read, and the rejection must still end with exit 2, when
+    # the pipe breaks at the final flush and when it breaks at the first write
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["trace"][0]["cost"] = str(int(obj["trace"][0]["cost"]) + 1000)
+    path.write_text(json.dumps(obj))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env_path = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torfill.cli", "fill", "--verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=env_path, PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert code == 2
+    assert b"verification diagnostics: trace costs sum to" in err
+    assert b"Traceback" not in err
+
+
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):
     # the full quick suite runs in the acceptance module; here make sure the
     # command works end to end on the cheapest criteria by running it whole,
