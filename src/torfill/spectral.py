@@ -22,8 +22,21 @@ to 2^-80 of itself, so that it rounds to the double nearest the root.  A
 root whose conjugate disk misses every other disk is real, and one whose
 disk reflected in the imaginary axis misses every other disk of a factor
 whose roots come in pairs z, -z is imaginary.  The roots of each factor
-are listed by (|im|, re, -im), so the + root of a conjugate pair comes
-first.
+are listed by (|im|, re), the two roots of a conjugate pair keyed by the +
+root, which comes first.
+
+Cheaper exact tests skip big-integer work whose outcome they settle, so
+every result is the one the full route gives.  Phi_m is monic, so it
+divides p over Z only if the integer Phi_m(t) divides p(t), and a trial
+division is made only where that holds for t = 2 and 3.  Polynomials
+coprime modulo a prime that does not divide the first one's leading
+coefficient are coprime over Q (see _coprime), and then
+squarefree_decomposition and _axis_split return at once.  An attempt of
+_disks other than the last stands only if each disk passes the
+PRINT_BITS test, so one with a disk that fails it even with the best axis
+flags that disk could get goes straight to its sweep.  The double seeds
+take the same float operations in the same order as the plain loop, and
+charpoly forms only the trace of its last product.
 
 An algebraic integer can have SOME conjugates on the circle without being a
 root of unity, so a purely algebraic test cannot decide individual roots:
@@ -124,6 +137,32 @@ def poly_gcd(p, q):
     return a
 
 
+_PRIME = 32749  # the largest prime below 2^15: products fit one digit
+
+
+def _coprime(p, q):
+    """Whether p and q are coprime modulo _PRIME; True proves them coprime
+    over Q when p[0] is not divisible by _PRIME, which is checked.  A common
+    factor over Q would be a primitive integer factor h of p, up to a
+    constant, so h[0] divides p[0]: modulo _PRIME, h keeps its degree and
+    divides both.  False leaves the question open."""
+    if p[0] % _PRIME == 0:
+        return False
+    a, b = [c % _PRIME for c in p], [c % _PRIME for c in q]
+    while True:
+        while b and not b[0]:
+            del b[0]
+        if len(b) <= 1:
+            return len(b) == 1
+        inv = pow(b[0], -1, _PRIME)
+        b = [c * inv % _PRIME for c in b]  # monic
+        while len(a) >= len(b):  # a leading 0 of a gives f = 0
+            f = a[0]
+            a = [(x - f * y) % _PRIME for x, y in zip(a[1:], b[1:])] + \
+                a[len(b):]
+        a, b = b, a
+
+
 def poly_div_exact(p, d):
     """p / d over Z; d monic or primitive (see _div_int)."""
     quo = _div_int(p, d)
@@ -158,23 +197,32 @@ def cyclotomic(m: int) -> tuple:
 
 @functools.cache
 def cyclotomics_up_to_degree(n: int) -> tuple:
-    """All (m, Phi_m) with phi(m) <= n.  phi(m) >= sqrt(m/2) bounds the list."""
-    return tuple((m, cyclotomic(m)) for m in range(1, max(2 * n * n, 6) + 1)
-                 if euler_phi(m) <= n)
+    """All (m, Phi_m, Phi_m(2), Phi_m(3)) with phi(m) <= n.  phi(m) >=
+    sqrt(m/2) bounds the list."""
+    return tuple((m, phi, _horner(phi, 2, 0)[0], _horner(phi, 3, 0)[0])
+                 for m in range(1, max(2 * n * n, 6) + 1)
+                 if euler_phi(m) <= n for phi in (cyclotomic(m),))
 
 
 def split_cyclotomic(p):
     """(((m, multiplicity), ...), rest): p = prod Phi_m^multiplicity * rest
-    exactly over Z, with no cyclotomic factor left in rest."""
+    exactly over Z, with no cyclotomic factor left in rest.
+
+    Phi_m is monic, so where it divides rest over Z, Phi_m(t) divides the
+    integer rest(t); a division is tried only where that holds for t = 2
+    and t = 3."""
     rest = p
+    at2, at3 = _horner(p, 2, 0)[0], _horner(p, 3, 0)[0]
     cyclo = []
-    for m, phi in cyclotomics_up_to_degree(_degree(p)):
+    for m, phi, phi2, phi3 in cyclotomics_up_to_degree(_degree(p)):
         mult = 0
-        while _degree(rest) >= _degree(phi):
+        while _degree(rest) >= _degree(phi) and \
+                at2 % phi2 == at3 % phi3 == 0:
             quo = _div_int(rest, phi)
             if quo is None:
                 break
             rest = quo
+            at2, at3 = at2 // phi2, at3 // phi3
             mult += 1
         if mult:
             cyclo.append((m, mult))
@@ -206,6 +254,9 @@ def squarefree_decomposition(p):
     out = []
     i = 1
     while _degree(p) > 0:
+        if _coprime(p, _deriv(p)):  # then g = 1, and p is f_i
+            out.append((p, i))
+            break
         g = poly_gcd(p, _deriv(p))
         s = poly_div_exact(p, g)
         f = poly_div_exact(s, poly_gcd(s, g))
@@ -254,11 +305,18 @@ def _double_seeds(coeffs):
                 pz = 0j
                 for c in monic:
                     pz = pz * z + c
-                for j, w in enumerate(roots):
-                    if j != i:
-                        pz /= z - w
+                for w in roots[:i]:
+                    pz /= z - w
+                for w in roots[i + 1:]:
+                    pz /= z - w
                 roots[i] = z - pz
-                worst = max(worst, abs(pz) / max(abs(z), 1.0))
+                # worst = max(worst, abs(pz) / max(abs(z), 1.0)), without
+                # the calls: the same comparisons, so a nan is kept or
+                # passed over as max() does it
+                size = abs(z)
+                step = abs(pz) / (1.0 if size < 1.0 else size)
+                if step > worst:
+                    worst = step
             if not math.isfinite(worst):
                 return None
             if worst < 1e-13:
@@ -431,31 +489,37 @@ def _disks(coeffs, mirrored, bits_cap, name):
             (r * r) << bits <= max(x * x + y * y, one * one)
             for (x, y), r in zip(roots, radii))
         last = sweep == MAX_SWEEPS or settled and 2 * bits > bits_cap
-        overlap = next(((i, j) for i in range(d) for j in range(i + 1, d)
-                        if radii[i] is None or radii[j] is None or
-                        (roots[i][0] - roots[j][0]) ** 2 +
-                        (roots[i][1] - roots[j][1]) ** 2
-                        <= (radii[i] + radii[j]) ** 2), None)
-        if overlap is None:
-            gaps = []
-            for x, y in roots:
-                s = math.isqrt(x * x + y * y)
-                gaps.append(s - one if s >= one
-                            else one - _ceil_sqrt(x * x + y * y))
-            closest = min(zip(gaps, radii), key=lambda gr: gr[0] - gr[1])
-            if closest[0] > closest[1]:
-                disks = []
-                for i, ((x, y), r) in enumerate(zip(roots, radii)):
-                    real = False if y * y > r * r else \
-                        _axis(roots, radii, i, 1, -1) or None
-                    imag = False if not mirrored or x * x > r * r else \
-                        _axis(roots, radii, i, -1, 1) or None
-                    disks.append((x, y, r, real, imag))
-                if last or all(real is not None and imag is not None and
-                               (real or r << PRINT_BITS <= abs(y)) and
-                               (imag or r << PRINT_BITS <= abs(x))
-                               for x, y, r, real, imag in disks):
-                    return bits, disks, closest
+        # an attempt other than the last can only stand when every disk
+        # could pass the PRINT_BITS test with the best flags its axes allow
+        if last or None not in radii and all(
+                (y * y <= r * r or r << PRINT_BITS <= abs(y)) and
+                (mirrored and x * x <= r * r or r << PRINT_BITS <= abs(x))
+                for (x, y), r in zip(roots, radii)):
+            overlap = next(((i, j) for i in range(d) for j in range(i + 1, d)
+                            if radii[i] is None or radii[j] is None or
+                            (roots[i][0] - roots[j][0]) ** 2 +
+                            (roots[i][1] - roots[j][1]) ** 2
+                            <= (radii[i] + radii[j]) ** 2), None)
+            if overlap is None:
+                gaps = []
+                for x, y in roots:
+                    s = math.isqrt(x * x + y * y)
+                    gaps.append(s - one if s >= one
+                                else one - _ceil_sqrt(x * x + y * y))
+                closest = min(zip(gaps, radii), key=lambda gr: gr[0] - gr[1])
+                if closest[0] > closest[1]:
+                    disks = []
+                    for i, ((x, y), r) in enumerate(zip(roots, radii)):
+                        real = False if y * y > r * r else \
+                            _axis(roots, radii, i, 1, -1) or None
+                        imag = False if not mirrored or x * x > r * r else \
+                            _axis(roots, radii, i, -1, 1) or None
+                        disks.append((x, y, r, real, imag))
+                    if last or all(real is not None and imag is not None and
+                                   (real or r << PRINT_BITS <= abs(y)) and
+                                   (imag or r << PRINT_BITS <= abs(x))
+                                   for x, y, r, real, imag in disks):
+                        return bits, disks, closest
         if last:
             break
         if settled:
@@ -484,6 +548,8 @@ def _axis_split(f):
     f = E(x^2) + x O(x^2), g(x) = gcd(E, O)(x^2) is the even factor of f
     whose roots z have -z as roots too, and mirrored; f / g has no root on
     the imaginary axis but perhaps 0."""
+    if _coprime(f[::2], f[1::2]):  # f[::2] leads with f[0]
+        return [(f, False)]
     d = _degree(f)
     half = poly_gcd(f[d % 2::2], f[(d + 1) % 2::2])
     if _degree(half) == 0:
@@ -521,9 +587,9 @@ class FactorCertificate(NamedTuple):
 
 def _certified_roots(factor, multiplicity, dps_cap):
     """(roots, FactorCertificate) for a squarefree integer factor, each root
-    in a disk that misses the unit circle, conjugate pairs in the order
-    (|im|, re, -im), certified by _disks over _axis_split's parts within
-    ceil(dps_cap log2 10) bits.  A real root is exact when its disk holds an
+    in a disk that misses the unit circle, in the order (|im|, re, -im)
+    with both roots of a conjugate pair keyed by the + root, certified by
+    _disks over _axis_split's parts within ceil(dps_cap log2 10) bits.  A real root is exact when its disk holds an
     integer root (the only rational roots of a monic factor), so that it
     rounds to a double like that integer."""
     name = ",".join(map(str, factor))
@@ -547,7 +613,17 @@ def _certified_roots(factor, multiplicity, dps_cap):
             roots.append(CertifiedRoot(
                 value, _radius_about(value, x, y, r, part_bits), multiplicity,
                 False, x * x + y * y > 1 << 2 * part_bits))
-    roots.sort(key=lambda r: (abs(r.value.imag), r.value.real, -r.value.imag))
+    ups = [r.value for r in roots if r.value.imag > 0]
+
+    def key(root):
+        # a pair shares the (|im|, re) of its + root: for a - root, that of
+        # the + root nearest its conjugate, which at a low bit cap may
+        # differ from its own in the last bits
+        z = root.value
+        if z.imag < 0:
+            z = min(ups, key=lambda w: abs(w - z.conjugate()), default=z)
+        return abs(z.imag), z.real, -root.value.imag
+    roots.sort(key=key)
     gap, bound = min(((g << bits - b, r << bits - b) for g, r, b in margins),
                      key=lambda gb: gb[0] - gb[1])
     return roots, FactorCertificate(_degree(factor), bits, gap, bound)

@@ -37,3 +37,25 @@ def _entry(new, old, better):
 def test_gain_shown_needs_nine_of_ten_pairs_and_the_old_spread(new, better,
                                                                shown):
     assert bench_record.gain_shown(_entry(new, OLD, better)) is shown
+
+
+ANALYZE_NAMES = ["analyze_%dx%d_s" % (n, n) for n in range(2, 7)]
+
+
+def test_analyze_by_n_times_each_size():
+    values, status = bench_record.in_process(str(_PATH.parents[1]),
+                                             bench_record.ANALYZE_BY_N)
+    assert sorted(values) == ANALYZE_NAMES
+    assert all(isinstance(values[name], float) and values[name] > 0
+               for name in ANALYZE_NAMES)
+    assert status == {"failed": 0, "attempted": 600, "correct": True}
+
+
+def test_analyze_by_n_is_null_on_a_side_without_the_api(tmp_path):
+    # an older checkout whose torfill has no spectral.analyze
+    (tmp_path / "src" / "torfill").mkdir(parents=True)
+    (tmp_path / "src" / "torfill" / "__init__.py").write_text("")
+    values, status = bench_record.in_process(str(tmp_path),
+                                             bench_record.ANALYZE_BY_N)
+    assert values == dict.fromkeys(ANALYZE_NAMES)
+    assert status == {"failed": 0, "attempted": 0, "correct": True}

@@ -839,13 +839,30 @@ def test_startup_imports_no_dataclasses_or_fractions():
     assert proc.stdout == "\n\n"
 
 
-def test_closed_stdout_ends_quietly_with_exit_0():
-    # `torfill torsion ... | head -1`: the reader stops after one line
+def _cli_env(**extra):
+    """The environment of a `python -m torfill.cli` subprocess."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _tampered_certificate(tmp_path, capsys):
+    """A certificate file whose first trace cost was raised by 1000, which
+    `fill --verify` rejects with exit 2."""
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["trace"][0]["cost"] = str(int(obj["trace"][0]["cost"]) + 1000)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_closed_stdout_ends_quietly_with_exit_0():
+    # `torfill torsion ... | head -1`: the reader stops after one line
     proc = subprocess.Popen(
         [sys.executable, "-m", "torfill.cli", "torsion", "-m", "2,1;1,1",
-         "--kmax", "3000"], env=dict(os.environ, PYTHONPATH=path),
+         "--kmax", "3000"], env=_cli_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     with proc:
         first = proc.stdout.readline()
@@ -862,18 +879,10 @@ def test_closed_stdout_keeps_the_exit_code_of_a_failed_verify(
     # `torfill fill --verify bad.json | true`: the reader leaves before the
     # first line is read, and the rejection must still end with exit 2, when
     # the pipe breaks at the final flush and when it breaks at the first write
-    path = tmp_path / "cert.json"
-    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
-    capsys.readouterr()
-    obj = json.loads(path.read_text())
-    obj["trace"][0]["cost"] = str(int(obj["trace"][0]["cost"]) + 1000)
-    path.write_text(json.dumps(obj))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env_path = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    path = _tampered_certificate(tmp_path, capsys)
     proc = subprocess.Popen(
         [sys.executable, "-m", "torfill.cli", "fill", "--verify", str(path)],
-        env=dict(os.environ, PYTHONPATH=env_path, PYTHONUNBUFFERED=unbuffered),
+        env=_cli_env(PYTHONUNBUFFERED=unbuffered),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     with proc:
         proc.stdout.close()
@@ -882,6 +891,30 @@ def test_closed_stdout_keeps_the_exit_code_of_a_failed_verify(
     assert code == 2
     assert b"verification diagnostics: trace costs sum to" in err
     assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["input error", "failed verify",
+                                  "usage error"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, capsys, case):
+    # `torfill ... 2>&1 | true`: stderr is a pipe whose reader has left
+    # before the command starts, so its first message breaks the pipe
+    argv, code, out = {
+        "input error": (["reduce", "-m", "1,2;3"], 3, b""),
+        "failed verify": (["fill", "--verify",
+                           str(_tampered_certificate(tmp_path, capsys))], 2,
+                          b"verified=False"),
+        "usage error": (["bounds"], 3, b""),
+    }[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torfill.cli", *argv],
+                              env=_cli_env(), stdout=subprocess.PIPE,
+                              stderr=write_end, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert out in proc.stdout
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

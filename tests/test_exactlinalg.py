@@ -138,7 +138,7 @@ def _coker_from_snf(a):
 def test_coker_structure_matches_snf(monkeypatch):
     rng = random.Random(73)
     cases = _determinantal_cases()
-    for n in range(1, 5):
+    for n in range(1, 6):
         cases.append(IntMatrix(((0,) * n,) * n))
         for _ in range(125):
             a = random_matrix(rng, n, n, span=rng.choice((2, 9, 10 ** 6)))
@@ -149,7 +149,7 @@ def test_coker_structure_matches_snf(monkeypatch):
             cases.append(a)
     assert sum(a.is_square() and det_exact(a) == 0 for a in cases) > 100
     expected = [_coker_from_snf(a) for a in cases]
-    # up to 4 x 4 no Smith form is computed
+    # up to 5 x 5 no Smith form is computed
     from torfill import exactlinalg
     monkeypatch.setattr(exactlinalg, "snf", None)
     for a, want in zip(cases, expected):
@@ -178,7 +178,28 @@ def test_coker_structure_of_powers_minus_identity(monkeypatch):
         assert coker_structure(a.data) == want, a.data
 
 
-def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
+def test_coker_structure_of_5x5_powers_minus_identity(monkeypatch):
+    # 5 x 5 rows of torsion tables, read off the minors: A^k - I for
+    # k = 1..40, whose entries pass 2^64; diag(companion, 2), with the
+    # companion of (x^2 + 1)(x^2 - 3x + 1), has rank 3 for 4 | k
+    rng = random.Random(97)
+    companion = ((0, 0, 0, -1, 0), (1, 0, 0, 3, 0), (0, 1, 0, -2, 0),
+                 (0, 0, 1, 3, 0), (0, 0, 0, 0, 2))
+    bases = [random_matrix(rng, 5, 5, span=5) for _ in range(3)] + \
+        [IntMatrix(companion)]
+    cases = [power_minus_identity(a, k) for a in bases for k in range(1, 41)]
+    assert max(a.max_abs() for a in cases) > 2 ** 64
+    expected = [_coker_from_snf(a) for a in cases]
+    assert [k for k, want in enumerate(expected[-40:], 1)
+            if want.free_rank] == list(range(4, 41, 4))
+    assert sum(len(want.torsion_factors) > 1 for want in expected) > 20
+    from torfill import exactlinalg
+    monkeypatch.setattr(exactlinalg, "snf", None)
+    for a, want in zip(cases, expected):
+        assert coker_structure(a.data) == want, a.data
+
+
+def test_coker_structure_beyond_5x5_takes_the_smith_form(monkeypatch):
     from torfill import exactlinalg
     calls = []
 
@@ -187,7 +208,7 @@ def test_coker_structure_beyond_4x4_takes_the_smith_form(monkeypatch):
         return snf(a)
 
     monkeypatch.setattr(exactlinalg, "snf", counting)
-    a = random_matrix(random.Random(79), 5, 5, span=5)
+    a = random_matrix(random.Random(79), 6, 6, span=5)
     want = _coker_from_snf(a)
     assert coker_structure(a.data) == want
     assert [m.data for m in calls] == [a.data]

@@ -241,6 +241,13 @@ def test_conjugate_pairs_put_the_plus_root_first():
         firsts = [z for z, w in zip(values, values[1:])
                   if z.imag and w == z.conjugate()]
         assert len(firsts) == pairs and all(z.imag > 0 for z in firsts)
+    # at 25 digits the two roots of the pair stop refining apart, so their
+    # doubles differ in the last bits: the pair still keeps the + root first
+    values = [r.value for r in analyze(IntMatrix(
+        ((0, 0, 12345678), (1, 0, -12345678), (0, 1, 12345679))), 25).roots]
+    assert values[1] != values[2].conjugate()
+    assert values[1].imag > 0 > values[2].imag
+    assert abs(values[1] - values[2].conjugate()) < 1e-12
 
 
 def test_entropy_examples():

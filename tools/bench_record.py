@@ -25,8 +25,11 @@ times in process, with that side's src/ on PYTHONPATH:
 - then `torsion --kmax 40` on 20 4x4 and on 20 5x5 matrices with entries
   in [-5, 5], each size from its own `Random(12001)`: `torsion_4x4_s` and
   `torsion_5x5_s`, the wall time of each 20, null when one of them fails.
-  Cokernels up to 4x4 are read off determinantal divisors and larger ones
-  off the Smith form, so the pair shows each route.
+A second subprocess per side then times `torfill.spectral.analyze` on 40
+nxn matrices with entries in [-5, 5] for n = 2..6, each n from its own
+`Random(12001)`: `analyze_2x2_s` .. `analyze_6x6_s`, the least wall time
+of each 40 over 3 rounds, null when one of them fails or the side lacks
+that API.
 These go under "3x3" in the same layout as a workload.
 
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
@@ -125,6 +128,39 @@ THREE_BY_THREE = textwrap.dedent("""
                    "correct": failed == 0}}))
 """)
 
+ANALYZE_BY_N = textwrap.dedent("""
+    import json, random, time
+    try:
+        from torfill.errors import TorfillError
+        from torfill.exactlinalg import IntMatrix
+        from torfill.spectral import analyze
+    except ImportError:
+        analyze = None
+    values, failed = {}, 0
+    for n in range(2, 7):
+        seconds = None
+        if analyze is not None:
+            rng = random.Random(12001)
+            mats = [IntMatrix([[rng.randint(-5, 5) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(40)]
+            times, fails = [], 0
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for a in mats:
+                    try:
+                        analyze(a)
+                    except TorfillError:
+                        fails += 1
+                times.append(time.perf_counter() - t0)
+            seconds = min(times) if not fails else None
+            failed += fails
+        values["analyze_%dx%d_s" % (n, n)] = seconds
+    attempted = 600 if analyze is not None else 0
+    print(json.dumps({"values": values,
+                      "status": {"failed": failed, "attempted": attempted,
+                                 "correct": failed == 0}}))
+""")
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -190,10 +226,11 @@ def bench_run(root, workload):
                                                  "correct")}
 
 
-def three_by_three(root):
-    """The 3x3 numbers of one side: ({metric: value}, status)."""
+def in_process(root, script):
+    """Run a timing script with root's src/ on PYTHONPATH: ({metric:
+    value}, status) from its last line."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", THREE_BY_THREE], cwd=root,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
                           env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -201,6 +238,18 @@ def three_by_three(root):
                            % (root, proc.returncode, proc.stderr[-2000:]))
     result = json.loads(lines[-1])
     return result["values"], result["status"]
+
+
+def three_by_three(root):
+    """The 3x3 numbers of one side, with analyze by n: ({metric: value},
+    status)."""
+    values, status = in_process(root, THREE_BY_THREE)
+    more, more_status = in_process(root, ANALYZE_BY_N)
+    values.update(more)
+    failed = status["failed"] + more_status["failed"]
+    return values, {"failed": failed, "correct": failed == 0,
+                    "attempted": status["attempted"]
+                    + more_status["attempted"]}
 
 
 def spread(values):
