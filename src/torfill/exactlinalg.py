@@ -154,29 +154,30 @@ def charpoly(a: IntMatrix) -> tuple:
     """Monic characteristic polynomial, coefficients descending.
 
     Faddeev-LeVerrier recursion; the per-step trace divisions are exact over
-    the integers, so every intermediate stays integral.  Of the last
-    product only the trace is used, so only its diagonal is computed.
+    the integers, so every intermediate stays integral.  Each M_k is kept
+    as its list of columns, so that column j of A M is A times column j of
+    M; of the last product only the trace is used, so only its diagonal is
+    computed.
     """
     if not a.is_square():
         raise NonSquare("charpoly of a non-square matrix")
-    n = a.rows
+    n, rows = a.rows, a.data
     coeffs = [1]
-    m = a.data
-    trace = sum(m[i][i] for i in range(n))
+    cols = [list(col) for col in zip(*rows)]
+    trace = sum(rows[i][i] for i in range(n))
     for k in range(1, n + 1):
         q, r = divmod(-trace, k)
         _check(r == 0, "Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         if k < n:
-            m = [list(row) for row in m]
-            for i in range(n):
-                m[i][i] += q
+            for j in range(n):
+                cols[j][j] += q
             if k < n - 1:
-                m = _mul_rows(a.data, m)
-                trace = sum(m[i][i] for i in range(n))
+                cols = [[sum(map(mul, row, col)) for row in rows]
+                        for col in cols]
+                trace = sum(cols[i][i] for i in range(n))
             else:
-                trace = sum(sum(map(mul, a.data[i], (row[i] for row in m)))
-                            for i in range(n))
+                trace = sum(sum(map(mul, rows[i], cols[i])) for i in range(n))
     return tuple(coeffs)
 
 
