@@ -234,7 +234,7 @@ def in_process(root, script):
                           env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise RuntimeError("3x3 run in %s exited %d: %s"
+        raise RuntimeError("timing script in %s exited %d: %s"
                            % (root, proc.returncode, proc.stderr[-2000:]))
     result = json.loads(lines[-1])
     return result["values"], result["status"]
