@@ -214,9 +214,9 @@ POLYS = _polynomials()
 
 def test_inputs_force_every_fallback():
     # each shortcut is exercised on both of its branches
-    assert sum(_degree(spectral._primitive(p)) > 0 and not _coprime(
-        spectral._primitive(p), _deriv(spectral._primitive(p)))
-        for p in POLYS) > 50
+    primitive = [spectral._primitive(p) for p in POLYS]
+    assert sum(_degree(p) > 0 and not _coprime(p, _deriv(p))
+               for p in primitive) > 50
     assert sum(p[0] % _PRIME == 0 for p in POLYS) > 20
     assert sum(bool(split_cyclotomic(p)[0]) for p in POLYS) > 50
     assert sum(not any(p[1::2]) for p in POLYS) > 5  # even polynomials
