@@ -25,6 +25,9 @@ EXIT_INPUT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error.  The top-level parser built by
+    build_parser also holds `commands`, each command's subparser by name."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
@@ -93,6 +96,7 @@ def build_parser() -> _Parser:
                      description="Exact filling certificates and spectral "
                                  "invariants for torus self-maps.")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     p = subs.add_parser("bounds", help="spectral radius, entropy, lower bound")
     _add_matrix_args(p)
@@ -330,12 +334,27 @@ _COMMANDS = {
 }
 
 
+def _parse(parser, argv):
+    """parser.parse_args(argv), with a known command handed straight to its
+    subparser: the same namespace, and the same usage error, through
+    parser.error, for leftover arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     streams = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = _Closable(sys.stdout), _Closable(sys.stderr)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         if args.command == "fill" and args.max_expand < args.box:
             parser.error("fill: --max-expand %d is below --box %d"
                          % (args.max_expand, args.box))

@@ -9,10 +9,14 @@ certificates, found once by exact Diophantine solving and shipped as
 package data that is re-verified on load.  Every move and reduction step
 returns a Piece: symbolic per-move chunks (a base key, an integer column
 matrix and a coefficient), each tagged with its move's kind, that carry no
-cycles.  Piece.certificate(claim) builds each chunk's witness chain once,
-assembles it with one MoveRecord per chunk, and verifies it against the
-target its caller claims; reduce_parallelogram claims Q(A) - R(det A, 1..1)
-and fills it by one column walk of shears for every A, n <= 3.
+cycles.  Piece.certificate(claim) assembles the witness by folding each
+chunk's lifted simplices directly into it, with one MoveRecord per chunk,
+builds the target its caller claims once, and verifies the witness against
+it; Chunk.terms, one chunk's terms on their own, is kept for
+reduce._realized_cost and perfbench's assemble span.  reduce_parallelogram
+claims Q(A) - R(det A, 1..1) and fills it by one column walk of shears for
+every A, n <= 3; a shear's piece depends on its quotient alone and is
+memoised.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

@@ -5,15 +5,19 @@ reduction built it, the move trace: one MoveRecord of the move's kind and
 marginal cost per move, which verify_certificate checks against the cost.
 
 A Piece is the one form of a certificate in progress, and it is symbolic: a
-list of witness chunks, one per move, each tagged with the move's kind.  A
+tuple of witness chunks, one per move, each tagged with the move's kind.  A
 chunk names a base key, an integer column matrix F = [f | v_1..v_d] and a
 coefficient; it stands for coeff * F_*(base witness prism-lifted d times).
-A piece carries no target.  Piece.certificate(claim) builds the target
-from the cycles its caller claims the piece fills and verifies the
-assembled witness against it, so a schedule that drops or alters a move
-fails there.  Pieces add like elements of the chain group; pushforwards and
-prism lifts act on the columns only.  Each witness chain is built once, in
-Piece.assemble, so the per-move costs are the costs actually realized.
+A piece carries no target and is immutable, so a memoised piece can be
+shared.  Piece.certificate(claim) builds the target once from the cycles its
+caller claims the piece fills and verifies the assembled witness against
+it, so a schedule that drops or alters a move fails there.  Pieces add like
+elements of the chain group; pushforwards and prism lifts act on the
+columns only.  Piece.assemble folds each chunk's lifted simplices straight
+into the witness dict, with no dict per chunk, so the per-move costs are the
+costs actually realized.  Chunk.terms, the merged terms of one chunk, is
+kept for reduce._realized_cost, which costs a shear without assembling it,
+and for perfbench's assemble span, which counts chunk simplices.
 
 lifted(key, d) memoises each lifted base witness as an index table: its
 distinct vertices, the origin first, and each simplex as a getter over the
@@ -129,16 +133,21 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
         n, k = t.ambient_dim, t.degree
         if presentation_chain(n, k, presentation) != t:
             diagnostics.append("presentation does not reproduce the target")
-        cls = class_sum(n, k, presentation)
-        if any(cls):
-            diagnostics.append("presentation class sum nonzero: %r" % (cls,))
+        diagnostics += _class_diagnostics(n, k, presentation)
     return (not diagnostics), diagnostics
 
 
-def require_valid(cert: FillingCertificate, presentation=None):
-    ok, diagnostics = verify_certificate(cert, presentation)
-    if not ok:
-        raise VerificationFailure("; ".join(diagnostics))
+def _class_diagnostics(ambient_dim, degree, presentation) -> list:
+    cls = class_sum(ambient_dim, degree, presentation)
+    return ["presentation class sum nonzero: %r" % (cls,)] if any(cls) else []
+
+
+def require_valid(cert: FillingCertificate, diagnostics=()):
+    """cert, unless verify_certificate or the caller's own diagnostics
+    name a defect."""
+    found = verify_certificate(cert)[1] + list(diagnostics)
+    if found:
+        raise VerificationFailure("; ".join(found))
     return cert
 
 
@@ -214,44 +223,59 @@ class Chunk(NamedTuple):
         """d, the number of prism-lift columns after the base columns."""
         return len(self.columns) - _shape(self.source)[0]
 
-    @property
-    def terms(self) -> dict:
-        """The chunk's witness terms, built from its base witness.
+    def fold(self, acc) -> int:
+        """Add the chunk's lifted simplices into the terms dict acc, one at
+        a time, and return the change of acc's l^1 norm.
 
         Every lifted simplex is canonical and F(0) = 0, so each image
         simplex is canonical as indexed: F maps each distinct vertex once."""
-        if not self.coeff:
-            return {}
+        k = self.coeff
+        if not k:
+            return 0
         points, simplices = lifted(self.source, self.depth)
         images = list(map(linear_map(self.columns), points))
-        k = self.coeff
-        acc = {}
         get = acc.get
+        change = 0
         for pick, coeff in simplices:
             s = pick(images)
-            acc[s] = get(s, 0) + k * coeff
-        return {s: v for s, v in acc.items() if v}
+            old = get(s, 0)
+            new = old + k * coeff
+            change += abs(new) - abs(old)
+            if new:
+                acc[s] = new
+            else:  # k * coeff != 0, so old was not
+                del acc[s]
+        return change
+
+    @property
+    def terms(self) -> dict:
+        """The chunk's witness terms on their own, built from its base
+        witness; Piece.assemble folds chunks without them."""
+        acc = {}
+        self.fold(acc)
+        return acc
 
 
 class Piece:
-    """Certificate in progress: [(kind, Chunk)], one pair per move, where
-    kind names the move for its MoveRecord: Piece.move derives it from the
-    chunk's base key, and marked() gives it for a marker chunk.
+    """Certificate in progress: ((kind, Chunk), ...), one pair per move,
+    where kind names the move for its MoveRecord: Piece.move derives it from
+    the chunk's base key, and marked() gives it for a marker chunk.
 
     A piece holds no chains and no cycles: assemble() builds the witness,
     and certificate(claim) checks it against the target its caller claims.
+    Its chunks are a tuple and no method changes them.
     """
 
     __slots__ = ("ambient_dim", "degree", "chunks")
 
-    def __init__(self, ambient_dim: int, degree: int, chunks: list):
+    def __init__(self, ambient_dim: int, degree: int, chunks: tuple):
         self.ambient_dim = ambient_dim
         self.degree = degree  # degree of the target cycle
         self.chunks = chunks
 
     @staticmethod
     def zero(ambient_dim: int, degree: int) -> "Piece":
-        return Piece(ambient_dim, degree, [])
+        return Piece(ambient_dim, degree, ())
 
     @staticmethod
     def move(key, columns) -> "Piece":
@@ -263,13 +287,13 @@ class Piece:
         m, k = _shape(key)
         kind = "ZERO_GEN" if key[0] == "ZERO" else key[0]
         return Piece(len(columns[0]), k + len(columns) - m,
-                     [(kind, Chunk(key, columns, 1))])
+                     ((kind, Chunk(key, columns, 1)),))
 
     def marked(self, kind) -> "Piece":
         """This piece with a marker chunk (no witness) appended; it records
         a move of the given kind at cost 0."""
-        return Piece(self.ambient_dim, self.degree, self.chunks + [
-            (kind, Chunk(None, (), 0))])
+        return Piece(self.ambient_dim, self.degree, self.chunks + (
+            (kind, Chunk(None, (), 0)),))
 
     def __add__(self, other: "Piece") -> "Piece":
         _check((self.ambient_dim, self.degree)
@@ -286,31 +310,31 @@ class Piece:
     def scale(self, k: int) -> "Piece":
         if k == 1:
             return self
-        return Piece(self.ambient_dim, self.degree, [
+        return Piece(self.ambient_dim, self.degree, tuple(
             (kind, Chunk(ch.source, ch.columns, k * ch.coeff))
-            for kind, ch in self.chunks])
+            for kind, ch in self.chunks))
 
     def pushforward(self, columns) -> "Piece":
         """Realize the piece along the integral map e_i -> columns[i]
         (l^1 non-increasing)."""
         image = linear_map(columns)
-        return Piece(len(columns[0]), self.degree, [
+        return Piece(len(columns[0]), self.degree, tuple(
             (kind, Chunk(ch.source, tuple(map(image, ch.columns)), ch.coeff))
-            for kind, ch in self.chunks])
+            for kind, ch in self.chunks))
 
     def prism_lift(self, v) -> "Piece":
         """Apply the prism of v to target and witness (cost factor <= k+2)."""
         v = tuple(int(x) for x in v)
-        return Piece(self.ambient_dim, self.degree + 1, [
+        return Piece(self.ambient_dim, self.degree + 1, tuple(
             (kind, Chunk(ch.source, ch.columns + (v,), ch.coeff))
-            for kind, ch in self.chunks]).marked("PRISM_LIFT")
+            for kind, ch in self.chunks)).marked("PRISM_LIFT")
 
     def assemble(self):
-        """(witness, records): each chunk's chain is built once and merged in
-        one dict pass, with marginal costs telescoping to l1(witness).  A
-        chunk's class is Lambda^k F of its lifted universal presentation's,
-        so checking that class vanishes once per (key, d) checks every
-        chunk's."""
+        """(witness, records): each chunk's lifted simplices are folded
+        straight into one dict, with marginal costs telescoping to
+        l1(witness).  A chunk's class is Lambda^k F of its lifted universal
+        presentation's, so checking that class vanishes once per (key, d)
+        checks every chunk's."""
         for key, d in {(chunk.source, chunk.depth)
                        for _, chunk in self.chunks if chunk.coeff}:
             lifted_presentation(key, d)
@@ -318,16 +342,9 @@ class Piece:
         norm = 0
         records = []
         for kind, chunk in self.chunks:
-            before = norm
-            for simplex, coeff in chunk.terms.items():
-                old = acc.get(simplex, 0)
-                new = old + coeff
-                norm += abs(new) - abs(old)
-                if new:
-                    acc[simplex] = new
-                elif simplex in acc:
-                    del acc[simplex]
-            records.append(MoveRecord(kind, norm - before))
+            cost = chunk.fold(acc)
+            norm += cost
+            records.append(MoveRecord(kind, cost))
         witness = TorusChain(self.ambient_dim, self.degree + 1, acc)
         if norm != l1_norm(witness):
             raise VerificationFailure("move costs sum to %d, not l1(witness)"
@@ -341,6 +358,8 @@ class Piece:
         unless the witness's boundary is that target and the claim's class
         sum vanishes."""
         witness, records = self.assemble()
-        target = presentation_chain(self.ambient_dim, self.degree, claim)
-        cert = FillingCertificate.build(target, witness, records)
-        return require_valid(cert, presentation=claim)
+        n, k = self.ambient_dim, self.degree
+        cert = FillingCertificate.build(presentation_chain(n, k, claim),
+                                        witness, records)
+        # the target is the claim's chain, so only its class is left to check
+        return require_valid(cert, _class_diagnostics(n, k, claim))

@@ -145,8 +145,9 @@ def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
     doubling/halving schedule.  Move count is O(log al)."""
     moves, trace = s1_moves(a, l)
-    return Piece(1, 2, [pair for sign, key, columns in moves for pair
-                        in Piece.move(key, columns).scale(sign).chunks]), trace
+    chunks = tuple(pair for sign, key, columns in moves
+                   for pair in Piece.move(key, columns).scale(sign).chunks)
+    return Piece(1, 2, chunks), trace
 
 
 def slide(u0, m, w) -> Piece:

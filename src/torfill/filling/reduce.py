@@ -145,10 +145,12 @@ def _slide_is_cheaper(q) -> bool:
     return _realized_cost(slide) < _realized_cost(_dehn_shear(q))
 
 
+@functools.lru_cache(maxsize=1024)
 def _shear(q) -> Piece:
     """Piece filling Q(e1, e2) - Q(e1, e2 - q*e1) in T^2 for q != 0, the
     cheaper of DEHN chunks and one slide.  Pushed along a unimodular [v | w]
-    it fills Q(v, w) - Q(v, w - q*v) at the same cost."""
+    it fills Q(v, w) - Q(v, w - q*v) at the same cost.  Memoised: it
+    depends on q alone, and a piece is immutable."""
     if q < 0:
         # the shear by -q from the shifted columns [e1 | e2 - q*e1], negated
         return -_shear(-q).pushforward([_E1, (-q, 1)])
@@ -242,7 +244,7 @@ def _sheared(cols, det):
         if q:
             chunks += _column_shear(cols, i, j, q).chunks
             cols[i] = _add_vec(cols[i], _scale_vec(-q, cols[j]))
-    return Piece(len(cols), len(cols), chunks), cols
+    return Piece(len(cols), len(cols), tuple(chunks)), cols
 
 
 def _fill_dependent(cols) -> Piece:

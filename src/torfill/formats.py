@@ -8,7 +8,9 @@ simplex, where vertices are indices into points.  A certificate container
 carries version (2), ambient_dim, degree, and the certificate's target,
 witness, cost and move trace, a list of records {kind, cost}: the move's
 kind and its marginal cost.  A file is ``json.dumps(obj, sort_keys=True)``
-of its object and a newline; the shipped base table is in this layout.
+of its object and a newline; the shipped base table is in this layout.  The
+writer spells that text out itself, in one pass, with no object per simplex;
+the reader checks each list of decimal strings at once.
 
 The reader accepts only that spelling: a coefficient, coordinate or cost is
 a string equal to ``str()`` of its integer, a trace is a list and its kinds
@@ -27,8 +29,10 @@ NEGATE, which MoveRecord no longer lists.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .chains import TorusChain
 from .errors import DimensionMismatch, InputParseError
@@ -75,6 +79,16 @@ def _int(text) -> int:
     return value
 
 
+def _ints(texts) -> tuple:
+    """The integers of a list of decimal strings, each spelled exactly as
+    str() writes it; the list is checked at once."""
+    values = tuple(map(int, texts))
+    if list(map(str, values)) != texts:
+        raise ValueError("not a canonical decimal string: %r" % next(
+            t for t, v in zip(texts, values) if str(v) != t))
+    return values
+
+
 def _json_int(value) -> int:
     if type(value) is not int:  # refuses booleans, floats and strings
         raise ValueError("not a JSON integer: %r" % (value,))
@@ -89,16 +103,22 @@ def _list(value):
 
 # --- chains ------------------------------------------------------------------
 
-def chain_to_obj(c: TorusChain) -> dict:
-    """The chain object of c, its file layout."""
+def _chain_text(c: TorusChain) -> str:
+    """The chain object of c, its file layout, as json.dumps(obj,
+    sort_keys=True) spells it."""
     index = {}  # vertex -> its position in points
-    terms = []
-    for simplex in sorted(c.terms):
-        terms.append({"coeff": str(c.terms[simplex]),
-                      "vertices": [index.setdefault(v, len(index))
-                                   for v in simplex]})
-    return {"ambient_dim": c.ambient_dim, "degree": c.degree,
-            "points": [list(map(str, v)) for v in index], "terms": terms}
+    at = index.setdefault
+    terms = c.terms
+    # the records first: they number the points in order of first use
+    records = ", ".join([
+        '{"coeff": "%d", "vertices": [%s]}' % (
+            terms[simplex],
+            ", ".join([str(at(v, len(index))) for v in simplex]))
+        for simplex in sorted(terms)])
+    points = ", ".join([
+        '["%s"]' % '", "'.join(map(str, v)) if v else "[]" for v in index])
+    return ('{"ambient_dim": %d, "degree": %d, "points": [%s], "terms": [%s]}'
+            % (c.ambient_dim, c.degree, points, records))
 
 
 def _inline_to_table(obj) -> dict:
@@ -121,26 +141,31 @@ def obj_to_chain(obj) -> TorusChain:
             raise ValueError("ambient_dim %d and degree %d must not be"
                              " negative" % (n, k))
         table = obj if "points" in obj else _inline_to_table(obj)
-        points = []  # int tuples
-        for v in _list(table["points"]):
+        texts = _list(table["points"])
+        for v in texts:
             if len(_list(v)) != n:
                 raise ValueError("point %r is not in T^%d" % (v, n))
-            points.append(tuple(map(_int, v)))
+        # every coordinate of the chain at once, then n to a point
+        coords = _ints(list(itertools.chain.from_iterable(texts)))
+        points = list(zip(*[iter(coords)] * n)) if n else [()] * len(texts)
         size = len(points)
-        pairs = []
-        for record in table["terms"]:
+        get = points.__getitem__
+        records = table["terms"]
+        simplices = []
+        for record in records:
             indices = _list(record["vertices"])
             for i in indices:
                 if type(i) is not int or not 0 <= i < size:
                     raise ValueError("vertex index %r is not in range(%d)"
                                      % (i, size))
-            simplex = tuple(points[i] for i in indices)
+            simplex = tuple(map(get, indices))
             if not simplex:
                 raise ValueError("a simplex needs at least one vertex")
             if any(simplex[0]):
                 raise ValueError("non-canonical simplex %r" % (simplex,))
-            pairs.append((simplex, _int(record["coeff"])))
-        return TorusChain.from_pairs(n, k, pairs)
+            simplices.append(simplex)
+        coeffs = _ints([record["coeff"] for record in records])
+        return TorusChain.from_pairs(n, k, zip(simplices, coeffs))
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise InputParseError("bad chain object: %s" % exc) from None
 
@@ -154,18 +179,16 @@ def _strings_to_ints(value):
 
 
 def write_certificate(fh, cert: FillingCertificate):
-    """Write the certificate container, and a final newline, to text file fh.
-
-    json.dumps without indent runs on the C encoder."""
-    fh.write(json.dumps({
-        "version": FORMAT_VERSION,
-        "ambient_dim": cert.target.ambient_dim,
-        "degree": cert.target.degree,
-        "target": chain_to_obj(cert.target),
-        "witness": chain_to_obj(cert.witness),
-        "cost": str(cert.cost),
-        "trace": [{"cost": str(r.cost), "kind": r.kind} for r in cert.trace],
-    }, sort_keys=True) + "\n")
+    """Write the certificate container, and a final newline, to text file
+    fh: json.dumps(obj, sort_keys=True) of its object, spelled out in one
+    pass with no object per simplex."""
+    fh.write('{"ambient_dim": %d, "cost": "%d", "degree": %d, "target": %s,'
+             ' "trace": [%s], "version": %d, "witness": %s}\n' % (
+                 cert.target.ambient_dim, cert.cost, cert.target.degree,
+                 _chain_text(cert.target), ", ".join([
+                     '{"cost": "%d", "kind": %s}' % (r.cost, _json_str(r.kind))
+                     for r in cert.trace]),
+                 FORMAT_VERSION, _chain_text(cert.witness)))
 
 
 def _move_record(r) -> MoveRecord:
@@ -173,7 +196,8 @@ def _move_record(r) -> MoveRecord:
     files are checked as integers, then dropped."""
     if type(r["kind"]) is not str:
         raise ValueError("trace kind %r is not a string" % (r["kind"],))
-    _strings_to_ints(r.get("params", []))
+    if "params" in r:
+        _strings_to_ints(r["params"])
     for x in r.get("class_delta", ()):
         _int(x)
     return MoveRecord(r["kind"], _int(r["cost"]))
@@ -218,13 +242,19 @@ def save_certificate(path, cert: FillingCertificate):
         write_certificate(fh, cert)
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is not a JSON value" % name)
+
+
 def _load_json(path, what):
-    """The JSON object in the file at path; an unreadable file, bad JSON or
-    nesting deeper than the parser's recursion limit is an input error."""
+    """The JSON object in the file at path; an unreadable file, text that
+    is not UTF-8, bad JSON (NaN and Infinity included, which json.load
+    would read as floats) or nesting deeper than the parser's recursion
+    limit is an input error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError("cannot read %s %s: %s"
                               % (what, path, exc)) from None
 

@@ -59,3 +59,41 @@ def test_analyze_by_n_is_null_on_a_side_without_the_api(tmp_path):
                                              bench_record.ANALYZE_BY_N)
     assert values == dict.fromkeys(ANALYZE_NAMES)
     assert status == {"failed": 0, "attempted": 0, "correct": True}
+
+
+ROUND_TRIP_NAMES = ["round_trip_%s_s" % layer
+                    for layer in ("load", "reduce", "save", "verify")]
+
+
+def test_round_trip_times_each_layer():
+    values, status = bench_record.in_process(str(_PATH.parents[1]),
+                                             bench_record.ROUND_TRIP)
+    assert sorted(values) == ROUND_TRIP_NAMES
+    assert all(isinstance(values[name], float) and values[name] > 0
+               for name in ROUND_TRIP_NAMES)
+    assert status == {"failed": 0, "attempted": 150, "correct": True}
+
+
+def test_round_trip_draws_the_benchmark_words():
+    # the script's words are perfbench's reduce-sl2 words at seed 12001
+    import random
+    import sys
+    sys.path.insert(0, str(_PATH.parents[1] / "perfbench"))
+    try:
+        from workloads import sl2_word
+    finally:
+        sys.path.remove(str(_PATH.parents[1] / "perfbench"))
+    scope = {}
+    exec(bench_record.ROUND_TRIP.split("names = (")[0], scope)
+    ours, theirs = random.Random(12001), random.Random(12001)
+    assert ([scope["sl2_word"](ours) for _ in range(50)]
+            == [sl2_word(theirs) for _ in range(50)])
+
+
+def test_round_trip_is_null_on_a_side_without_the_api(tmp_path):
+    (tmp_path / "src" / "torfill").mkdir(parents=True)
+    (tmp_path / "src" / "torfill" / "__init__.py").write_text("")
+    values, status = bench_record.in_process(str(tmp_path),
+                                             bench_record.ROUND_TRIP)
+    assert values == dict.fromkeys(ROUND_TRIP_NAMES)
+    assert status == {"failed": 0, "attempted": 0, "correct": True}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from torfill import psl2z, selftest
+from torfill import cli, psl2z, selftest
 from torfill.chains import TorusChain, faces
 from torfill.cli import build_parser, main
 from torfill.errors import Unfillable
@@ -20,6 +20,8 @@ from torfill.filling import base
 from torfill.filling import reduce as reduction
 from torfill.filling.certificate import Piece, lifted
 from torfill.formats import load_certificate
+
+from layouts import v2_chain_obj
 
 
 def run(capsys, *argv):
@@ -225,11 +227,10 @@ def test_reduce_and_fill_verify_round_trip(tmp_path, capsys):
 def _cycle_file(tmp_path):
     """Q(e1,e2) + Q(-e1,e2), null-homologous with a small-box witness."""
     from torfill.chains import parallelogram_cycle
-    from torfill.formats import chain_to_obj
     z = (parallelogram_cycle([(1, 0), (0, 1)])
          + parallelogram_cycle([(-1, 0), (0, 1)]))
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(chain_to_obj(z)))
+    path.write_text(json.dumps(v2_chain_obj(z)))
     return str(path)
 
 
@@ -245,10 +246,9 @@ def test_fill_cycle_from_file(tmp_path, capsys):
 
 def test_fill_unfillable_exit_code(tmp_path, capsys):
     from torfill.chains import parallelogram_cycle
-    from torfill.formats import chain_to_obj
     z = parallelogram_cycle([(1, 0), (0, 1)])  # fundamental class
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(chain_to_obj(z)))
+    path.write_text(json.dumps(v2_chain_obj(z)))
     code = main(["fill", "--cycle", str(path), "--max-expand", "2"])
     capsys.readouterr()
     assert code == 2
@@ -360,6 +360,45 @@ def test_cached_parser_matches_fresh_processes(tmp_path, capsys):
     assert [code for code, _, _ in same_process] == [3, 0, 0, 0]
     assert same_process == fresh
     assert build_parser() is build_parser()
+
+
+_USAGE_CASES = [
+    ["reduce", "--bogus"], ["reduce", "-m", "1,2;3,4", "extra"], [],
+    ["bogus"], ["-h"], ["reduce", "-h"], ["fvupper", "--jmax", "0"],
+    ["fill", "--verify", "/nonexistent/cert.json"],
+    ["fill", "--cycle", "c.json", "--box", "3", "--max-expand", "2"],
+    ["reduce", "--matrix=2,1;1,1", "--trace"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_CASES,
+                         ids=[" ".join(a) or "none" for a in _USAGE_CASES])
+def test_command_parser_gives_the_full_parsers_output(argv, capsys,
+                                                      monkeypatch):
+    # main hands a known command straight to its subparser; stdout, stderr
+    # and the exit code are those of parsing with the whole tree
+    got = main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse",
+                        lambda parser, argv: parser.parse_args(argv))
+    want = main(argv), capsys.readouterr()
+    assert got == want
+    assert got[0] in (0, 3)
+
+
+def test_command_parser_gives_the_full_parsers_namespace(monkeypatch):
+    parser = build_parser()
+    assert sorted(parser.commands) == sorted(cli._COMMANDS)
+    for argv in (["bounds", "--matrix=2,1;1,1", "--stats"],
+                 ["reduce", "-m", "1,0;0,1", "--out", "x.json"],
+                 ["fvupper", "-m", "2,1;1,1"], ["torsion", "-m", "2"],
+                 ["gelfand", "--matrix-file", "m.txt", "--jmax", "3"],
+                 ["psl2z", "--family", "2", "--power", "0"],
+                 ["fill", "--verify", "c.json"], ["selftest"]):
+        assert vars(cli._parse(parser, argv)) == vars(parser.parse_args(argv))
+    monkeypatch.setattr(sys, "argv", ["torfill", "selftest", "--level",
+                                      "full"])
+    assert vars(cli._parse(parser, None)) == {"command": "selftest",
+                                              "level": "full"}
 
 
 @pytest.mark.parametrize("witness_terms", [[[(0, 0), (1, 0), (1, 1)]], []],

@@ -1,5 +1,6 @@
 """Filling engine: solver, base table, moves, and the reduction pipeline."""
 
+import io
 import math
 import random
 
@@ -21,6 +22,8 @@ from torfill.filling.certificate import (Chunk, MoveRecord, Piece, _lift,
                                         _shape, class_sum, lifted_presentation,
                                         presentation_chain)
 from torfill.filling.moves import move_split, move_zero_gen
+from torfill.filling.reduce import _column_walk, _shear
+from torfill.formats import write_certificate
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -212,6 +215,61 @@ def test_piece_certificate_checks_the_claim():
         dropped.certificate(claim)
     with pytest.raises(VerificationFailure, match="boundary mismatch"):
         piece.certificate([(1, ((5,), (4,)))])
+
+
+def _diagnostics_of(piece, claim):
+    """The diagnostics of the full check: verify_certificate of a piece's
+    assembled witness against the target of claim, with claim as its
+    presentation.  Piece.certificate must report exactly these."""
+    witness, records = piece.assemble()
+    target = presentation_chain(piece.ambient_dim, piece.degree, claim)
+    cert = FillingCertificate.build(target, witness, records)
+    return verify_certificate(cert, claim)[1]
+
+
+def test_piece_certificate_refuses_a_wrong_claim_as_before():
+    a = IntMatrix(((2, 1), (1, 1)))
+    gens = tuple(a.column(j) for j in range(2))
+    piece = _column_walk(gens, 1)
+    right = [(1, gens), (-1, ((1, 0), (0, 1)))]
+    assert piece.certificate(right).target == presentation_chain(2, 2, right)
+    dropped = Piece(2, 2, piece.chunks[1:])
+    for wrong, bad in ((right, dropped),            # boundary mismatch
+                       ([(1, gens)], piece),        # nonzero class sum too
+                       ([(1, gens), (1, gens)], piece)):
+        want = _diagnostics_of(bad, wrong)
+        assert want and want[0].startswith("boundary mismatch on ")
+        with pytest.raises(VerificationFailure) as info:
+            bad.certificate(wrong)
+        assert str(info.value) == "; ".join(want)
+    assert _diagnostics_of(piece, [(1, gens)])[-1] == (
+        "presentation class sum nonzero: (1,)")
+    assert _diagnostics_of(piece, [(1, gens), (1, gens)])[-1] == (
+        "presentation class sum nonzero: (2,)")
+
+
+def _certificate_bytes(rows):
+    buf = io.StringIO()
+    write_certificate(buf, reduce_parallelogram(IntMatrix(rows)).certificate)
+    return buf.getvalue()
+
+
+def test_memoised_shears_give_the_same_certificates():
+    # shear quotients +-q recur across these words, and within each
+    words = [((1, 20), (0, 1)), ((1, 0), (20, 1)), ((1, -20), (0, 1)),
+             ((21, 20), (1, 1)), ((1, 3), (3, 10)), ((10, 3), (3, 1)),
+             ((1, 3, 0), (0, 1, 3), (3, 0, 10))]
+    fresh = []
+    for rows in words:
+        _shear.cache_clear()
+        fresh.append(_certificate_bytes(rows))
+    _shear.cache_clear()
+    assert [_certificate_bytes(rows) for rows in words] == fresh
+    assert [_certificate_bytes(rows) for rows in words[::-1]] == fresh[::-1]
+    assert _shear.cache_info().hits > 0
+    # a cached piece is shared, so it cannot be changed in place
+    assert isinstance(_shear(20).chunks, tuple)
+    assert _shear(20) is _shear(20)
 
 
 # --- chunks ---------------------------------------------------------------------
@@ -520,6 +578,29 @@ def test_tracer_assemble_measure_reads_real_pieces(monkeypatch):
     assert witness_simplices == len(rep.certificate.witness.terms) > 0
     assert chunk_simplices == sum(len(chunk.terms)
                                   for _, chunk in piece.chunks) > 0
+
+
+def test_traced_benchmark_run_completes(tmp_path):
+    # a --trace 1 run of reduce-sl2 reads Chunk.terms and Piece.chunks in
+    # its assemble span; it runs here on this checkout's sources
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    for name in ("src", "BENCHMARK.json"):
+        (tmp_path / name).symlink_to(root / name)
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+         "reduce-sl2", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and not result["failed"]
+    metrics = result["metrics"]
+    assert metrics["filling.certificate.assemble.chunk_simplices"]["value"] > 0
+    assert (metrics["filling.certificate.assemble.witness_simplices"]["value"]
+            > 0)
 
 
 def test_fv_upper_experiment_identity_and_anosov():

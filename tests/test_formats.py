@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -11,76 +12,16 @@ from torfill.chains import TorusChain, parallelogram_cycle
 from torfill.cli import main
 from torfill.errors import InputParseError
 from torfill.exactlinalg import IntMatrix
-from torfill.filling import (BASE_KEYS, FillingCertificate, base_certificate,
-                             reduce_parallelogram)
-from torfill.formats import (chain_to_obj, load_certificate,
-                             obj_to_certificate, obj_to_chain,
-                             parse_matrix_inline, parse_matrix_text,
-                             save_certificate, write_certificate)
+from torfill.filling import (BASE_KEYS, FillingCertificate, MoveRecord,
+                             base_certificate, reduce_parallelogram)
+from torfill.formats import (load_certificate, obj_to_certificate,
+                             obj_to_chain, parse_matrix_inline,
+                             parse_matrix_text, save_certificate,
+                             write_certificate)
+from torfill.selftest import random_sl2_word
 
-
-# --- reference layouts --------------------------------------------------------
-
-# version 1: every record spells out its vertices; its files were
-# json.dump(obj, indent=1, sort_keys=True) and a newline
-
-def v1_chain_obj(c):
-    return {"ambient_dim": c.ambient_dim, "degree": c.degree, "terms": [
-        {"coeff": str(coeff), "vertices": [[str(x) for x in v] for v in simplex]}
-        for simplex, coeff in sorted(c.terms.items())]}
-
-
-# trace records were {kind, params, cost, class_delta} in version 1 files and
-# in version 2 files written before records became {kind, cost}; the reader
-# checks the legacy fields' integers and drops them
-LEGACY_FIELDS = {"params": ["1", [["2", "1"], ["1", "1"]], ["1", "0"]],
-                 "class_delta": ["0"]}
-
-
-def record_obj(r, legacy=False):
-    return dict({"cost": str(r.cost), "kind": r.kind},
-                **(LEGACY_FIELDS if legacy else {}))
-
-
-def v1_certificate_obj(cert):
-    return {
-        "version": 1,
-        "ambient_dim": cert.target.ambient_dim,
-        "degree": cert.target.degree,
-        "target": v1_chain_obj(cert.target),
-        "witness": v1_chain_obj(cert.witness),
-        "cost": str(cert.cost),
-        "trace": [record_obj(r, legacy=True) for r in cert.trace],
-    }
-
-
-def v1_text(obj):
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
-
-
-# version 2: each distinct vertex once, in order of first use over the sorted
-# simplices, and each record's vertices as indices into that table; its files
-# are json.dumps(obj, sort_keys=True) and a newline
-
-def v2_chain_obj(c):
-    terms = v1_chain_obj(c)["terms"]
-    points = list(dict.fromkeys(tuple(v) for r in terms for v in r["vertices"]))
-    position = {p: i for i, p in enumerate(points)}
-    return {"ambient_dim": c.ambient_dim, "degree": c.degree,
-            "points": [list(p) for p in points],
-            "terms": [{"coeff": r["coeff"], "vertices": [
-                position[tuple(v)] for v in r["vertices"]]} for r in terms]}
-
-
-def v2_certificate_obj(cert):
-    return dict(v1_certificate_obj(cert), version=2,
-                target=v2_chain_obj(cert.target),
-                witness=v2_chain_obj(cert.witness),
-                trace=[record_obj(r) for r in cert.trace])
-
-
-def v2_text(obj):
-    return json.dumps(obj, sort_keys=True) + "\n"
+from layouts import (LEGACY_FIELDS, v1_certificate_obj, v1_chain_obj,
+                     v1_text, v2_certificate_obj, v2_chain_obj, v2_text)
 
 
 def test_matrix_inline_and_text():
@@ -98,7 +39,7 @@ def test_matrix_inline_and_text():
 def test_chain_round_trip_big_integers():
     big = 10 ** 40 + 7
     z = parallelogram_cycle([(big, 1), (1, 2)])
-    again = obj_to_chain(chain_to_obj(z))
+    again = obj_to_chain(v2_chain_obj(z))
     assert again == z
 
 
@@ -207,14 +148,65 @@ def test_certificate_writer_matches_reference(tmp_path, make):
 @pytest.mark.parametrize("make", [
     lambda: TorusChain.zero(2, 2),
     lambda: parallelogram_cycle([(10 ** 40 + 7, 1), (1, 2)]),
-    lambda: TorusChain(0, 1, {((), ()): 1}),  # vertices with no coordinate
-], ids=["empty", "big-coordinate", "T^0"])
+    lambda: parallelogram_cycle([(-10 ** 40 - 7, 1), (1, -2)]),
+    lambda: TorusChain(0, 1, {((), ()): 1}),  # points with no coordinate
+], ids=["empty", "big-coordinate", "big-negative", "T^0"])
 def test_chain_writer_matches_reference(make):
+    # the writer spells each chain out itself: a T^0 point is [], not [""]
     chain = make()
-    obj = chain_to_obj(chain)
+    cert = FillingCertificate(chain, TorusChain.zero(chain.ambient_dim,
+                                                     chain.degree + 1), 0)
+    buf = io.StringIO()
+    write_certificate(buf, cert)
+    assert buf.getvalue() == v2_text(v2_certificate_obj(cert))
+    obj = json.loads(buf.getvalue())["target"]
     assert obj == v2_chain_obj(chain)
-    assert obj_to_chain(json.loads(v2_text(obj))) == chain
+    assert obj_to_chain(obj) == chain
     assert obj_to_chain(json.loads(v1_text(v1_chain_obj(chain)))) == chain
+
+
+def test_writer_matches_reference_on_the_benchmark_words():
+    # the 50 seed-12001 words of perfbench's reduce-sl2 workload
+    rng = random.Random(12001)
+    for _ in range(50):
+        cert = reduce_parallelogram(random_sl2_word(rng)).certificate
+        buf = io.StringIO()
+        write_certificate(buf, cert)
+        assert buf.getvalue() == v2_text(v2_certificate_obj(cert))
+
+
+def test_writer_escapes_trace_kinds():
+    # a loaded file may carry any string as a kind; it is written as json
+    # writes it
+    cert = base_certificate(("DEHN", 1))
+    cert = cert._replace(trace=(MoveRecord('quote " \\ \u00e9 \n',
+                                           cert.cost),))
+    buf = io.StringIO()
+    write_certificate(buf, cert)
+    assert buf.getvalue() == v2_text(v2_certificate_obj(cert))
+    assert obj_to_certificate(json.loads(buf.getvalue())).trace == cert.trace
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"cost": "2"', '"cost": Infinity', 1),
+    lambda text: text.replace('["1", "1"]', '["1", -Infinity]', 1),
+    lambda text: text.replace('"coeff": "1"', '"coeff": NaN', 1),
+    lambda text: text.encode() + b"\xff",
+], ids=["Infinity-cost", "-Infinity-coordinate", "NaN-coeff", "not-utf-8"])
+def test_files_python_json_reads_but_json_forbids_are_input_errors(
+        tmp_path, capsys, edit):
+    path = tmp_path / "cert.json"
+    assert main(["reduce", "--matrix=2,1;1,1", "--out", str(path)]) == 0
+    edited = edit(path.read_text())
+    if isinstance(edited, bytes):
+        path.write_bytes(edited)
+    else:
+        assert edited != path.read_text()
+        path.write_text(edited)
+    capsys.readouterr()
+    for option in ("--verify", "--cycle"):
+        assert main(["fill", option, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("input error: cannot read ")
 
 
 def test_version_1_files_load_and_verify(tmp_path, capsys):

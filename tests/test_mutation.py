@@ -15,7 +15,9 @@ import pytest
 
 from torfill.chains import parallelogram_cycle
 from torfill.cli import main
-from torfill.formats import chain_to_obj, load_certificate
+from torfill.formats import load_certificate
+
+from layouts import v2_chain_obj
 
 SEED = 4101
 FILE_MUTANTS = 700      # per original file
@@ -100,7 +102,7 @@ def _call(capsys, argv, note=""):
 def _originals(tmp_path, capsys):
     """Certificate files from reduce and fill --cycle, and the cycle file."""
     cycle = tmp_path / "cycle.json"
-    cycle.write_text(json.dumps(chain_to_obj(
+    cycle.write_text(json.dumps(v2_chain_obj(
         parallelogram_cycle([(1, 0), (0, 1)])
         + parallelogram_cycle([(-1, 0), (0, 1)]))))
     certs = [tmp_path / "reduce2.json", tmp_path / "reduce3.json",

@@ -1,11 +1,13 @@
 """Spectral radius, entropy-type sums, torsion growth, and root certification."""
 
+import cmath
 import itertools
 import math
 import random
 
 import pytest
 
+from torfill.cli import main
 from torfill.errors import PrecisionExhausted
 from torfill.exactlinalg import IntMatrix, det_exact, mat_pow
 from torfill.spectral import (_deriv, _double_seeds, analyze,
@@ -423,6 +425,31 @@ def test_squarefree_and_cyclotomic_helpers():
     assert split_cyclotomic((1, -3, 1)) == ((), (1, -3, 1))
     assert [abs(z - 1) < 1e-12 for z in primitive_roots_of_unity(1)] == [True]
     assert len(primitive_roots_of_unity(12)) == 4
+
+
+@pytest.mark.parametrize("m", [5, 8, 12])
+def test_roots_of_unity_come_in_conjugate_pairs(m, capsys):
+    # each pair is the root of j < m/2, + first, then its exact conjugate
+    roots = primitive_roots_of_unity(m)
+    pairs = [roots[i:i + 2] for i in range(0, len(roots), 2)]
+    assert all(z.imag > 0 and w == z.conjugate() for z, w in pairs)
+    steps = [j for j in range(1, m) if 2 * j < m and math.gcd(j, m) == 1]
+    assert ([cmath.phase(z) * m / (2 * math.pi) for z, _ in pairs]
+            == pytest.approx(steps))
+    assert all(abs(z ** m - 1) < 1e-12 for z in roots)
+    # bounds prints them in that order: the companion of x^4 + 1 is Phi_8
+    companion = {5: "0,0,0,-1;1,0,0,-1;0,1,0,-1;0,0,1,-1",
+                 8: "0,0,0,-1;1,0,0,0;0,1,0,0;0,0,1,0",
+                 12: "0,0,0,-1;1,0,0,0;0,1,0,1;0,0,1,0"}[m]
+    assert main(["bounds", "-m", companion]) == 0
+    printed = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("row root_")]
+    assert printed == ["%.12g%+.12gi" % (z.real, z.imag) for z in roots]
+    if m == 8:
+        assert printed == ["0.707106781187+0.707106781187i",
+                           "0.707106781187-0.707106781187i",
+                           "-0.707106781187+0.707106781187i",
+                           "-0.707106781187-0.707106781187i"]
 
 
 def test_division_keeps_trailing_zero_coefficients():

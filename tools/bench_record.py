@@ -30,6 +30,15 @@ nxn matrices with entries in [-5, 5] for n = 2..6, each n from its own
 `Random(12001)`: `analyze_2x2_s` .. `analyze_6x6_s`, the least wall time
 of each 40 over 3 rounds, null when one of them fails or the side lacks
 that API.
+A third subprocess per side times the layers of the `reduce-sl2` round
+trip in process on the 50 seed-12001 words of that workload (drawn as
+perfbench draws them): `round_trip_reduce_s`, `round_trip_save_s`,
+`round_trip_load_s` and `round_trip_verify_s` are the least wall time,
+over 3 rounds, of `reduce_parallelogram` on the 50 matrices,
+`save_certificate` of their certificates to 50 files in a temporary
+directory, `load_certificate` of those files and `verify_certificate` of
+the loaded certificates; null when a reduction or a verification fails or
+the side lacks that API.
 These go under "3x3" in the same layout as a workload.
 
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
@@ -161,6 +170,78 @@ ANALYZE_BY_N = textwrap.dedent("""
                                  "correct": failed == 0}}))
 """)
 
+ROUND_TRIP = textwrap.dedent("""
+    import json, os, random, shutil, tempfile, time
+    try:
+        from torfill.errors import TorfillError
+        from torfill.exactlinalg import IntMatrix
+        from torfill.filling import reduce_parallelogram, verify_certificate
+        from torfill.formats import load_certificate, save_certificate
+    except ImportError:
+        reduce_parallelogram = None
+
+    def sl2_word(rng, max_len=40, cap=10 ** 6):
+        # perfbench's reduce-sl2 words: the same draws in the same order
+        a = ((1, 0), (0, 1))
+        upper = rng.random() < 0.5
+        used = 0
+        while used < max_len:
+            e = min(rng.randint(1, 3), max_len - used)
+            sgn = rng.choice([1, -1])
+            block = ((1, sgn * e), (0, 1)) if upper else ((1, 0), (sgn * e, 1))
+            nxt = tuple(tuple(sum(x * y for x, y in zip(row, col))
+                              for col in zip(*block)) for row in a)
+            if max(abs(x) for row in nxt for x in row) > cap:
+                break
+            a = nxt
+            used += e
+            upper = not upper
+        return a
+
+    names = ("reduce", "save", "load", "verify")
+    best = dict.fromkeys(names)
+    failed = attempted = 0
+    if reduce_parallelogram is not None:
+        rng = random.Random(12001)
+        mats = [IntMatrix(sl2_word(rng)) for _ in range(50)]
+        work = tempfile.mkdtemp()
+        paths = [os.path.join(work, "cert_%d.json" % i) for i in range(50)]
+        try:
+            for _ in range(3):
+                times = {}
+                t0 = time.perf_counter()
+                certs = []
+                for a in mats:
+                    try:
+                        certs.append(reduce_parallelogram(a).certificate)
+                    except TorfillError:
+                        failed += 1
+                times["reduce"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                for path, cert in zip(paths, certs):
+                    save_certificate(path, cert)
+                times["save"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                loaded = [load_certificate(p) for p in paths[:len(certs)]]
+                times["load"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                verdicts = [verify_certificate(cert)[0] for cert in loaded]
+                times["verify"] = time.perf_counter() - t0
+                failed += verdicts.count(False)
+                attempted += 50
+                for name in names:
+                    if best[name] is None or times[name] < best[name]:
+                        best[name] = times[name]
+        finally:
+            shutil.rmtree(work)
+        if failed:
+            best = dict.fromkeys(names)
+    print(json.dumps({"values": {"round_trip_%s_s" % name: best[name]
+                                 for name in names},
+                      "status": {"failed": failed, "attempted": attempted,
+                                 "correct": failed == 0}}))
+""")
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -241,15 +322,16 @@ def in_process(root, script):
 
 
 def three_by_three(root):
-    """The 3x3 numbers of one side, with analyze by n: ({metric: value},
-    status)."""
-    values, status = in_process(root, THREE_BY_THREE)
-    more, more_status = in_process(root, ANALYZE_BY_N)
-    values.update(more)
-    failed = status["failed"] + more_status["failed"]
+    """The 3x3 numbers of one side, with analyze by n and the round-trip
+    layers: ({metric: value}, status)."""
+    values, failed, attempted = {}, 0, 0
+    for script in (THREE_BY_THREE, ANALYZE_BY_N, ROUND_TRIP):
+        more, status = in_process(root, script)
+        values.update(more)
+        failed += status["failed"]
+        attempted += status["attempted"]
     return values, {"failed": failed, "correct": failed == 0,
-                    "attempted": status["attempted"]
-                    + more_status["attempted"]}
+                    "attempted": attempted}
 
 
 def spread(values):
