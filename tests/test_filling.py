@@ -227,7 +227,7 @@ def _diagnostics_of(piece, claim):
     return verify_certificate(cert, claim)[1]
 
 
-def test_piece_certificate_refuses_a_wrong_claim_as_before():
+def test_piece_certificate_refuses_a_wrong_claim_with_full_diagnostics():
     a = IntMatrix(((2, 1), (1, 1)))
     gens = tuple(a.column(j) for j in range(2))
     piece = _column_walk(gens, 1)
