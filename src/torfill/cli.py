@@ -3,9 +3,10 @@
 Reports are machine-parseable key=value lines (big integers as decimal
 strings, log bases tagged in the field names: _ln for natural logarithm,
 _log2 for base 2); table rows are prefixed with `row`.  Exit codes: 0 on
-success, 2 on verification failure, 3 on input error.  A reader that closes
-stdout or stderr early discards the rest of that stream, quietly: the command
-still runs to its end and exits with its own code.
+success, 2 on verification failure, 3 on input error, a result too long to
+print among them.  A reader that closes stdout or stderr early discards the
+rest of that stream, quietly: the command still runs to its end and exits
+with its own code.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _read_matrix(args):
     try:
         with open(args.matrix_file) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError("cannot read %s: %s" % (args.matrix_file, exc))
     return parse_matrix_text(text)
 
@@ -369,6 +370,15 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except TorfillError as exc:
         sys.stderr.write("input error: %s\n" % exc)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # str() of an integer longer than the interpreter's guard allows;
+        # the guard stays, since it also bounds the cost of reading one
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write("input error: a result has more than %d digits,"
+                         " the limit for printing an integer\n"
+                         % sys.get_int_max_str_digits())
         return EXIT_INPUT
     finally:
         # so that a closed pipe shows here, not at exit

@@ -12,11 +12,10 @@ matrix and a coefficient), each tagged with its move's kind, that carry no
 cycles.  Piece.certificate(claim) assembles the witness by folding each
 chunk's lifted simplices directly into it, with one MoveRecord per chunk,
 builds the target its caller claims once, and verifies the witness against
-it; Chunk.terms, one chunk's terms on their own, is kept for
-reduce._realized_cost and perfbench's assemble span.  reduce_parallelogram
-claims Q(A) - R(det A, 1..1) and fills it by one column walk of shears for
-every A, n <= 3; a shear's piece depends on its quotient alone and is
-memoised.
+it; Chunk.terms, one chunk's terms on their own, is kept only for
+perfbench's assemble span.  reduce_parallelogram claims Q(A) - R(det A,
+1..1) and fills it by one column walk of shears for every A, n <= 3; a
+shear's piece depends on its quotient alone and is memoised.
 """
 
 from .certificate import (FillingCertificate, MoveRecord, Piece,

@@ -16,8 +16,7 @@ elements of the chain group; pushforwards and prism lifts act on the
 columns only.  Piece.assemble folds each chunk's lifted simplices straight
 into the witness dict, with no dict per chunk, so the per-move costs are the
 costs actually realized.  Chunk.terms, the merged terms of one chunk, is
-kept for reduce._realized_cost, which costs a shear without assembling it,
-and for perfbench's assemble span, which counts chunk simplices.
+kept only for perfbench's assemble span, which counts chunk simplices.
 
 lifted(key, d) memoises each lifted base witness as an index table: its
 distinct vertices, the origin first, and each simplex as a getter over the
@@ -95,16 +94,14 @@ def class_sum(ambient_dim, degree, presentation) -> tuple:
     return tuple(total)
 
 
-def verify_certificate(cert: FillingCertificate, presentation=None):
+def verify_certificate(cert: FillingCertificate):
     """Exact re-verification; returns (ok, diagnostics).
 
     Checks that the witness lies in the target's torus one degree higher,
     then boundary(witness) = target with integer arithmetic (no tolerance),
     cost = l1(witness) and, for a non-empty trace, that the record costs
-    sum to cost.  When `presentation` gives the target as a signed
-    sum of parallelogram cycles [(coeff, generator-tuples)], additionally
-    checks that the presentation reproduces the target and that the signed
-    class sum vanishes.
+    sum to cost.  A claim's class sum is checked where the target is built
+    from it, in Piece.certificate.
     """
     diagnostics = []
     w, t = cert.witness, cert.target
@@ -129,17 +126,7 @@ def verify_certificate(cert: FillingCertificate, presentation=None):
     if cert.trace and traced != cert.cost:
         diagnostics.append("trace costs sum to %d, cost field %d"
                            % (traced, cert.cost))
-    if presentation is not None:
-        n, k = t.ambient_dim, t.degree
-        if presentation_chain(n, k, presentation) != t:
-            diagnostics.append("presentation does not reproduce the target")
-        diagnostics += _class_diagnostics(n, k, presentation)
     return (not diagnostics), diagnostics
-
-
-def _class_diagnostics(ambient_dim, degree, presentation) -> list:
-    cls = class_sum(ambient_dim, degree, presentation)
-    return ["presentation class sum nonzero: %r" % (cls,)] if any(cls) else []
 
 
 def require_valid(cert: FillingCertificate, diagnostics=()):
@@ -362,4 +349,6 @@ class Piece:
         cert = FillingCertificate.build(presentation_chain(n, k, claim),
                                         witness, records)
         # the target is the claim's chain, so only its class is left to check
-        return require_valid(cert, _class_diagnostics(n, k, claim))
+        cls = class_sum(n, k, claim)
+        return require_valid(cert, ["presentation class sum nonzero: %r"
+                                    % (cls,)] if any(cls) else ())

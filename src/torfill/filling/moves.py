@@ -77,8 +77,6 @@ class S1Trace(NamedTuple):
     L = l * (2^N + sum_{i < N, a_i odd} 2^i) = a * l.
     """
 
-    a: int
-    l: int
     phase1: tuple  # (x_i, y_i, k_i)
     phase2: tuple  # a_0, .., a_N
     total: int  # L
@@ -138,7 +136,7 @@ def s1_moves(a: int, l: int):
     # Q(x1, 0)
     moves.append((1, ("ZERO", 1), ((x1,),)))
 
-    return moves, S1Trace(a, l, tuple(phase1), tuple(phase2), big_l)
+    return moves, S1Trace(tuple(phase1), tuple(phase2), big_l)
 
 
 def s1_piece(a: int, l: int):

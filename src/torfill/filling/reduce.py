@@ -21,7 +21,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from ..chains import TorusChain, l1_norm
+from ..chains import l1_norm
 from ..errors import TorfillError, UnsupportedDimension
 from ..exactlinalg import IntMatrix, _check, det_exact, mat_pow
 from .base import base_certificate
@@ -121,15 +121,6 @@ def _slide_shear(q) -> Piece:
     return slide(_E1, q, (-q, 1))
 
 
-def _realized_cost(piece) -> int:
-    """The l1 norm of a plane piece's witness, summed from its chunks
-    without Piece.assemble: a reduction assembles its piece once, and
-    choosing a shear leaves that so."""
-    return l1_norm(TorusChain.from_pairs(2, 3, (
-        term for _, chunk in piece.chunks for term in chunk.terms.items())))
-
-
-@functools.lru_cache(maxsize=1024)
 def _slide_is_cheaper(q) -> bool:
     """Whether one slide fills the shear by q >= 1 at less cost than DEHN
     chunks.  Their base costs add to at least q * least_rate, and the
@@ -142,7 +133,8 @@ def _slide_is_cheaper(q) -> bool:
                       for _, chunk in slide.chunks if chunk.coeff)
     if q * least_rate > slide_bound:
         return True
-    return _realized_cost(slide) < _realized_cost(_dehn_shear(q))
+    return (l1_norm(slide.assemble()[0])
+            < l1_norm(_dehn_shear(q).assemble()[0]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -287,7 +279,6 @@ class ReductionReport(NamedTuple):
     """Certificate, with its move trace, for Q(columns of A) ->
     R(det A, 1, .., 1)."""
 
-    matrix: IntMatrix
     certificate: FillingCertificate
     det: int
     log2_norm: float
@@ -306,13 +297,12 @@ def reduce_parallelogram(a: IntMatrix) -> ReductionReport:
     cert = _column_walk(gens, det).certificate(
         [(1, gens), (-1, _unit_rect(n, det))])
     norm = a.max_abs()
-    return ReductionReport(a, cert, det, math.log2(norm) if norm else 0.0)
+    return ReductionReport(cert, det, math.log2(norm) if norm else 0.0)
 
 
 class UpperBoundExperiment(NamedTuple):
     """Per-power reduction costs for det-1 matrices and the fitted slope."""
 
-    matrix: IntMatrix
     rows: tuple  # (j, cost, cost/j, log2 |A^j|_inf)
     k_hat: float  # least-squares slope of cost against log2 |A^j|_inf
 
@@ -333,7 +323,7 @@ def fv_upper_experiment(a: IntMatrix, j_max: int) -> UpperBoundExperiment:
     xs = [r[3] for r in rows]
     ys = [r[1] for r in rows]
     k_hat = _ls_slope(xs, ys)
-    return UpperBoundExperiment(a, tuple(rows), k_hat)
+    return UpperBoundExperiment(tuple(rows), k_hat)
 
 
 def _ls_slope(xs, ys) -> float:

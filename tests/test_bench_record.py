@@ -97,3 +97,21 @@ def test_round_trip_is_null_on_a_side_without_the_api(tmp_path):
                                              bench_record.ROUND_TRIP)
     assert values == dict.fromkeys(ROUND_TRIP_NAMES)
     assert status == {"failed": 0, "attempted": 0, "correct": True}
+
+
+def test_base_load_times_the_cold_table():
+    values, status = bench_record.in_process(str(_PATH.parents[1]),
+                                             bench_record.BASE_LOAD)
+    assert list(values) == ["base_load_s"]
+    assert isinstance(values["base_load_s"], float)
+    assert values["base_load_s"] > 0
+    assert status == {"failed": 0, "attempted": 5, "correct": True}
+
+
+def test_base_load_is_null_on_a_side_without_the_api(tmp_path):
+    (tmp_path / "src" / "torfill").mkdir(parents=True)
+    (tmp_path / "src" / "torfill" / "__init__.py").write_text("")
+    values, status = bench_record.in_process(str(tmp_path),
+                                             bench_record.BASE_LOAD)
+    assert values == {"base_load_s": None}
+    assert status == {"failed": 0, "attempted": 0, "correct": True}

@@ -663,6 +663,43 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert "bad matrix file: ragged rows" in capsys.readouterr().err
 
 
+def test_matrix_file_not_utf8_exit_3(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xff\xfe1 2\n3 4\n")
+    assert main(["bounds", "--matrix-file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+_DIGIT_LIMIT = ("input error: a result has more than %d digits, the limit for"
+                " printing an integer" % sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # N I with N = 10^1500 - 1: the charpoly coefficient N^3 has 4500 digits
+    (["bounds", "-m", "{0},0,0;0,{0},0;0,0,{0}".format("9" * 1500)], 0),
+    # row k=1 holds N - 1, 2200 digits; row k=2 would hold N^2 - 1
+    (["torsion", "-m", "%s,0;0,2" % ("9" * 2200), "--kmax", "2"], 1),
+], ids=["bounds", "torsion"])
+def test_results_beyond_the_printable_digits_exit_3(capsys, argv, rows):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [_DIGIT_LIMIT]
+    assert len([line for line in captured.out.splitlines()
+                if line.startswith("row ")]) == rows
+
+
+def test_other_value_errors_are_not_swallowed(monkeypatch, capsys):
+    def fail(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", fail)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["bounds", "-m", "2,1;1,1"])
+
+
 @pytest.mark.parametrize("argv", [
     ["gelfand", "-m", "2,1;1,1", "--jmax", "0"],
     ["torsion", "-m", "2,1;1,1", "--kmax", "0"],

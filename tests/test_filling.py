@@ -219,12 +219,15 @@ def test_piece_certificate_checks_the_claim():
 
 def _diagnostics_of(piece, claim):
     """The diagnostics of the full check: verify_certificate of a piece's
-    assembled witness against the target of claim, with claim as its
-    presentation.  Piece.certificate must report exactly these."""
+    assembled witness against the target of claim, then the claim's class
+    sum when it is nonzero.  Piece.certificate must report exactly these."""
+    n, k = piece.ambient_dim, piece.degree
     witness, records = piece.assemble()
-    target = presentation_chain(piece.ambient_dim, piece.degree, claim)
+    target = presentation_chain(n, k, claim)
     cert = FillingCertificate.build(target, witness, records)
-    return verify_certificate(cert, claim)[1]
+    cls = class_sum(n, k, claim)
+    return verify_certificate(cert)[1] + (
+        ["presentation class sum nonzero: %r" % (cls,)] if any(cls) else [])
 
 
 def test_piece_certificate_refuses_a_wrong_claim_with_full_diagnostics():
@@ -673,7 +676,8 @@ def test_column_walk_random_unimodular():
         claim = _walk_claim(a)
         assert rep.det == _det2(a)
         assert rep.certificate.target == _sum_q(claim)
-        assert verify_certificate(rep.certificate, claim)[0]
+        assert verify_certificate(rep.certificate)[0]
+        assert not any(class_sum(a.rows, a.rows, claim))
 
 
 def test_column_walk_edge_costs():
@@ -796,7 +800,8 @@ def test_column_walk_gl3_products():
         rep = reduce_parallelogram(a)
         claim = _walk_claim(a)
         assert rep.certificate.target == _sum_q(claim)
-        assert verify_certificate(rep.certificate, claim)[0]
+        assert verify_certificate(rep.certificate)[0]
+        assert not any(class_sum(a.rows, a.rows, claim))
         assert rep.certificate.cost == sum(r.cost
                                            for r in rep.certificate.trace)
 
@@ -811,7 +816,8 @@ def test_column_walk_det_zero(rows):
     claim = _walk_claim(a)
     assert rep.det == 0
     assert rep.certificate.target == _sum_q(claim)
-    assert verify_certificate(rep.certificate, claim)[0]
+    assert verify_certificate(rep.certificate)[0]
+    assert not any(class_sum(a.rows, a.rows, claim))
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,6 +1,6 @@
-"""Seeded mutation sweep: altered certificate files, chain files and inline
-matrices, for every command, end in exit code 0, 2 or 3 and never in a
-traceback.  A certificate file that `fill --verify` still accepts must load
+"""Seeded mutation sweep: altered certificate files, chain files, inline
+matrices and matrix files, for every command, end in exit code 0, 2 or 3 and
+never in a traceback.  A certificate file that `fill --verify` still accepts must load
 the original's target and witness.
 
 The seed and the counts are fixed; a mutant that fails names its argv and,
@@ -22,12 +22,17 @@ from layouts import v2_chain_obj
 SEED = 4101
 FILE_MUTANTS = 700      # per original file
 MATRIX_MUTANTS = 60     # per command and original matrix
+MATRIX_FILE_SEED = 4102
+MATRIX_FILE_MUTANTS = 60  # per command and original matrix file
 
 # what a mutation puts in place of a JSON value
 _VALUES = (0, -1, 2, 1.5, True, None, "", "0", "1", "-1", "01", "+1", " 1",
            "-0", "1.0", "1e3", "x", "9" * 40, [], ["0"], [0], {}, {"coeff": "1"})
 _JSON_CHARS = '{}[]",:0123456789- .aeknrt'
 _MATRIX_CHARS = ",;-+0123456789 .x^e"
+# single bytes, NUL and bytes that are not UTF-8 on their own among them
+_MATRIX_FILE_BYTES = tuple(bytes([b]) for b in
+                           b" \t\n\r\x0b,;-+0123456789#.\x00\x80\xa0\xc3\xfe\xff")
 
 _MATRICES = ("2,1;1,1", "1,1,0;1,2,1;0,1,2")
 _COMMANDS = (["bounds", "--stats"], ["reduce", "--trace"],
@@ -69,7 +74,8 @@ def _mutate_obj(rng, obj):
 
 
 def _mutate_text(rng, text, alphabet):
-    """text with one character deleted, inserted or replaced, or cut short."""
+    """text with one character deleted, inserted or replaced, or cut short;
+    for bytes, alphabet is a tuple of single bytes."""
     i = rng.randrange(len(text) + 1)
     op = rng.randrange(4)
     if op == 0:
@@ -143,3 +149,19 @@ def test_mutants_exit_0_2_or_3_without_traceback(tmp_path, capsys):
     # mutants that alter no chain, such as a trace kind, an unused point or
     # version 1, are accepted, so the equality check above has run
     assert accepted > 0
+
+
+def test_matrix_file_mutants_exit_0_2_or_3_without_traceback(tmp_path, capsys):
+    # byte-level mutants of a --matrix-file, from their own seed; psl2z
+    # takes no matrix file, so its mutants are usage errors
+    rng = random.Random(MATRIX_FILE_SEED)
+    mutant = tmp_path / "matrix.txt"
+    for command in _COMMANDS:
+        for matrix in _MATRICES:
+            text = "".join(row.replace(",", " ") + "\n"
+                           for row in matrix.split(";")).encode()
+            for _ in range(MATRIX_FILE_MUTANTS):
+                data = _mutate_text(rng, text, _MATRIX_FILE_BYTES)
+                mutant.write_bytes(data)
+                _call(capsys, [command[0], "--matrix-file", str(mutant)]
+                      + command[1:], repr(data))

@@ -39,6 +39,13 @@ over 3 rounds, of `reduce_parallelogram` on the 50 matrices,
 directory, `load_certificate` of those files and `verify_certificate` of
 the loaded certificates; null when a reduction or a verification fails or
 the side lacks that API.
+A fourth subprocess per side times the cold base load: with
+`torfill.formats` imported first, untimed, `base_load_s` is the least wall
+time over 5 rounds of `torfill.filling.base.base_costs()`, each right after
+`base_certificate.cache_clear()`, so each round loads and exactly
+re-verifies the shipped base table; null when a round fails or the side
+lacks that API.  It has a process of its own, since a layer timed after
+other phases in one process carries their state.
 These go under "3x3" in the same layout as a workload.
 
 A run's last line is its JSON result: the end-to-end metrics, `failed`,
@@ -242,6 +249,35 @@ ROUND_TRIP = textwrap.dedent("""
                                  "correct": failed == 0}}))
 """)
 
+BASE_LOAD = textwrap.dedent("""
+    import json, time
+    try:
+        import torfill.formats  # noqa: F401
+        from torfill.errors import TorfillError
+        from torfill.filling.base import base_certificate, base_costs
+        clear = base_certificate.cache_clear
+    except (ImportError, AttributeError):
+        base_costs = None
+    best, failed, attempted = None, 0, 0
+    if base_costs is not None:
+        for _ in range(5):
+            clear()
+            t0 = time.perf_counter()
+            try:
+                base_costs()
+            except TorfillError:
+                failed += 1
+            seconds = time.perf_counter() - t0
+            attempted += 1
+            if best is None or seconds < best:
+                best = seconds
+        if failed:
+            best = None
+    print(json.dumps({"values": {"base_load_s": best},
+                      "status": {"failed": failed, "attempted": attempted,
+                                 "correct": failed == 0}}))
+""")
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -322,10 +358,10 @@ def in_process(root, script):
 
 
 def three_by_three(root):
-    """The 3x3 numbers of one side, with analyze by n and the round-trip
-    layers: ({metric: value}, status)."""
+    """The 3x3 numbers of one side, with analyze by n, the round-trip
+    layers and the cold base load: ({metric: value}, status)."""
     values, failed, attempted = {}, 0, 0
-    for script in (THREE_BY_THREE, ANALYZE_BY_N, ROUND_TRIP):
+    for script in (THREE_BY_THREE, ANALYZE_BY_N, ROUND_TRIP, BASE_LOAD):
         more, status = in_process(root, script)
         values.update(more)
         failed += status["failed"]
