@@ -63,7 +63,7 @@ def _read_matrix(args):
     if args.matrix is not None:
         return parse_matrix_inline(args.matrix)
     try:
-        with open(args.matrix_file) as fh:
+        with open(args.matrix_file, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError("cannot read %s: %s" % (args.matrix_file, exc))

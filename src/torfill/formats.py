@@ -252,7 +252,7 @@ def _load_json(path, what):
     would read as floats) or nesting deeper than the parser's recursion
     limit is an input error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_refuse_constant)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError("cannot read %s %s: %s"

@@ -673,6 +673,36 @@ def test_matrix_file_not_utf8_exit_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+_UNDER_ASCII_LOCALE = textwrap.dedent("""
+    import json, sys
+    from torfill.cli import main
+    matrix, cert = sys.argv[1:]
+    code = main(["reduce", "--matrix-file", matrix, "--out", cert])
+    with open(cert, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["trace"][0]["kind"] = "\\u03c1"
+    with open(cert, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, ensure_ascii=False)
+    print("codes=%d,%d" % (code, main(["fill", "--verify", cert])))
+""")
+
+
+def test_files_are_read_as_utf8_under_any_locale(tmp_path):
+    # under an ASCII locale, open() without an encoding would refuse the
+    # UTF-8 comment and trace kind that a UTF-8 locale reads
+    matrix = tmp_path / "m.txt"
+    matrix.write_bytes("# \u03c1 = 2.618\n2 1\n1 1\n".encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-c", _UNDER_ASCII_LOCALE,
+                           str(matrix), str(tmp_path / "cert.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "codes=0,0", proc.stdout
+
+
 _DIGIT_LIMIT = ("input error: a result has more than %d digits, the limit for"
                 " printing an integer" % sys.get_int_max_str_digits())
 
