@@ -1,9 +1,9 @@
 """Seeded mutation sweep: altered certificate files, chain files, inline
 matrices and matrix files, for every command, end in exit code 0, 2 or 3 and
-never in a traceback.  A certificate file that `fill --verify` still accepts must load
-the original's target and witness.
+never in a traceback.  A certificate file that `fill --verify` still accepts
+must load the original's target and witness.
 
-The seed and the counts are fixed; a mutant that fails names its argv and,
+The seeds and the counts are fixed; a mutant that fails names its argv and,
 for a file, its text.
 """
 
@@ -31,8 +31,8 @@ _VALUES = (0, -1, 2, 1.5, True, None, "", "0", "1", "-1", "01", "+1", " 1",
 _JSON_CHARS = '{}[]",:0123456789- .aeknrt'
 _MATRIX_CHARS = ",;-+0123456789 .x^e"
 # single bytes, NUL and bytes that are not UTF-8 on their own among them
-_MATRIX_FILE_BYTES = tuple(bytes([b]) for b in
-                           b" \t\n\r\x0b,;-+0123456789#.\x00\x80\xa0\xc3\xfe\xff")
+_MATRIX_FILE_BYTES = tuple(
+    bytes([b]) for b in b" \t\n\r\x0b,;-+0123456789#.\x00\x80\xa0\xc3\xfe\xff")
 
 _MATRICES = ("2,1;1,1", "1,1,0;1,2,1;0,1,2")
 _COMMANDS = (["bounds", "--stats"], ["reduce", "--trace"],
