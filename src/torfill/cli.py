@@ -4,15 +4,20 @@ Reports are machine-parseable key=value lines (big integers as decimal
 strings, log bases tagged in the field names: _ln for natural logarithm,
 _log2 for base 2); table rows are prefixed with `row`.  Exit codes: 0 on
 success, 2 on verification failure, 3 on input error, a result too long to
-print among them.  A reader that closes stdout or stderr early discards the
-rest of that stream, quietly: the command still runs to its end and exits
-with its own code.
+print among them.  Stdout is written once the command has returned: an input
+error (exit 3), or a verification failure raised part way, leaves it empty,
+while a verdict exit 2 (`fill --verify`, `selftest`) still prints its lines.
+A reader that closes stdout or stderr early, like a stream closed before the
+command starts (`>&-`, `2>&-`), discards the rest of that stream quietly,
+and the command exits with its own code.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import io
 import math
 import os
 import sys
@@ -181,7 +186,7 @@ def _cmd_reduce(args) -> int:
     a = _read_matrix(args)
     report = reduce_parallelogram(a)  # raises VerificationFailure (exit 2)
     cert = report.certificate
-    if args.out:  # a write failure (exit 3) leaves stdout empty
+    if args.out:
         _save(args.out, cert)
     _emit("det", report.det)
     _emit("cost", cert.cost)
@@ -237,7 +242,6 @@ def _cmd_gelfand(args) -> int:
 def _cmd_psl2z(args) -> int:
     from .formats import parse_matrix_inline
     from .psl2z import decompose, delta_bounds, family_matrix, word_power
-    family = None
     if args.family is not None:
         a = family_matrix(args.family)
     else:
@@ -245,8 +249,7 @@ def _cmd_psl2z(args) -> int:
     word = decompose(a)
     if args.power != 1:
         word = word_power(word, args.power)
-    if args.family is not None:
-        family = (args.family, args.power)
+    family = None if args.family is None else (args.family, args.power)
     bounds = delta_bounds(word, family)
     _emit("word", str(word))
     _emit("sign", word.sign)
@@ -292,37 +295,6 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-class _Closable:
-    """Stdout or stderr for one command: once the reader has closed the
-    pipe, the rest of that stream goes to devnull and the command carries
-    on."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def write(self, text):
-        try:
-            return self._stream.write(text)
-        except BrokenPipeError:
-            self._discard()
-            return len(text)
-
-    def flush(self):
-        try:
-            self._stream.flush()
-        except BrokenPipeError:
-            self._discard()
-
-    def _discard(self):
-        # what is still buffered is flushed to devnull, here or at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, self._stream.fileno())
-        os.close(devnull)
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-
 _COMMANDS = {
     "bounds": _cmd_bounds,
     "reduce": _cmd_reduce,
@@ -350,41 +322,62 @@ def _parse(parser, argv):
     return args
 
 
+def _deliver(stream, text):
+    """Write text to one of the process's streams and flush it.  When the
+    reader has left, or the stream was closed before the command began, the
+    text is dropped quietly and the stream's fd points at devnull."""
+    if stream is None:
+        return
+    try:
+        stream.write(text)
+        stream.flush()
+        return
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        if exc.errno != errno.EBADF:
+            raise
+    # what is still buffered is flushed to devnull at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     streams = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = _Closable(sys.stdout), _Closable(sys.stderr)
+    out, err = sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    failure = None
     try:
         args = _parse(parser, argv)
         if args.command == "fill" and args.max_expand < args.box:
             parser.error("fill: --max-expand %d is below --box %d"
                          % (args.max_expand, args.box))
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except SystemExit as exc:  # from argument parsing
-        return exc.code if exc.code is not None else EXIT_INPUT
+        code = exc.code if exc.code is not None else EXIT_INPUT
     except InputParseError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
+        code, failure = EXIT_INPUT, "input error: %s" % exc
     except (Unfillable, CandidateSetTooLarge, VerificationFailure) as exc:
-        sys.stderr.write("verification failure: %s\n" % exc)
-        return EXIT_VERIFY
+        code, failure = EXIT_VERIFY, "verification failure: %s" % exc
     except TorfillError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
+        code, failure = EXIT_INPUT, "input error: %s" % exc
     except ValueError as exc:
         # str() of an integer longer than the interpreter's guard allows;
         # the guard stays, since it also bounds the cost of reading one
         if "integer string conversion" not in str(exc):
             raise
-        sys.stderr.write("input error: a result has more than %d digits,"
-                         " the limit for printing an integer\n"
-                         % sys.get_int_max_str_digits())
-        return EXIT_INPUT
+        code, failure = EXIT_INPUT, ("input error: a result has more than %d"
+                                     " digits, the limit for printing an"
+                                     " integer" % sys.get_int_max_str_digits())
     finally:
-        # so that a closed pipe shows here, not at exit
-        sys.stdout.flush()
-        sys.stderr.flush()
         sys.stdout, sys.stderr = streams
+    if failure is None:
+        _deliver(sys.stdout, out.getvalue())
+    else:  # what the command printed before it failed is dropped
+        err.write(failure + "\n")
+    _deliver(sys.stderr, err.getvalue())
+    return code
 
 
 if __name__ == "__main__":

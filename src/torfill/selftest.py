@@ -27,7 +27,8 @@ from .filling import (BASE_KEYS, base_certificate, fill_by_solve,
                       universal_cycle, verify_certificate)
 from .filling.base import TABLE_DIR, _key_filename, base_costs
 from .filling.moves import s1_moves, s1_piece
-from .filling.reduce import fv_upper_experiment, reduce_parallelogram
+from .filling.reduce import (_ls_slope, fv_upper_experiment,
+                             reduce_parallelogram)
 from .formats import obj_to_certificate, write_certificate
 from .psl2z import (cyclically_reduced_length, decompose, family_matrix,
                     reconstruct, word_power)
@@ -48,12 +49,12 @@ def _criterion(name):
     def wrap(body):
         @functools.wraps(body)
         def run(*args, **kwargs):
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 passed, detail = True, body(*args, **kwargs)
             except TorfillError as exc:
                 passed, detail = False, str(exc)
-            return SuiteResult(name, passed, detail, time.time() - t0)
+            return SuiteResult(name, passed, detail, time.perf_counter() - t0)
         return run
     return wrap
 
@@ -101,8 +102,7 @@ def affine_fit_min_max_relative(xs, ys):
     m = len(xs)
     mean_x = sum(xs) / m
     mean_y = sum(ys) / m
-    denom = sum((x - mean_x) ** 2 for x in xs) or 1.0
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
+    slope = _ls_slope(xs, ys)
     inter = mean_y - slope * mean_x
 
     def max_rel(s, b):
@@ -143,12 +143,12 @@ def criterion_reduction_exactness(data, level="full"):
     worst_dt = 0.0
     for _ in range(n_samples):
         a = random_sl2_word(rng)
-        t = time.time()
+        t = time.perf_counter()
         try:
             report = reduce_parallelogram(a)
         except TorfillError as exc:
             raise VerificationFailure("reduce %r: %s" % (a.data, exc)) from exc
-        dt = time.time() - t
+        dt = time.perf_counter() - t
         worst_dt = max(worst_dt, dt)
         # reduce checked the certificate against its presentation; check it
         # again independently, trace costs included, as a reader of what
@@ -317,7 +317,7 @@ def criterion_base_bootstrap(level="full"):
     """Cold solve of every key by fill_by_solve, exactly verified; each
     shipped certificate costs no more, and saving it writes its file's
     exact bytes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     costs = {}
     for key in BASE_KEYS:
         cert = fill_by_solve(universal_cycle(key), box=1, max_expand=3)
@@ -332,7 +332,7 @@ def criterion_base_bootstrap(level="full"):
         path = TABLE_DIR / _key_filename(key)
         _check(buf.getvalue().encode() == path.read_bytes(),
                "shipped %r does not match its file" % (key,))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     detail = ("all %d keys solved cold in %.1fs; costs %s" %
               (len(BASE_KEYS), elapsed,
                {"/".join(map(str, k)): v for k, v in costs.items()}))

@@ -1,6 +1,8 @@
 """Command-line surface: dispatch, formats, exit codes, round trips."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -15,7 +17,7 @@ import pytest
 from torfill import cli, psl2z, selftest
 from torfill.chains import TorusChain, faces
 from torfill.cli import build_parser, main
-from torfill.errors import Unfillable
+from torfill.errors import Unfillable, VerificationFailure
 from torfill.filling import base
 from torfill.filling import reduce as reduction
 from torfill.filling.certificate import Piece, lifted
@@ -31,6 +33,13 @@ def run(capsys, *argv):
               if "=" in line and not line.startswith("row "))
     rows = [line[4:] for line in out.splitlines() if line.startswith("row ")]
     return code, kv, rows
+
+
+def _cli_env(**extra):
+    """The environment of a subprocess that imports torfill from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_bounds(capsys):
@@ -351,11 +360,9 @@ def test_cached_parser_matches_fresh_processes(tmp_path, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         same_process.append([code, captured.out, captured.err])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     fresh = [json.loads(subprocess.run(
         [sys.executable, "-c", _ONE_CALL, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        env=_cli_env(), capture_output=True,
         text=True, timeout=300, check=True).stdout) for argv in calls]
     assert [code for code, _, _ in same_process] == [3, 0, 0, 0]
     assert same_process == fresh
@@ -692,10 +699,7 @@ def test_files_are_read_as_utf8_under_any_locale(tmp_path):
     # UTF-8 comment and trace kind that a UTF-8 locale reads
     matrix = tmp_path / "m.txt"
     matrix.write_bytes("# \u03c1 = 2.618\n2 1\n1 1\n".encode())
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0",
-               PYTHONCOERCECLOCALE="0")
+    env = _cli_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     proc = subprocess.run([sys.executable, "-c", _UNDER_ASCII_LOCALE,
                            str(matrix), str(tmp_path / "cert.json")],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -707,18 +711,33 @@ _DIGIT_LIMIT = ("input error: a result has more than %d digits, the limit for"
                 " printing an integer" % sys.get_int_max_str_digits())
 
 
-@pytest.mark.parametrize("argv, rows", [
-    # N I with N = 10^1500 - 1: the charpoly coefficient N^3 has 4500 digits
-    (["bounds", "-m", "{0},0,0;0,{0},0;0,0,{0}".format("9" * 1500)], 0),
+@pytest.mark.parametrize("argv", [
+    # N I with N = 10^1500 - 1: the charpoly coefficient N^3 has 4500 digits,
+    # and n=3 comes before it
+    ["bounds", "-m", "{0},0,0;0,{0},0;0,0,{0}".format("9" * 1500)],
     # row k=1 holds N - 1, 2200 digits; row k=2 would hold N^2 - 1
-    (["torsion", "-m", "%s,0;0,2" % ("9" * 2200), "--kmax", "2"], 1),
+    ["torsion", "-m", "%s,0;0,2" % ("9" * 2200), "--kmax", "2"],
 ], ids=["bounds", "torsion"])
-def test_results_beyond_the_printable_digits_exit_3(capsys, argv, rows):
+def test_results_beyond_the_printable_digits_exit_3(capsys, argv):
+    # what was formatted before the limit hit is not printed
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [_DIGIT_LIMIT]
-    assert len([line for line in captured.out.splitlines()
-                if line.startswith("row ")]) == rows
+    assert captured.out == ""
+
+
+def test_a_verification_failure_part_way_leaves_stdout_empty(monkeypatch,
+                                                             capsys):
+    def fail(args):
+        cli._emit("n", 2)
+        raise VerificationFailure("witness boundary differs")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", fail)
+    assert main(["bounds", "-m", "2,1;1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "verification failure: witness boundary differs"]
 
 
 def test_other_value_errors_are_not_swallowed(monkeypatch, capsys):
@@ -865,10 +884,8 @@ _UNDER_O = textwrap.dedent("""
 
 
 def test_proof_checks_survive_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O],
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=_cli_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -889,11 +906,9 @@ _NO_SCIPY = textwrap.dedent("""
 
 def test_runtime_does_not_import_scipy(tmp_path):
     # scipy is only for the offline table tool, never for torfill itself
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "cert.json")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        env=_cli_env(), capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "codes=0,0 scipy=False"
@@ -909,11 +924,9 @@ _NO_MPMATH = textwrap.dedent("""
 
 def test_runtime_does_not_import_mpmath():
     # roots are certified in integers; mpmath is no dependency of torfill
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _NO_MPMATH],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        env=_cli_env(), capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "code=0 mpmath=False"
@@ -943,13 +956,6 @@ def test_startup_imports_no_dataclasses_or_fractions():
          str(root / "src")], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n\n"
-
-
-def _cli_env(**extra):
-    """The environment of a `python -m torfill.cli` subprocess."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _tampered_certificate(tmp_path, capsys):
@@ -1021,6 +1027,51 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, capsys, case):
         os.close(write_end)
     assert proc.returncode == code
     assert out in proc.stdout
+
+
+@pytest.mark.parametrize("case", ["stdout of a success",
+                                  "stderr of an input error",
+                                  "stdout of a failed verify"])
+def test_a_stream_closed_before_the_start_keeps_the_exit_code(tmp_path, capsys,
+                                                              case):
+    # `torfill ... >&-`: the interpreter starts with that stream closed
+    argv, code, redirect = {
+        "stdout of a success": (["psl2z", "--family", "1"], 0, ">&-"),
+        "stderr of an input error": (["reduce", "-m", "1,2;3"], 3, "2>&-"),
+        "stdout of a failed verify": (
+            ["fill", "--verify", str(_tampered_certificate(tmp_path, capsys))],
+            2, ">&-"),
+    }[case]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" ' + redirect, "sh", sys.executable, "-m",
+         "torfill.cli", *argv], env=_cli_env(), capture_output=True,
+        timeout=300)
+    assert proc.returncode == code
+    assert b"Traceback" not in proc.stdout + proc.stderr
+
+
+def test_a_full_disk_is_not_taken_for_a_closed_stream():
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        cli._deliver(Full(), "n=2\n")
+
+
+def test_output_digest_covers_every_group():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "output_digest.py")],
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = [line.split()[:2] for line in proc.stdout.splitlines()]
+    assert counts == [["group=round_trip", "calls=400"],
+                      ["group=reduce_3x3", "calls=50"],
+                      ["group=reduce_trace", "calls=3"],
+                      ["group=fvupper", "calls=3"],
+                      ["group=bounds", "calls=280"],
+                      ["group=failing", "calls=9"]]
 
 
 def test_selftest_quick_smoke(tmp_path, monkeypatch, capsys):

@@ -99,9 +99,10 @@ def _call(capsys, argv, note=""):
         code = main(argv)
     except Exception as exc:
         pytest.fail("%r raised %r %s" % (argv, exc, note))
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, code, note)
     assert "Traceback" not in err, (argv, err, note)
+    assert code != 3 or out == "", (argv, out, note)
     return code
 
 
