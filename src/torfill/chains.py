@@ -11,8 +11,9 @@ parallelogram cycle is its tuple of minors.  All arithmetic is exact: vertices
 are arbitrary-precision integers and the degree oracle works over Fraction.
 
 The kernels re-base only simplices that can lose the origin: faces i >= 1 of
-a canonical simplex and every prism term keep it, so boundary re-bases face 0
-alone and prism_v nothing, while pushforward re-bases each image.
+a canonical simplex, every prism term and every image under a linear map
+keep it, so boundary re-bases face 0 alone, and prism_v and pushforward
+nothing.
 linear_map transposes a map's columns once, for all the points it maps.
 
 Degenerate simplices (repeated vertices) are ordinary chain generators here —
@@ -191,8 +192,9 @@ def linear_map(columns):
 
 
 def pushforward(columns, c: TorusChain) -> TorusChain:
-    """Apply the linear torus map e_i -> columns[i] vertexwise and
-    re-canonicalize.  Integer columns make the map well defined on T^n.
+    """Apply the linear torus map e_i -> columns[i] vertexwise; it sends the
+    origin to the origin, so each image is canonical as mapped.  Integer
+    columns make the map well defined on T^n.
 
     Commutes with boundary and never increases the l^1 norm.
     """
@@ -213,7 +215,7 @@ def pushforward(columns, c: TorusChain) -> TorusChain:
             if q is None:
                 q = images[p] = image(p)
             verts.append(q)
-        img = _canon_fast(tuple(verts))
+        img = tuple(verts)
         acc[img] = get(img, 0) + coeff
     return TorusChain(m, c.degree, {s: v for s, v in acc.items() if v})
 

@@ -1,6 +1,12 @@
 """Exact bootstrap solver: fill a null-homologous cycle by solving the
 boundary system over all candidate simplices in a coordinate box.
 
+Each stage of the box expansion counts its vertex tuples before it builds
+any.  The solver stops at the first box whose nondegenerate count is over
+TUPLE_CAP, since every later stage counts at least as many, and skips a
+degenerate stage over the cap, since the next box's nondegenerate count can
+be smaller.
+
 The boundary matrix is sparse with mostly unit entries, so the Diophantine
 system is reduced by substituting out variables with +-1 pivots (exact row
 operations, solvability preserved in both directions); any residual core is
@@ -11,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import permutations, product
+from math import perm
 
-from ..chains import TorusChain, boundary, faces
+from ..chains import TorusChain, _canon_fast, boundary, faces
 from ..errors import CandidateSetTooLarge, Unfillable
 from ..exactlinalg import IntMatrix, _check, solve_diophantine
 from .certificate import FillingCertificate, require_valid
@@ -22,29 +29,20 @@ TUPLE_CAP = 2_500_000
 
 def enumerate_candidates(ambient_dim, degree, box, include_degenerate):
     """Canonical vertex tuples of the degree-`degree` simplices with a
-    vertex representative inside [0, box]^n."""
-    points = list(product(range(box + 1), repeat=ambient_dim))
+    vertex representative inside [0, box]^n, in order of first appearance.
+    Raises CandidateSetTooLarge, before building anything, when the vertex
+    tuples to enumerate number more than TUPLE_CAP."""
+    points = (box + 1) ** ambient_dim
     n_vertices = degree + 1
-    if include_degenerate:
-        total = len(points) ** n_vertices
-        source = product(points, repeat=n_vertices)
-    else:
-        total = 1
-        for i in range(n_vertices):
-            total *= max(0, len(points) - i)
-        source = permutations(points, n_vertices)
+    total = (points ** n_vertices if include_degenerate
+             else perm(points, n_vertices))
     if total > TUPLE_CAP:
         raise CandidateSetTooLarge(
             "box %d would enumerate %d vertex tuples" % (box, total))
-    seen = set()
-    out = []
-    for verts in source:
-        v0 = verts[0]
-        key = tuple(tuple(a - b for a, b in zip(p, v0)) for p in verts)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    grid = list(product(range(box + 1), repeat=ambient_dim))
+    source = (product(grid, repeat=n_vertices) if include_degenerate
+              else permutations(grid, n_vertices))
+    return list(dict.fromkeys(map(_canon_fast, source)))
 
 
 def _degenerate(simplex):
@@ -130,25 +128,18 @@ def _solve_sparse(columns, rhs):
         substitutions.append((j, piv, row_snapshot, b_i))
 
     x = {}
-    # dense core for whatever has no unit pivots left
-    live_rows = [i for i, row in row_entries.items() if row or rhs.get(i)]
+    # dense core for whatever has no unit pivots left: every row still here
+    # has entries, since an emptied row is pushed again and settled on pop
+    live_rows = list(row_entries)
     if live_rows:
         live_cols = sorted({j for i in live_rows for j in row_entries[i]})
-        if live_cols:
-            index = {j: c for c, j in enumerate(live_cols)}
-            dense = IntMatrix(tuple(
-                tuple(row_entries[i].get(j, 0) for j in live_cols)
-                for i in live_rows))
-            b = tuple(rhs.get(i, 0) for i in live_rows)
-            sol = solve_diophantine(dense, b)
-            if sol is None:
-                return None
-            for j, c in index.items():
-                if sol[c]:
-                    x[j] = sol[c]
-        else:
-            if any(rhs.get(i, 0) for i in live_rows):
-                return None
+        dense = IntMatrix(tuple(
+            tuple(row_entries[i].get(j, 0) for j in live_cols)
+            for i in live_rows))
+        sol = solve_diophantine(dense, tuple(rhs.get(i, 0) for i in live_rows))
+        if sol is None:
+            return None
+        x = {j: v for j, v in zip(live_cols, sol) if v}
 
     for j, piv, row_snapshot, b_i in reversed(substitutions):
         s = b_i
@@ -163,69 +154,56 @@ def _solve_sparse(columns, rhs):
     return x
 
 
-def _stage_schedule(box, max_expand, target_degenerate):
-    """Boxes expand by +1; degenerate candidates join within each box before
-    the next expansion (immediately when the target itself is degenerate,
-    since nondegenerate witnesses have nondegenerate boundaries)."""
-    stages = []
-    for b in range(box, max_expand + 1):
-        if not target_degenerate:
-            stages.append((b, False))
-        stages.append((b, True))
-    return stages
-
-
 def fill_by_solve(z: TorusChain, box: int = 1,
                   max_expand: int = 3) -> FillingCertificate:
     """Exact filling certificate for a cycle z via the boundary system.
 
     Candidates are all canonical simplices of degree deg(z)+1 with a vertex
-    representative in [0, box]^n, nondegenerate first; the box expands by +1
-    up to max_expand on NoSolution.  Raises Unfillable when every stage
-    fails (raise the box, or the cycle is not null-homologous).
+    representative in [0, b]^n for b = box, .., max_expand; in each box the
+    nondegenerate ones come first, and the degenerate ones join.  Raises
+    CandidateSetTooLarge at the first box over the cap, an over-cap
+    degenerate stage being skipped unless it is the last or only one, and
+    Unfillable when every stage fails (raise the box, or the cycle is not
+    null-homologous).
     """
     if not boundary(z).is_zero():
         raise Unfillable("fill_by_solve requires a cycle")
     if z.is_zero():
         return FillingCertificate.build(z, TorusChain.zero(z.ambient_dim,
                                                            z.degree + 1))
-    target_degenerate = any(map(_degenerate, z.terms))
-    last_error = None
-    for b, include_degenerate in _stage_schedule(box, max_expand,
-                                                 target_degenerate):
-        try:
-            candidates = enumerate_candidates(z.ambient_dim, z.degree + 1, b,
-                                              include_degenerate)
-        except CandidateSetTooLarge as exc:
-            last_error = exc
-            continue
-        row_ids = {}
-
-        def row_of(simplex):
-            if simplex not in row_ids:
-                row_ids[simplex] = len(row_ids)
-            return row_ids[simplex]
-
-        columns = []
-        for cand in candidates:
-            col = {}
-            for i, face in enumerate(faces(cand)):
-                r = row_of(face)
-                v = col.get(r, 0) + (1 if i % 2 == 0 else -1)
-                if v:
-                    col[r] = v
-                elif r in col:
-                    del col[r]
-            columns.append(col)
-        rhs = {row_of(simplex): coeff for simplex, coeff in z.terms.items()}
-        solution = _solve_sparse(columns, rhs)
-        if solution is None:
-            continue
-        witness = TorusChain.from_pairs(
-            z.ambient_dim, z.degree + 1,
-            ((candidates[j], v) for j, v in solution.items()))
-        return require_valid(FillingCertificate.build(z, witness))
-    if last_error is not None:
-        raise CandidateSetTooLarge(str(last_error))
+    # nondegenerate witnesses have nondegenerate boundaries
+    stages = (True,) if any(map(_degenerate, z.terms)) else (False, True)
+    for b in range(box, max_expand + 1):
+        for include_degenerate in stages:
+            try:
+                candidates = enumerate_candidates(
+                    z.ambient_dim, z.degree + 1, b, include_degenerate)
+            except CandidateSetTooLarge:
+                # (b+2)(b+1)b nondegenerate triples in the next box undercut
+                # the (b+1)^3 of this one; every other stage counts no fewer
+                if include_degenerate and len(stages) == 2 and b < max_expand:
+                    continue
+                raise
+            row_ids = {}
+            columns = []
+            for cand in candidates:
+                col = {}
+                for i, face in enumerate(faces(cand)):
+                    r = row_ids.setdefault(face, len(row_ids))
+                    v = col.get(r, 0) + (1 if i % 2 == 0 else -1)
+                    if v:
+                        col[r] = v
+                    elif r in col:
+                        del col[r]
+                columns.append(col)
+            rhs = {row_ids.setdefault(simplex, len(row_ids)): coeff
+                   for simplex, coeff in z.terms.items()}
+            solution = _solve_sparse(columns, rhs)
+            if solution is None:
+                continue
+            witness = TorusChain.from_pairs(
+                z.ambient_dim, z.degree + 1,
+                ((candidates[j], v) for j, v in solution.items()))
+            return require_valid(FillingCertificate.build(z, witness))
     raise Unfillable("no filling with vertices in [0,%d]^%d"
                      % (max_expand, z.ambient_dim))

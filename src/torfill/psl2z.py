@@ -12,7 +12,9 @@ Decomposition runs one continued-fraction descent on the first column,
 emitting the letters of T = [[1,1],[0,1]] = U^2 S and S as it goes, then
 reduces once in the free product.  Each quotient q of the descent becomes
 2|q| letters, so the cost is linear in the sum of the |quotients|, not in
-the bit size: [[1, q], [0, 1]] decomposes into a word of 2q letters.
+the bit size: [[1, q], [0, 1]] decomposes into a word of 2q letters.  A
+decomposition or power longer than MAX_LETTERS is refused, from its letter
+count, before any list is built.
 Cyclic reduction works on the two ends only: an alternating word stays
 alternating when its ends cancel or merge.
 """
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotUnimodular, VerificationFailure
+from .errors import NotUnimodular, TorfillError, VerificationFailure
 from .exactlinalg import IntMatrix, _check, mat_pow
+
+MAX_LETTERS = 10 ** 7
 
 # right multiplication by a letter, on the entries (a, b, c, d) of
 # [[a, b], [c, d]]
@@ -108,9 +112,17 @@ def _signed(letters, target: IntMatrix, what) -> Psl2Word:
     return Psl2Word(letters, -1)
 
 
-def _t_power(k) -> list:
-    """Letters of T^k: T = U^2 S and T^{-1} = S U in PSL."""
-    return ["U2", "S"] * k if k > 0 else ["S", "U"] * -k
+def _fit(count, what):
+    """Refuse a word of `count` letters over MAX_LETTERS."""
+    if count > MAX_LETTERS:
+        raise TorfillError("the %s would have more than %d letters"
+                           % (what, MAX_LETTERS))
+
+
+def _add_t_power(letters, k):
+    """Append the letters of T^k: T = U^2 S and T^{-1} = S U in PSL."""
+    _fit(len(letters) + 2 * abs(k), "decomposition")
+    letters += ["U2", "S"] * k if k > 0 else ["S", "U"] * -k
 
 
 def decompose(a: IntMatrix) -> Psl2Word:
@@ -125,10 +137,11 @@ def decompose(a: IntMatrix) -> Psl2Word:
     letters = []
     while r != 0:
         k = p // r
-        letters += _t_power(k) + ["S"]
+        _add_t_power(letters, k)
+        letters.append("S")
         p, q, r, s = r, s, k * r - p, k * s - q
     _check(abs(p) == 1 and p == s, "the peeled remainder is not +-T^b")
-    letters += _t_power(p * q)
+    _add_t_power(letters, p * q)
     return _signed(_reduce(letters), a, "decomposition")
 
 
@@ -148,6 +161,7 @@ def word_power(w: Psl2Word, j: int) -> Psl2Word:
     """w^j, j >= 0, in one reduction of the repeated letters (stack
     reduction is confluent).  Cancellations like S*S = -I flip the lift
     sign, so the sign comes from the exact power of w's matrix."""
+    _fit(len(w.letters) * j, "power %d" % j)
     return _signed(_reduce(w.letters * j), mat_pow(reconstruct(w), j),
                    "power %d" % j)
 

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ from torfill.cli import build_parser, main
 from torfill.errors import Unfillable, VerificationFailure
 from torfill.filling import base
 from torfill.filling import reduce as reduction
-from torfill.filling.certificate import Piece, lifted
+from torfill.filling.certificate import Piece, lifted, presentation_chain
 from torfill.formats import load_certificate
 
 from layouts import v2_chain_obj
@@ -654,6 +655,24 @@ def test_psl2z_verification_failure_exit_2(monkeypatch, capsys, argv, honest):
     assert len(calls) == honest + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["psl2z", "-m", "1,1000000000000;0,1"],
+    ["psl2z", "-m", "1,-1000000000000;0,1"],
+    ["psl2z", "--family", "1000000000000"],
+    ["psl2z", "--family", "1", "--power", "1000000000000"],
+], ids=["t-power", "t-inverse-power", "family", "word-power"])
+def test_a_word_over_the_letter_cap_exit_3(capsys, argv):
+    # each word would have 2 * 10^12 letters or more; the count says so
+    # before any list is repeated or any matrix power is taken
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: the %s would have more than 10000000"
+                            " letters\n" % ("power 1000000000000"
+                                             if "--power" in argv
+                                             else "decomposition"))
+
+
 def test_input_errors_exit_3(tmp_path, capsys):
     assert main(["bounds", "-m", "2,x;1,1"]) == 3
     capsys.readouterr()
@@ -1050,6 +1069,37 @@ def test_a_stream_closed_before_the_start_keeps_the_exit_code(tmp_path, capsys,
     assert b"Traceback" not in proc.stdout + proc.stderr
 
 
+def _fill_under_a_memory_limit(tmp_path, *options):
+    """`fill --cycle` on Q(2 e1) - 2 Q(e1) in T^2, which fills in box 1, in a
+    subprocess limited to 1 GB of address space: an enumeration built
+    before it is counted fails there instead of filling the host."""
+    z = presentation_chain(2, 1, ((1, ((2, 0),)), (-2, ((1, 0),))))
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(v2_chain_obj(z)))
+    return subprocess.run(
+        ["sh", "-c", 'ulimit -v 1000000 && exec "$@"', "sh", sys.executable,
+         "-m", "torfill.cli", "fill", "--cycle", str(path), *options],
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
+
+
+def test_fill_counts_each_box_before_it_builds_it(tmp_path):
+    # the first box fills, so a huge --max-expand changes nothing
+    small = _fill_under_a_memory_limit(tmp_path, "--max-expand", "3")
+    huge = _fill_under_a_memory_limit(tmp_path, "--max-expand", "1000000000")
+    assert small.returncode == huge.returncode == 0
+    assert huge.stdout == small.stdout == "cost=7\nwitness_simplices=5\n"
+    assert huge.stderr == ""
+
+
+def test_fill_stops_at_the_first_box_over_the_cap(tmp_path):
+    proc = _fill_under_a_memory_limit(tmp_path, "--box", "100000",
+                                      "--max-expand", "100000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("verification failure: box 100000 would enumerate"
+                           " %d vertex tuples\n" % math.perm(100001 ** 2, 3))
+
+
 def test_a_full_disk_is_not_taken_for_a_closed_stream():
     class Full(io.StringIO):
         def write(self, text):
@@ -1071,6 +1121,7 @@ def test_output_digest_covers_every_group():
                       ["group=reduce_trace", "calls=3"],
                       ["group=fvupper", "calls=3"],
                       ["group=bounds", "calls=280"],
+                      ["group=fill", "calls=74"],
                       ["group=failing", "calls=9"]]
 
 

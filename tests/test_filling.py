@@ -845,3 +845,16 @@ def test_candidate_cap():
     from torfill.filling.solver import enumerate_candidates
     with pytest.raises(CandidateSetTooLarge):
         enumerate_candidates(3, 4, 3, True)
+
+
+def test_candidate_cap_is_checked_before_the_box_is_listed(monkeypatch):
+    # (10^6 + 1)^2 points would not fit in memory: the count comes first
+    from torfill.errors import CandidateSetTooLarge
+    from torfill.filling import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box was listed before its count")
+
+    monkeypatch.setattr(solver, "product", refuse)
+    with pytest.raises(CandidateSetTooLarge, match="box 1000000 would"):
+        solver.enumerate_candidates(2, 2, 10 ** 6, False)

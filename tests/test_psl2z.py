@@ -5,7 +5,7 @@ import random
 import pytest
 
 from torfill import psl2z
-from torfill.errors import NotUnimodular, VerificationFailure
+from torfill.errors import NotUnimodular, TorfillError, VerificationFailure
 from torfill.exactlinalg import IntMatrix, mat_pow
 from torfill.psl2z import (Psl2Word, cyclically_reduced_length, decompose,
                            delta_bounds, family_matrix, reconstruct,
@@ -143,6 +143,23 @@ def test_word_power_lifts_the_matrix_power(monkeypatch):
                         lambda a, j: IntMatrix(((2, 1), (1, 1))))
     with pytest.raises(VerificationFailure):
         word_power(decompose(family_matrix(1)), 2)
+
+
+def test_a_word_over_the_letter_cap_is_refused_before_it_is_built(
+        monkeypatch):
+    monkeypatch.setattr(psl2z, "MAX_LETTERS", 10)
+    t5 = decompose(IntMatrix(((1, 5), (0, 1))))  # T^5: 10 letters
+    assert len(t5.letters) == 10
+    assert len(word_power(decompose(family_matrix(1)), 2).letters) == 8
+    assert len(word_power(decompose(IntMatrix(((1, 1), (0, 1)))), 5).letters
+               ) == 10
+    with pytest.raises(TorfillError, match="decomposition would have more"):
+        decompose(IntMatrix(((1, -6), (0, 1))))
+    with pytest.raises(TorfillError, match="decomposition would have more"):
+        decompose(family_matrix(5))  # T^6 S ... in the first quotient
+    monkeypatch.setattr(psl2z, "mat_pow", None)  # never reached
+    with pytest.raises(TorfillError, match="power 3 would have more"):
+        word_power(decompose(family_matrix(1)), 3)  # 4 letters, 12 > 10
 
 
 def _is_cyclically_reduced(w):

@@ -26,6 +26,11 @@ Groups and their seeded draws:
   cycling through a criterion-1 word (`selftest.random_sl2_word`), an n x n
   matrix with entries in [-5, 5] (n cycling through 3..6), and the
   companion of x^3 - (N+1)x^2 + Nx - N with N drawn from [10^7, 10^8];
+- fill: `fill --cycle cycle_<i>.json --out fill_<i>.json`, then `fill
+  --verify fill_<i>.json`, on the 7 universal cycles of the base keys with
+  `--max-expand 3` and on 30 plane cycles d(W) Q(V) - d(V) Q(W) in T^2 with
+  `--max-expand 2`, where V and W are 2x2 matrices with entries in [-2, 2],
+  V then W, drawn row by row from `random.Random(12001)` (74 calls);
 - failing: calls that end in an input error or a rejected certificate: a
   ragged, a non-numeric and a non-square matrix, a usage error, a
   certificate file cut short, one whose first trace cost was raised by
@@ -46,6 +51,10 @@ import random
 import tempfile
 
 from torfill.cli import main
+from torfill.exactlinalg import det_rows
+from torfill.filling import BASE_KEYS, universal_cycle
+from torfill.filling.certificate import presentation_chain
+from torfill.formats import _chain_text
 from torfill.selftest import random_sl2_word
 
 
@@ -89,6 +98,21 @@ def bounds_calls():
         yield ["bounds", "--stats", matrix_arg(a)]
 
 
+def fill_calls():
+    cycles = [(universal_cycle(key), "3") for key in BASE_KEYS]
+    rng = random.Random(12001)
+    for _ in range(30):
+        v, w = random_matrix(rng, 2, 2), random_matrix(rng, 2, 2)
+        cycles.append((presentation_chain(
+            2, 2, ((det_rows(w), v), (-det_rows(v), w))), "2"))
+    for i, (z, max_expand) in enumerate(cycles):
+        with open("cycle_%d.json" % i, "w", encoding="utf-8") as fh:
+            fh.write(_chain_text(z))
+        yield ["fill", "--cycle", "cycle_%d.json" % i, "--max-expand",
+               max_expand, "--out", "fill_%d.json" % i]
+        yield ["fill", "--verify", "fill_%d.json" % i]
+
+
 def failing_calls():
     for argv in (["reduce", "-m", "1,2;3"], ["bounds", "-m", "2,x;1,1"],
                  ["torsion", "-m", "1,2,3;4,5,6"], ["bounds"],
@@ -118,6 +142,7 @@ GROUPS = {
                         (("2,1;1,1", "12"), ("0,0,1;1,0,-1;0,1,3", "12"),
                          ("1025,1024;1,1", "6"))),
     "bounds": bounds_calls,
+    "fill": fill_calls,
     "failing": failing_calls,
 }
 
