@@ -179,8 +179,9 @@ def fill_by_solve(z: TorusChain, box: int = 1,
                 candidates = enumerate_candidates(
                     z.ambient_dim, z.degree + 1, b, include_degenerate)
             except CandidateSetTooLarge:
-                # (b+2)(b+1)b nondegenerate triples in the next box undercut
-                # the (b+1)^3 of this one; every other stage counts no fewer
+                # every later stage counts at least as many tuples, but for
+                # the next box's nondegenerate one: in T^1 its (b+2)(b+1)b
+                # triples undercut the (b+1)^3 degenerate ones of box b
                 if include_degenerate and len(stages) == 2 and b < max_expand:
                     continue
                 raise
