@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_INPUT = 3
 
+# The largest --kmax/--jmax: stdout is written once the table is built, so a
+# range that could never finish is refused while parsing, exit 3.
+MAX_ROWS = 10 ** 4
+
 
 class _Parser(argparse.ArgumentParser):
     """Exits 3 on a usage error.  The top-level parser built by
@@ -40,9 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low, so out-of-range counts fail during
-    argument parsing with exit code 3."""
+def _int_at_least(low, high=math.inf):
+    """argparse type: an integer in [low, high], so out-of-range counts
+    fail during argument parsing with exit code 3."""
     def parse(text):
         try:
             value = int(text)
@@ -51,6 +55,9 @@ def _int_at_least(low):
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d"
                                              % (low, value))
+        if value > high:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d"
+                                             % (high, value))
         return value
     return parse
 
@@ -121,15 +128,15 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("fvupper", help="per-power reduction cost experiment")
     _add_matrix_args(p)
-    p.add_argument("--jmax", type=_int_at_least(1), default=8)
+    p.add_argument("--jmax", type=_int_at_least(1, MAX_ROWS), default=8)
 
     p = subs.add_parser("torsion", help="torsion growth of coker(A^k - I)")
     _add_matrix_args(p)
-    p.add_argument("--kmax", type=_int_at_least(1), default=40)
+    p.add_argument("--kmax", type=_int_at_least(1, MAX_ROWS), default=40)
 
     p = subs.add_parser("gelfand", help="entrywise-norm root sequence")
     _add_matrix_args(p)
-    p.add_argument("--jmax", type=_int_at_least(1), default=64)
+    p.add_argument("--jmax", type=_int_at_least(1, MAX_ROWS), default=64)
 
     p = subs.add_parser("psl2z", help="free-product word decomposition")
     group = p.add_mutually_exclusive_group(required=True)

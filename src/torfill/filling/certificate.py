@@ -20,9 +20,10 @@ kept only for perfbench's assemble span, which counts chunk simplices.
 
 lifted(key, d) memoises each lifted base witness as an index table: its
 distinct vertices, the origin first, and each simplex as a getter over the
-indices of its vertices.  Every lifted simplex is canonical and F(0) = 0,
-so a chunk maps each distinct vertex once and indexes the images, with no
-re-canonicalization.
+indices of its vertices, after checking the class of the lifted universal
+presentation, so once per (key, d).  Every lifted simplex is canonical and
+F(0) = 0, so a chunk maps each distinct vertex once and indexes the images,
+with no re-canonicalization.
 """
 
 from __future__ import annotations
@@ -184,7 +185,9 @@ def lifted(key, d) -> tuple:
     """_lift(key, d) as an index table (points, simplices): points lists its
     distinct vertices once, the origin first, and simplices lists its terms
     as (itemgetter of the simplex's index tuple into points, coeff).  Every
-    simplex has at least two vertices, so each getter returns a tuple."""
+    simplex has at least two vertices, so each getter returns a tuple.
+    lifted_presentation(key, d) first checks that the class vanishes."""
+    lifted_presentation(key, d)
     chain = _lift(key, d)
     index = {(0,) * chain.ambient_dim: 0}
     simplices = tuple((itemgetter(*[index.setdefault(p, len(index))
@@ -320,11 +323,8 @@ class Piece:
         """(witness, records): each chunk's lifted simplices are folded
         straight into one dict, with marginal costs telescoping to
         l1(witness).  A chunk's class is Lambda^k F of its lifted universal
-        presentation's, so checking that class vanishes once per (key, d)
-        checks every chunk's."""
-        for key, d in {(chunk.source, chunk.depth)
-                       for _, chunk in self.chunks if chunk.coeff}:
-            lifted_presentation(key, d)
+        presentation's, so lifted(key, d) checks that class vanishes once
+        per (key, d), which checks every chunk's."""
         acc = {}
         norm = 0
         records = []

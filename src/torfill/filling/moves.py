@@ -6,8 +6,9 @@ Prism operators anticommute exactly under the adopted sign convention, so
 generator permutations act on parallelogram cycles by their sign at the
 chain level; rearrangements are therefore exact zero-cost moves, and the
 base table ships only splitting, zero-generator, Dehn-step and
-double-halve certificates.  The circle schedule s1_moves emits its moves
-as chunk data (sign, key, columns), which s1_piece turns into one piece.
+double-halve certificates.  One halving schedule, halving_moves, serves
+the circle (s1_moves) and the rectangles (reduce.rect_to_unit) as chunk
+data (sign, key, columns), which chunk_piece turns into one piece.
 """
 
 from __future__ import annotations
@@ -82,41 +83,52 @@ class S1Trace(NamedTuple):
     total: int  # L
 
 
+def halving_moves(u, w, a: int):
+    """Chunk data filling Q(a*u, w) - Q(u, a*w), a >= 1: while x > 1, an
+    odd x splits off Q(u, v), then DOUBLE_HALVE takes Q(x*u, v) to
+    Q(x/2*u, 2v); the split-off cycles merge back into v at the end.
+
+    Returns (moves, multipliers a_0, .., a_N = 1, a*w).  Each move is chunk
+    data (sign, key, columns): sign * Piece.move(key, columns), whose target
+    is the cycle noted where the move is emitted."""
+    u, w = _vec(u), _vec(w)
+    moves, pending, x, v, multipliers = [], [], a, w, [a]
+    while x > 1:
+        if x % 2:
+            # Q(x*u, v) - Q((x - 1)*u, v) - Q(u, v)
+            moves.append((-1, ("SPLIT", 2), (v, _scale_vec(x - 1, u), u)))
+            pending.append(v)
+            x -= 1
+        # Q(x*u, v) - Q(x/2*u, 2v)
+        moves.append((-1, ("DOUBLE_HALVE",), (_scale_vec(x // 2, u), v)))
+        x, v = x // 2, _scale_vec(2, v)
+        multipliers.append(x)
+    for extra in reversed(pending):
+        # Q(u, v) + Q(u, extra) - Q(u, v + extra)
+        moves.append((-1, ("SPLIT", 2), (u, v, extra)))
+        v = _add_vec(v, extra)
+    _check(v == _scale_vec(a, w), "the halving must end at a*w")
+    return moves, tuple(multipliers), v
+
+
+def chunk_piece(n: int, k: int, moves) -> Piece:
+    """The sum of sign * Piece.move(key, columns) over chunk data, a piece
+    whose target is a degree-k cycle in T^n."""
+    return Piece(n, k, tuple(pair for sign, key, columns in moves for pair
+                             in Piece.move(key, columns).scale(sign).chunks))
+
+
 def s1_moves(a: int, l: int):
     """Move schedule filling Q(a, l) in T^1, a, l >= 1, shared by the
     certificate builder and the sweep counter.
 
-    Returns (moves, trace).  Each move is chunk data (sign, key, columns):
-    sign * Piece.move(key, columns), whose target is the cycle noted where
-    the move is emitted.  Q(a, l) = sum of the moves' targets exactly.
+    Returns (moves, trace).  Phase 2 is halving_moves on u = 1, w = l;
+    phase 1 then doubles Q(1, al) down to Q(2^M, 0).  The moves are chunk
+    data, and Q(a, l) = sum of their targets exactly.
     """
     a, l = int(a), int(l)
     _check(a >= 1 and l >= 1, "the circle schedule needs a, l >= 1")
-    moves = []
-    x, y = a, l
-
-    # phase 2: halve the first generator, doubling the second
-    phase2 = [x]
-    pending = []  # second components of the split-off Q(1, .) remainders
-    i = 0
-    while x > 1:
-        second = (1 << i) * y
-        if x % 2:
-            # Q(x, second) - Q(x - 1, second) - Q(1, second)
-            moves.append((-1, ("SPLIT", 2), ((second,), (x - 1,), (1,))))
-            pending.append(second)
-            x -= 1
-        # Q(x, second) - Q(x/2, 2*second)
-        moves.append((-1, ("DOUBLE_HALVE",), ((x // 2,), (second,))))
-        x //= 2
-        i += 1
-        phase2.append(x)
-
-    big_l = (1 << i) * y
-    for extra in reversed(pending):
-        # Q(1, big_l) + Q(1, extra) - Q(1, big_l + extra)
-        moves.append((-1, ("SPLIT", 2), ((1,), (big_l,), (extra,))))
-        big_l += extra
+    moves, phase2, (big_l,) = halving_moves((1,), (l,), a)
 
     # phase 1 on Q(1, big_l)
     phase1 = []
@@ -136,16 +148,14 @@ def s1_moves(a: int, l: int):
     # Q(x1, 0)
     moves.append((1, ("ZERO", 1), ((x1,),)))
 
-    return moves, S1Trace(tuple(phase1), tuple(phase2), big_l)
+    return moves, S1Trace(tuple(phase1), phase2, big_l)
 
 
 def s1_piece(a: int, l: int):
     """Piece with target Q(a, l) in T^1, plus the trace of the
     doubling/halving schedule.  Move count is O(log al)."""
     moves, trace = s1_moves(a, l)
-    chunks = tuple(pair for sign, key, columns in moves
-                   for pair in Piece.move(key, columns).scale(sign).chunks)
-    return Piece(1, 2, chunks), trace
+    return chunk_piece(1, 2, moves), trace
 
 
 def slide(u0, m, w) -> Piece:

@@ -8,8 +8,8 @@ Euclid brings out the row's gcd and steers it onto the diagonal.  Entries
 left below the diagonal split off, and each dependent tuple that leaves is
 sheared down to a zero column (ZERO_GEN), as is the whole matrix when
 det = 0.  The diagonal R(d_1, .., d_n) goes to R(det, 1, .., 1) by
-rect_to_unit, which halves each later size by DOUBLE_HALVE moves, doubling
-the first; for det = +-1 it is that already.
+rect_to_unit: the chunk data of halving_moves, the circle schedule's
+halving of each later size into the first; for det = +-1 it is that already.
 Each step returns a Piece whose docstring states the cycles it fills; the
 final certificate is checked, with exact integer arithmetic, against the
 claim Q(columns) - R(det, 1..1), and carries the move trace.
@@ -26,7 +26,8 @@ from ..errors import TorfillError, UnsupportedDimension
 from ..exactlinalg import IntMatrix, _check, det_exact, mat_pow
 from .base import base_certificate
 from .certificate import FillingCertificate, Piece, _unit
-from .moves import _add_vec, _scale_vec, move_split, move_zero_gen, slide
+from .moves import (_add_vec, _scale_vec, chunk_piece, halving_moves,
+                    move_split, move_zero_gen, slide)
 
 
 def _round_div(a, b) -> int:
@@ -37,17 +38,18 @@ def _round_div(a, b) -> int:
     return q
 
 
-_E1, _E2 = (1, 0), (0, 1)
+_E1 = (1, 0)
 
 
 def rect_to_unit(sizes) -> Piece:
-    """Piece filling R(sizes) - R(prod(sizes), 1, .., 1), n <= 3.
+    """Piece filling R(sizes) - R(prod(sizes), 1, .., 1), n <= 3, from the
+    chunk data of halving_moves, built directly in T^n.
 
     Every size after the first must be >= 1, as the walk produces them.
-    In the plane, _rect_to_unit_2d halves the second size; for n = 3,
-    R(a_1, a_2, a_3) goes to R(a_1*a_3, a_2, 1) by the plane piece of
-    (a_1, a_3) prism-lifted by a_2*e_2, and that to R(prod, 1, 1) by the
-    plane piece of (a_1*a_3, a_2) prism-lifted by e_3."""
+    In the plane it is the halving of a_2 along e_2 into a_1*e_1, negated;
+    for n = 3, R(a_1, a_2, a_3) goes to R(a_1*a_3, a_2, 1) by the halving
+    of a_3 into a_1*e_1, prism-lifted by a_2*e_2, and that to R(prod, 1, 1)
+    by the halving of a_2 into a_1*a_3*e_1, prism-lifted by e_3, negated."""
     sizes = tuple(int(a) for a in sizes)
     n = len(sizes)
     if all(a == 1 for a in sizes[1:]):
@@ -55,41 +57,20 @@ def rect_to_unit(sizes) -> Piece:
     _check(all(a >= 1 for a in sizes[1:]),
            "rect_to_unit needs every size after the first >= 1, got %r"
            % (sizes,))
-    if n == 2:
-        return _rect_to_unit_2d(sizes)
     if n > 3:
         raise UnsupportedDimension("rectangle normalization needs n <= 3")
+    e = [_unit(n, t) for t in range(n)]
 
+    def halving(t, first):
+        """Q(sizes[t]*e[t], first*e[0]) - Q(e[t], sizes[t]*first*e[0])."""
+        moves = halving_moves(e[t], _scale_vec(first, e[0]), sizes[t])[0]
+        return chunk_piece(n, 2, moves)
+
+    if n == 2:
+        return -halving(1, sizes[0])
     a1, a2, a3 = sizes
-    # phase a: R(sizes) - R(a1*a3, a2, 1); phase b: that to R(prod, 1, 1)
-    phase_a = -_rect_to_unit_2d((a1, a3)).pushforward(
-        [_unit(3, 0), _unit(3, 2)]).prism_lift((0, a2, 0))
-    phase_b = _rect_to_unit_2d((a1 * a3, a2)).pushforward(
-        [_unit(3, 0), _unit(3, 1)]).prism_lift(_unit(3, 2))
-    return phase_a + phase_b
-
-
-def _rect_to_unit_2d(sizes) -> Piece:
-    """R(a, b) - R(a*b, 1), b >= 1, by halving: while y > 1, an odd y
-    first splits off R(x, 1), then DOUBLE_HALVE takes R(x, y) to
-    R(2x, y/2); the split-off rectangles merge back into the first
-    generator at the end."""
-    x, y = sizes
-    piece, pending = Piece.zero(2, 2), []
-    while y > 1:
-        if y % 2:
-            piece = piece + move_split(((x, 0), (0, y)), 1, (0, y - 1), _E2)
-            pending.append(x)
-            y -= 1
-        piece = piece + Piece.move(("DOUBLE_HALVE",), [(x, 0), (0, y // 2)])
-        x, y = 2 * x, y // 2
-    for extra in reversed(pending):
-        piece = piece - move_split(((x + extra, 0), _E2), 0, (x, 0),
-                                   (extra, 0))
-        x += extra
-    _check(x == sizes[0] * sizes[1],
-           "the halving must end at R(a*b, 1)")
-    return piece
+    return (halving(2, a1).prism_lift(_scale_vec(a2, e[1]))
+            - halving(1, a1 * a3).prism_lift(e[2]))
 
 
 def _dehn_cost(k) -> int:

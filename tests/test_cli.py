@@ -225,6 +225,15 @@ def test_reduce_identity(capsys):
     assert kv["verified"] == "True"
 
 
+@pytest.mark.parametrize("matrix", ["0,0;0,1", "0,0,0;0,1,0;0,0,1"])
+def test_reduce_of_the_singular_unit_rectangle_is_empty(capsys, matrix):
+    # the columns are already R(0, 1, .., 1): the walk returns no move
+    code, kv, rows = run(capsys, "reduce", "--matrix=" + matrix)
+    assert code == 0
+    assert (kv["det"], kv["cost"], kv["moves"], kv["verified"]) == (
+        "0", "0", "0", "True")
+
+
 def test_reduce_and_fill_verify_round_trip(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, kv, rows = run(capsys, "reduce", "-m", "2,1;1,1", "--out", str(cert_path))
@@ -532,7 +541,7 @@ def test_fill_deeply_nested_json_exit_3(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("matrix, cost, moves, digest", [
     ("2,1;1,1", "2", "2", "6472560ddfab5c48"),
-    ("3,-1,-5;5,3,-4;-1,0,1", "312", "45", "39a6e67924afe4a1"),
+    ("3,-1,-5;5,3,-4;-1,0,1", "312", "45", "c143e92baf6eb85f"),
 ], ids=["2x2", "3x3"])
 def test_reduce_certificate_files_pinned(tmp_path, capsys, matrix, cost,
                                          moves, digest):
@@ -629,6 +638,15 @@ def test_psl2z_matrix(capsys):
     code, kv, rows = run(capsys, "psl2z", "-m", "0,-1;1,0")
     assert code == 0
     assert kv["word"] == "S"
+
+
+@pytest.mark.parametrize("matrix", ["2,1;1,1", "3,-1;1,0", "-1,1;-5,4"],
+                         ids=["A", "T_conjugate", "lower_conjugate"])
+def test_psl2z_conjugates_share_the_cyclic_length(capsys, matrix):
+    # T A T^-1 = -U2.S.U2.S.U2 and the conjugate of A by [[1, 0], [3, 1]]
+    # reduce cyclically by merging their end letters
+    code, kv, rows = run(capsys, "psl2z", "--matrix=" + matrix)
+    assert code == 0 and kv["length_cyc"] == "4"
 
 
 @pytest.mark.parametrize("argv, honest", [
@@ -786,6 +804,34 @@ def test_out_of_range_counts_exit_3(capsys, argv):
     errors = [line for line in captured.err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("torsion", "--kmax"), ("gelfand", "--jmax"), ("fvupper", "--jmax")])
+def test_table_ranges_past_the_row_cap_exit_3_at_once(command, flag):
+    # stdout is written once the table is built, so a range of 10^9 rows
+    # would print nothing until it was killed
+    proc = subprocess.run(
+        [sys.executable, "-m", "torfill.cli", command, "-m", "2,1;1,1", flag,
+         "1000000000"], env=_cli_env(), capture_output=True, text=True,
+        timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, flag, dest", [
+    ("torsion", "--kmax", "kmax"), ("gelfand", "--jmax", "jmax"),
+    ("fvupper", "--jmax", "jmax")])
+def test_table_range_cap_is_max_rows(capsys, command, flag, dest):
+    argv = [command, "-m", "2,1;1,1", flag]
+    args = cli._parse(cli.build_parser(), argv + [str(cli.MAX_ROWS)])
+    assert cli.MAX_ROWS == 10 ** 4 and getattr(args, dest) == cli.MAX_ROWS
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(cli.build_parser(), argv + [str(cli.MAX_ROWS + 1)])
+    assert exc.value.code == 3
+    assert "must be at most 10000, got 10001" in capsys.readouterr().err
 
 
 def _flip_first_witness_coeff(path):
@@ -1122,6 +1168,7 @@ def test_output_digest_covers_every_group():
                       ["group=fvupper", "calls=3"],
                       ["group=bounds", "calls=280"],
                       ["group=fill", "calls=74"],
+                      ["group=tables", "calls=109"],
                       ["group=failing", "calls=9"]]
 
 

@@ -21,7 +21,8 @@ from torfill.filling.base import (TABLE_DIR, _key_filename, base_costs,
 from torfill.filling.certificate import (Chunk, MoveRecord, Piece, _lift,
                                         _shape, class_sum, lifted_presentation,
                                         presentation_chain)
-from torfill.filling.moves import move_split, move_zero_gen
+from torfill.filling.moves import (chunk_piece, halving_moves, move_split,
+                                  move_zero_gen)
 from torfill.filling.reduce import _column_walk, _shear
 from torfill.formats import write_certificate
 
@@ -422,6 +423,52 @@ def test_s1_trace_examples():
     assert [i for i, x in enumerate(halved) if x % 2] == [0]
     assert [i for i, x in enumerate(halved) if x % 2 == 0] == [1]
     assert tr.total == 15 == 3 * (2 ** 2 + 2 ** 0)
+
+
+def test_s1_moves_pinned():
+    # the circle schedule as chunk data: halving_moves, then phase 1
+    assert s1_moves(5, 3)[0] == [
+        (-1, ("SPLIT", 2), ((3,), (4,), (1,))),
+        (-1, ("DOUBLE_HALVE",), ((2,), (3,))),
+        (-1, ("DOUBLE_HALVE",), ((1,), (6,))),
+        (-1, ("SPLIT", 2), ((1,), (12,), (3,))),
+        (1, ("DEHN", 3), ((1,), (15,))),
+        (1, ("DOUBLE_HALVE",), ((1,), (6,))),
+        (1, ("DEHN", 3), ((2,), (6,))),
+        (1, ("DOUBLE_HALVE",), ((2,), (0,))),
+        (1, ("ZERO", 1), ((4,),))]
+    assert s1_moves(12, 7)[0] == [
+        (-1, ("DOUBLE_HALVE",), ((6,), (7,))),
+        (-1, ("DOUBLE_HALVE",), ((3,), (14,))),
+        (-1, ("SPLIT", 2), ((28,), (2,), (1,))),
+        (-1, ("DOUBLE_HALVE",), ((1,), (28,))),
+        (-1, ("SPLIT", 2), ((1,), (56,), (28,))),
+        (1, ("DOUBLE_HALVE",), ((1,), (42,))),
+        (1, ("DEHN", 1), ((2,), (42,))),
+        (1, ("DOUBLE_HALVE",), ((2,), (20,))),
+        (1, ("DEHN", 1), ((4,), (20,))),
+        (1, ("DOUBLE_HALVE",), ((4,), (8,))),
+        (1, ("DEHN", 1), ((8,), (8,))),
+        (1, ("DOUBLE_HALVE",), ((8,), (0,))),
+        (1, ("ZERO", 1), ((16,),))]
+
+
+def test_halving_moves_fill_their_claim():
+    rng = random.Random(49)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            u, w = ([0] * n, [0] * n)
+            while not any(u) or not any(w):
+                u = [rng.randint(-4, 4) for _ in range(n)]
+                w = [rng.randint(-4, 4) for _ in range(n)]
+            a = rng.randint(1, 200)
+            moves, multipliers, last = halving_moves(u, w, a)
+            assert multipliers[0] == a and multipliers[-1] == 1
+            assert last == tuple(a * x for x in w)
+            claim = [(1, (tuple(a * x for x in u), tuple(w))),
+                     (-1, (tuple(u), last))]
+            cert = chunk_piece(n, 2, moves).certificate(claim)
+            assert verify_certificate(cert)[0], (u, w, a)
 
 
 def test_s1_certificates_and_move_counts():

@@ -31,6 +31,11 @@ Groups and their seeded draws:
   `--max-expand 3` and on 30 plane cycles d(W) Q(V) - d(V) Q(W) in T^2 with
   `--max-expand 2`, where V and W are 2x2 matrices with entries in [-2, 2],
   V then W, drawn row by row from `random.Random(12001)` (74 calls);
+- tables: `torsion --kmax 12` and `gelfand --jmax 16` on 20 criterion-1
+  words (`selftest.random_sl2_word(random.Random(12001))`) and on 20 n x n
+  matrices with entries in [-3, 3], n cycling through 2, 3, 4, drawn row by
+  row from their own `random.Random(12001)`; `psl2z --power 3` on the 20
+  words; and `psl2z --family i --power j` for i, j in {1, 2, 3} (109 calls);
 - failing: calls that end in an input error or a rejected certificate: a
   ragged, a non-numeric and a non-square matrix, a usage error, a
   certificate file cut short, one whose first trace cost was raised by
@@ -113,6 +118,20 @@ def fill_calls():
         yield ["fill", "--verify", "fill_%d.json" % i]
 
 
+def tables_calls():
+    rng = random.Random(12001)
+    words = [random_sl2_word(rng).data for _ in range(20)]
+    rng, dims = random.Random(12001), itertools.cycle((2, 3, 4))
+    matrices = [random_matrix(rng, next(dims), 3) for _ in range(20)]
+    for a in words + matrices:
+        yield ["torsion", matrix_arg(a), "--kmax", "12"]
+        yield ["gelfand", matrix_arg(a), "--jmax", "16"]
+    for a in words:
+        yield ["psl2z", matrix_arg(a), "--power", "3"]
+    for i, j in itertools.product("123", repeat=2):
+        yield ["psl2z", "--family", i, "--power", j]
+
+
 def failing_calls():
     for argv in (["reduce", "-m", "1,2;3"], ["bounds", "-m", "2,x;1,1"],
                  ["torsion", "-m", "1,2,3;4,5,6"], ["bounds"],
@@ -143,6 +162,7 @@ GROUPS = {
                          ("1025,1024;1,1", "6"))),
     "bounds": bounds_calls,
     "fill": fill_calls,
+    "tables": tables_calls,
     "failing": failing_calls,
 }
 
